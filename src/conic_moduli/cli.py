@@ -273,19 +273,7 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
     u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(coeffs)) * np.ones(
         (mesh.nt, mesh.nphi)
     )
-    log_density = 2.0 * (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
-    op = solver.assemble(mesh, np.exp(log_density + 2 * u_trunc))
-    phi_grid = 0.5 * log_density + u_trunc
-    fix = op.fixed_values({"outer": phi_grid[-1, :]}) if op.nfixed else None
-    K_tilde = op.weak_laplacian_dof(op.grid_to_dof(phi_grid), fix)
-    # the discrete curvature at the collapsed tip includes the cone's
-    # distributional curvature; that delta belongs to the background, so
-    # remove the exact flux of the conic part from the pole row
-    cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
-    delta_dof = op.weak_laplacian_dof(op.grid_to_dof(cone_part))
-    K_tilde[op.inner_pole_dof] -= delta_dof[op.inner_pole_dof]
-    f_grid = op.dof_to_grid(-(K_tilde + 1.0))
-    report = solver.picard_solve(op, f_grid, tol=args.tol)
+    report = solver.hyperbolic_correction_solve(mesh, beta, u_trunc, tol=args.tol)
     payload = {
         "equation": "hyperbolic correction (Delta+2)v = f + Q(v)",
         "beta": args.beta,
@@ -326,7 +314,7 @@ def _cmd_solve_spherical(args: argparse.Namespace) -> int:
         "equation": "spherical Delta u + K0 - e^{2u} = 0",
         "beta": args.beta,
         "mesh": args.mesh,
-        "extent": args.extent,
+        "extent": extent,
         "iterations": report.iterations,
         "residual_sup": report.residual_sup,
         "sup_solution": report.sup_solution,

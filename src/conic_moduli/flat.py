@@ -33,7 +33,6 @@ __all__ = [
     "ProbeReport",
     "ClusterSplitReport",
     "green_factor",
-    "green_factor_excluding",
     "corner_expansion_2pt",
     "cone_angle_probe",
     "cluster_split",
@@ -86,22 +85,15 @@ class FlatConicMetric:
         return len(self.points)
 
 
-def green_factor(m: FlatConicMetric, z: complex) -> float:
-    """G(z) = sum (beta_i - 1) log|z - p_i|; diverges at the marked points."""
-    total = 0.0
-    for p, b in zip(m.points, m.beta):
-        d = abs(z - p)
-        if d == 0.0:
-            raise ValueError(f"z = {z} is a marked point")
-        total += float(b - 1) * math.log(d)
-    return total
+def green_factor(m: FlatConicMetric, z: complex, exclude: Optional[int] = None) -> float:
+    """G(z) = sum (beta_i - 1) log|z - p_i|; diverges at the marked points.
 
-
-def green_factor_excluding(m: FlatConicMetric, index: int, z: complex) -> float:
-    """G(z) minus the log term of points[index]; smooth near that point."""
+    With ``exclude`` the log term of points[exclude] is left out, which
+    leaves a function smooth near that point.
+    """
     total = 0.0
     for j, (p, b) in enumerate(zip(m.points, m.beta)):
-        if j == index:
+        if j == exclude:
             continue
         d = abs(z - p)
         if d == 0.0:
@@ -234,7 +226,7 @@ def _circumference(m: FlatConicMetric, index: int, r: float) -> float:
         zs = p + r * np.exp(1j * t)
         out = np.empty_like(t)
         for i, z in enumerate(zs):
-            out[i] = math.exp(green_factor_excluding(m, index, complex(z)))
+            out[i] = math.exp(green_factor(m, complex(z), exclude=index))
         return out
 
     return r**b * circle_integral(f)
@@ -251,12 +243,12 @@ def _radial_length(m: FlatConicMetric, index: int, r: float, ray_angle: float) -
         out = np.empty_like(ts)
         for i, t in enumerate(ts):
             z = p + math.exp(t) * direction
-            out[i] = math.exp(b * t + green_factor_excluding(m, index, z))
+            out[i] = math.exp(b * t + green_factor(m, z, exclude=index))
         return out
 
     # analytic tail below t_lo: the smooth factor is constant to machine
     # precision there, so its contribution is exp(Gtilde(p)) e^{b t_lo}/b
-    tail = math.exp(green_factor_excluding(m, index, p)) * math.exp(b * t_lo) / b
+    tail = math.exp(green_factor(m, p, exclude=index)) * math.exp(b * t_lo) / b
     return radial_log_integral(g, t_lo, t_hi) + tail
 
 

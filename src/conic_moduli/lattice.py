@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_fmax_strata",
     "enumerate_cmax_strata",
     "cluster_decomposition",
-    "tree_height",
     "MAX_ENUMERATION_K",
 ]
 
@@ -164,6 +163,8 @@ class ClusterTree:
 
     @property
     def height(self) -> int:
+        """Longest root-to-leaf path length; the root-only tree has height 0."""
+
         def depth(v: IndexSubset) -> int:
             kids = self._children[v]
             return 0 if not kids else 1 + max(depth(c) for c in kids)
@@ -220,11 +221,6 @@ class ClusterPartition:
     @property
     def k(self) -> int:
         return self.blocks[0].k
-
-
-def tree_height(t: ClusterTree) -> int:
-    """Longest root-to-leaf path length; the root-only tree has height 0."""
-    return t.height
 
 
 def _partial_partitions(pool: tuple[int, ...], min_size: int, forbid_all: frozenset[int]):

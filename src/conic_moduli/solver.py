@@ -9,12 +9,12 @@ unknown: the angular fluctuations vanish there (they decay like a positive
 power of r) while the ring constant keeps the natural zero-flux condition.
 That is the discrete counterpart of the bounded-leading-behavior domain.
 
-Sign conventions: ``ConicLaplacianOp.apply`` realizes
-e^{-2 phi0} r^{-2} ((r d/dr)^2 + d^2/dphi^2), which sends r^a cos(m phi) to
-(a^2 - m^2) r^{a-2} cos(m phi); the geometer's nonnegative Laplacian used in
-all equations is its negative, and curvature equations are written as
-Delta u + e^{2u} + K0 = 0 (hyperbolic) and Delta u + K0 - e^{2u} = 0
-(spherical).
+Sign conventions: ``ConicLaplacianOp.weak_laplacian_dof`` returns
+(A x + B g) / W, the geometer's nonnegative Laplacian
+Delta = -e^{-2 phi0} r^{-2} ((r d/dr)^2 + d^2/dphi^2), which sends
+r^a cos(m phi) to (m^2 - a^2) r^{a-2} cos(m phi).  It is used in all
+equations: curvature equations are written as Delta u + e^{2u} + K0 = 0
+(hyperbolic) and Delta u + K0 - e^{2u} = 0 (spherical).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "RadialProfile",
     "assemble",
     "picard_solve",
+    "hyperbolic_correction_solve",
     "newton_solve_spherical",
     "spherical_cone_solve",
     "eigen_gap",
@@ -188,51 +189,38 @@ class ConicLaplacianOp:
     def _build_matrices(self) -> None:
         mesh = self.mesh
         nt, P = mesh.nt, mesh.nphi
-        wt = mesh.hp / mesh.ht
-        wp = mesh.ht / mesh.hp
-        rows_a: list[int] = []
-        cols_a: list[int] = []
-        vals_a: list[float] = []
-        rows_b: list[int] = []
-        cols_b: list[int] = []
-        vals_b: list[float] = []
+        # edges as node pairs: radial (i, j)-(i+1, j), then angular (i, j)-(i, j+1)
+        node = np.arange(nt * P).reshape(nt, P)
+        n1 = np.concatenate([node[:-1].ravel(), node.ravel()])
+        n2 = np.concatenate([node[1:].ravel(), np.roll(node, -1, axis=1).ravel()])
+        w = np.repeat([mesh.hp / mesh.ht, mesh.ht / mesh.hp], [(nt - 1) * P, nt * P])
+        dof, fixed = self.dof_of.ravel(), self.fixed_of.ravel()
+        a, b = dof[n1], dof[n2]
+        keep = a != b  # drops edges collapsed onto one unknown
+        a, b, w = a[keep], b[keep], w[keep]
+        fa, fb = fixed[n1[keep]], fixed[n2[keep]]
+        # per edge (a,a,w), (a,b,-w), (b,b,w), (b,a,-w); a coupling to a
+        # prescribed ring node goes to B.  This entry order fixes the order
+        # in which duplicates are summed.
+        pa, pb = a >= 0, b >= 0
+        rows = np.stack([a, a, b, b], axis=1)
+        cols = np.stack([a, np.where(pb, b, fb), b, np.where(pa, a, fa)], axis=1)
+        vals = np.stack([w, -w, w, -w], axis=1)
+        none = np.zeros_like(pa)
+        in_a = np.stack([pa, pa & pb, pb, pa & pb], axis=1)
+        in_b = np.stack([none, pa & ~pb, none, pb & ~pa], axis=1)
+        self.A = sp.csr_matrix((vals[in_a], (rows[in_a], cols[in_a])), shape=(self.ndof, self.ndof))
+        self.B = sp.csr_matrix((vals[in_b], (rows[in_b], cols[in_b])), shape=(self.ndof, self.nfixed))
 
-        def edge(i1: int, j1: int, i2: int, j2: int, w: float) -> None:
-            a, b = int(self.dof_of[i1, j1]), int(self.dof_of[i2, j2])
-            if a == b and a >= 0:
-                return  # both endpoints collapsed onto the same unknown
-            for x, y, (iy, jy) in ((a, b, (i2, j2)), (b, a, (i1, j1))):
-                if x < 0:
-                    continue
-                rows_a.append(x)
-                cols_a.append(x)
-                vals_a.append(w)
-                if y >= 0:
-                    rows_a.append(x)
-                    cols_a.append(y)
-                    vals_a.append(-w)
-                else:
-                    rows_b.append(x)
-                    cols_b.append(int(self.fixed_of[iy, jy]))
-                    vals_b.append(-w)
-
-        for i in range(nt - 1):
-            for j in range(P):
-                edge(i, j, i + 1, j, wt)
-        for i in range(nt):
-            for j in range(P):
-                edge(i, j, i, (j + 1) % P, wp)
-
-        self.A = sp.csr_matrix((vals_a, (rows_a, cols_a)), shape=(self.ndof, self.ndof))
-        self.B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(self.ndof, self.nfixed))
+        # grid -> dof summation: R @ field.ravel() sums each dof's nodes
+        nodes = np.flatnonzero(dof >= 0)
+        self.R = sp.csr_matrix((np.ones(nodes.size), (dof[nodes], nodes)), shape=(self.ndof, nt * P))
 
         cell = self.density * np.exp(2 * mesh.t)[:, None] * mesh.ht * mesh.hp
         cell[0, :] *= 0.5
         cell[-1, :] *= 0.5
         self.cell_mass = cell
-        W = np.zeros(self.ndof)
-        np.add.at(W, self.dof_of[self.dof_of >= 0], cell[self.dof_of >= 0])
-        self.W = W
+        self.W = self.R @ cell.ravel()
 
     # -- grid <-> dof transfer ----------------------------------------------
     def grid_to_dof(self, u: Field) -> Field:
@@ -263,25 +251,7 @@ class ConicLaplacianOp:
             g[self.fixed_of[-1, :]] = boundary.get("outer", 0.0)
         return g
 
-    # -- operator action ------------------------------------------------------
-    def apply(self, u: Field) -> Field:
-        """Model-operator action e^{-2 phi0} r^{-2} (u_tt + u_pp), interior rows.
-
-        Boundary rows are returned as zero; use the weak form for anything
-        that must see the boundary conditions.
-        """
-        mesh = self.mesh
-        out = np.zeros_like(u)
-        utt = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / mesh.ht**2
-        upp = (np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1))[1:-1, :] / mesh.hp**2
-        r2 = np.exp(2 * mesh.t)[1:-1, None]
-        out[1:-1, :] = (utt + upp) / (self.density[1:-1, :] * r2)
-        return out
-
-    def laplacian(self, u: Field) -> Field:
-        """Nonnegative Laplacian of the conic metric (interior rows)."""
-        return -self.apply(u)
-
+    # -- operator action and shifted factorizations ---------------------------
     def weak_laplacian_dof(self, x: Field, g: Optional[Field] = None) -> Field:
         """(A x + B g) / W: the nonnegative Laplacian in dof space."""
         out = self.A @ x
@@ -289,40 +259,13 @@ class ConicLaplacianOp:
             out += self.B @ g
         return out / self.W
 
-    def weighted_inner(self, u: Field, v: Field) -> float:
-        return float(np.sum(u * v * self.cell_mass))
+    def shifted(self, shift: Union[float, Field]) -> spla.SuperLU:
+        """Sparse LU factorization of A + diag(shift * W).
 
-    # -- linear solves --------------------------------------------------------
-    def shifted_solve(
-        self,
-        shift: Union[float, Field],
-        rhs: Optional[Field] = None,
-        boundary: Optional[dict[str, Field]] = None,
-        weak_rhs: Optional[Field] = None,
-    ) -> Field:
-        """Solve (Delta + shift) v = rhs weakly; returns the full grid.
-
-        ``shift`` is a scalar or grid field; ``rhs`` a grid field measured
-        against the metric (mass-weighted), or ``weak_rhs`` a raw dof-space
-        right-hand side.  Dirichlet rings take values from ``boundary``
-        (default zero).  Direct sparse factorization.
+        ``shift`` is a scalar or a per-dof array; the factor is the weak
+        form of Delta + shift with the Dirichlet rings eliminated.
         """
-        shift_grid = np.asarray(shift, dtype=float) * np.ones_like(self.density)
-        s_dof = np.zeros(self.ndof)
-        mask = self.dof_of >= 0
-        np.add.at(s_dof, self.dof_of[mask], (shift_grid * self.cell_mass)[mask])
-        S = self.A + sp.diags(s_dof)
-        b = np.zeros(self.ndof)
-        if rhs is not None:
-            r_dof = np.zeros(self.ndof)
-            np.add.at(r_dof, self.dof_of[mask], (np.asarray(rhs) * self.cell_mass)[mask])
-            b += r_dof
-        if weak_rhs is not None:
-            b += weak_rhs
-        if self.nfixed:
-            b -= self.B @ self.fixed_values(boundary)
-        x = spla.spsolve(S.tocsc(), b)
-        return self.dof_to_grid(x, boundary)
+        return spla.splu((self.A + sp.diags(shift * self.W)).tocsc())
 
 
 def assemble(mesh: FiberMesh, density: DensityLike) -> ConicLaplacianOp:
@@ -376,16 +319,11 @@ def picard_solve(
     boundary data).
     """
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
-    mask = op.dof_of >= 0
     g_fixed = op.fixed_values(boundary) if op.nfixed else None
-    shift_dof = np.zeros(op.ndof)
-    np.add.at(shift_dof, op.dof_of[mask], (2.0 * op.cell_mass)[mask])
-    S = (op.A + sp.diags(shift_dof)).tocsc()
-    lu = spla.splu(S)
+    lu = op.shifted(2.0)
 
     def solve_dof(g_grid: Field) -> Field:
-        b = np.zeros(op.ndof)
-        np.add.at(b, op.dof_of[mask], (g_grid * op.cell_mass)[mask])
+        b = op.R @ (g_grid * op.cell_mass).ravel()
         if g_fixed is not None:
             b -= op.B @ g_fixed
         return lu.solve(b)
@@ -457,10 +395,32 @@ def picard_solve(
 
 def _restrict(op: ConicLaplacianOp, grid: Field) -> Field:
     """Mass-average a grid field onto dofs (pole dofs get their ring mean)."""
-    num = np.zeros(op.ndof)
-    mask = op.dof_of >= 0
-    np.add.at(num, op.dof_of[mask], (grid * op.cell_mass)[mask])
-    return num / op.W
+    return op.R @ (grid * op.cell_mass).ravel() / op.W
+
+
+def hyperbolic_correction_solve(
+    mesh: FiberMesh, beta: float, u_approx: Field, tol: float = 1e-10
+) -> SolveReport:
+    """Hyperbolic cone metric r^{2(beta-1)} e^{2u} |dz|^2 in correction form.
+
+    With gtilde = e^{2 u_approx} g0 for the flat cone g0 = r^{2(beta-1)} |dz|^2,
+    the correction v = u - u_approx solves
+    Delta_tilde v + 2v = -(K_tilde + 1) - (e^{2v} - 1 - 2v), v = 0 on
+    Dirichlet rings, by ``picard_solve``.  The discrete curvature K_tilde at
+    a collapsed inner ring includes the cone's distributional curvature;
+    that delta belongs to the background, so the exact flux of the conic
+    part is removed from the pole row.
+    """
+    r, _ = mesh.grids()
+    cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
+    op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
+    phi_grid = cone_part + u_approx
+    fix = op.fixed_values({"inner": phi_grid[0, :], "outer": phi_grid[-1, :]})
+    K_tilde = op.weak_laplacian_dof(op.grid_to_dof(phi_grid), fix)
+    if mesh.inner == "pole":
+        pole = op.inner_pole_dof
+        K_tilde[pole] -= op.weak_laplacian_dof(op.grid_to_dof(cone_part))[pole]
+    return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +441,7 @@ def eigen_gap(
         raise ValueError("eigen_gap needs a closed fiber (both rings collapsed)")
     W = op.W
     total = W.sum()
-    sigma = 1e-3
-    lu = spla.splu((op.A + sigma * sp.diags(W)).tocsc())
+    lu = op.shifted(1e-3)
     rng = np.random.default_rng(seed)
     m = min(block, op.ndof - 1)
     X = rng.standard_normal((op.ndof, m))
@@ -565,9 +524,11 @@ def _damped_newton_dof(
     while res_sup > tol:
         if iterations >= maxit:
             return None, res_sup, iterations
-        shift = (tau - 2.0 * K_target * np.exp(2 * u)) * op.W
         with np.errstate(over="ignore", invalid="ignore"):
-            delta = spla.spsolve((op.A + sp.diags(shift)).tocsc(), -(res * op.W))
+            try:
+                delta = op.shifted(tau - 2.0 * K_target * np.exp(2 * u)).solve(-(res * op.W))
+            except RuntimeError:  # exactly singular: rejected like a failed step
+                delta = np.full(op.ndof, np.nan)
         res_new = residual_dof(u + delta)
         l2_new = l2w(res_new)
         if l2_new < res_l2:
@@ -612,7 +573,7 @@ def newton_solve_spherical(
         fix = op.fixed_values() if op.nfixed else None
         K0_dof = op.weak_laplacian_dof(op.grid_to_dof(phi0), fix)
     else:
-        K0_dof = _restrict(op, np.asarray(K0, dtype=float) * np.ones_like(op.density))
+        K0_dof = _restrict(op, np.asarray(K0, dtype=float))
 
     u = np.zeros(op.ndof) if u0 is None else op.grid_to_dof(np.asarray(u0, dtype=float))
     res0 = op.weak_laplacian_dof(u) + K0_dof - K_target * np.exp(2 * u)
@@ -675,7 +636,7 @@ def spherical_cone_solve(
         bet = 1.0 + s * (bs - 1.0)
         dens, K0f = singular_sphere_background(bet, finite_points)
         op = assemble(mesh, dens)
-        K0_dof = _restrict(op, K0f(r, phi) * np.ones_like(op.density))
+        K0_dof = _restrict(op, K0f(r, phi))
         return op, K0_dof
 
     # the solution's bounded conformal factor varies mildly along the family,
@@ -935,9 +896,9 @@ def merging_pair_residual_family(
     The background is the exact flat two-point metric with the pair at
     +-rho; its merged limit is the one-cone metric with parameter
     beta1 + beta2 - 1.  The order-1 approximate solution is the discrete
-    hyperbolic conformal factor of the limit (solved once by Picard in
-    correction form); order 2 adds rho times the discrete solution of the
-    linearized transverse equation.  Because both pieces satisfy their
+    hyperbolic conformal factor of the limit (``hyperbolic_correction_solve``
+    around the exact limit); order 2 adds rho times the discrete solution of
+    the linearized transverse equation.  Because both pieces satisfy their
     discrete equations to solver precision, the discrete curvature residual
     Delta_rho u + e^{2u} of the order-N truncation decays like rho^N with no
     discretization floor.
@@ -959,34 +920,22 @@ def merging_pair_residual_family(
 
     # exact merged-limit conformal factor, used as boundary data and seed
     u_d = -np.log1p(-(rfrak**2) / 4.0) * np.ones_like(rr + pp * 0)
-
-    # limit background density e^{2 G0} and the correction-form solve for u0:
-    # with gtilde = e^{2 u_d} g0, the correction v solves
-    # Delta_tilde v + 2v = -(K_tilde + 1) - (e^{2v} - 1 - 2v) with v = 0 on rings.
-    log_density0 = 2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u_d)
-    op_tilde = assemble(mesh, np.exp(log_density0 + 2.0 * u_d))
-    phi_tilde_grid = 0.5 * log_density0 + u_d
-    fix_phi = op_tilde.fixed_values({"inner": phi_tilde_grid[0, :], "outer": phi_tilde_grid[-1, :]})
-    K_tilde = op_tilde.weak_laplacian_dof(op_tilde.grid_to_dof(phi_tilde_grid), fix_phi)
-    f_grid = op_tilde.dof_to_grid(-(K_tilde + 1.0))
-    report = picard_solve(op_tilde, f_grid, tol=tol)
+    report = hyperbolic_correction_solve(mesh, b0, u_d, tol=tol)
     u0_grid = u_d + report.solution
 
-    op0 = assemble(mesh, np.exp(log_density0))
-    w0 = op0.cell_mass
-    mask = op0.dof_of >= 0
+    # limit background density e^{2 G0}
+    op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u_d)))
 
     families: dict[int, list[tuple[float, Field]]] = {}
     u1_grid = None
     if max(orders) >= 2:
         # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
         g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
-        e2u0 = np.exp(2.0 * u0_grid)
-        a_g1 = op0.A @ op0.grid_to_dof(g1) + (op0.B @ op0.fixed_values({"inner": g1[0, :], "outer": g1[-1, :]}) if op0.nfixed else 0.0)
-        coup = np.zeros(op0.ndof)
-        np.add.at(coup, op0.dof_of[mask], (2.0 * e2u0 * w0)[mask])
-        weak_rhs = -(a_g1 + coup * op0.grid_to_dof(g1))
-        u1_grid = op0.shifted_solve(2.0 * e2u0, weak_rhs=weak_rhs)
+        g1_dof = op0.grid_to_dof(g1)
+        shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
+        a_g1 = op0.A @ g1_dof + op0.B @ op0.fixed_values({"inner": g1[0, :], "outer": g1[-1, :]})
+        u1 = op0.shifted(shift).solve(-(a_g1 + shift * op0.W * g1_dof))
+        u1_grid = op0.dof_to_grid(u1)
 
     for order in orders:
         fam = []
@@ -1000,10 +949,8 @@ def merging_pair_residual_family(
             g_rho_dof = op0.grid_to_dof(0.5 * log_density_rho)
             u_dof = op0.grid_to_dof(u)
             fix = op0.fixed_values({"inner": (0.5 * log_density_rho + u)[0, :], "outer": (0.5 * log_density_rho + u)[-1, :]})
-            weak = op0.A @ (u_dof + g_rho_dof) + (op0.B @ fix if op0.nfixed else 0.0)
-            w_dof = np.zeros(op0.ndof)
-            np.add.at(w_dof, op0.dof_of[mask], w_rho[mask])
-            res_dof = weak / w_dof + op0.grid_to_dof(np.exp(2 * u))
+            weak = op0.A @ (u_dof + g_rho_dof) + op0.B @ fix
+            res_dof = weak / (op0.R @ w_rho.ravel()) + op0.grid_to_dof(np.exp(2 * u))
             res_grid = op0.dof_to_grid(res_dof)
             fam.append((float(rho), res_grid))
         families[order] = fam

@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from conic_moduli import solver
 from conic_moduli.cli import main
+from conic_moduli.phg import u0_series
 
 
 def run(capsys, *argv):
@@ -67,6 +71,30 @@ def test_football_solve_exits_1(capsys):
     )
     assert rc == 1
     assert "numeric error" in err
+
+
+def test_spherical_reports_extent_from_rmin(capsys):
+    rc, out, _ = run(
+        capsys,
+        "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0",
+        "--mesh", "65x16", "--rmin", "0.01", "--no-guard",
+    )
+    assert rc == 0
+    assert json.loads(out)["extent"] == -math.log(0.01)
+
+
+def test_hyperbolic_payload_is_the_shared_solve(capsys):
+    rc, out, _ = run(capsys, "solve", "hyperbolic", "--beta", "1/2", "--mesh", "48x16")
+    assert rc == 0
+    payload = json.loads(out)
+    mesh = solver.FiberMesh(1e-3, 0.7, 48, 16, inner="pole", outer="dirichlet")
+    r, _ = mesh.grids()
+    rfrak = r**0.5 / 0.5
+    u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(u0_series(4))) * np.ones((48, 16))
+    rep = solver.hyperbolic_correction_solve(mesh, 0.5, u_trunc, tol=1e-10)
+    assert payload["iterations"] == rep.iterations
+    assert payload["residual_sup"] == rep.residual_sup
+    assert payload["sup_correction"] == rep.sup_solution
 
 
 def test_phg_index_csv(capsys):

@@ -41,6 +41,15 @@ def test_green_factor_pole_and_symmetry():
         assert green_factor(m, z) == pytest.approx(green_factor(m_swapped, z), rel=1e-15)
 
 
+def test_green_factor_exclude_drops_one_term():
+    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"], background="local")
+    z = 0.3 + 0.4j
+    term0 = -0.5 * math.log(abs(z))
+    assert green_factor(m, z, exclude=0) == pytest.approx(green_factor(m, z) - term0, rel=1e-14)
+    # finite at the excluded point itself
+    assert green_factor(m, 0j, exclude=0) == 0.0
+
+
 def test_plane_background_constraint():
     with pytest.raises(ValueError):
         FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/2"], background="plane")

@@ -10,7 +10,6 @@ from conic_moduli.lattice import (
     cluster_decomposition,
     enumerate_cmax_strata,
     enumerate_fmax_strata,
-    tree_height,
 )
 
 
@@ -154,13 +153,13 @@ def test_cmax_counts(k, count):
 def test_tree_height_examples():
     root4 = IndexSubset.of([1, 2, 3, 4], 4)
     t0 = ClusterTree({root4: None})
-    assert tree_height(t0) == 0
+    assert t0.height == 0
     pair = IndexSubset.of([1, 2], 4)
     t1 = ClusterTree({root4: None, pair: root4})
-    assert tree_height(t1) == 1
+    assert t1.height == 1
     triple = IndexSubset.of([1, 2, 3], 4)
     t2 = ClusterTree({root4: None, triple: root4, pair: triple})
-    assert tree_height(t2) == 2
+    assert t2.height == 2
 
 
 def test_tree_rejects_crossing_and_bad_parent():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conic_moduli.phg import u0_series, u0_value
 from conic_moduli.solver import (
+    ConicLaplacianOp,
     DivergenceError,
     FiberMesh,
     FootballDegeneracyError,
@@ -26,6 +28,19 @@ def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
     return FiberMesh(r0, r1, nt, nphi, inner="dirichlet", outer="dirichlet")
 
 
+def weak_laplacian_grid(op, u):
+    """Nonnegative Laplacian of a grid field, Dirichlet rings taken from the field."""
+    g = op.fixed_values({"inner": u[0, :], "outer": u[-1, :]})
+    return op.dof_to_grid(op.weak_laplacian_dof(op.grid_to_dof(u), g))
+
+
+def bumpy_density(r, phi):
+    return 1.0 + 0.3 * np.cos(phi) + r
+
+
+RING_KINDS = [("pole", "pole"), ("pole", "dirichlet"), ("dirichlet", "dirichlet")]
+
+
 # -- assembly -------------------------------------------------------------------
 
 
@@ -45,6 +60,76 @@ def test_assemble_rejects_nonpositive_density():
         assemble(annulus(), 0.0)
 
 
+def loop_assembly(op):
+    """Reference (A, B): the per-edge loop the vectorized assembly replaced."""
+    mesh = op.mesh
+    nt, P = mesh.nt, mesh.nphi
+    ent_a, ent_b = [], []
+
+    def edge(n1, n2, w):
+        a, b = op.dof_of[n1], op.dof_of[n2]
+        if a == b and a >= 0:
+            return
+        for x, y, ny in ((a, b, n2), (b, a, n1)):
+            if x >= 0:
+                ent_a.append((x, x, w))
+                if y >= 0:
+                    ent_a.append((x, y, -w))
+                else:
+                    ent_b.append((x, op.fixed_of[ny], -w))
+
+    for i in range(nt - 1):
+        for j in range(P):
+            edge((i, j), (i + 1, j), mesh.hp / mesh.ht)
+    for i in range(nt):
+        for j in range(P):
+            edge((i, j), (i, (j + 1) % P), mesh.ht / mesh.hp)
+
+    def csr(entries, ncols):
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        return sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, ncols))
+
+    return csr(ent_a, op.ndof), csr(ent_b, op.nfixed)
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS)
+def test_assembly_matches_edge_loop(inner, outer):
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
+    A, B = loop_assembly(op)
+    assert np.array_equal(op.A.toarray(), A.toarray())
+    assert np.array_equal(op.B.toarray(), B.toarray())
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS)
+def test_mass_is_per_dof_sum_of_cell_mass(inner, outer):
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
+    ref = np.zeros(op.ndof)
+    for (i, j), d in np.ndenumerate(op.dof_of):
+        if d >= 0:
+            ref[d] += op.cell_mass[i, j]
+    assert np.array_equal(op.W, ref)  # a pole dof holds its whole ring
+
+
+def test_shifted_factorization_matches_dense_solve():
+    op = assemble(FiberMesh(0.05, 1.0, 12, 8, inner="pole", outer="dirichlet"), bumpy_density)
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(op.ndof)
+    for shift in (2.0, 1.0 + rng.random(op.ndof)):
+        dense = np.linalg.solve(op.A.toarray() + np.diag(shift * op.W), b)
+        got = op.shifted(shift).solve(b)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("outer", ["pole", "dirichlet"])
+def test_weak_form_annihilates_constants(outer):
+    op = assemble(FiberMesh(0.05, 1.0, 33, 24, inner="pole", outer=outer), 2.5)
+    ones, ones_fixed = np.ones(op.ndof), np.ones(op.nfixed)
+    resid = op.A @ ones + op.B @ ones_fixed
+    row_scale = abs(op.A) @ ones + abs(op.B) @ ones_fixed
+    # rounding only: the row sums cancel up to a few ulps of the row scale
+    assert np.all(np.abs(resid) <= 8 * np.finfo(float).eps * row_scale)
+
+
 def test_model_operator_eigenfunction_second_order():
     a, m = 1.7, 2
 
@@ -52,8 +137,8 @@ def test_model_operator_eigenfunction_second_order():
         op = assemble(mesh, 1.0)
         r, phi = mesh.grids()
         u = r**a * np.cos(m * phi)
-        expected = (a * a - m * m) * r ** (a - 2.0) * np.cos(m * phi)
-        got = op.apply(u)
+        expected = (m * m - a * a) * r ** (a - 2.0) * np.cos(m * phi)
+        got = weak_laplacian_grid(op, u)
         return np.max(np.abs((got - expected)[1:-1, :])) / np.max(np.abs(expected[1:-1, :]))
 
     mesh = annulus(48, 16)
@@ -62,15 +147,9 @@ def test_model_operator_eigenfunction_second_order():
     assert 3.0 < e1 / e2 < 5.0  # O(h^2)
 
 
-def test_constant_annihilated_exactly():
-    op = assemble(annulus(), 2.5)
-    u = np.full((64, 32), 3.14)
-    assert np.max(np.abs(op.apply(u))) == 0.0
-
-
 def test_weak_operator_symmetric_in_weighted_inner_product():
     mesh = FiberMesh(0.05, 1.0, 32, 16, inner="pole", outer="dirichlet")
-    op = assemble(mesh, lambda r, phi: 1.0 + 0.3 * np.cos(phi) + r)
+    op = assemble(mesh, bumpy_density)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(op.ndof)
@@ -142,6 +221,23 @@ def test_newton_round_sphere_is_exact_start():
     assert rep.sup_solution == 0.0
 
 
+def test_newton_rejects_step_on_singular_factor(monkeypatch):
+    # a factorization that is exactly singular counts as a rejected step
+    shifted, calls = ConicLaplacianOp.shifted, []
+
+    def flaky(op, shift):
+        calls.append(shift)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return shifted(op, shift)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", flaky)
+    mesh = FiberMesh(0.01, 100.0, 65, 16, inner="pole", outer="pole")
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh, guard=False)
+    assert rep.residual_sup < 1e-10
+    assert len(calls) > 1
+
+
 def test_newton_football_guard_trips():
     mesh = FiberMesh(math.exp(-8), math.exp(8), 129, 16, inner="pole", outer="pole")
     op = assemble(mesh, football_density(0.5))
@@ -191,7 +287,7 @@ def test_singular_background_curvature_formula():
         op = assemble(mesh, dens)
         r, phi = mesh.grids()
         phi0 = 0.5 * np.log(op.density)
-        K_disc = -op.apply(phi0)  # nonnegative-Laplacian convention
+        K_disc = weak_laplacian_grid(op, phi0)
         K_true = K0f(r, phi)
         sel = np.zeros_like(K_true, dtype=bool)
         sel[1:-1, :] = True
