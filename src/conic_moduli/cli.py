@@ -3,8 +3,8 @@
 Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output.  All numeric payloads carry the package version and
 the seed in use.  Exit codes: 2 for malformed configuration, 1 for numeric
-failures (divergence, degeneracy), 0 otherwise -- verification failures are
-reported in the payload, not via the exit status.
+failures (divergence, degeneracy, singular linear algebra), 0 otherwise --
+verification failures are reported in the payload, not via the exit status.
 """
 
 from __future__ import annotations
@@ -464,18 +464,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         solver.DivergenceError,
         solver.NonconvergenceError,
         solver.FootballDegeneracyError,
         phg.IndicialCollisionError,
         ArithmeticError,
+        np.linalg.LinAlgError,  # a ValueError subclass, so caught first
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -283,13 +283,10 @@ class SolveReport:
     residual_sup: float
     iterations: int
     contraction: Optional[float] = None
-    contraction_history: tuple[float, ...] = ()
     gap: Optional[float] = None
     sup_rhs: float = 0.0
     sup_solution: float = 0.0
     bound_ok: bool = True
-    n_target: Optional[int] = None
-    message: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,6 @@ def _q_nonlinearity(v: Field) -> Field:
 def picard_solve(
     op: ConicLaplacianOp,
     f: Field,
-    n_target: Optional[int] = None,
     tol: float = 1e-10,
     maxit: int = 60,
     boundary: Optional[dict[str, Field]] = None,
@@ -342,7 +338,7 @@ def picard_solve(
 
     v = np.zeros(op.ndof)
     prev_delta = None
-    history: list[float] = []
+    contraction = 0.0
     residual = math.inf
     iterations = 0
     while True:
@@ -353,11 +349,10 @@ def picard_solve(
         v_new = solve_dof(f + _q_nonlinearity(v_grid))
         delta = float(np.max(np.abs(v_new - v)))
         if prev_delta is not None and prev_delta > 0 and delta > 0:
-            ratio = delta / prev_delta
-            history.append(ratio)
+            contraction = delta / prev_delta
             noise = 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(v_new))))
-            if ratio >= 1.0 and delta > max(tol, noise):
-                raise DivergenceError(f"contraction factor {ratio:.3f} >= 1 at iteration {iterations}")
+            if contraction >= 1.0 and delta > max(tol, noise):
+                raise DivergenceError(f"contraction factor {contraction:.3f} >= 1 at iteration {iterations}")
         v, prev_delta = v_new, delta
         v_grid_new = op.dof_to_grid(v, boundary)
         residual = recomputed_residual(v, v_grid_new)
@@ -379,17 +374,14 @@ def picard_solve(
     rhs_grid = f + _q_nonlinearity(v_grid)
     sup_rhs = float(np.max(np.abs(rhs_grid)))
     sup_v = float(np.max(np.abs(v_grid)))
-    contraction = history[-1] if history else 0.0
     return SolveReport(
         solution=v_grid,
         residual_sup=residual,
         iterations=iterations,
         contraction=contraction,
-        contraction_history=tuple(history),
         sup_rhs=sup_rhs,
         sup_solution=sup_v,
         bound_ok=sup_v <= 0.5 * sup_rhs + tol,
-        n_target=n_target,
     )
 
 
@@ -451,12 +443,14 @@ def eigen_gap(
 
     def orthonormalize(Y: Field) -> Field:
         for j in range(Y.shape[1]):
-            for i in range(j):
-                Y[:, j] -= float(Y[:, i] @ (W * Y[:, j])) * Y[:, i]
-            norm = math.sqrt(float(Y[:, j] @ (W * Y[:, j])))
-            if norm < 1e-14:
-                Y[:, j] = deflate(rng.standard_normal(op.ndof))
+            while True:
+                for i in range(j):
+                    Y[:, j] -= float(Y[:, i] @ (W * Y[:, j])) * Y[:, i]
                 norm = math.sqrt(float(Y[:, j] @ (W * Y[:, j])))
+                if norm >= 1e-14:
+                    break
+                # a dependent column: refill it with a fresh deflated vector
+                Y[:, j] = deflate(rng.standard_normal((op.ndof, 1)))[:, 0]
             Y[:, j] /= norm
         return Y
 
@@ -480,31 +474,69 @@ def eigen_gap(
 # spherical Newton solver with a spectral-gap guard
 
 
-def _damped_newton_dof(
+def newton_solve_spherical(
     op: ConicLaplacianOp,
-    K0_dof: Field,
-    u: Field,
-    K_target: float,
-    tol: float,
-    maxit: int,
-) -> tuple[Optional[Field], float, int]:
-    """Levenberg-regularized Newton for Delta u + K0 - K_target e^{2u} = 0.
+    guard: bool = True,
+    K0: Optional[Field] = None,
+    margin: float = 0.05,
+    tol: float = 1e-10,
+    maxit: int = 40,
+) -> SolveReport:
+    """Damped Newton for Delta u + K0 - e^{2u} = 0 on a closed fiber, from u = 0.
 
-    The shift tau persists across iterations: it shrinks toward plain
-    Newton on accepted steps and grows on rejections, which keeps the
-    iteration from wandering along the near-kernel of the linearization
-    when the spectral gap sits close to 2.  Returns (solution or None on
-    stall, final sup residual, iterations); a residual stagnating at the
-    floating-point evaluation floor is accepted as converged.
+    The equation is the Euler-Lagrange equation of the Liouville energy
+    F(u) = u.Au/2 + sum W K0 u - sum W e^{2u}/2, which is concave along the
+    constants.  Every iterate is moved along them to the maximum of F,
+    u += log(M / sum W e^{2u})/2 with M = sum W K0 (discrete Gauss-Bonnet:
+    A annihilates constants on a closed fiber), and the step is Newton's for
+    F reduced over the constants:
+    (A + W (tau - 2 e^{2u}) + 2 q q^T / M) d = -W r with q = W e^{2u}, one
+    ``op.shifted`` factor for both right-hand sides plus a Sherman-Morrison
+    update.  That Hessian is positive at a solution whose spectral gap
+    exceeds 2, so the shift tau only damps: a step is kept when the W-norm
+    of the residual drops (tau shrinks), otherwise tau grows; a residual at
+    the floating-point evaluation floor is accepted at the first rejection
+    and 16 rejections in a row are a stall.
+
+    With ``guard`` the gap of the background operator is estimated before
+    any Jacobian solve and the iteration refuses (football degeneracy) when
+    it is not above 2 + margin.  K0 defaults to the discrete curvature of
+    the assembled density, which serves that guard; a solve needs the smooth
+    curvature, since ValueError is raised unless sum W K0 > 0.
     """
+    if op.mesh.inner != "pole" or op.mesh.outer != "pole":
+        raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
+    W = op.W
+    if K0 is None:
+        K0_dof = op.weak_laplacian_dof(op.grid_to_dof(0.5 * np.log(op.density)))
+    else:
+        K0_dof = _restrict(op, np.asarray(K0, dtype=float))
 
     def residual_dof(u_dof: Field) -> Field:
-        with np.errstate(over="ignore"):
-            return op.weak_laplacian_dof(u_dof) + K0_dof - K_target * np.exp(2 * u_dof)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return op.weak_laplacian_dof(u_dof) + K0_dof - np.exp(2 * u_dof)
+
+    gap = None
+    if guard and float(np.max(np.abs(residual_dof(np.zeros(op.ndof))))) > tol:
+        # an exact starting metric (residual already below tol) needs no solves
+        gap = eigen_gap(op)
+        if gap <= 2.0 + margin:
+            raise FootballDegeneracyError(
+                f"spectral gap {gap:.6f} is not above 2 + margin = {2 + margin:.2f}"
+            )
+    M = float(W @ K0_dof)
+    if not M > 1e-8 * float(W @ np.abs(K0_dof)):
+        # the area of a curvature-one metric; the default K0 sums to zero up
+        # to rounding on a closed fiber (its pole rows carry the deltas)
+        raise ValueError(f"total curvature sum W K0 = {M:.3e} is not positive: no spherical metric")
+
+    def normalized(u_dof: Field) -> Field:
+        with np.errstate(all="ignore"):
+            return u_dof + 0.5 * np.log(M / float(W @ np.exp(2 * u_dof)))
 
     def l2w(res: Field) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            val = float(res @ (op.W * res))
+            val = float(res @ (W * res))
         return math.sqrt(val) if math.isfinite(val) else math.inf
 
     abs_a = abs(op.A)
@@ -512,90 +544,48 @@ def _damped_newton_dof(
     def roundoff_floor(u_dof: Field) -> float:
         # forward-error scale of evaluating the residual expression itself;
         # below this no iteration can make honest progress
-        amp = (abs_a @ np.abs(u_dof)) / op.W + np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max())
+        amp = (abs_a @ np.abs(u_dof)) / W + np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max())
         return float(np.finfo(float).eps) * float(np.max(amp))
 
-    tau = 1.0
+    u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
-    res_sup = float(np.max(np.abs(res)))
-    res_l2 = l2w(res)
-    rejections = 0
-    iterations = 0
+    res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
+    tau, rejections, iterations = 1.0, 0, 0
     while res_sup > tol:
         if iterations >= maxit:
-            return None, res_sup, iterations
+            raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                delta = op.shifted(tau - 2.0 * K_target * np.exp(2 * u)).solve(-(res * op.W))
+            e2u = np.exp(2 * u)
+            q = W * e2u
+            try:  # a temporary factor: one SuperLU factor alive at a time
+                y, z = op.shifted(tau - 2.0 * e2u).solve(np.column_stack([-(W * res), q])).T
             except RuntimeError:  # exactly singular: rejected like a failed step
-                delta = np.full(op.ndof, np.nan)
-        res_new = residual_dof(u + delta)
+                y = z = np.full(op.ndof, np.nan)
+            # Sherman-Morrison for the rank-one term 2 q q^T / M
+            u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / (1.0 + 2.0 * (q @ z) / M))
+        res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
         if l2_new < res_l2:
-            u = u + delta
-            res, res_l2 = res_new, l2_new
+            u, res, res_l2 = u_new, res_new, l2_new
             res_sup = float(np.max(np.abs(res)))
             tau = max(0.3 * tau, 1e-12)
             rejections = 0
         else:
+            if res_sup <= 1000.0 * roundoff_floor(u):
+                break  # stagnated at the evaluation floor
             tau = min(4.0 * tau, 1e9)
             rejections += 1
             if rejections >= 16:
-                if res_sup <= 1000.0 * roundoff_floor(u):
-                    return u, res_sup, iterations  # stagnated at the evaluation floor
-                return None, res_sup, iterations
+                raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
         iterations += 1
-    return u, res_sup, iterations
-
-
-def newton_solve_spherical(
-    op: ConicLaplacianOp,
-    K_target: float = 1.0,
-    guard: bool = True,
-    K0: Optional[Field] = None,
-    margin: float = 0.05,
-    tol: float = 1e-10,
-    maxit: int = 40,
-    u0: Optional[Field] = None,
-) -> SolveReport:
-    """Newton iteration for Delta u + K0 - K_target e^{2u} = 0 on a closed fiber.
-
-    The linearization at a solution is Delta - 2 K_target e^{2u}, invertible
-    exactly when the first nonzero eigenvalue exceeds 2; with ``guard`` the
-    gap of the background operator is estimated before any Jacobian solve
-    and the iteration refuses (football degeneracy) when it is not above
-    2 + margin.  K0 defaults to the discrete curvature of the assembled
-    density; ``u0`` seeds the iteration (continuation callers use it).
-    """
-    gap = None
-    if K0 is None:
-        phi0 = 0.5 * np.log(op.density)
-        fix = op.fixed_values() if op.nfixed else None
-        K0_dof = op.weak_laplacian_dof(op.grid_to_dof(phi0), fix)
-    else:
-        K0_dof = _restrict(op, np.asarray(K0, dtype=float))
-
-    u = np.zeros(op.ndof) if u0 is None else op.grid_to_dof(np.asarray(u0, dtype=float))
-    res0 = op.weak_laplacian_dof(u) + K0_dof - K_target * np.exp(2 * u)
-    res0_sup = float(np.max(np.abs(res0)))
-    if guard and res0_sup > tol:
-        # an exact starting metric (residual already below tol) needs no solves
-        gap = eigen_gap(op)
-        if gap <= 2.0 + margin:
-            raise FootballDegeneracyError(
-                f"spectral gap {gap:.6f} is not above 2 + margin = {2 + margin:.2f}"
-            )
-    u_new, res_sup, iterations = _damped_newton_dof(op, K0_dof, u, K_target, tol, maxit)
-    if u_new is None:
-        raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
-    u_grid = op.dof_to_grid(u_new)
+    u_grid = op.dof_to_grid(u)
     return SolveReport(
         solution=u_grid,
         residual_sup=res_sup,
         iterations=iterations,
         gap=gap,
         sup_solution=float(np.max(np.abs(u_grid))),
-        sup_rhs=float(np.max(np.abs(K0_dof - K_target))),
+        sup_rhs=float(np.max(np.abs(K0_dof - 1.0))),
     )
 
 
@@ -610,82 +600,34 @@ def spherical_cone_solve(
 ) -> SolveReport:
     """Solve for the spherical metric with prescribed cone data on the sphere.
 
-    Continuation in the cone angles: beta(s) = 1 + s (beta - 1) walks from
-    the round sphere (u = 0 exact) to the target while staying inside the
-    family of positively-curved cone metrics, where the linearized operator
-    is invertible away from the two-equal-cones locus.  Each step rebuilds
-    the singular background, transfers the previous solution conformally as
-    the warm start, and runs damped Newton; steps halve on stalls.  With
-    ``guard``, the gap of the solved metric is estimated and the solve is
-    rejected at or below 2 + margin (football degeneracy).
+    The singular background at the target angles carries the cones; the
+    bounded conformal factor u solves Delta u + K0 - e^{2u} = 0 by one run of
+    ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
+    Luo-Tian) condition holds the reduced Liouville energy is coercive and
+    its minimiser is the metric.  With ``guard``, the gap of the solved
+    metric is estimated and the solve is rejected at or below 2 + margin
+    (football degeneracy).
     """
-    bs = np.array([float(b) for b in betas])
+    bs = [float(b) for b in betas]
     if len(bs) == 2:
         # two cones on the sphere: either the degenerate two-equal-angles
-        # family (gap exactly 2 all along the continuation path) or no
-        # metric at all
+        # family (gap exactly 2) or no metric at all
         if bs[0] == bs[1] and guard:
             raise FootballDegeneracyError(
                 "two equal cone angles: the degenerate family with spectral gap exactly 2"
             )
         if bs[0] != bs[1]:
             raise ValueError("no spherical cone metric exists with two unequal angles")
-    r, phi = mesh.grids()
-
-    def background(s: float):
-        bet = 1.0 + s * (bs - 1.0)
-        dens, K0f = singular_sphere_background(bet, finite_points)
-        op = assemble(mesh, dens)
-        K0_dof = _restrict(op, K0f(r, phi))
-        return op, K0_dof
-
-    # the solution's bounded conformal factor varies mildly along the family,
-    # so the previous step's u is the warm start (the cone-strength deltas
-    # themselves live in the rebuilt background, not in u)
-    u_grid = np.zeros((mesh.nt, mesh.nphi))
-    s_done, step = 0.0, 0.25
-    total_iters = 0
-    res_sup = math.inf
-    op = None
-    while s_done < 1.0:
-        s_try = min(1.0, s_done + step)
-        op, K0_dof = background(s_try)
-        step_tol = tol if s_try >= 1.0 else max(tol, 1e-8)
-        u_try, res_sup, its = _damped_newton_dof(
-            op, K0_dof, op.grid_to_dof(u_grid), 1.0, step_tol, maxit
-        )
-        if u_try is None and s_done > 0.0:
-            # a poisoned warm start can be worse than none
-            u_try, res_sup, its = _damped_newton_dof(
-                op, K0_dof, np.zeros(op.ndof), 1.0, step_tol, maxit
-            )
-        if u_try is None:
-            step *= 0.5
-            if step < 1e-3:
-                raise NonconvergenceError(
-                    f"cone-angle continuation stalled at s = {s_done:.3f} (residual {res_sup:.2e})"
-                )
-            continue
-        u_grid = op.dof_to_grid(u_try)
-        s_done = s_try
-        total_iters += its
-        if its <= 8:
-            step = 2 * step
-    gap = None
+    density, K0 = singular_sphere_background(bs, finite_points)
+    op = assemble(mesh, density)
+    report = newton_solve_spherical(op, guard=False, K0=K0(*mesh.grids()), tol=tol, maxit=maxit)
     if guard:
-        solved = assemble(mesh, op.density * np.exp(2 * u_grid))
-        gap = eigen_gap(solved)
-        if gap <= 2.0 + margin:
+        report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
+        if report.gap <= 2.0 + margin:
             raise FootballDegeneracyError(
-                f"solved metric has spectral gap {gap:.6f} <= 2 + margin = {2 + margin:.2f}"
+                f"solved metric has spectral gap {report.gap:.6f} <= 2 + margin = {2 + margin:.2f}"
             )
-    return SolveReport(
-        solution=u_grid,
-        residual_sup=res_sup,
-        iterations=total_iters,
-        gap=gap,
-        sup_solution=float(np.max(np.abs(u_grid))),
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------

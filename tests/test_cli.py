@@ -73,6 +73,35 @@ def test_football_solve_exits_1(capsys):
     assert "numeric error" in err
 
 
+def test_linalg_error_exits_1(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it is a numeric failure, not a
+    # malformed configuration
+    def singular(op, *args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(solver, "eigen_gap", singular)
+    rc, _, err = run(
+        capsys,
+        "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0", "--mesh", "65x16",
+    )
+    assert rc == 1
+    assert "numeric error" in err
+
+
+def test_four_cone_default_layout_solves(capsys):
+    # the default layout puts the third finite cone at -1 + 1.2e-16j; the
+    # result must not depend on that rounding
+    rc, out, _ = run(capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6")
+    assert rc == 0
+    gap = json.loads(out)["spectral_gap"]
+    assert gap > 2.05
+    rc, out, _ = run(
+        capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6", "--points", "0,0;1,0;-1,0"
+    )
+    assert rc == 0
+    assert gap == pytest.approx(json.loads(out)["spectral_gap"], rel=1e-8)
+
+
 def test_spherical_reports_extent_from_rmin(capsys):
     rc, out, _ = run(
         capsys,

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -263,11 +264,56 @@ def test_spherical_cone_solve_perturbed_configuration():
     assert rep.gap == pytest.approx(3.2786, abs=2e-3)
 
 
-def test_spherical_cone_solve_asymmetric_angles():
+@pytest.mark.parametrize(
+    "betas,points",
+    [
+        ([0.6, 0.7, 0.8], [0j, 1 + 0j]),
+        ([0.7, 0.75, 0.8, 0.85, 0.9], [0j, 1 + 0j, cmath.exp(2j * math.pi / 3), cmath.exp(4j * math.pi / 3)]),
+        ([0.5, 0.5, 0.8], [0j, 1 + 0j]),
+        ([0.4, 0.45, 0.5], [0j, 1 + 0j]),
+        ([2 / 3] * 3, [0j, 0.1 + 0j]),
+    ],
+    ids=["three-cones", "five-cones", "two-halves", "small-angles", "close-pair"],
+)
+def test_spherical_cone_solve_asymmetric_angles(betas, points):
+    # all beta < 1, chi = 2 - sum(1 - beta_j) > 0 and
+    # (1 - beta_i) < sum_{j != i} (1 - beta_j): a unique metric exists
+    deficits = [1.0 - b for b in betas]
+    assert 0 < min(deficits) and sum(deficits) < 2
+    assert all(2 * d < sum(deficits) for d in deficits)
     mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
-    rep = spherical_cone_solve([0.6, 0.7, 0.8], [0j, 1.0 + 0j], mesh)
+    rep = spherical_cone_solve(betas, points, mesh)
     assert rep.residual_sup < 1e-9
     assert rep.gap > 2.0
+
+
+def test_spherical_cone_solve_factorization_count(monkeypatch):
+    # one Newton run from u = 0 plus the gap estimate: the algorithm, not
+    # the machine, sets this count
+    shifted, calls = ConicLaplacianOp.shifted, []
+
+    def counted(op, shift):
+        calls.append(shift)
+        return shifted(op, shift)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", counted)
+    mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
+    assert rep.gap > 2.0
+    assert len(calls) <= 15
+
+
+def test_newton_needs_closed_fiber_and_positive_area():
+    mesh = closed_sphere_mesh()
+    op = assemble(mesh, round_sphere_density)
+    for K0 in (np.zeros((mesh.nt, mesh.nphi)), -np.ones((mesh.nt, mesh.nphi))):
+        with pytest.raises(ValueError):
+            newton_solve_spherical(op, guard=False, K0=K0)
+    with pytest.raises(ValueError):
+        newton_solve_spherical(op, guard=False)  # the density's own curvature sums to zero
+    open_mesh = FiberMesh(math.exp(-5), math.exp(5), 97, 16, inner="pole", outer="dirichlet")
+    with pytest.raises(ValueError):
+        newton_solve_spherical(assemble(open_mesh, round_sphere_density), guard=False, K0=np.ones((97, 16)))
 
 
 def test_spherical_cone_solve_football_refused():
@@ -318,6 +364,26 @@ def test_eigen_gap_football(beta):
     mesh = FiberMesh(math.exp(-10), math.exp(10), 257, 24, inner="pole", outer="pole")
     gap = eigen_gap(assemble(mesh, football_density(beta)))
     assert abs(gap - 2.0) < 0.02
+
+
+def test_eigen_gap_refills_a_dependent_start_column(monkeypatch):
+    # a start block with two equal columns: the second is refilled
+    make_rng = np.random.default_rng
+
+    class TwinColumns:
+        def __init__(self, seed):
+            self.rng, self.first = make_rng(seed), True
+
+        def standard_normal(self, shape):
+            x = self.rng.standard_normal(shape)
+            if self.first:
+                x[:, 1], self.first = x[:, 0], False
+            return x
+
+    monkeypatch.setattr(np.random, "default_rng", TwinColumns)
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 161, 24, inner="pole", outer="pole")
+    gap = eigen_gap(assemble(mesh, round_sphere_density))
+    assert abs(gap - 2.0) / 2.0 < 0.01
 
 
 def test_eigen_gap_requires_closed_fiber():
