@@ -129,12 +129,6 @@ class CornerExpansion2:
                 return t
         raise KeyError(n)
 
-    def evaluate(self, s: float, delta: float, include_log_r: Optional[float] = None) -> float:
-        total = 0.0 if include_log_r is None else float(self.log_coefficient) * math.log(include_log_r)
-        for n, t in self.terms:
-            total += s**n * t.evaluate(delta)
-        return total
-
 
 def corner_expansion_2pt(
     beta1: RationalLike, beta2: RationalLike, order: int

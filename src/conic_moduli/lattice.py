@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "IndexSubset",
@@ -24,10 +24,14 @@ __all__ = [
     "enumerate_cmax_strata",
     "cluster_decomposition",
     "MAX_ENUMERATION_K",
+    "MAX_AUGMENTED_K",
 ]
 
-# Enumeration is exponential in k; refuse anything past this.
-MAX_ENUMERATION_K = 12
+# The tree count grows like A000311 (k = 7: 39,208 trees; k = 8: 660,032)
+# and with singleton leaves faster (k = 6: 176,128); the caps keep one
+# enumeration to seconds and a few hundred MB.
+MAX_ENUMERATION_K = 7
+MAX_AUGMENTED_K = 6
 
 
 @dataclass(frozen=True, order=True)
@@ -90,66 +94,54 @@ def classify_pair(a: IndexSubset, b: IndexSubset) -> PairRelation:
 
 
 class ClusterTree:
-    """A laminar family of index subsets arranged by immediate containment.
+    """A stratum tree: a laminar family of index subsets ordered by containment.
 
-    Vertices are subsets of {1..k}; the parent relation is the Hasse diagram
-    of containment restricted to the chosen vertex set, so each stratum has a
-    unique representation.  The root-only tree is allowed and flagged as the
-    interior (open) stratum.
+    ``vertices`` is any iterable of subsets of one {1..k}, every two of them
+    nested or disjoint.  The largest vertex is the root and must contain all
+    the others; each other vertex's parent is its smallest strict superset in
+    the family, so the family is the whole tree and each stratum has a unique
+    representation.  The root-only tree is the interior (open) stratum.
     """
 
-    def __init__(self, parent: Mapping[IndexSubset, Optional[IndexSubset]]):
-        if not parent:
+    def __init__(self, vertices: Iterable[IndexSubset]):
+        # descending size: a vertex's supersets come before it, as a chain
+        by_size = sorted(set(vertices), key=lambda v: (-len(v), v.members))
+        if not by_size:
             raise ValueError("tree must have at least one vertex")
-        roots = [v for v, p in parent.items() if p is None]
-        if len(roots) != 1:
-            raise ValueError("tree must have exactly one root")
-        self.root = roots[0]
+        self.root = by_size[0]
         self.k = self.root.k
-        self.parent: dict[IndexSubset, Optional[IndexSubset]] = dict(parent)
-        self.vertices: tuple[IndexSubset, ...] = tuple(
-            sorted(parent, key=lambda v: (min(v.members), -len(v), v.members))
-        )
-        self._children: dict[IndexSubset, list[IndexSubset]] = {v: [] for v in parent}
-        self._validate()
-
-    def _validate(self) -> None:
-        for v, p in self.parent.items():
+        self.parent: dict[IndexSubset, Optional[IndexSubset]] = {}
+        kids: dict[IndexSubset, list[IndexSubset]] = {}
+        for i, v in enumerate(by_size):
             if v.k != self.k:
                 raise ValueError("mixed ambient counts in tree")
-            if p is None:
-                continue
-            if p not in self.parent:
-                raise ValueError(f"parent {p} of {v} is not a vertex")
-            if not (v.issubset(p) and len(v) < len(p)):
-                raise ValueError(f"vertex {v} is not a proper subset of its parent {p}")
-            self._children[p].append(v)
-        # connectivity: every vertex reaches the root by parent links
-        for v in self.parent:
-            seen = set()
-            w: Optional[IndexSubset] = v
-            while w is not None:
-                if w in seen:
-                    raise ValueError("parent links contain a cycle")
-                seen.add(w)
-                w = self.parent[w]
-            if self.root not in seen:
-                raise ValueError(f"vertex {v} does not reach the root")
-        # laminarity, and parent = immediate superset within the vertex set
-        for a, b in itertools.combinations(self.parent, 2):
-            if classify_pair(a, b) is PairRelation.CROSSING:
-                raise ValueError(f"vertices {a} and {b} cross")
-        for v, p in self.parent.items():
-            if p is None:
-                continue
-            for w in self.parent:
-                if w in (v, p):
-                    continue
-                if v.issubset(w) and w.issubset(p) and len(v) < len(w) < len(p):
-                    raise ValueError(f"parent of {v} should be {w}, not {p}")
+            parent = None
+            for w in by_size[:i]:
+                if not v.isdisjoint(w):
+                    if not v.issubset(w):
+                        raise ValueError(f"vertices {v} and {w} cross")
+                    parent = w
+            if i and parent is None:
+                raise ValueError(f"vertex {v} is not inside the root {self.root}")
+            self.parent[v] = parent
+            kids[v] = []
+            if parent is not None:
+                kids[parent].append(v)
+        self._children = {v: tuple(sorted(c)) for v, c in kids.items()}
+        self.vertices: tuple[IndexSubset, ...] = tuple(
+            sorted(by_size, key=lambda v: (v.members[0], -len(v), v.members))
+        )
+        self._encoding = self._encode(self.root)
+
+    def _encode(self, v: IndexSubset) -> str:
+        kids = self._children[v]
+        covered = {i for c in kids for i in c.members}
+        items = [(i, str(i)) for i in v.members if i not in covered]
+        items += [(c.members[0], self._encode(c)) for c in kids]
+        return "(" + ",".join(s for _, s in sorted(items)) + ")"
 
     def children(self, v: IndexSubset) -> tuple[IndexSubset, ...]:
-        return tuple(sorted(self._children[v], key=lambda c: c.members))
+        return self._children[v]
 
     @property
     def is_interior(self) -> bool:
@@ -171,30 +163,18 @@ class ClusterTree:
 
         return depth(self.root)
 
-    def has_singletons(self) -> bool:
-        return any(len(v) == 1 for v in self.parent)
-
     def encode(self) -> str:
         """Canonical nested-parentheses encoding, e.g. ``((1,2),3,4)``."""
-
-        def enc(v: IndexSubset) -> str:
-            kids = self._children[v]
-            covered = set().union(*(set(c.members) for c in kids)) if kids else set()
-            items = [(i, str(i)) for i in v.members if i not in covered]
-            items += [(min(c.members), enc(c)) for c in kids]
-            items.sort()
-            return "(" + ",".join(s for _, s in items) + ")"
-
-        return enc(self.root)
+        return self._encoding
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClusterTree) and self.k == other.k and self.encode() == other.encode()
+        return isinstance(other, ClusterTree) and self.k == other.k and self._encoding == other._encoding
 
     def __hash__(self) -> int:
-        return hash((self.k, self.encode()))
+        return hash((self.k, self._encoding))
 
     def __repr__(self) -> str:
-        return f"ClusterTree({self.encode()}, k={self.k})"
+        return f"ClusterTree({self._encoding}, k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -223,53 +203,42 @@ class ClusterPartition:
         return self.blocks[0].k
 
 
-def _partial_partitions(pool: tuple[int, ...], min_size: int, forbid_all: frozenset[int]):
+def _partial_partitions(pool: tuple[int, ...], min_size: int):
     """Yield collections of disjoint subsets of ``pool`` with sizes >= min_size.
 
-    Blocks need not cover the pool.  A block equal to ``forbid_all`` is
-    skipped (a child may not equal its parent).  Each collection is produced
-    exactly once, blocks carrying their smallest uncovered element.
+    Blocks need not cover the pool.  Each collection is produced exactly
+    once, blocks carrying their smallest uncovered element.
     """
     if not pool:
         yield []
         return
     head, rest = pool[0], pool[1:]
     # head left uncovered
-    for part in _partial_partitions(rest, min_size, forbid_all):
-        yield part
+    yield from _partial_partitions(rest, min_size)
     # head belongs to a block
     for size in range(min_size, len(pool) + 1):
         for comb in itertools.combinations(rest, size - 1):
             block = frozenset((head,) + comb)
-            if block == forbid_all:
-                continue
             remaining = tuple(i for i in rest if i not in block)
-            for part in _partial_partitions(remaining, min_size, forbid_all):
+            for part in _partial_partitions(remaining, min_size):
                 yield [block] + part
 
 
-def _families(ground: frozenset[int], min_size: int, cache: dict) -> list[dict]:
-    """All laminar families rooted at ``ground`` as parent maps on frozensets."""
-    key = ground
-    if key in cache:
-        return cache[key]
-    out: list[dict] = []
-    pool = tuple(sorted(ground))
-    for blocks in _partial_partitions(pool, min_size, ground):
-        choices = [_families(b, min_size, cache) for b in blocks]
-        for combo in itertools.product(*choices):
-            fam: dict = {ground: None}
-            for block, sub in zip(blocks, combo):
-                for v, p in sub.items():
-                    fam[v] = p if p is not None else ground
-            out.append(fam)
-    cache[key] = out
-    return out
+def _families(ground: frozenset[int], k: int, min_size: int, cache: dict) -> list[frozenset[IndexSubset]]:
+    """All laminar families whose largest member is ``ground``.
 
-
-def _to_tree(fam: dict, k: int) -> ClusterTree:
-    conv = {fs: IndexSubset.of(fs, k) for fs in fam}
-    return ClusterTree({conv[v]: (conv[p] if p is not None else None) for v, p in fam.items()})
+    Each family is ``{ground}`` joined with one family per child block; the
+    cache holds one ``IndexSubset`` per distinct subset, shared by all trees.
+    """
+    if ground not in cache:
+        top = frozenset([IndexSubset.of(ground, k)])
+        cache[ground] = [
+            top.union(*combo)
+            for blocks in _partial_partitions(tuple(sorted(ground)), min_size)
+            if blocks != [ground]  # a child is a strict subset
+            for combo in itertools.product(*(_families(b, k, min_size, cache) for b in blocks))
+        ]
+    return cache[ground]
 
 
 def enumerate_fmax_strata(k: int, augmented: bool = False) -> list[ClusterTree]:
@@ -282,13 +251,12 @@ def enumerate_fmax_strata(k: int, augmented: bool = False) -> list[ClusterTree]:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k > MAX_ENUMERATION_K:
-        raise ValueError(f"enumeration limited to k <= {MAX_ENUMERATION_K}")
-    ground = frozenset(range(1, k + 1))
-    min_size = 1 if augmented else 2
-    trees = [_to_tree(fam, k) for fam in _families(ground, min_size, {})]
-    trees.sort(key=lambda t: t.encode())
-    return trees
+    cap = MAX_AUGMENTED_K if augmented else MAX_ENUMERATION_K
+    if k > cap:
+        kind = "augmented enumeration" if augmented else "enumeration"
+        raise ValueError(f"{kind} limited to k <= {cap}")
+    families = _families(frozenset(range(1, k + 1)), k, 1 if augmented else 2, {})
+    return sorted(map(ClusterTree, families), key=ClusterTree.encode)
 
 
 def enumerate_cmax_strata(k: int) -> list[tuple[ClusterTree, IndexSubset]]:

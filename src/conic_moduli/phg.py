@@ -352,23 +352,17 @@ def exp_series(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
 # indicial solves and the transverse recursion
 
 
-def indicial_solve(a: Union[Fraction, float], m: int, c: Union[LinExpr, Rat, float]):
+def indicial_solve(a: Rat, m: int, c: Union[LinExpr, Rat]) -> Union[LinExpr, Fraction]:
     """Coefficient of the particular solution r^a trig_m to L u = c r^a trig_m.
 
     L = (r d/dr)^2 + d^2/dphi^2 maps r^a trig_m to (a^2 - m^2) r^a trig_m, so
-    the answer is c/(a^2 - m^2); a^2 = m^2 is an indicial collision and the
-    caller must route to the homogeneous/matching branch.
+    the answer is c/(a^2 - m^2), exactly; a^2 = m^2 is an indicial collision
+    and the caller must route to the homogeneous/matching branch.
     """
-    exact = isinstance(a, (Fraction, int)) and not isinstance(c, float)
-    if exact:
-        denom = Fraction(a) ** 2 - m * m
-        if denom == 0:
-            raise IndicialCollisionError(f"exponent {a} collides with trig degree {m}")
-        return LinExpr.of(c) / denom if isinstance(c, LinExpr) else Fraction(c) / denom
-    denom_f = float(a) ** 2 - float(m) ** 2
-    if denom_f == 0.0:
+    denom = Fraction(a) ** 2 - m * m
+    if denom == 0:
         raise IndicialCollisionError(f"exponent {a} collides with trig degree {m}")
-    return float(c) / denom_f
+    return LinExpr.of(c) / denom if isinstance(c, LinExpr) else Fraction(c) / denom
 
 
 @dataclass
@@ -434,9 +428,6 @@ class PhgSeries:
         coeffs = [self.steps[0][2 * k * b].trig.coeffs[0][0].value() for k in range(1, kmax + 1)]
         return exp_series(coeffs, kmax)
 
-    def max_step(self) -> int:
-        return max(self.steps)
-
     def set_step(self, j: int, table: StepTable) -> None:
         self.steps[j] = table
 
@@ -469,15 +460,6 @@ class PhgSeries:
             if not t.is_zero:
                 out[alpha] = t
         return out
-
-    def evaluate_step(self, j: int, r: float, phi: float) -> float:
-        """Numeric u_j(r, phi); requires all symbols in step j assigned."""
-        total = 0.0
-        for alpha, trig in self.resolved_table(j).items():
-            if trig.has_symbols():
-                raise ValueError(f"step {j} has unassigned free coefficients")
-            total += r ** float(alpha) * trig.evaluate(phi)
-        return total
 
 
 def _mul_tables(

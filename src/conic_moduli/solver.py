@@ -28,6 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
+from .cones import ConeData, troyanov
 from .extrapolate import least_squares_slope, loglog_slopes
 
 __all__ = [
@@ -471,14 +472,12 @@ def eigen_gap(
 
 
 # ---------------------------------------------------------------------------
-# spherical Newton solver with a spectral-gap guard
+# spherical Newton solver
 
 
 def newton_solve_spherical(
     op: ConicLaplacianOp,
-    guard: bool = True,
-    K0: Optional[Field] = None,
-    margin: float = 0.05,
+    K0: Field,
     tol: float = 1e-10,
     maxit: int = 40,
 ) -> SolveReport:
@@ -498,36 +497,22 @@ def newton_solve_spherical(
     the floating-point evaluation floor is accepted at the first rejection
     and 16 rejections in a row are a stall.
 
-    With ``guard`` the gap of the background operator is estimated before
-    any Jacobian solve and the iteration refuses (football degeneracy) when
-    it is not above 2 + margin.  K0 defaults to the discrete curvature of
-    the assembled density, which serves that guard; a solve needs the smooth
-    curvature, since ValueError is raised unless sum W K0 > 0.
+    K0 is the smooth curvature of the background on the grid; ValueError is
+    raised unless sum W K0 > 0.  The football refusal (spectral gap of the
+    solved metric) is ``spherical_cone_solve``'s.
     """
     if op.mesh.inner != "pole" or op.mesh.outer != "pole":
         raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
     W = op.W
-    if K0 is None:
-        K0_dof = op.weak_laplacian_dof(op.grid_to_dof(0.5 * np.log(op.density)))
-    else:
-        K0_dof = _restrict(op, np.asarray(K0, dtype=float))
+    K0_dof = _restrict(op, np.asarray(K0, dtype=float))
 
     def residual_dof(u_dof: Field) -> Field:
         with np.errstate(over="ignore", invalid="ignore"):
             return op.weak_laplacian_dof(u_dof) + K0_dof - np.exp(2 * u_dof)
 
-    gap = None
-    if guard and float(np.max(np.abs(residual_dof(np.zeros(op.ndof))))) > tol:
-        # an exact starting metric (residual already below tol) needs no solves
-        gap = eigen_gap(op)
-        if gap <= 2.0 + margin:
-            raise FootballDegeneracyError(
-                f"spectral gap {gap:.6f} is not above 2 + margin = {2 + margin:.2f}"
-            )
     M = float(W @ K0_dof)
     if not M > 1e-8 * float(W @ np.abs(K0_dof)):
-        # the area of a curvature-one metric; the default K0 sums to zero up
-        # to rounding on a closed fiber (its pole rows carry the deltas)
+        # the area of a curvature-one metric, up to rounding relative to |K0|
         raise ValueError(f"total curvature sum W K0 = {M:.3e} is not positive: no spherical metric")
 
     def normalized(u_dof: Field) -> Field:
@@ -583,7 +568,6 @@ def newton_solve_spherical(
         solution=u_grid,
         residual_sup=res_sup,
         iterations=iterations,
-        gap=gap,
         sup_solution=float(np.max(np.abs(u_grid))),
         sup_rhs=float(np.max(np.abs(K0_dof - 1.0))),
     )
@@ -604,9 +588,10 @@ def spherical_cone_solve(
     bounded conformal factor u solves Delta u + K0 - e^{2u} = 0 by one run of
     ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
-    its minimiser is the metric.  With ``guard``, the gap of the solved
-    metric is estimated and the solve is rejected at or below 2 + margin
-    (football degeneracy).
+    its minimiser is the metric.  With all beta < 1 that condition is
+    necessary too, so data that violate it raise ValueError before any
+    solve.  With ``guard``, the gap of the solved metric is estimated and
+    the solve is rejected at or below 2 + margin (football degeneracy).
     """
     bs = [float(b) for b in betas]
     if len(bs) == 2:
@@ -618,9 +603,11 @@ def spherical_cone_solve(
             )
         if bs[0] != bs[1]:
             raise ValueError("no spherical cone metric exists with two unequal angles")
+    if max(bs) < 1 and not troyanov(ConeData.of(0, bs, 1)):
+        raise ValueError(f"cone angles {betas} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(bs, finite_points)
     op = assemble(mesh, density)
-    report = newton_solve_spherical(op, guard=False, K0=K0(*mesh.grids()), tol=tol, maxit=maxit)
+    report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol, maxit=maxit)
     if guard:
         report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
         if report.gap <= 2.0 + margin:

@@ -73,6 +73,19 @@ def test_football_solve_exits_1(capsys):
     assert "numeric error" in err
 
 
+def test_luo_tian_violation_exits_2(capsys):
+    # 1 - 0.45 = 0.55 > (1 - 0.5) + (1 - 0.96) = 0.54: no spherical metric
+    rc, out, err = run(capsys, "solve", "spherical", "--beta", "9/20,1/2,24/25", "--points", "0,0;1,0")
+    assert rc == 2
+    assert out == "" and "Luo-Tian" in err
+
+
+def test_faces_enumeration_cap_exits_2(capsys):
+    rc, out, err = run(capsys, "faces", "--k", "8")
+    assert rc == 2
+    assert out == "" and "k <= 7" in err
+
+
 def test_linalg_error_exits_1(capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it is a numeric failure, not a
     # malformed configuration

@@ -180,18 +180,12 @@ def test_discrete_harmonicity_of_green_factor():
     assert l2 < 0.3 * l1  # second-order decay
 
 
-def tree_of(parent_map, k):
-    conv = {tuple(sorted(s)): IndexSubset.of(s, k) for s in parent_map}
-    return ClusterTree(
-        {
-            conv[tuple(sorted(s))]: (conv[tuple(sorted(p))] if p is not None else None)
-            for s, p in parent_map.items()
-        }
-    )
+def tree_of(vertices, k):
+    return ClusterTree(IndexSubset.of(s, k) for s in vertices)
 
 
 def test_cluster_split_two_level_tree():
-    t = tree_of({(1, 2, 3): None, (1, 2): (1, 2, 3)}, 3)
+    t = tree_of([(1, 2, 3), (1, 2)], 3)
     m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3, background="plane")
     rep = cluster_split(m, t, scale=0.2)
     root = IndexSubset.of([1, 2, 3], 3)
@@ -203,7 +197,7 @@ def test_cluster_split_two_level_tree():
 
 
 def test_cluster_split_root_only():
-    t = tree_of({(1, 2, 3): None}, 3)
+    t = tree_of([(1, 2, 3)], 3)
     m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
     rep = cluster_split(m, t, scale=0.9)
     assert list(rep.coefficients.values()) == [F(1) - 3]
@@ -211,7 +205,7 @@ def test_cluster_split_root_only():
 
 
 def test_cluster_split_inconsistent_tree():
-    t = tree_of({(1, 2, 3): None, (1, 3): (1, 2, 3)}, 3)
+    t = tree_of([(1, 2, 3), (1, 3)], 3)
     m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3, background="plane")
     with pytest.raises(ValueError):
         cluster_split(m, t, scale=0.2)

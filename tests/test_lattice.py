@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -113,8 +114,12 @@ def test_laminar_invariant():
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_fmax_strata(1)
+    # the caps follow the measured cost: k = 8 has 660,032 trees (17x k = 7)
+    # and augmented k = 7 more still, so both refuse before enumerating
     with pytest.raises(ValueError):
-        enumerate_fmax_strata(13)
+        enumerate_fmax_strata(8)
+    with pytest.raises(ValueError):
+        enumerate_fmax_strata(7, augmented=True)
 
 
 def test_enumeration_deterministic_order():
@@ -152,25 +157,38 @@ def test_cmax_counts(k, count):
 
 def test_tree_height_examples():
     root4 = IndexSubset.of([1, 2, 3, 4], 4)
-    t0 = ClusterTree({root4: None})
+    t0 = ClusterTree([root4])
     assert t0.height == 0
     pair = IndexSubset.of([1, 2], 4)
-    t1 = ClusterTree({root4: None, pair: root4})
+    t1 = ClusterTree([root4, pair])
     assert t1.height == 1
     triple = IndexSubset.of([1, 2, 3], 4)
-    t2 = ClusterTree({root4: None, triple: root4, pair: triple})
+    t2 = ClusterTree([root4, triple, pair])
     assert t2.height == 2
 
 
-def test_tree_rejects_crossing_and_bad_parent():
+def test_tree_parents_from_vertex_set_in_any_order():
+    root, pair, triple, inner = (IndexSubset.of(m, 7) for m in (range(1, 8), [1, 2], [4, 5, 6], [4, 5]))
+    vs = [root, pair, triple, inner]
+    shuffled = vs[:]
+    random.Random(3).shuffle(shuffled)
+    trees = [ClusterTree(shuffled), ClusterTree(set(vs)), ClusterTree(v for v in reversed(vs)), ClusterTree(vs + vs)]
+    for t in trees:
+        assert t.parent == {root: None, pair: root, triple: root, inner: triple}
+        assert t.encode() == "((1,2),3,((4,5),6),7)"
+        assert t.root == root and t.children(root) == (pair, triple)
+
+
+def test_tree_rejects_non_laminar_vertex_sets():
     root = IndexSubset.of([1, 2, 3, 4], 4)
+    with pytest.raises(ValueError):  # crossing pair
+        ClusterTree([root, IndexSubset.of([1, 2], 4), IndexSubset.of([2, 3], 4)])
+    with pytest.raises(ValueError):  # two maximal vertices
+        ClusterTree([IndexSubset.of([1, 2], 4), IndexSubset.of([3, 4], 4)])
+    with pytest.raises(ValueError):  # mixed ambient counts
+        ClusterTree([root, IndexSubset.of([1, 2], 5)])
     with pytest.raises(ValueError):
-        ClusterTree({root: None, IndexSubset.of([1, 2], 4): root, IndexSubset.of([2, 3], 4): root})
-    # parent must be the immediate superset within the vertex set
-    triple = IndexSubset.of([1, 2, 3], 4)
-    pair = IndexSubset.of([1, 2], 4)
-    with pytest.raises(ValueError):
-        ClusterTree({root: None, triple: root, pair: root})
+        ClusterTree([])
 
 
 # -- cluster decomposition --------------------------------------------------------

@@ -216,7 +216,7 @@ def closed_sphere_mesh(L=5.0, nt=97, nphi=16):
 def test_newton_round_sphere_is_exact_start():
     mesh = closed_sphere_mesh()
     op = assemble(mesh, round_sphere_density)
-    rep = newton_solve_spherical(op, K0=np.ones((mesh.nt, mesh.nphi)), guard=True)
+    rep = newton_solve_spherical(op, np.ones((mesh.nt, mesh.nphi)))
     assert rep.iterations == 0
     assert rep.residual_sup == 0.0
     assert rep.sup_solution == 0.0
@@ -237,13 +237,6 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh, guard=False)
     assert rep.residual_sup < 1e-10
     assert len(calls) > 1
-
-
-def test_newton_football_guard_trips():
-    mesh = FiberMesh(math.exp(-8), math.exp(8), 129, 16, inner="pole", outer="pole")
-    op = assemble(mesh, football_density(0.5))
-    with pytest.raises(FootballDegeneracyError):
-        newton_solve_spherical(op)
 
 
 def test_spherical_cone_solve_three_cones():
@@ -308,12 +301,10 @@ def test_newton_needs_closed_fiber_and_positive_area():
     op = assemble(mesh, round_sphere_density)
     for K0 in (np.zeros((mesh.nt, mesh.nphi)), -np.ones((mesh.nt, mesh.nphi))):
         with pytest.raises(ValueError):
-            newton_solve_spherical(op, guard=False, K0=K0)
-    with pytest.raises(ValueError):
-        newton_solve_spherical(op, guard=False)  # the density's own curvature sums to zero
+            newton_solve_spherical(op, K0)
     open_mesh = FiberMesh(math.exp(-5), math.exp(5), 97, 16, inner="pole", outer="dirichlet")
     with pytest.raises(ValueError):
-        newton_solve_spherical(assemble(open_mesh, round_sphere_density), guard=False, K0=np.ones((97, 16)))
+        newton_solve_spherical(assemble(open_mesh, round_sphere_density), np.ones((97, 16)))
 
 
 def test_spherical_cone_solve_football_refused():
@@ -322,6 +313,16 @@ def test_spherical_cone_solve_football_refused():
         spherical_cone_solve([0.5, 0.5], [0j], mesh)
     with pytest.raises(ValueError):
         spherical_cone_solve([0.4, 0.5], [0j], mesh)
+
+
+@pytest.mark.parametrize("betas", [[0.45, 0.5, 0.96], [0.4, 0.7, 0.7]], ids=["outside", "at-equality"])
+def test_spherical_cone_solve_refuses_luo_tian_violation(betas, monkeypatch):
+    # all beta < 1 and (1 - beta_i) >= sum_{j != i} (1 - beta_j): no metric
+    # exists, although the discrete problem near that line can still converge
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, shift: pytest.fail("solved"))
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
+    with pytest.raises(ValueError, match="Luo-Tian"):
+        spherical_cone_solve(betas, [0j, 1 + 0j], mesh)
 
 
 def test_singular_background_curvature_formula():
