@@ -8,12 +8,14 @@ numerically that base boundary defining functions pull back to monomials in
 the total-space defining functions times a smooth positive factor, with at
 most one base face per total-space face (the fibration condition on the
 exponent matrix).
+
+Every chart map is elementwise: a chart point holds floats or numpy arrays
+that broadcast together, and a scalar is a 0-d array.  ``pullback_report``
+draws and evaluates its samples in blocks of ``SAMPLE_BLOCK``.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,30 +33,28 @@ __all__ = [
     "DegenerateChartError",
 ]
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * np.pi
 # omega-type angles live in [0, pi/2]; allow this much roundoff slack
 _OMEGA_SLACK = 1e-15
 # keep verification samples off the omega = pi/2 coordinate singularity
 OMEGA_MARGIN = 1e-6
+# samples drawn and evaluated at once; bounds the memory of a large report
+SAMPLE_BLOCK = 10_000
 
 
 class DegenerateChartError(ValueError):
     """Raised when inverting a chart at its blown-up center."""
 
 
-def _wrap_angle(a: float) -> float:
-    a = math.fmod(a, TWO_PI)
-    return a + TWO_PI if a < 0 else a
-
-
-def _check_omega(omega: float, name: str) -> float:
-    if -_OMEGA_SLACK <= omega < 0.0:
-        return 0.0
-    if math.pi / 2 < omega <= math.pi / 2 + _OMEGA_SLACK:
-        return math.pi / 2
-    if not 0.0 <= omega <= math.pi / 2:
+def _check_omega(omega, name: str):
+    if not np.all((omega >= -_OMEGA_SLACK) & (omega <= np.pi / 2 + _OMEGA_SLACK)):
         raise ValueError(f"{name} must lie in [0, pi/2], got {omega}")
-    return omega
+    return np.clip(omega, 0.0, np.pi / 2)
+
+
+def _phase(w, r):
+    """Argument of w, and 0 where |w| = r is 0."""
+    return np.where(r > 0, np.angle(w), 0.0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ class Chart2Point:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.R12 < 0:
+        if np.any(self.R12 < 0):
             raise ValueError("R12 must be nonnegative")
         object.__setattr__(self, "omega", _check_omega(self.omega, "omega"))
-        object.__setattr__(self, "phi", _wrap_angle(self.phi))
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+        object.__setattr__(self, "phi", np.mod(self.phi, TWO_PI))
+        object.__setattr__(self, "theta", np.mod(self.theta, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ class Chart3CornerPoint:
     phi2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.R123 < 0 or self.R12 < 0:
+        if np.any(self.R123 < 0) or np.any(self.R12 < 0):
             raise ValueError("radial coordinates must be nonnegative")
         object.__setattr__(self, "omega12", _check_omega(self.omega12, "omega12"))
         for name in ("phi12", "theta12", "phi2"):
-            object.__setattr__(self, name, _wrap_angle(getattr(self, name)))
+            object.__setattr__(self, name, np.mod(getattr(self, name), TWO_PI))
 
 
 def blowdown2(p: Chart2Point) -> tuple[complex, complex, complex, float]:
@@ -106,9 +106,9 @@ def blowdown2(p: Chart2Point) -> tuple[complex, complex, complex, float]:
     z1 = zeta + rho12 e^{i theta},  z2 = zeta - rho12 e^{i theta},
     z  = zeta + R12 cos(omega) e^{i phi},  rho12 = R12 sin(omega).
     """
-    rho12 = p.R12 * math.sin(p.omega)
-    w = rho12 * cmath.exp(1j * p.theta)
-    z = p.zeta + p.R12 * math.cos(p.omega) * cmath.exp(1j * p.phi)
+    rho12 = p.R12 * np.sin(p.omega)
+    w = rho12 * np.exp(1j * p.theta)
+    z = p.zeta + p.R12 * np.cos(p.omega) * np.exp(1j * p.phi)
     return p.zeta + w, p.zeta - w, z, rho12
 
 
@@ -120,16 +120,13 @@ def chart2_from_points(z1: complex, z2: complex, z: complex) -> Chart2Point:
     """
     zeta = 0.5 * (z1 + z2)
     w = 0.5 * (z1 - z2)
-    rho12 = abs(w)
     zrel = z - zeta
-    r = abs(zrel)
-    R12 = math.hypot(rho12, r)
-    if R12 == 0.0:
+    rho12, r = np.abs(w), np.abs(zrel)
+    R12 = np.hypot(rho12, r)
+    if np.any(R12 == 0.0):
         raise DegenerateChartError("z1 = z2 and z = zeta: point on the blown-up center")
-    omega = math.atan2(rho12, r)
-    theta = cmath.phase(w) if rho12 > 0 else 0.0
-    phi = cmath.phase(zrel) if r > 0 else 0.0
-    return Chart2Point(zeta=zeta, R12=R12, omega=omega, phi=phi, theta=theta)
+    omega = np.arctan2(rho12, r)
+    return Chart2Point(zeta=zeta, R12=R12, omega=omega, phi=_phase(zrel, r), theta=_phase(w, rho12))
 
 
 def blowdown3_corner(p: Chart3CornerPoint) -> tuple[complex, complex, complex, complex]:
@@ -139,13 +136,12 @@ def blowdown3_corner(p: Chart3CornerPoint) -> tuple[complex, complex, complex, c
     z3 - zeta = R123 sqrt(1-(R12 cos w12)^2) sqrt(1-(R12 sin w12)^2) e^{i phi2},
     z  - zeta = R123 R12 cos(w12) e^{i phi12}.
     """
-    c, s = math.cos(p.omega12), math.sin(p.omega12)
-    a = p.R12 * c
-    b = p.R12 * s
-    outer = math.sqrt(max(0.0, 1.0 - a * a))
-    w1 = p.R123 * outer * b * cmath.exp(1j * p.theta12)
-    z3 = p.zeta + p.R123 * outer * math.sqrt(max(0.0, 1.0 - b * b)) * cmath.exp(1j * p.phi2)
-    z = p.zeta + p.R123 * a * cmath.exp(1j * p.phi12)
+    a = p.R12 * np.cos(p.omega12)
+    b = p.R12 * np.sin(p.omega12)
+    outer = p.R123 * np.sqrt(np.maximum(0.0, 1.0 - a * a))
+    w1 = outer * b * np.exp(1j * p.theta12)
+    z3 = p.zeta + outer * np.sqrt(np.maximum(0.0, 1.0 - b * b)) * np.exp(1j * p.phi2)
+    z = p.zeta + p.R123 * a * np.exp(1j * p.phi12)
     return p.zeta + w1, p.zeta - w1, z3, z
 
 
@@ -161,22 +157,21 @@ def chart3_corner_from_points(
     w1 = 0.5 * (z1 - z2)
     w2 = z3 - zeta
     v = z - zeta
-    rho123 = math.hypot(abs(w1), abs(w2))
-    R123 = math.hypot(rho123, abs(v))
-    if R123 == 0.0 or rho123 == 0.0:
+    r1, r2, rv = np.abs(w1), np.abs(w2), np.abs(v)
+    rho123 = np.hypot(r1, r2)
+    R123 = np.hypot(rho123, rv)
+    if np.any(rho123 == 0.0):
         raise DegenerateChartError("configuration lies on a blown-up center")
-    a = abs(v) / R123  # R12 cos(omega12)
-    rho12 = abs(w1) / rho123  # R12 sin(omega12)
-    R12 = math.hypot(a, rho12)
-    omega12 = math.atan2(rho12, a)
+    a = rv / R123  # R12 cos(omega12)
+    rho12 = r1 / rho123  # R12 sin(omega12)
     return Chart3CornerPoint(
         zeta=zeta,
         R123=R123,
-        R12=R12,
-        omega12=omega12,
-        phi12=cmath.phase(v) if abs(v) > 0 else 0.0,
-        theta12=cmath.phase(w1) if abs(w1) > 0 else 0.0,
-        phi2=cmath.phase(w2) if abs(w2) > 0 else 0.0,
+        R12=np.hypot(a, rho12),
+        omega12=np.arctan2(rho12, a),
+        phi12=_phase(v, rv),
+        theta12=_phase(w1, r1),
+        phi2=_phase(w2, r2),
     )
 
 
@@ -236,46 +231,23 @@ _LIFT_THREE = LiftingMatrix(
 )
 
 
-def _roundtrip_two(rng: np.random.Generator, samples: int, region: float) -> float:
-    """Point-level roundtrip error of the two-point chart on interior samples."""
-    worst = 0.0
-    for _ in range(samples):
-        p = Chart2Point(
-            zeta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            R12=rng.uniform(0.1 * region, region),
-            omega=rng.uniform(0.0, math.pi / 2 - OMEGA_MARGIN),
-            phi=rng.uniform(0, TWO_PI),
-            theta=rng.uniform(0, TWO_PI),
-        )
-        z1, z2, z, _ = blowdown2(p)
-        q = chart2_from_points(z1, z2, z)
-        w1, w2, w, _ = blowdown2(q)
-        scale = max(1.0, abs(z1), abs(z2), abs(z))
-        err = max(abs(z1 - w1), abs(z2 - w2), abs(z - w)) / scale
-        worst = max(worst, err)
-    return worst
+def _factors_two(p: Chart2Point) -> dict[str, np.ndarray]:
+    return {"rho12": blowdown2(p)[3] / (p.R12 * p.omega)}
 
 
-def _roundtrip_three(rng: np.random.Generator, samples: int, region: float) -> float:
-    """Point-level roundtrip error of the corner chart on interior samples."""
-    worst = 0.0
-    for _ in range(samples):
-        p = Chart3CornerPoint(
-            zeta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            R123=rng.uniform(0.1, 1.0),
-            R12=rng.uniform(0.1 * region, region),
-            omega12=rng.uniform(0.05, math.pi / 2 - OMEGA_MARGIN),
-            theta12=rng.uniform(0, TWO_PI),
-            phi12=rng.uniform(0, TWO_PI),
-            phi2=rng.uniform(0, TWO_PI),
-        )
-        pts = blowdown3_corner(p)
-        q = chart3_corner_from_points(*pts)
-        qts = blowdown3_corner(q)
-        scale = max(1.0, *(abs(x) for x in pts))
-        err = max(abs(a - b) for a, b in zip(pts, qts)) / scale
-        worst = max(worst, err)
-    return worst
+def _factors_three(p: Chart3CornerPoint) -> dict[str, np.ndarray]:
+    z1, z2, z3, _ = blowdown3_corner(p)
+    # base coordinates, recomputed independently from the points
+    w1 = 0.5 * (z1 - z2)
+    w2 = z3 - 0.5 * (z1 + z2)
+    rho123 = np.hypot(np.abs(w1), np.abs(w2))
+    return {"rho123": rho123 / p.R123, "rho12": np.abs(w1) / rho123 / (p.R12 * p.omega12)}
+
+
+def _draw(rng: np.random.Generator, bounds: list[tuple[float, float]], n: int) -> np.ndarray:
+    """n rows of uniform draws in ``bounds``, in the order of a per-sample loop."""
+    lo, hi = np.array(bounds).T
+    return rng.uniform(lo, hi, size=(n, len(bounds)))
 
 
 def pullback_report(
@@ -290,50 +262,48 @@ def pullback_report(
     is A = (rho composed with the blowdown) / prod(bdf^exponent) with the
     integer exponents of the lifting matrix.  Reports min/max of A per base
     face; a factor not bounded away from zero is reported as a verification
-    failure, not raised.
+    failure, not raised.  The point-level round trip (blowdown, inversion,
+    blowdown) runs on one further block of min(samples, SAMPLE_BLOCK)
+    interior points.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0.0 < region < 1.0:
         raise ValueError("region must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    factors: dict[str, list[float]] = {}
-
+    top = np.pi / 2 - OMEGA_MARGIN
+    angles = [(0.0, TWO_PI)] * 3
+    # per chart: the coordinates drawn, in draw order, and their sampling bounds
     if chart == "two":
-        lifting = _LIFT_TWO
-        for _ in range(samples):
-            R12 = rng.uniform(1e-6, region)
-            omega = rng.uniform(1e-9, math.pi / 2 - OMEGA_MARGIN)
-            p = Chart2Point(R12=R12, omega=omega)
-            _, _, _, rho12 = blowdown2(p)
-            factors.setdefault("rho12", []).append(rho12 / (R12 * omega))
-        roundtrip = _roundtrip_two(rng, min(samples, 10_000), region)
+        lifting, point, factors = _LIFT_TWO, Chart2Point, _factors_two
+        blowdown, invert, npts = blowdown2, chart2_from_points, 3
+        coords = ("R12", "omega", "phi", "theta")
+        sample_bounds = [(1e-6, region), (1e-9, top)]
+        trip_bounds = [(0.1 * region, region), (0.0, top)] + angles[:2]
     elif chart == "three-corner":
-        lifting = _LIFT_THREE
-        for _ in range(samples):
-            p = Chart3CornerPoint(
-                R123=rng.uniform(1e-6, 1.0),
-                R12=rng.uniform(1e-6, region),
-                omega12=rng.uniform(1e-9, math.pi / 2 - OMEGA_MARGIN),
-                theta12=rng.uniform(0, TWO_PI),
-                phi12=rng.uniform(0, TWO_PI),
-                phi2=rng.uniform(0, TWO_PI),
-            )
-            z1, z2, z3, _ = blowdown3_corner(p)
-            # base coordinates, recomputed independently from the points
-            w1 = 0.5 * (z1 - z2)
-            w2 = z3 - 0.5 * (z1 + z2)
-            rho123 = math.hypot(abs(w1), abs(w2))
-            rho12 = abs(w1) / rho123
-            factors.setdefault("rho123", []).append(rho123 / p.R123)
-            factors.setdefault("rho12", []).append(rho12 / (p.R12 * p.omega12))
-        roundtrip = _roundtrip_three(rng, min(samples, 10_000), region)
+        lifting, point, factors = _LIFT_THREE, Chart3CornerPoint, _factors_three
+        blowdown, invert, npts = blowdown3_corner, chart3_corner_from_points, 4
+        coords = ("R123", "R12", "omega12", "theta12", "phi12", "phi2")
+        sample_bounds = [(1e-6, 1.0), (1e-6, region), (1e-9, top)] + angles
+        trip_bounds = [(0.1, 1.0), (0.1 * region, region), (0.05, top)] + angles
     else:
         raise ValueError(f"unknown chart {chart!r} (expected 'two' or 'three-corner')")
 
-    if not lifting.row_condition_ok():
-        raise AssertionError("lifting matrix violates the one-nonzero-per-row condition")
-    ranges = {k: (min(v), max(v)) for k, v in factors.items()}
+    ranges: dict[str, tuple[float, float]] = {}
+    for start in range(0, samples, SAMPLE_BLOCK):
+        x = _draw(rng, sample_bounds, min(SAMPLE_BLOCK, samples - start))
+        for face, a in factors(point(**dict(zip(coords, x.T)))).items():
+            lo, hi = ranges.get(face, (np.inf, -np.inf))
+            ranges[face] = (min(lo, float(a.min())), max(hi, float(a.max())))
+
+    # round trip: the center of mass zeta is drawn first, then the coordinates
+    x = _draw(rng, [(-1.0, 1.0), (-1.0, 1.0)] + trip_bounds, min(samples, SAMPLE_BLOCK))
+    pts = blowdown(point(zeta=x[:, 0] + 1j * x[:, 1], **dict(zip(coords, x[:, 2:].T))))[:npts]
+    back = blowdown(invert(*pts))[:npts]
+    err = np.max([np.abs(a - b) for a, b in zip(pts, back)], axis=0)
+    scale = np.max([np.abs(z) for z in pts], axis=0)
+    roundtrip = float(np.max(err / np.maximum(1.0, scale)))
+
     amin = min(lo for lo, _ in ranges.values())
     amax = max(hi for _, hi in ranges.values())
     positivity_ok = amin > 1e-12

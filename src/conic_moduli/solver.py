@@ -140,6 +140,14 @@ def _density_array(mesh: FiberMesh, density: DensityLike) -> Field:
     return out
 
 
+def _lumped_mass(mesh: FiberMesh, density: Field) -> Field:
+    """Cell masses density * e^{2t} * ht * hp, halved on the end rings."""
+    cell = density * np.exp(2 * mesh.t)[:, None] * mesh.ht * mesh.hp
+    cell[0, :] *= 0.5
+    cell[-1, :] *= 0.5
+    return cell
+
+
 class ConicLaplacianOp:
     """Discrete conic Laplacian: flat (t, phi) stiffness + metric mass.
 
@@ -217,11 +225,8 @@ class ConicLaplacianOp:
         nodes = np.flatnonzero(dof >= 0)
         self.R = sp.csr_matrix((np.ones(nodes.size), (dof[nodes], nodes)), shape=(self.ndof, nt * P))
 
-        cell = self.density * np.exp(2 * mesh.t)[:, None] * mesh.ht * mesh.hp
-        cell[0, :] *= 0.5
-        cell[-1, :] *= 0.5
-        self.cell_mass = cell
-        self.W = self.R @ cell.ravel()
+        self.cell_mass = _lumped_mass(mesh, self.density)
+        self.W = self.R @ self.cell_mass.ravel()
 
     # -- grid <-> dof transfer ----------------------------------------------
     def grid_to_dof(self, u: Field) -> Field:
@@ -870,9 +875,7 @@ def merging_pair_residual_family(
         fam = []
         for rho in rhos:
             log_density_rho = _pair_log_density(b1, b2, float(rho), rr, pp)
-            w_rho = np.exp(log_density_rho) * np.exp(2 * mesh.t)[:, None] * mesh.ht * mesh.hp
-            w_rho[0, :] *= 0.5
-            w_rho[-1, :] *= 0.5
+            w_rho = _lumped_mass(mesh, np.exp(log_density_rho))
             u = u0_grid if order == 1 else u0_grid + float(rho) * u1_grid
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A u + A G_rho + W_rho e^{2u}
             g_rho_dof = op0.grid_to_dof(0.5 * log_density_rho)

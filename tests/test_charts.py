@@ -7,6 +7,7 @@ import pytest
 from conic_moduli.charts import (
     Chart2Point,
     Chart3CornerPoint,
+    OMEGA_MARGIN,
     DegenerateChartError,
     LiftingMatrix,
     blowdown2,
@@ -204,3 +205,136 @@ def test_pullback_rejects_bad_arguments():
         pullback_report("two", region=1.5)
     with pytest.raises(ValueError):
         pullback_report("five")
+
+
+MAPS = {
+    "two": (blowdown2, chart2_from_points, 3),
+    "three-corner": (blowdown3_corner, chart3_corner_from_points, 4),
+}
+
+
+def random_points(rng, n):
+    """n interior points of each chart, as one array point per chart."""
+    zeta = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    two = Chart2Point(
+        zeta=zeta,
+        R12=rng.uniform(0.05, 1.0, n),
+        omega=rng.uniform(0.05, math.pi / 2 - 0.05, n),
+        phi=rng.uniform(-7, 7, n),
+        theta=rng.uniform(-7, 7, n),
+    )
+    three = Chart3CornerPoint(
+        zeta=zeta,
+        R123=rng.uniform(0.1, 1.0, n),
+        R12=rng.uniform(0.05, 0.9, n),
+        omega12=rng.uniform(0.05, math.pi / 2 - 0.05, n),
+        phi12=rng.uniform(-7, 7, n),
+        theta12=rng.uniform(-7, 7, n),
+        phi2=rng.uniform(-7, 7, n),
+    )
+    return {"two": two, "three-corner": three}
+
+
+def entry(p, i):
+    """The i-th entry of an array chart point, as a scalar chart point."""
+    fields = {name: value[i] for name, value in vars(p).items()}
+    return type(p)(**fields)
+
+
+def assert_entrywise(arrays, scalars):
+    for k, a in enumerate(arrays):
+        np.testing.assert_allclose(a, [s[k] for s in scalars], rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("chart", ["two", "three-corner"])
+def test_chart_maps_on_arrays_match_scalar_calls(chart):
+    blowdown, invert, npts = MAPS[chart]
+    p = random_points(np.random.default_rng(17), 64)[chart]
+    n = p.zeta.size
+    pts = blowdown(p)
+    assert all(np.shape(z) == (n,) for z in pts)
+    assert_entrywise(pts, [blowdown(entry(p, i)) for i in range(n)])
+    q = invert(*pts[:npts])
+    coords = list(vars(q))
+    assert_entrywise(
+        [getattr(q, c) for c in coords],
+        [[getattr(invert(*(z[i] for z in pts[:npts])), c) for c in coords] for i in range(n)],
+    )
+
+
+def test_chart_maps_on_arrays_reject_any_bad_entry():
+    points = random_points(np.random.default_rng(19), 8)
+    z1, z2, z, _ = blowdown2(points["two"])
+    z1[3] = z2[3] = z[3] = 0.5 + 0.5j
+    with pytest.raises(DegenerateChartError):
+        chart2_from_points(z1, z2, z)
+    w1, w2, w3, w = blowdown3_corner(points["three-corner"])
+    w1[5] = w2[5] = w3[5] = 0.1j
+    with pytest.raises(DegenerateChartError):
+        chart3_corner_from_points(w1, w2, w3, w)
+    bad = np.array([0.1, 0.2, -1e-12])
+    with pytest.raises(ValueError):
+        Chart2Point(R12=bad)
+    with pytest.raises(ValueError):
+        Chart3CornerPoint(R123=bad)
+    with pytest.raises(ValueError):
+        Chart3CornerPoint(R123=0.5, R12=bad)
+
+
+def reference_pullback(chart, samples, region, seed):
+    """The per-sample sampling loop, with scalar draws and math/cmath maps.
+
+    Returns the factor ranges and the generator after the draws of the
+    round-trip points, which follow the factor samples in the stream.
+    """
+    rng = np.random.default_rng(seed)
+    top = math.pi / 2 - OMEGA_MARGIN
+    factors = {}
+    for _ in range(samples):
+        if chart == "two":
+            R12 = rng.uniform(1e-6, region)
+            omega = rng.uniform(1e-9, top)
+            factors.setdefault("rho12", []).append(R12 * math.sin(omega) / (R12 * omega))
+            continue
+        R123 = rng.uniform(1e-6, 1.0)
+        R12 = rng.uniform(1e-6, region)
+        omega12 = rng.uniform(1e-9, top)
+        theta12, phi12, phi2 = (rng.uniform(0, 2 * math.pi) for _ in range(3))
+        a, b = R12 * math.cos(omega12), R12 * math.sin(omega12)
+        outer = math.sqrt(max(0.0, 1.0 - a * a))
+        w = R123 * outer * b * cmath.exp(1j * theta12)
+        z1, z2 = 0j + w, 0j - w
+        z3 = 0j + R123 * outer * math.sqrt(max(0.0, 1.0 - b * b)) * cmath.exp(1j * phi2)
+        # base coordinates, recomputed from the points
+        w1 = 0.5 * (z1 - z2)
+        w2 = z3 - 0.5 * (z1 + z2)
+        rho123 = math.hypot(abs(w1), abs(w2))
+        factors.setdefault("rho123", []).append(rho123 / R123)
+        factors.setdefault("rho12", []).append(abs(w1) / rho123 / (R12 * omega12))
+    # round-trip points: zeta, then 4 (two) or 6 (three-corner) coordinates
+    for _ in range(min(samples, 10_000) * (6 if chart == "two" else 8)):
+        rng.uniform()
+    return {face: (min(v), max(v)) for face, v in factors.items()}, rng
+
+
+@pytest.mark.parametrize("chart", ["two", "three-corner"])
+@pytest.mark.parametrize("seed", [20240, 7])
+def test_pullback_keeps_the_per_sample_draw_order(monkeypatch, chart, seed):
+    # 10,001 samples: one full block and a one-sample tail
+    generators = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(s):
+        generators.append(default_rng(s))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    rep = pullback_report(chart, samples=10_001, region=0.3, seed=seed)
+    monkeypatch.undo()
+    ranges, rng = reference_pullback(chart, 10_001, 0.3, seed)
+    assert list(rep.factors) == list(ranges)
+    extremes = (min(lo for lo, _ in ranges.values()), max(hi for _, hi in ranges.values()))
+    for got, want in [(rep.factors[face], ranges[face]) for face in ranges] + [((rep.amin, rep.amax), extremes)]:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # the report consumed exactly the reference's draws
+    assert generators[0].bit_generator.state == rng.bit_generator.state

@@ -43,6 +43,18 @@ def test_charts_verify_payload(capsys):
     assert out2 == out
 
 
+def test_charts_verify_corner_100k_meets_tolerances(capsys):
+    # the 100,000-sample corner check spans ten sampling blocks
+    rc, out, _ = run(capsys, "charts", "verify", "--chart", "three-corner", "--samples", "100000")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["samples"] == 100_000
+    assert payload["roundtrip_max_err"] < 1e-12
+    lo, hi = payload["factors"]["rho123"]
+    assert 0.95394 - 1e-9 <= lo and hi <= 1.0
+    assert payload["lifting"]["row_condition_ok"] and payload["positivity_ok"]
+
+
 def test_cones_classify_matches_table(capsys):
     rc, out, _ = run(
         capsys, "cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "1/2,2/3,2/3,5/6"
