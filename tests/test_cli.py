@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conic_moduli import solver
 from conic_moduli.cli import main
@@ -111,6 +112,22 @@ def test_linalg_error_exits_1(capsys, monkeypatch):
     )
     assert rc == 1
     assert "numeric error" in err
+
+
+def test_arpack_nonconvergence_exits_1(capsys, monkeypatch):
+    def stuck(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stuck)
+    mesh = solver.FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    with pytest.raises(solver.NonconvergenceError):
+        solver.eigen_gap(solver.assemble(mesh, solver.round_sphere_density))
+    rc, out, err = run(
+        capsys,
+        "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0", "--mesh", "65x16",
+    )
+    assert rc == 1
+    assert out == "" and "numeric error" in err
 
 
 def test_four_cone_default_layout_solves(capsys):

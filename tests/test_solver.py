@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from conic_moduli import solver
 from conic_moduli.phg import u0_series, u0_value
 from conic_moduli.solver import (
     ConicLaplacianOp,
@@ -40,6 +42,10 @@ def bumpy_density(r, phi):
 
 
 RING_KINDS = [("pole", "pole"), ("pole", "dirichlet"), ("dirichlet", "dirichlet")]
+FIVE_CONES = (
+    [0.7, 0.75, 0.8, 0.85, 0.9],
+    [0j, 1 + 0j, cmath.exp(2j * math.pi / 3), cmath.exp(4j * math.pi / 3)],
+)
 
 
 # -- assembly -------------------------------------------------------------------
@@ -171,13 +177,13 @@ def test_picard_zero_rhs():
     assert rep.residual_sup == 0.0
 
 
-def manufactured_error(mesh, eps=0.05):
+def manufactured_error(mesh, eps=0.05, tol=1e-11, maxit=100):
     op = assemble(mesh, 1.0)
     r, phi = mesh.grids()
     vstar = eps * r * np.cos(phi)  # harmonic, so f = e^{2 v*} - 1 exactly
     f = np.exp(2 * vstar) - 1.0
     bc = {"inner": vstar[0, :], "outer": vstar[-1, :]}
-    rep = picard_solve(op, f, tol=1e-11, maxit=100, boundary=bc)
+    rep = picard_solve(op, f, tol=tol, maxit=maxit, boundary=bc)
     return float(np.max(np.abs(rep.solution - vstar))), rep
 
 
@@ -187,6 +193,17 @@ def test_picard_manufactured_convergence_ratio():
     e2, rep2 = manufactured_error(mesh.refine())
     assert rep1.bound_ok and rep2.bound_ok
     assert 0.8 * 4 <= e1 / e2 <= 1.2 * 4
+
+
+def test_picard_floor_acceptance_does_not_depend_on_maxit():
+    # tol below the evaluation floor: the iterate accepted at the floor on
+    # iteration 8 is accepted whether or not 8 is the last allowed one
+    mesh = FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet")
+    _, roomy = manufactured_error(mesh, tol=1e-18, maxit=100)
+    _, tight = manufactured_error(mesh, tol=1e-18, maxit=roomy.iterations)
+    assert roomy.iterations == tight.iterations == 8
+    assert 0 < tight.residual_sup == roomy.residual_sup < 1e-12
+    assert np.array_equal(tight.solution, roomy.solution)
 
 
 def test_picard_sup_bound_holds():
@@ -261,7 +278,7 @@ def test_spherical_cone_solve_perturbed_configuration():
     "betas,points",
     [
         ([0.6, 0.7, 0.8], [0j, 1 + 0j]),
-        ([0.7, 0.75, 0.8, 0.85, 0.9], [0j, 1 + 0j, cmath.exp(2j * math.pi / 3), cmath.exp(4j * math.pi / 3)]),
+        FIVE_CONES,
         ([0.5, 0.5, 0.8], [0j, 1 + 0j]),
         ([0.4, 0.45, 0.5], [0j, 1 + 0j]),
         ([2 / 3] * 3, [0j, 0.1 + 0j]),
@@ -281,19 +298,26 @@ def test_spherical_cone_solve_asymmetric_angles(betas, points):
 
 
 def test_spherical_cone_solve_factorization_count(monkeypatch):
-    # one Newton run from u = 0 plus the gap estimate: the algorithm, not
-    # the machine, sets this count
-    shifted, calls = ConicLaplacianOp.shifted, []
+    # one Newton run from u = 0 plus one factor for the gap estimate: the
+    # algorithm, not the machine, sets these counts
+    shifted, gap = ConicLaplacianOp.shifted, solver.eigen_gap
+    calls, phase = {"newton": 0, "gap": 0}, ["newton"]
 
     def counted(op, shift):
-        calls.append(shift)
+        calls[phase[0]] += 1
         return shifted(op, shift)
 
+    def counted_gap(op):
+        phase[0] = "gap"
+        return gap(op)
+
     monkeypatch.setattr(ConicLaplacianOp, "shifted", counted)
+    monkeypatch.setattr(solver, "eigen_gap", counted_gap)
     mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
     assert rep.gap > 2.0
-    assert len(calls) <= 15
+    assert calls["gap"] == 1
+    assert calls["newton"] + calls["gap"] <= 15
 
 
 def test_newton_needs_closed_fiber_and_positive_area():
@@ -367,24 +391,53 @@ def test_eigen_gap_football(beta):
     assert abs(gap - 2.0) < 0.02
 
 
-def test_eigen_gap_refills_a_dependent_start_column(monkeypatch):
-    # a start block with two equal columns: the second is refilled
-    make_rng = np.random.default_rng
+def solved_metric_op(betas, points):
+    """The operator of the solved metric that spherical_cone_solve's guard measures."""
 
-    class TwinColumns:
-        def __init__(self, seed):
-            self.rng, self.first = make_rng(seed), True
+    def operator(mesh, monkeypatch):
+        ops = []
+        gap = solver.eigen_gap
+        monkeypatch.setattr(solver, "eigen_gap", lambda op: ops.append(op) or gap(op))
+        spherical_cone_solve(betas, points, mesh)
+        return ops[0]
 
-        def standard_normal(self, shape):
-            x = self.rng.standard_normal(shape)
-            if self.first:
-                x[:, 1], self.first = x[:, 0], False
-            return x
+    return operator
 
-    monkeypatch.setattr(np.random, "default_rng", TwinColumns)
-    mesh = FiberMesh(math.exp(-6), math.exp(6), 161, 24, inner="pole", outer="pole")
-    gap = eigen_gap(assemble(mesh, round_sphere_density))
-    assert abs(gap - 2.0) / 2.0 < 0.01
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda mesh, _: assemble(mesh, round_sphere_density),
+        lambda mesh, _: assemble(mesh, football_density(1 / 3)),
+        solved_metric_op([2 / 3] * 3, [0j, 1 + 0j]),
+        solved_metric_op([1 / 3, 1 / 2, 1 / 4], [0j, 1 + 0j]),
+        solved_metric_op(*FIVE_CONES),
+    ],
+    ids=["round", "football-1/3", "three-2/3", "1/3,1/2,1/4", "five-cones"],
+)
+def test_eigen_gap_matches_dense_generalized_eigensolver(operator, monkeypatch):
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    op = operator(mesh, monkeypatch)
+    dense = scipy.linalg.eigh(op.A.toarray(), np.diag(op.W), eigvals_only=True)
+    assert dense[0] == pytest.approx(0.0, abs=1e-9)
+    assert eigen_gap(op) == pytest.approx(dense[1], rel=1e-8)
+
+
+def test_eigen_gap_draws_no_random_numbers(monkeypatch):
+    # the payload's seed is the only seed: the gap has a fixed start vector.
+    # Generators may be made (eigsh makes one it uses only on a Krylov
+    # breakdown) but not drawn from.
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"random draw {name}")
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1 + 0j], mesh, guard=True)
+    assert rep.gap > 2.0
 
 
 def test_eigen_gap_requires_closed_fiber():
