@@ -307,9 +307,7 @@ def _cmd_solve_spherical(args: argparse.Namespace) -> int:
     mesh = solver.FiberMesh(
         math.exp(-extent), math.exp(extent), nt, nphi, inner="pole", outer="pole"
     )
-    report = solver.spherical_cone_solve(
-        betas, pts, mesh, guard=not args.no_guard, margin=args.margin, tol=args.tol
-    )
+    report = solver.spherical_cone_solve(betas, pts, mesh, tol=args.tol)
     payload = {
         "equation": "spherical Delta u + K0 - e^{2u} = 0",
         "beta": args.beta,
@@ -446,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--extent", type=float, default=6.0, help="log-radius half-width")
     sp.add_argument("--rmin", type=float, help="inner truncation radius (overrides --extent)")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--margin", type=float, default=0.05)
-    sp.add_argument("--no-guard", action="store_true")
     sp.add_argument("--seed", type=int)
     sp.set_defaults(func=_cmd_solve_spherical)
 

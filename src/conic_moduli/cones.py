@@ -39,12 +39,12 @@ RationalLike = Union[Fraction, int, str, float]
 INGEST_MAX_DENOMINATOR = 10**6
 
 
-def to_fraction(x: RationalLike, max_denominator: int = INGEST_MAX_DENOMINATOR) -> tuple[Fraction, bool]:
+def to_fraction(x: RationalLike) -> tuple[Fraction, bool]:
     """Convert an angle parameter to an exact rational.
 
     Returns (value, approximated): floats are snapped to the nearest
-    fraction with denominator <= max_denominator and flagged, so downstream
-    strict inequalities stay exact.
+    fraction with denominator <= INGEST_MAX_DENOMINATOR and flagged, so
+    downstream strict inequalities stay exact.
     """
     if isinstance(x, Fraction):
         return x, False
@@ -52,7 +52,7 @@ def to_fraction(x: RationalLike, max_denominator: int = INGEST_MAX_DENOMINATOR) 
         return Fraction(x), False
     if isinstance(x, str):
         return Fraction(x), False
-    f = Fraction(x).limit_denominator(max_denominator)
+    f = Fraction(x).limit_denominator(INGEST_MAX_DENOMINATOR)
     return f, f != Fraction(x)
 
 

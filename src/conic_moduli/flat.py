@@ -154,20 +154,24 @@ def corner_expansion_2pt(
 # quadrature helpers (fixed policy: doubling trapezoid / panelled GL)
 
 
-def circle_integral(f, tol: float = QUAD_RTOL, n0: int = 32, nmax: int = 1 << 17) -> float:
-    """Integral over [0, 2*pi) of a periodic function by doubling trapezoid."""
-    n = n0
+def circle_integral(f) -> float:
+    """Integral over [0, 2*pi) of a periodic function by doubling trapezoid.
+
+    Nodes double from 32 until the relative change is at most QUAD_RTOL, up
+    to 2^17 nodes.
+    """
+    n = 32
     t = np.arange(n) * (2 * math.pi / n)
     vals = f(t)
     best = float(np.mean(vals)) * 2 * math.pi
-    while n < nmax:
+    while n < 1 << 17:
         t_new = t + math.pi / n
         vals_new = f(t_new)
         n *= 2
         total = (np.sum(vals) + np.sum(vals_new)) * (2 * math.pi / n)
         t = np.sort(np.concatenate([t, t_new]))
         vals = np.concatenate([vals, vals_new])  # order irrelevant for the mean
-        if abs(total - best) <= tol * max(abs(total), 1e-300):
+        if abs(total - best) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         best = total
     return best
@@ -176,24 +180,22 @@ def circle_integral(f, tol: float = QUAD_RTOL, n0: int = 32, nmax: int = 1 << 17
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def radial_log_integral(
-    g, t_lo: float, t_hi: float, tol: float = QUAD_RTOL, panels0: int = 4, panels_max: int = 4096
-) -> float:
+def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
     """Integral of g(t) dt on [t_lo, t_hi] by panelled 16-point Gauss-Legendre.
 
-    Panels double until the relative change drops below tol; t is a
-    log-radius variable, so integrands are smooth here even when the radial
-    integrand is algebraically singular at r = 0.
+    Panels double from 4 until the relative change is at most QUAD_RTOL, up
+    to 4096 panels; t is a log-radius variable, so integrands are smooth
+    here even when the radial integrand is algebraically singular at r = 0.
     """
-    panels = panels0
+    panels = 4
     prev = None
-    while panels <= panels_max:
+    while panels <= 4096:
         edges = np.linspace(t_lo, t_hi, panels + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             total += half * float(np.sum(_GL_WEIGHTS * g(mid + half * _GL_NODES)))
-        if prev is not None and abs(total - prev) <= tol * max(abs(total), 1e-300):
+        if prev is not None and abs(total - prev) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         prev = total
         panels *= 2
@@ -226,17 +228,16 @@ def _circumference(m: FlatConicMetric, index: int, r: float) -> float:
     return r**b * circle_integral(f)
 
 
-def _radial_length(m: FlatConicMetric, index: int, r: float, ray_angle: float) -> float:
+def _radial_length(m: FlatConicMetric, index: int, r: float) -> float:
     p = m.points[index]
     b = float(m.beta[index])
-    direction = cmath.exp(1j * ray_angle)
     t_hi = math.log(r)
     t_lo = t_hi - 40.0 / b
 
     def g(ts: np.ndarray) -> np.ndarray:
         out = np.empty_like(ts)
         for i, t in enumerate(ts):
-            z = p + math.exp(t) * direction
+            z = p + math.exp(t)
             out[i] = math.exp(b * t + green_factor(m, z, exclude=index))
         return out
 
@@ -250,13 +251,12 @@ def cone_angle_probe(
     m: FlatConicMetric,
     point_index: int,
     radii: Sequence[float],
-    ray_angle: float = 0.0,
 ) -> ProbeReport:
     """Estimate the angle parameter at one marked point geometrically.
 
     For each radius, integrates the metric circumference C(r) of the circle
-    around the point and the radial distance L(r) along a ray; the ratio
-    C(r)/(2 pi L(r)) tends to beta as r -> 0 and is extrapolated
+    around the point and the radial distance L(r) along the ray phi = 0;
+    the ratio C(r)/(2 pi L(r)) tends to beta as r -> 0 and is extrapolated
     polynomially to r = 0.  ``point_index`` is 0-based; all radii must be
     small enough that the disks contain no other marked point.
     """
@@ -270,7 +270,7 @@ def cone_angle_probe(
     ratios = []
     for r in rs:
         c = _circumference(m, point_index, r)
-        length = _radial_length(m, point_index, r, ray_angle)
+        length = _radial_length(m, point_index, r)
         ratios.append(c / (2 * math.pi * length))
     extrapolated = neville_zero(rs, ratios) if len(rs) > 1 else ratios[0]
     return ProbeReport(point_index, tuple(rs), tuple(ratios), extrapolated)

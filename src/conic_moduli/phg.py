@@ -81,10 +81,6 @@ class LinExpr:
         return dict(self.terms)
 
     @property
-    def is_const(self) -> bool:
-        return not self.terms
-
-    @property
     def is_zero(self) -> bool:
         return self.const == 0 and not self.terms
 
@@ -486,7 +482,44 @@ def _add_tables(
     return {x: t for x, t in out.items() if not t.is_zero}
 
 
-def recursion_step(j: int, prior: PhgSeries, truncation: Optional[Union[Fraction, int]] = None) -> StepTable:
+def _forcing(j: int, prior: PhgSeries) -> tuple[dict[Fraction, TrigPoly], dict[Fraction, TrigPoly]]:
+    """The e^{2 u0} weight table and the step-j right-hand side, through the truncation.
+
+    The right-hand side is -r^{2 beta} e^{2 u0} Q_j, where Q_j is the rho^j
+    coefficient of e^{2v} - 1 - 2v over the resolved prior steps 1..j-1.
+    """
+    b, cap = prior.beta, prior.truncation
+    two_b = 2 * b
+
+    # resolved prior steps 1..j-1 (products need numeric coefficients)
+    v: dict[int, dict[Fraction, TrigPoly]] = {}
+    for i in range(1, j):
+        v[i] = prior.resolved_table(i)
+        for t in v[i].values():
+            if t.has_symbols():
+                raise ValueError(
+                    f"step {i} carries unassigned free coefficients; assign them "
+                    "before they enter nonlinear terms"
+                )
+
+    # rho^j coefficient of e^{2v}: W_n = (2/n) sum_i i * v_i * W_{n-i}
+    inner_cap = cap - two_b
+    W: dict[int, dict[Fraction, TrigPoly]] = {0: {Fraction(0): TrigPoly.const(1)}}
+    for n in range(1, j + 1):
+        acc: dict[Fraction, TrigPoly] = {}
+        for i in range(1, min(n, j - 1) + 1):
+            acc = _add_tables(acc, _mul_tables(v[i], W[n - i], inner_cap), Fraction(2 * i, n))
+        W[n] = acc
+    q_j = W[j] if j >= 2 else {}  # e^{2v}-1-2v has no rho^1 coefficient
+
+    weight: dict[Fraction, TrigPoly] = {
+        2 * k * b: TrigPoly.const(c) for k, c in enumerate(prior.weight_series()) if 2 * k * b <= cap
+    }
+    rhs = {x + two_b: t.scale(Fraction(-1)) for x, t in _mul_tables(q_j, weight, inner_cap).items()}
+    return weight, rhs
+
+
+def recursion_step(j: int, prior: PhgSeries) -> StepTable:
     """Produce the step-j coefficient table from steps 0..j-1.
 
     Forms the rho^j coefficient of e^{2v} - 1 - 2v over the prior steps,
@@ -504,38 +537,10 @@ def recursion_step(j: int, prior: PhgSeries, truncation: Optional[Union[Fraction
     for i in range(j):
         if i not in prior.steps:
             raise ValueError(f"prior is missing step {i}")
-    cap = Fraction(truncation) if truncation is not None else prior.truncation
-    if cap > prior.truncation:
-        raise ValueError("truncation exceeds the series truncation")
+    cap = prior.truncation
     b = prior.beta
     two_b = 2 * b
-
-    # resolved prior steps 1..j-1 (products need numeric coefficients)
-    v: dict[int, dict[Fraction, TrigPoly]] = {}
-    for i in range(1, j):
-        v[i] = prior.resolved_table(i)
-        for alpha, t in v[i].items():
-            if t.has_symbols():
-                raise ValueError(
-                    f"step {i} carries unassigned free coefficients; assign them "
-                    "before they enter nonlinear terms"
-                )
-
-    # rho^j coefficient of e^{2v}: W_n = (2/n) sum_i i * v_i * W_{n-i}
-    inner_cap = cap - two_b
-    W: dict[int, dict[Fraction, TrigPoly]] = {0: {Fraction(0): TrigPoly.const(1)}}
-    for n in range(1, j + 1):
-        acc: dict[Fraction, TrigPoly] = {}
-        for i in range(1, min(n, j - 1) + 1):
-            acc = _add_tables(acc, _mul_tables(v[i], W[n - i], inner_cap), Fraction(2 * i, n))
-        W[n] = acc
-    q_j = W[j] if j >= 2 else {}  # e^{2v}-1-2v has no rho^1 coefficient
-
-    # weight e^{2 u0} as an r-table, and the full right-hand side
-    weight: dict[Fraction, TrigPoly] = {
-        2 * k * b: TrigPoly.const(c) for k, c in enumerate(prior.weight_series()) if 2 * k * b <= cap
-    }
-    rhs = {x + two_b: t.scale(Fraction(-1)) for x, t in _mul_tables(q_j, weight, cap - two_b).items()}
+    weight, rhs = _forcing(j, prior)
 
     # candidate exponents: integers (indicial slots), forcing exponents, and
     # their images under the +2 beta ladder
@@ -591,8 +596,9 @@ def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
     """Check L u_j + 2 r^{2b} e^{2u0} u_j = -r^{2b} e^{2u0} Q_j exactly.
 
     Applies the model operator symbolically to the produced table (with the
-    series' symbol assignments) and compares against the reassembled
-    right-hand side, slot by slot.
+    series' symbol assignments) and compares against the right-hand side of
+    ``_forcing``, which ``recursion_step`` shares, slot by slot: this checks
+    the solve, not the forcing.
     """
     b = prior.beta
     cap = prior.truncation
@@ -607,20 +613,9 @@ def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
             op = op + TrigPoly({m: (c * factor, d * factor)})
         if not op.is_zero:
             lhs[alpha] = lhs[alpha] + op if alpha in lhs else op
-    weight = {2 * k * b: TrigPoly.const(c) for k, c in enumerate(prior.weight_series()) if 2 * k * b <= cap}
+    weight, rhs = _forcing(j, prior)
     coupling = {2 * b + x: t.scale(Fraction(2)) for x, t in weight.items() if 2 * b + x <= cap}
     lhs = _add_tables(lhs, _mul_tables(sub, coupling, cap))
-
-    # right side, rebuilt independently of the solver loop
-    v = {i: prior.resolved_table(i) for i in range(1, j)}
-    W: dict[int, dict[Fraction, TrigPoly]] = {0: {Fraction(0): TrigPoly.const(1)}}
-    for n in range(1, j + 1):
-        acc: dict[Fraction, TrigPoly] = {}
-        for i in range(1, min(n, j - 1) + 1):
-            acc = _add_tables(acc, _mul_tables(v[i], W[n - i], cap - 2 * b), Fraction(2 * i, n))
-        W[n] = acc
-    q_j = W[j] if j >= 2 else {}
-    rhs = {x + 2 * b: t.scale(Fraction(-1)) for x, t in _mul_tables(q_j, weight, cap - 2 * b).items()}
 
     keys = set(lhs) | set(rhs)
     for x in keys:

@@ -157,6 +157,10 @@ class ConicLaplacianOp:
     The lumped mass is density * e^{2t} * ht * hp with half cells at the
     end rings (a collapsed ring's unknown carries its whole ring mass; the
     area below the truncation radius is dropped).
+
+    Dirichlet ring nodes carry no unknown (``dof_of`` is -1 there).  B, of
+    shape ndof x (nt*nphi), couples the dofs to them by grid node, at most
+    one entry per row: ``B @ field.ravel()`` reads a field's ring values.
     """
 
     def __init__(self, mesh: FiberMesh, density: DensityLike):
@@ -169,30 +173,17 @@ class ConicLaplacianOp:
     def _build_dofs(self) -> None:
         mesh = self.mesh
         nt, P = mesh.nt, mesh.nphi
-        self.dof_of = np.full((nt, P), -1, dtype=int)
-        self.fixed_of = np.full((nt, P), -1, dtype=int)
+        self.dof_of = np.full((nt, P), -1, dtype=int)  # -1 on Dirichlet rings
+        kind = {0: mesh.inner, nt - 1: mesh.outer}
         ndof = 0
-        nfix = 0
-        self.inner_pole_dof = self.outer_pole_dof = -1
-        if mesh.inner == "pole":
-            self.inner_pole_dof = ndof
-            self.dof_of[0, :] = ndof
-            ndof += 1
-        else:
-            self.fixed_of[0, :] = np.arange(P)
-            nfix += P
-        for i in range(1, nt - 1):
-            self.dof_of[i, :] = np.arange(ndof, ndof + P)
-            ndof += P
-        if mesh.outer == "pole":
-            self.outer_pole_dof = ndof
-            self.dof_of[nt - 1, :] = ndof
-            ndof += 1
-        else:
-            self.fixed_of[nt - 1, :] = np.arange(nfix, nfix + P)
-            nfix += P
+        for i in range(nt):
+            if kind.get(i) == "pole":
+                self.dof_of[i, :] = ndof
+                ndof += 1
+            elif i not in kind:
+                self.dof_of[i, :] = np.arange(ndof, ndof + P)
+                ndof += P
         self.ndof = ndof
-        self.nfixed = nfix
 
     # -- assembly -----------------------------------------------------------
     def _build_matrices(self) -> None:
@@ -203,23 +194,22 @@ class ConicLaplacianOp:
         n1 = np.concatenate([node[:-1].ravel(), node.ravel()])
         n2 = np.concatenate([node[1:].ravel(), np.roll(node, -1, axis=1).ravel()])
         w = np.repeat([mesh.hp / mesh.ht, mesh.ht / mesh.hp], [(nt - 1) * P, nt * P])
-        dof, fixed = self.dof_of.ravel(), self.fixed_of.ravel()
+        dof = self.dof_of.ravel()
         a, b = dof[n1], dof[n2]
         keep = a != b  # drops edges collapsed onto one unknown
-        a, b, w = a[keep], b[keep], w[keep]
-        fa, fb = fixed[n1[keep]], fixed[n2[keep]]
+        a, b, w, n1, n2 = a[keep], b[keep], w[keep], n1[keep], n2[keep]
         # per edge (a,a,w), (a,b,-w), (b,b,w), (b,a,-w); a coupling to a
-        # prescribed ring node goes to B.  This entry order fixes the order
-        # in which duplicates are summed.
+        # Dirichlet ring node goes to B, in that node's column.  This entry
+        # order fixes the order in which duplicates are summed.
         pa, pb = a >= 0, b >= 0
         rows = np.stack([a, a, b, b], axis=1)
-        cols = np.stack([a, np.where(pb, b, fb), b, np.where(pa, a, fa)], axis=1)
+        cols = np.stack([a, np.where(pb, b, n2), b, np.where(pa, a, n1)], axis=1)
         vals = np.stack([w, -w, w, -w], axis=1)
         none = np.zeros_like(pa)
         in_a = np.stack([pa, pa & pb, pb, pa & pb], axis=1)
         in_b = np.stack([none, pa & ~pb, none, pb & ~pa], axis=1)
         self.A = sp.csr_matrix((vals[in_a], (rows[in_a], cols[in_a])), shape=(self.ndof, self.ndof))
-        self.B = sp.csr_matrix((vals[in_b], (rows[in_b], cols[in_b])), shape=(self.ndof, self.nfixed))
+        self.B = sp.csr_matrix((vals[in_b], (rows[in_b], cols[in_b])), shape=(self.ndof, nt * P))
 
         # grid -> dof summation: R @ field.ravel() sums each dof's nodes
         nodes = np.flatnonzero(dof >= 0)
@@ -235,34 +225,22 @@ class ConicLaplacianOp:
         out[self.dof_of[mask]] = u[mask]  # pole rings are constant, any copy works
         return out
 
-    def dof_to_grid(self, x: Field, boundary: Optional[dict[str, Field]] = None) -> Field:
-        mesh = self.mesh
-        u = np.zeros((mesh.nt, mesh.nphi))
+    def dof_to_grid(self, x: Field) -> Field:
+        """Grid field of a dof vector, zero on Dirichlet rings."""
+        u = np.zeros((self.mesh.nt, self.mesh.nphi))
         mask = self.dof_of >= 0
         u[mask] = x[self.dof_of[mask]]
-        boundary = boundary or {}
-        if mesh.inner == "dirichlet":
-            u[0, :] = boundary.get("inner", 0.0)
-        if mesh.outer == "dirichlet":
-            u[-1, :] = boundary.get("outer", 0.0)
         return u
 
-    def fixed_values(self, boundary: Optional[dict[str, Field]] = None) -> Field:
-        g = np.zeros(self.nfixed)
-        boundary = boundary or {}
-        mesh = self.mesh
-        if mesh.inner == "dirichlet":
-            g[self.fixed_of[0, :]] = boundary.get("inner", 0.0)
-        if mesh.outer == "dirichlet":
-            g[self.fixed_of[-1, :]] = boundary.get("outer", 0.0)
-        return g
-
     # -- operator action and shifted factorizations ---------------------------
-    def weak_laplacian_dof(self, x: Field, g: Optional[Field] = None) -> Field:
-        """(A x + B g) / W: the nonnegative Laplacian in dof space."""
+    def weak_laplacian_dof(self, x: Field, rings: Optional[Field] = None) -> Field:
+        """(A x + B rings) / W: the nonnegative Laplacian in dof space.
+
+        B reads the Dirichlet ring values of the grid field ``rings`` (default zero).
+        """
         out = self.A @ x
-        if self.nfixed and g is not None:
-            out += self.B @ g
+        if rings is not None:
+            out += self.B @ rings.ravel()
         return out / self.W
 
     def shifted(self, shift: Union[float, Field]) -> spla.SuperLU:
@@ -314,26 +292,31 @@ def picard_solve(
 
     Converges to the bounded solution of Delta v + e^{2v} - 1 = f under the
     contraction the maximum principle provides for small sup|f|; each linear
-    solve is direct.  Dirichlet rings take the values in ``boundary``
-    (default zero).  The reported residual is recomputed from scratch on
-    the final iterate, and the discrete maximum-principle bound
-    sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
+    solve is direct.  Dirichlet rings take the values in ``boundary``, a
+    dict keyed by the mesh's Dirichlet sides "inner"/"outer" (default zero;
+    any other key raises ValueError).  The reported residual is recomputed
+    from scratch on the final iterate, and the discrete maximum-principle
+    bound sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
     boundary data).
     """
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
-    g_fixed = op.fixed_values(boundary) if op.nfixed else None
+    # the boundary data as a grid field, zero off the Dirichlet rings
+    lift = np.zeros_like(op.density)
+    ring = {side: i for side, i in (("inner", 0), ("outer", -1)) if getattr(op.mesh, side) == "dirichlet"}
+    for side, values in (boundary or {}).items():
+        if side not in ring:
+            raise ValueError(f"boundary key {side!r} is not a dirichlet side of the mesh")
+        lift[ring[side], :] = values
+    b_lift = op.B @ lift.ravel()
     lu = op.shifted(2.0)
 
     def solve_dof(g_grid: Field) -> Field:
-        b = op.R @ (g_grid * op.cell_mass).ravel()
-        if g_fixed is not None:
-            b -= op.B @ g_fixed
-        return lu.solve(b)
+        return lu.solve(op.R @ (g_grid * op.cell_mass).ravel() - b_lift)
 
     def recomputed_residual(v_dof: Field, v_grid: Field) -> float:
         # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
         rhs_grid = f + _q_nonlinearity(v_grid)
-        resid = op.weak_laplacian_dof(v_dof, g_fixed) + 2.0 * v_dof - _restrict(op, rhs_grid)
+        resid = op.weak_laplacian_dof(v_dof, lift) + 2.0 * v_dof - _restrict(op, rhs_grid)
         return float(np.max(np.abs(resid)))
 
     abs_a = abs(op.A)
@@ -351,7 +334,7 @@ def picard_solve(
         if iterations >= maxit:
             raise NonconvergenceError(f"no convergence in {maxit} Picard iterations")
         iterations += 1
-        v_grid = op.dof_to_grid(v, boundary)
+        v_grid = op.dof_to_grid(v) + lift
         v_new = solve_dof(f + _q_nonlinearity(v_grid))
         delta = float(np.max(np.abs(v_new - v)))
         if prev_delta is not None and prev_delta > 0 and delta > 0:
@@ -360,7 +343,7 @@ def picard_solve(
             if contraction >= 1.0 and delta > max(tol, noise):
                 raise DivergenceError(f"contraction factor {contraction:.3f} >= 1 at iteration {iterations}")
         v, prev_delta = v_new, delta
-        v_grid_new = op.dof_to_grid(v, boundary)
+        v_grid_new = op.dof_to_grid(v) + lift
         residual = recomputed_residual(v, v_grid_new)
         if residual <= tol:
             break
@@ -374,7 +357,7 @@ def picard_solve(
                 f"stagnated at residual {residual:.3e} above the evaluation floor"
             )
 
-    v_grid = op.dof_to_grid(v, boundary)
+    v_grid = op.dof_to_grid(v) + lift
     rhs_grid = f + _q_nonlinearity(v_grid)
     sup_rhs = float(np.max(np.abs(rhs_grid)))
     sup_v = float(np.max(np.abs(v_grid)))
@@ -411,10 +394,9 @@ def hyperbolic_correction_solve(
     cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
     op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
     phi_grid = cone_part + u_approx
-    fix = op.fixed_values({"inner": phi_grid[0, :], "outer": phi_grid[-1, :]})
-    K_tilde = op.weak_laplacian_dof(op.grid_to_dof(phi_grid), fix)
+    K_tilde = op.weak_laplacian_dof(op.grid_to_dof(phi_grid), phi_grid)
     if mesh.inner == "pole":
-        pole = op.inner_pole_dof
+        pole = op.dof_of[0, 0]
         K_tilde[pole] -= op.weak_laplacian_dof(op.grid_to_dof(cone_part))[pole]
     return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
 
@@ -457,6 +439,8 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 
 # iteration budget of the spherical Newton, kept and rejected steps alike
 _NEWTON_MAXIT = 60
+# a solved spherical metric is refused when its spectral gap is <= 2 + this
+_GAP_MARGIN = 0.05
 
 
 def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) -> SolveReport:
@@ -556,8 +540,6 @@ def spherical_cone_solve(
     betas: Sequence[float],
     finite_points: Sequence[complex],
     mesh: FiberMesh,
-    guard: bool = True,
-    margin: float = 0.05,
     tol: float = 1e-10,
 ) -> SolveReport:
     """Solve for the spherical metric with prescribed cone data on the sphere.
@@ -568,30 +550,28 @@ def spherical_cone_solve(
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
     its minimiser is the metric.  With all beta < 1 that condition is
     necessary too, so data that violate it raise ValueError before any
-    solve.  With ``guard``, the gap of the solved metric is estimated and
-    the solve is rejected at or below 2 + margin (football degeneracy).
+    solve.  The gap of the solved metric is computed and the solve is
+    rejected at or below 2 + _GAP_MARGIN (football degeneracy).
     """
     bs = [float(b) for b in betas]
     if len(bs) == 2:
         # two cones on the sphere: either the degenerate two-equal-angles
         # family (gap exactly 2) or no metric at all
-        if bs[0] == bs[1] and guard:
+        if bs[0] == bs[1]:
             raise FootballDegeneracyError(
                 "two equal cone angles: the degenerate family with spectral gap exactly 2"
             )
-        if bs[0] != bs[1]:
-            raise ValueError("no spherical cone metric exists with two unequal angles")
+        raise ValueError("no spherical cone metric exists with two unequal angles")
     if max(bs) < 1 and not troyanov(ConeData.of(0, bs, 1)):
         raise ValueError(f"cone angles {betas} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(bs, finite_points)
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
-    if guard:
-        report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
-        if report.gap <= 2.0 + margin:
-            raise FootballDegeneracyError(
-                f"solved metric has spectral gap {report.gap:.6f} <= 2 + margin = {2 + margin:.2f}"
-            )
+    report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
+    if report.gap <= 2.0 + _GAP_MARGIN:
+        raise FootballDegeneracyError(
+            f"solved metric has spectral gap {report.gap:.6f} <= 2 + margin = {2 + _GAP_MARGIN:.2f}"
+        )
     return report
 
 
@@ -795,10 +775,9 @@ def merging_pair_residual_family(
     beta2: float,
     rhos: Sequence[float],
     mesh: Optional[FiberMesh] = None,
-    orders: Sequence[int] = (1, 2),
     tol: float = 1e-12,
 ) -> MergingFamily:
-    """Curvature residuals of order-N approximate solutions on an annulus.
+    """Curvature residuals of order-N approximate solutions, N = 1, 2, on an annulus.
 
     The background is the exact flat two-point metric with the pair at
     +-rho; its merged limit is the one-cone metric with parameter
@@ -833,32 +812,28 @@ def merging_pair_residual_family(
     # limit background density e^{2 G0}
     op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u_d)))
 
-    families: dict[int, list[tuple[float, Field]]] = {}
-    u1_grid = None
-    if max(orders) >= 2:
-        # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
-        g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
-        g1_dof = op0.grid_to_dof(g1)
-        shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
-        a_g1 = op0.A @ g1_dof + op0.B @ op0.fixed_values({"inner": g1[0, :], "outer": g1[-1, :]})
-        u1 = op0.shifted(shift).solve(-(a_g1 + shift * op0.W * g1_dof))
-        u1_grid = op0.dof_to_grid(u1)
+    # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
+    g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
+    g1_dof = op0.grid_to_dof(g1)
+    shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
+    a_g1 = op0.A @ g1_dof + op0.B @ g1.ravel()
+    u1 = op0.shifted(shift).solve(-(a_g1 + shift * op0.W * g1_dof))
+    u1_grid = op0.dof_to_grid(u1)
 
-    for order in orders:
+    families: dict[int, list[tuple[float, Field]]] = {}
+    for order in (1, 2):
         fam = []
         for rho in rhos:
             log_density_rho = _pair_log_density(b1, b2, float(rho), rr, pp)
             w_rho = _lumped_mass(mesh, np.exp(log_density_rho))
             u = u0_grid if order == 1 else u0_grid + float(rho) * u1_grid
-            # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A u + A G_rho + W_rho e^{2u}
-            g_rho_dof = op0.grid_to_dof(0.5 * log_density_rho)
-            u_dof = op0.grid_to_dof(u)
-            fix = op0.fixed_values({"inner": (0.5 * log_density_rho + u)[0, :], "outer": (0.5 * log_density_rho + u)[-1, :]})
-            weak = op0.A @ (u_dof + g_rho_dof) + op0.B @ fix
+            # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}
+            phi = 0.5 * log_density_rho + u
+            weak = op0.A @ op0.grid_to_dof(phi) + op0.B @ phi.ravel()
             res_dof = weak / (op0.R @ w_rho.ravel()) + op0.grid_to_dof(np.exp(2 * u))
             res_grid = op0.dof_to_grid(res_dof)
             fam.append((float(rho), res_grid))
         families[order] = fam
     return MergingFamily(
-        mesh=mesh, beta1=b1, beta2=b2, order=max(orders), families=families, u0_report=report
+        mesh=mesh, beta1=b1, beta2=b2, order=2, families=families, u0_report=report
     )

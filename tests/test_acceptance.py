@@ -308,7 +308,7 @@ def test_acceptance_8_spectral_gaps():
 
 def test_acceptance_9_decay_conormality():
     t0 = time.perf_counter()
-    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), orders=(1, 2), tol=1e-10)
+    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), tol=1e-10)
     slopes = {}
     for n in (1, 2):
         rep = decay_check(fam.families[n], n)

@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -14,6 +17,27 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def readme_commands():
+    """The argument lists of the sh block under the README's "## Command line"."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with open("family.csv", "w") as f:
+        f.write("rho,value\n")
+        for r in (0.1, 0.05, 0.025, 0.0125):
+            f.write(f"{r},{r**2}\n")
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refused a flag or subcommand
+        rc = exc.code
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_faces_csv_row_count(capsys):
@@ -148,7 +172,7 @@ def test_spherical_reports_extent_from_rmin(capsys):
     rc, out, _ = run(
         capsys,
         "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0",
-        "--mesh", "65x16", "--rmin", "0.01", "--no-guard",
+        "--mesh", "65x16", "--rmin", "0.01",
     )
     assert rc == 0
     assert json.loads(out)["extent"] == -math.log(0.01)

@@ -230,8 +230,6 @@ def test_recursion_collision_slots_share_and_drop_purity():
 def test_recursion_truncation_guard():
     series = PhgSeries(F(3, 4), 4)
     with pytest.raises(ValueError):
-        recursion_step(1, series, truncation=10)
-    with pytest.raises(ValueError):
         recursion_step(0, series)
 
 

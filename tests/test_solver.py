@@ -33,8 +33,7 @@ def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
 
 def weak_laplacian_grid(op, u):
     """Nonnegative Laplacian of a grid field, Dirichlet rings taken from the field."""
-    g = op.fixed_values({"inner": u[0, :], "outer": u[-1, :]})
-    return op.dof_to_grid(op.weak_laplacian_dof(op.grid_to_dof(u), g))
+    return op.dof_to_grid(op.weak_laplacian_dof(op.grid_to_dof(u), u))
 
 
 def bumpy_density(r, phi):
@@ -83,7 +82,7 @@ def loop_assembly(op):
                 if y >= 0:
                     ent_a.append((x, y, -w))
                 else:
-                    ent_b.append((x, op.fixed_of[ny], -w))
+                    ent_b.append((x, ny[0] * P + ny[1], -w))
 
     for i in range(nt - 1):
         for j in range(P):
@@ -96,7 +95,7 @@ def loop_assembly(op):
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         return sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, ncols))
 
-    return csr(ent_a, op.ndof), csr(ent_b, op.nfixed)
+    return csr(ent_a, op.ndof), csr(ent_b, nt * P)
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
@@ -105,6 +104,19 @@ def test_assembly_matches_edge_loop(inner, outer):
     A, B = loop_assembly(op)
     assert np.array_equal(op.A.toarray(), A.toarray())
     assert np.array_equal(op.B.toarray(), B.toarray())
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS)
+def test_coupling_reads_only_dirichlet_ring_values(inner, outer):
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((17, 8))
+    other = rng.standard_normal((17, 8))
+    rings = op.dof_of < 0  # the Dirichlet ring nodes
+    other[rings] = field[rings]
+    assert np.array_equal(op.B @ field.ravel(), op.B @ other.ravel())
+    # B's nonzero columns are exactly the Dirichlet ring nodes
+    assert np.array_equal(np.unique(op.B.indices), np.flatnonzero(rings.ravel()))
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
@@ -130,7 +142,7 @@ def test_shifted_factorization_matches_dense_solve():
 @pytest.mark.parametrize("outer", ["pole", "dirichlet"])
 def test_weak_form_annihilates_constants(outer):
     op = assemble(FiberMesh(0.05, 1.0, 33, 24, inner="pole", outer=outer), 2.5)
-    ones, ones_fixed = np.ones(op.ndof), np.ones(op.nfixed)
+    ones, ones_fixed = np.ones(op.ndof), np.ones(op.B.shape[1])
     resid = op.A @ ones + op.B @ ones_fixed
     row_scale = abs(op.A) @ ones + abs(op.B) @ ones_fixed
     # rounding only: the row sums cancel up to a few ulps of the row scale
@@ -185,6 +197,15 @@ def manufactured_error(mesh, eps=0.05, tol=1e-11, maxit=100):
     bc = {"inner": vstar[0, :], "outer": vstar[-1, :]}
     rep = picard_solve(op, f, tol=tol, maxit=maxit, boundary=bc)
     return float(np.max(np.abs(rep.solution - vstar))), rep
+
+
+def test_picard_rejects_boundary_keys_it_would_ignore():
+    values = np.full(8, 0.01)
+    with pytest.raises(ValueError):  # misspelt side
+        picard_solve(assemble(annulus(17, 8), 1.0), np.zeros((17, 8)), boundary={"Inner": values})
+    mesh = FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="dirichlet")
+    with pytest.raises(ValueError):  # a collapsed ring takes no prescribed values
+        picard_solve(assemble(mesh, 1.0), np.zeros((17, 8)), boundary={"inner": values})
 
 
 def test_picard_manufactured_convergence_ratio():
@@ -251,7 +272,7 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
 
     monkeypatch.setattr(ConicLaplacianOp, "shifted", flaky)
     mesh = FiberMesh(0.01, 100.0, 65, 16, inner="pole", outer="pole")
-    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh, guard=False)
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
     assert rep.residual_sup < 1e-10
     assert len(calls) > 1
 
@@ -436,7 +457,7 @@ def test_eigen_gap_draws_no_random_numbers(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", NoDraws)
     mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
-    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1 + 0j], mesh, guard=True)
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1 + 0j], mesh)
     assert rep.gap > 2.0
 
 
@@ -468,7 +489,7 @@ def test_decay_check_validation():
 
 
 def test_merging_pair_residual_slopes():
-    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), orders=(1, 2), tol=1e-10)
+    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), tol=1e-10)
     rep1 = decay_check(fam.families[1], 1)
     rep2 = decay_check(fam.families[2], 2)
     assert rep1.passes and rep1.value_slope >= 0.9
