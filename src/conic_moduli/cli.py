@@ -10,6 +10,7 @@ verification failures are reported in the payload, not via the exit status.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -33,35 +34,26 @@ def _seed(args: argparse.Namespace) -> int:
     return int(os.environ.get(ENV_SEED, DEFAULT_SEED))
 
 
-def _out(args: argparse.Namespace):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+def _write(args: argparse.Namespace, text: str) -> None:
+    """Write a payload to ``--out`` if given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, seed: Optional[int] = None) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
+    payload = dict(payload, version=__version__)
     if seed is not None:
         payload["seed"] = seed
-    f = _out(args)
-    json.dump(payload, f, sort_keys=True, default=str)
-    f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    _write(args, json.dumps(payload, sort_keys=True, default=str) + "\n")
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], args: argparse.Namespace, seed: Optional[int] = None) -> None:
-    f = _out(args)
-    stamp = f"# conic-moduli {__version__}"
-    if seed is not None:
-        stamp += f" seed={seed}"
-    f.write(stamp + "\n")
-    f.write(",".join(header) + "\n")
-    for row in rows:
-        f.write(",".join(str(x) for x in row) + "\n")
-    if f is not sys.stdout:
-        f.close()
+def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], args: argparse.Namespace) -> None:
+    lines = [f"# conic-moduli {__version__}", ",".join(header)]
+    lines += [",".join(str(x) for x in row) for row in rows]
+    _write(args, "\n".join(lines) + "\n")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -120,26 +112,10 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_charts_verify(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    report = charts.pullback_report(args.chart, samples=args.samples, region=args.region, seed=seed)
-    payload = {
-        "chart": report.chart,
-        "lifting": {
-            "rows": list(report.lifting.rows),
-            "cols": list(report.lifting.cols),
-            "entries": [list(r) for r in report.lifting.entries],
-            "row_condition_ok": report.lifting.row_condition_ok(),
-        },
-        "factors": {k: list(v) for k, v in report.factors.items()},
-        "amin": report.amin,
-        "amax": report.amax,
-        "roundtrip_max_err": report.roundtrip_max_err,
-        "samples": report.samples,
-        "region": report.region,
-        "positivity_ok": report.positivity_ok,
-        "failure": report.failure,
-    }
-    _emit_json(payload, args, seed)
+    report = charts.pullback_report(args.chart, samples=args.samples, region=args.region, seed=_seed(args))
+    payload = dataclasses.asdict(report)
+    payload["lifting"]["row_condition_ok"] = report.lifting.row_condition_ok()
+    _emit_json(payload, args)
     return 0
 
 
@@ -193,30 +169,23 @@ def _cmd_flat_probe(args: argparse.Namespace) -> int:
     else:
         k = len(betas)
         pts = [complex(math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k)) for j in range(k)]
-    total = sum((b - 1 for b in betas), Fraction(0))
-    background = "plane" if total == -2 else "local"
-    metric = flat.FlatConicMetric.of(pts, betas, background=background)
+    metric = flat.FlatConicMetric.of(pts, betas)
     radii = [float(r) for r in args.radii.split(",")]
     report = flat.cone_angle_probe(metric, args.index, radii)
-    rows = [(r, ratio) for r, ratio in zip(report.radii, report.ratios)]
-    rows.append(("extrapolated", report.extrapolated))
+    rows = [*zip(report.radii, report.ratios), ("extrapolated", report.extrapolated)]
     _emit_csv(("r", "ratio"), rows, args)
     return 0
 
 
 def _cmd_phg_index(args: argparse.Namespace) -> int:
     entries = phg.index_set(_parse_rational(args.beta), _parse_rational(args.cutoff))
-    rows = []
-    for e in entries:
-        for (j, k) in e.pairs:
-            rows.append((str(e.alpha), j, k, e.multiplicity))
+    rows = [(str(e.alpha), j, k, e.multiplicity) for e in entries for j, k in e.pairs]
     _emit_csv(("alpha", "j", "k", "multiplicity"), rows, args)
     return 0
 
 
 def _cmd_phg_u0(args: argparse.Namespace) -> int:
-    coeffs = phg.u0_series(args.order)
-    rows = [(j + 1, str(c)) for j, c in enumerate(coeffs)]
+    rows = [(j + 1, str(c)) for j, c in enumerate(phg.u0_series(args.order))]
     _emit_csv(("j", "a_j"), rows, args)
     return 0
 
@@ -243,20 +212,10 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
             slot = table[alpha]
             resolved = slot.trig.substitute(series.assignments)
             degrees = sorted(set(resolved.coeffs) | ({int(alpha)} if slot.is_free_slot else set()))
+            labels = ";".join(f"{l}+{k}" for l, k in slot.labels)
             for m in degrees:
                 c, d = resolved.coeffs.get(m, (phg.LinExpr(), phg.LinExpr()))
-                rows.append(
-                    (
-                        j,
-                        str(alpha),
-                        ";".join(f"{l}+{k}" for l, k in slot.labels),
-                        slot.multiplicity,
-                        int(slot.is_free_slot),
-                        m,
-                        str(c),
-                        str(d),
-                    )
-                )
+                rows.append((j, str(alpha), labels, slot.multiplicity, int(slot.is_free_slot), m, str(c), str(d)))
     _emit_csv(("j", "alpha", "labels", "multiplicity", "free", "degree", "cos", "sin"), rows, args)
     return 0
 
@@ -267,12 +226,8 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
     mesh = solver.FiberMesh(args.rmin, args.rmax, nt, nphi, inner="pole", outer="dirichlet")
     r, _ = mesh.grids()
     rfrak = r**beta / beta
-    if np.max(rfrak) >= 2.0:
-        raise ValueError("mesh reaches the closing radius of the hyperbolic cone")
     coeffs = phg.u0_series(args.series_order)
-    u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(coeffs)) * np.ones(
-        (mesh.nt, mesh.nphi)
-    )
+    u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(coeffs)) * np.ones((nt, nphi))
     report = solver.hyperbolic_correction_solve(mesh, beta, u_trunc, tol=args.tol)
     payload = {
         "equation": "hyperbolic correction (Delta+2)v = f + Q(v)",
@@ -288,14 +243,6 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
         "max_principle_bound_ok": report.bound_ok,
     }
     _emit_json(payload, args, _seed(args))
-    if args.field_out:
-        rows = [
-            (float(mesh.r[i]), float(mesh.phi[j]), repr(float(report.solution[i, j])))
-            for i in range(mesh.nt)
-            for j in range(mesh.nphi)
-        ]
-        ns = argparse.Namespace(out=args.field_out)
-        _emit_csv(("r", "phi", "v"), rows, ns, _seed(args))
     return 0
 
 
@@ -303,16 +250,15 @@ def _cmd_solve_spherical(args: argparse.Namespace) -> int:
     betas = [float(b) for b in _parse_beta_list(args.beta)]
     pts = _parse_points(args.points) if args.points else _default_sphere_points(len(betas))
     nt, nphi = _parse_mesh(args.mesh)
-    extent = -math.log(args.rmin) if args.rmin is not None else args.extent
     mesh = solver.FiberMesh(
-        math.exp(-extent), math.exp(extent), nt, nphi, inner="pole", outer="pole"
+        math.exp(-args.extent), math.exp(args.extent), nt, nphi, inner="pole", outer="pole"
     )
     report = solver.spherical_cone_solve(betas, pts, mesh, tol=args.tol)
     payload = {
         "equation": "spherical Delta u + K0 - e^{2u} = 0",
         "beta": args.beta,
         "mesh": args.mesh,
-        "extent": extent,
+        "extent": args.extent,
         "iterations": report.iterations,
         "residual_sup": report.residual_sup,
         "sup_solution": report.sup_solution,
@@ -435,14 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--tol", type=float, default=1e-10)
     sh.add_argument("--series-order", type=int, default=4)
     sh.add_argument("--seed", type=int)
-    sh.add_argument("--field-out", help="CSV dump of the correction field")
     sh.set_defaults(func=_cmd_solve_hyperbolic)
     sp = ssub.add_parser("spherical")
     sp.add_argument("--beta", required=True, help="comma-separated cone parameters; last sits at infinity")
     sp.add_argument("--points", help="finite cone points as re,im;re,im (default layout)")
     sp.add_argument("--mesh", default="129x24")
     sp.add_argument("--extent", type=float, default=6.0, help="log-radius half-width")
-    sp.add_argument("--rmin", type=float, help="inner truncation radius (overrides --extent)")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--seed", type=int)
     sp.set_defaults(func=_cmd_solve_spherical)

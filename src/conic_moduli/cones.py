@@ -215,35 +215,25 @@ class MergeVerdict:
     partner_angle: Optional[Fraction] = None
 
 
-def _verdict_for_subset(d: ConeData, subset: IndexSubset) -> MergeVerdict:
-    merged = merge_angle([d.beta[i - 1] for i in subset])
-    if merged <= 0:
-        return MergeVerdict(subset, merged, MergeStatus.ANGLE_OBSTRUCTED)
-    if d.curvature <= 0:
-        return MergeVerdict(subset, merged, MergeStatus.ADMISSIBLE)
-    post = [merged] + [d.beta[j] for j in range(d.k) if (j + 1) not in subset]
-    if d.genus == 0 and len(post) == 2 and post[0] == post[1]:
-        return MergeVerdict(subset, merged, MergeStatus.FOOTBALL_BOUNDARY, at_equality=True)
-    holds, at_eq = _troyanov_status(d.genus, post)
-    if holds:
-        return MergeVerdict(subset, merged, MergeStatus.ADMISSIBLE)
-    return MergeVerdict(subset, merged, MergeStatus.TROYANOV_VIOLATED, at_equality=at_eq)
-
-
-def _verdict_for_partition(d: ConeData, a: IndexSubset, b: IndexSubset) -> MergeVerdict:
+def _verdict(d: ConeData, a: IndexSubset, b: Optional[IndexSubset] = None) -> MergeVerdict:
+    """Merge subset ``a``, or both blocks of the two-block partition (a, b)."""
     angle_a = merge_angle([d.beta[i - 1] for i in a])
-    angle_b = merge_angle([d.beta[i - 1] for i in b])
-    if angle_a <= 0 or angle_b <= 0:
-        status = MergeStatus.ANGLE_OBSTRUCTED
-        at_eq = False
-    elif angle_a == angle_b:
-        status = MergeStatus.FOOTBALL_BOUNDARY
-        at_eq = True
+    if b is None:
+        angle_b = None
+        post = [angle_a] + [d.beta[j] for j in range(d.k) if (j + 1) not in a]
     else:
-        # two unequal angles on the sphere fail the k=2 inequalities strictly
-        status = MergeStatus.TROYANOV_VIOLATED
-        at_eq = False
-    return MergeVerdict(a, angle_a, status, at_equality=at_eq, partner=b, partner_angle=angle_b)
+        angle_b = merge_angle([d.beta[i - 1] for i in b])
+        post = [angle_a, angle_b]
+    if min(post) <= 0:
+        status, at_eq = MergeStatus.ANGLE_OBSTRUCTED, False
+    elif d.curvature <= 0:
+        status, at_eq = MergeStatus.ADMISSIBLE, False
+    elif d.genus == 0 and len(post) == 2 and post[0] == post[1]:
+        status, at_eq = MergeStatus.FOOTBALL_BOUNDARY, True
+    else:
+        holds, at_eq = _troyanov_status(d.genus, post)
+        status = MergeStatus.ADMISSIBLE if holds else MergeStatus.TROYANOV_VIOLATED
+    return MergeVerdict(a, angle_a, status, at_eq, b, angle_b)
 
 
 def classify_merges(d: ConeData) -> list[MergeVerdict]:
@@ -262,7 +252,7 @@ def classify_merges(d: ConeData) -> list[MergeVerdict]:
     indices = range(1, k + 1)
     for size in range(2, k + 1):
         for comb in itertools.combinations(indices, size):
-            verdicts.append(_verdict_for_subset(d, IndexSubset.of(comb, k)))
+            verdicts.append(_verdict(d, IndexSubset.of(comb, k)))
     if d.curvature > 0 and d.genus == 0:
         for size in range(2, k - 1):
             for comb in itertools.combinations(range(2, k + 1), size - 1):
@@ -270,5 +260,5 @@ def classify_merges(d: ConeData) -> list[MergeVerdict]:
                 b = IndexSubset.of(set(indices) - set(a.members), k)
                 if len(b) < 2:
                     continue
-                verdicts.append(_verdict_for_partition(d, a, b))
+                verdicts.append(_verdict(d, a, b))
     return verdicts

@@ -5,11 +5,12 @@ the flat singular metric e^{2G} |dz|^2 with
 
     G(z) = sum_i (beta_i - 1) log|z - p_i|.
 
-With sum(beta_i - 1) = -2 this is the genus-zero global model, smooth at
-infinity (``plane`` background); otherwise it is a local model on a disk
-(``local`` background).  The probes below measure cone angles by comparing
-circumference to radial distance, expand G at the two-point merging corner,
-and verify the cluster factorization of G into per-node logarithmic terms.
+With sum(beta_i - 1) = -2 this is the genus-zero global model on the plane,
+smooth at infinity; otherwise it is a local model on a disk.  Nothing below
+depends on which, so there is no background to choose.  The probes measure
+cone angles by comparing circumference to radial distance, expand G at the
+two-point merging corner, and verify the cluster factorization of G into
+per-node logarithmic terms.
 """
 
 from __future__ import annotations
@@ -45,16 +46,15 @@ QUAD_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class FlatConicMetric:
-    """Marked points with exact angle parameters and a background choice.
+    """Marked points with exact angle parameters.
 
-    background "plane" requires sum(beta_i - 1) = -2 exactly (the metric
-    closes up smoothly at infinity); "local" is the unconstrained density on
-    a disk.
+    When sum(beta_i - 1) = -2 exactly the metric is the plane model, closing
+    up smoothly at infinity; otherwise it is the local density on a disk.
+    Both are the same object here, so no background is chosen or checked.
     """
 
     points: tuple[complex, ...]
     beta: tuple[Fraction, ...]
-    background: str = "plane"
 
     def __post_init__(self) -> None:
         if len(self.points) != len(self.beta):
@@ -63,22 +63,10 @@ class FlatConicMetric:
             raise ValueError("need at least one marked point")
         if any(b <= 0 for b in self.beta):
             raise ValueError("angle parameters must be positive")
-        if self.background not in ("plane", "local"):
-            raise ValueError("background must be 'plane' or 'local'")
-        if self.background == "plane":
-            total = sum((b - 1 for b in self.beta), Fraction(0))
-            if total != -2:
-                raise ValueError(f"plane background needs sum(beta-1) = -2, got {total}")
 
     @classmethod
-    def of(
-        cls,
-        points: Sequence[complex],
-        beta: Sequence[RationalLike],
-        background: str = "plane",
-    ) -> "FlatConicMetric":
-        bs = tuple(to_fraction(b)[0] for b in beta)
-        return cls(tuple(complex(p) for p in points), bs, background)
+    def of(cls, points: Sequence[complex], beta: Sequence[RationalLike]) -> "FlatConicMetric":
+        return cls(tuple(complex(p) for p in points), tuple(to_fraction(b)[0] for b in beta))
 
     @property
     def k(self) -> int:
@@ -383,7 +371,7 @@ def cluster_split(m: FlatConicMetric, t: ClusterTree, scale: float = 0.5) -> Clu
         factor = 10.0**-depth_exp
         pos, centers = _shrunk_positions(m, t, factor)
         probe = centers[deepest] + factor ** (d_deep + 1) * delta
-        shrunk = FlatConicMetric(tuple(pos), m.beta, background=m.background)
+        shrunk = FlatConicMetric(tuple(pos), m.beta)
         rem = green_factor(shrunk, probe) - float(total_coeff) * math.log(factor)
         path.append((factor, rem))
 

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from .cones import RationalLike, to_fraction
 from .extrapolate import neville_zero
 
 __all__ = [
@@ -114,13 +117,8 @@ class LinExpr:
         return LinExpr(self.const / q, tuple((s, c / q) for s, c in self.terms))
 
     def substitute(self, values: Mapping[str, Rat]) -> "LinExpr":
-        out = LinExpr(self.const)
-        for s, c in self.terms:
-            if s in values:
-                out = out + c * Fraction(values[s])
-            else:
-                out = out + LinExpr(Fraction(0), ((s, c),))
-        return out
+        const = self.const + sum((c * Fraction(values[s]) for s, c in self.terms if s in values), Fraction(0))
+        return LinExpr(const, tuple(sorted((s, c) for s, c in self.terms if s not in values and c != 0)))
 
     def value(self) -> Fraction:
         if self.terms:
@@ -203,32 +201,18 @@ class TrigPoly:
         return out
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        # product-to-sum rules; degrees add and cancel
+        # 2 cos(a)cos(b) = cos(a+b) + cos(a-b), 2 sin(a)sin(b) = cos(a-b) - cos(a+b),
+        # 2 cos(a)sin(b) = sin(a+b) - sin(a-b), 2 sin(a)cos(b) = sin(a+b) + sin(a-b);
+        # sin(a-b) is rewritten at degree |a-b|, and _set drops it at degree 0
         out = TrigPoly()
         half = Fraction(1, 2)
         for a, (ca, da) in self.coeffs.items():
             for b, (cb, db) in other.coeffs.items():
-                lo, hi = abs(a - b), a + b
-                sgn = 1 if a >= b else -1  # sign of sin((a-b)phi) rewritten at |a-b|
-                items = {}
-
-                def add(m, c, d):
-                    cc, dd = items.get(m, (LinExpr(), LinExpr()))
-                    items[m] = (cc + c, dd + d)
-
-                cc = ca * cb
-                add(hi, cc * half, 0)
-                add(lo, cc * half, 0)
-                ss = da * db
-                add(lo, ss * half, 0)
-                add(hi, ss * (-half), 0)
-                cs = ca * db  # cos(a)sin(b) = (sin(a+b) - sin((a-b)))/2
-                add(hi, 0, cs * half)
-                add(lo, 0, cs * (-half * sgn) if lo else LinExpr())
-                sc = da * cb  # sin(a)cos(b) = (sin(a+b) + sin((a-b)))/2
-                add(hi, 0, sc * half)
-                add(lo, 0, sc * (half * sgn) if lo else LinExpr())
-                for m, (c, d) in items.items():
+                cc, ss, cs, sc = ca * cb, da * db, ca * db, da * cb
+                sgn = half if a >= b else -half
+                hi = (a + b, (cc - ss) * half, (cs + sc) * half)
+                lo = (abs(a - b), (cc + ss) * half, (sc - cs) * sgn)
+                for m, c, d in (hi, lo):
                     c0, d0 = out.coeffs.get(m, (LinExpr(), LinExpr()))
                     out._set(m, c0 + c, d0 + d)
         return out
@@ -282,17 +266,17 @@ class ExponentEntry:
         return len(self.pairs)
 
 
-def index_set(beta: Union[Fraction, str, int], cutoff: Union[Fraction, float]) -> list[ExponentEntry]:
+def index_set(beta: RationalLike, cutoff: RationalLike) -> list[ExponentEntry]:
     """All exponents j + 2*k*beta <= cutoff with (j,k) != (0,0), sorted.
 
     j and k range over nonnegative integers.  When 2*k*beta is itself a
     nonnegative integer, distinct (j, k) pairs collide at one exponent; the
     entry records all of them (its multiplicity).
     """
-    b = Fraction(beta)
+    b, _ = to_fraction(beta)
     if b <= 0:
         raise ValueError("beta must be positive")
-    cut = Fraction(cutoff) if not isinstance(cutoff, float) else Fraction(cutoff).limit_denominator(10**12)
+    cut, _ = to_fraction(cutoff)
     if cut <= 0:
         raise ValueError("cutoff must be positive")
     found: dict[Fraction, list[tuple[int, int]]] = {}
@@ -322,11 +306,16 @@ def u0_series(order: int) -> list[Fraction]:
     return [Fraction(1, j * 4**j) for j in range(1, order + 1)]
 
 
-def u0_value(rfrak: float) -> float:
-    """-log(1 - rfrak^2/4), the exact sum of the radial series."""
-    if not 0 <= rfrak < 2:
+def u0_value(rfrak: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """-log(1 - rfrak^2/4), the exact sum of the radial series, elementwise.
+
+    ``rfrak`` is a float or an array; every entry must lie in [0, 2), inside
+    the closing radius, and the check runs before any log is taken.
+    """
+    x = np.asarray(rfrak, dtype=float)
+    if not np.all((0 <= x) & (x < 2)):
         raise ValueError("rfrak must lie in [0, 2)")
-    return -math.log1p(-rfrak * rfrak / 4.0)
+    return -np.log1p(-x * x / 4.0)
 
 
 def exp_series(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
@@ -538,8 +527,7 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
         if i not in prior.steps:
             raise ValueError(f"prior is missing step {i}")
     cap = prior.truncation
-    b = prior.beta
-    two_b = 2 * b
+    two_b = 2 * prior.beta
     weight, rhs = _forcing(j, prior)
 
     # candidate exponents: integers (indicial slots), forcing exponents, and
@@ -560,15 +548,10 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
     for alpha in sorted(exponents):
         force = rhs.get(alpha, TrigPoly())
         # ladder coupling 2 r^{2b} e^{2u0} u_j from already-solved slots
-        k = 1
-        while alpha - 2 * k * b >= 0:
-            lower = alpha - 2 * k * b
+        for x, wk in weight.items():
+            lower = alpha - two_b - x
             if lower in substituted:
-                wk = weight.get(2 * (k - 1) * b)
-                if wk is not None:
-                    w_c = wk.coeffs[0][0].value()
-                    force = force - substituted[lower].scale(2 * w_c)
-            k += 1
+                force = force - substituted[lower].scale(2 * wk.coeffs[0][0].value())
         solved = TrigPoly()
         for m, (c, d) in force.coeffs.items():
             if Fraction(alpha) ** 2 == m * m:
@@ -633,9 +616,9 @@ def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
 # bounded leading behavior and numeric exponent fitting
 
 
-def friedrichs_exponents(beta: Union[Fraction, str, float]) -> list[Fraction]:
+def friedrichs_exponents(beta: RationalLike) -> list[Fraction]:
     """{0} U {j/beta : 1 <= j, j/beta < 2}: the bounded leading exponents."""
-    b = Fraction(beta) if not isinstance(beta, float) else Fraction(beta).limit_denominator(10**9)
+    b, _ = to_fraction(beta)
     if b <= 0:
         raise ValueError("beta must be positive")
     out = [Fraction(0)]

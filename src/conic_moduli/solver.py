@@ -30,6 +30,7 @@ from scipy.integrate import solve_ivp
 
 from .cones import ConeData, troyanov
 from .extrapolate import least_squares_slope, loglog_slopes
+from .phg import u0_value
 
 __all__ = [
     "FiberMesh",
@@ -388,9 +389,12 @@ def hyperbolic_correction_solve(
     Dirichlet rings, by ``picard_solve``.  The discrete curvature K_tilde at
     a collapsed inner ring includes the cone's distributional curvature;
     that delta belongs to the background, so the exact flux of the conic
-    part is removed from the pole row.
+    part is removed from the pole row.  A mesh that reaches the closing
+    radius rfrak = r^beta / beta = 2 is refused with ValueError.
     """
     r, _ = mesh.grids()
+    if np.max(r**beta / beta) >= 2.0:
+        raise ValueError("mesh reaches the closing radius of the hyperbolic cone")
     cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
     op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
     phi_grid = cone_part + u_approx
@@ -755,12 +759,14 @@ def singular_sphere_background(
 
 @dataclass
 class MergingFamily:
-    """Residual fields of truncated approximate solutions as the pair merges."""
+    """Residual fields of truncated approximate solutions as the pair merges.
+
+    ``families[N]`` lists (rho, residual field) for the order-N truncation.
+    """
 
     mesh: FiberMesh
     beta1: float
     beta2: float
-    order: int
     families: dict[int, list[tuple[float, Field]]]
     u0_report: SolveReport
 
@@ -800,12 +806,9 @@ def merging_pair_residual_family(
     rr, pp = mesh.grids()
     if max(rhos) >= 0.75 * mesh.r_min:
         raise ValueError("rho values must stay well inside the annulus hole")
-    rfrak = rr**b0 / b0
-    if np.max(rfrak) >= 2.0:
-        raise ValueError("annulus reaches the closing radius of the hyperbolic cone")
 
     # exact merged-limit conformal factor, used as boundary data and seed
-    u_d = -np.log1p(-(rfrak**2) / 4.0) * np.ones_like(rr + pp * 0)
+    u_d = u0_value(rr**b0 / b0) * np.ones_like(rr + pp * 0)
     report = hyperbolic_correction_solve(mesh, b0, u_d, tol=tol)
     u0_grid = u_d + report.solution
 
@@ -834,6 +837,4 @@ def merging_pair_residual_family(
             res_grid = op0.dof_to_grid(res_dof)
             fam.append((float(rho), res_grid))
         families[order] = fam
-    return MergingFamily(
-        mesh=mesh, beta1=b1, beta2=b2, order=2, families=families, u0_report=report
-    )
+    return MergingFamily(mesh=mesh, beta1=b1, beta2=b2, families=families, u0_report=report)

@@ -194,7 +194,7 @@ def test_acceptance_5_corner_expansion():
                 if s == 0.0:
                     return 0.0
                 w = s * cmath.exp(1j * theta)
-                return green_factor(FlatConicMetric.of([w, -w], [_b1, _b2], background="local"), _z)
+                return green_factor(FlatConicMetric.of([w, -w], [_b1, _b2]), _z)
 
             for n in range(1, 5):
                 fd = _fd_taylor(g, n)
@@ -213,7 +213,7 @@ def test_acceptance_6_cone_angle_probe():
     import cmath
 
     pts = [cmath.exp(2j * math.pi * j / 3) for j in range(3)]
-    metric = FlatConicMetric.of(pts, [F(1, 3)] * 3, background="plane")
+    metric = FlatConicMetric.of(pts, [F(1, 3)] * 3)
     radii = [10 ** (-2 - 0.5 * i) for i in range(5)]
     errs = []
     for idx in range(3):

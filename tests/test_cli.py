@@ -117,6 +117,13 @@ def test_luo_tian_violation_exits_2(capsys):
     assert out == "" and "Luo-Tian" in err
 
 
+def test_hyperbolic_past_closing_radius_exits_2(capsys):
+    # rfrak = r^beta / beta reaches 2 at r = 1 for beta = 1/2
+    rc, out, err = run(capsys, "solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5")
+    assert rc == 2
+    assert out == "" and "closing radius" in err
+
+
 def test_faces_enumeration_cap_exits_2(capsys):
     rc, out, err = run(capsys, "faces", "--k", "8")
     assert rc == 2
@@ -166,16 +173,6 @@ def test_four_cone_default_layout_solves(capsys):
     )
     assert rc == 0
     assert gap == pytest.approx(json.loads(out)["spectral_gap"], rel=1e-8)
-
-
-def test_spherical_reports_extent_from_rmin(capsys):
-    rc, out, _ = run(
-        capsys,
-        "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0",
-        "--mesh", "65x16", "--rmin", "0.01",
-    )
-    assert rc == 0
-    assert json.loads(out)["extent"] == -math.log(0.01)
 
 
 def test_hyperbolic_payload_is_the_shared_solve(capsys):
@@ -235,6 +232,23 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     text = target.read_text()
     assert "(1,2)" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("charts", "verify", "--chart", "two", "--samples", "500"),
+        ("phg", "index", "--beta", "3/4", "--cutoff", "31/10"),
+    ],
+    ids=["json", "csv"],
+)
+def test_out_file_matches_stdout(argv, tmp_path, capsys):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    target = tmp_path / "payload"
+    rc, out_file, _ = run(capsys, "--out", str(target), *argv)
+    assert rc == 0 and out_file == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_emitted_csv_reingested_by_fit(tmp_path, capsys):

@@ -20,29 +20,29 @@ def unit_roots(k):
 
 
 def test_green_factor_examples():
-    m2 = FlatConicMetric.of([0.3, -0.3], ["1/2", "1/2"], background="local")
+    m2 = FlatConicMetric.of([0.3, -0.3], ["1/2", "1/2"])
     assert green_factor(m2, 0.6) == pytest.approx(-0.5 * math.log(3 * 0.3**2), rel=1e-14)
     # single point: G / log|z - p| -> beta - 1
-    m1 = FlatConicMetric.of([0.2 + 0.1j], ["3/4"], background="local")
+    m1 = FlatConicMetric.of([0.2 + 0.1j], ["3/4"])
     for r in (1e-3, 1e-5):
         z = m1.points[0] + r
         assert green_factor(m1, z) / math.log(r) == pytest.approx(-0.25, rel=1e-3)
     # symmetric cube roots at unit radius: G(0) = 0
-    m3 = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
+    m3 = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
     assert green_factor(m3, 0j) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_green_factor_pole_and_symmetry():
-    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"], background="local")
+    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"])
     with pytest.raises(ValueError):
         green_factor(m, 1 + 0j)
-    m_swapped = FlatConicMetric.of([1 + 0j, 0j], ["1/3", "1/2"], background="local")
+    m_swapped = FlatConicMetric.of([1 + 0j, 0j], ["1/3", "1/2"])
     for z in (0.3 + 0.4j, -1.2 + 0.1j):
         assert green_factor(m, z) == pytest.approx(green_factor(m_swapped, z), rel=1e-15)
 
 
 def test_green_factor_exclude_drops_one_term():
-    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"], background="local")
+    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"])
     z = 0.3 + 0.4j
     term0 = -0.5 * math.log(abs(z))
     assert green_factor(m, z, exclude=0) == pytest.approx(green_factor(m, z) - term0, rel=1e-14)
@@ -51,9 +51,11 @@ def test_green_factor_exclude_drops_one_term():
 
 
 def test_plane_background_constraint():
+    # sum(beta - 1) = -2: the plane model, with exact angle parameters
+    m = FlatConicMetric.of(unit_roots(3), ["1/3", "1/3", "1/3"])
+    assert sum(b - 1 for b in m.beta) == -2 and m.beta == (F(1, 3),) * 3
     with pytest.raises(ValueError):
-        FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/2"], background="plane")
-    FlatConicMetric.of(unit_roots(3), ["1/3", "1/3", "1/3"], background="plane")
+        FlatConicMetric.of([0j, 1 + 0j], ["1/2", "0"])
 
 
 def test_corner_expansion_symbolic_coefficients():
@@ -112,7 +114,7 @@ def test_corner_expansion_matches_green_factor_derivatives(b1, b2):
                 return 0.0
             sign = 1.0 if s > 0 else -1.0
             w = abs(s) * cmath.exp(1j * theta) * sign
-            m = FlatConicMetric.of([w, -w], [b1, b2], background="local")
+            m = FlatConicMetric.of([w, -w], [b1, b2])
             return green_factor(m, _z)
 
         for n in range(1, 5):
@@ -122,7 +124,7 @@ def test_corner_expansion_matches_green_factor_derivatives(b1, b2):
 
 
 def test_probe_pure_model_exact():
-    m = FlatConicMetric.of([0j], ["2/3"], background="local")
+    m = FlatConicMetric.of([0j], ["2/3"])
     rep = cone_angle_probe(m, 0, [1e-2, 5e-3, 2.5e-3])
     for ratio in rep.ratios:
         assert ratio == pytest.approx(2 / 3, abs=1e-9)
@@ -131,13 +133,13 @@ def test_probe_pure_model_exact():
 
 def test_probe_removable_point():
     # beta = 1 with spectators: ratio -> 1
-    m = FlatConicMetric.of([0j, 2 + 0j, -2 + 0j], ["1", "1/2", "1/2"], background="local")
+    m = FlatConicMetric.of([0j, 2 + 0j, -2 + 0j], ["1", "1/2", "1/2"])
     rep = cone_angle_probe(m, 0, [2e-2, 1e-2, 5e-3, 2.5e-3])
     assert rep.extrapolated == pytest.approx(1.0, abs=1e-8)
 
 
 def test_probe_plane_model_third():
-    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
     radii = [10 ** (-2 - 0.5 * i) for i in range(5)]
     rep = cone_angle_probe(m, 0, radii)
     assert abs(rep.extrapolated - 1 / 3) < 1e-6
@@ -147,7 +149,7 @@ def test_probe_error_decreases_and_extrapolation_wins():
     # asymmetric global model so the finite-radius corrections are genuine
     beta = [F(1, 4), F(1, 3), F(5, 12)]
     pts = [1 + 0j, -0.2 + 0.9j, -1.1 - 0.3j]
-    m = FlatConicMetric.of(pts, beta, background="plane")
+    m = FlatConicMetric.of(pts, beta)
     radii = [2e-2, 1e-2, 5e-3, 2.5e-3]
     rep = cone_angle_probe(m, 1, radii)
     errs = [abs(rho - 1 / 3) for rho in rep.ratios]
@@ -156,14 +158,14 @@ def test_probe_error_decreases_and_extrapolation_wins():
 
 
 def test_probe_rejects_radius_reaching_other_points():
-    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
     with pytest.raises(ValueError):
         cone_angle_probe(m, 0, [2.0, 1.0])
 
 
 def test_discrete_harmonicity_of_green_factor():
     # 5-point Laplacian vanishes to quadrature order away from the points
-    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
     z0 = 0.21 + 0.13j
 
     def lap(h):
@@ -186,7 +188,7 @@ def tree_of(vertices, k):
 
 def test_cluster_split_two_level_tree():
     t = tree_of([(1, 2, 3), (1, 2)], 3)
-    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3)
     rep = cluster_split(m, t, scale=0.2)
     root = IndexSubset.of([1, 2, 3], 3)
     pair = IndexSubset.of([1, 2], 3)
@@ -198,7 +200,7 @@ def test_cluster_split_two_level_tree():
 
 def test_cluster_split_root_only():
     t = tree_of([(1, 2, 3)], 3)
-    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
     rep = cluster_split(m, t, scale=0.9)
     assert list(rep.coefficients.values()) == [F(1) - 3]
     assert rep.variation < 1e-9  # exactly scale-invariant layout
@@ -206,6 +208,6 @@ def test_cluster_split_root_only():
 
 def test_cluster_split_inconsistent_tree():
     t = tree_of([(1, 2, 3), (1, 3)], 3)
-    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3, background="plane")
+    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3)
     with pytest.raises(ValueError):
         cluster_split(m, t, scale=0.2)

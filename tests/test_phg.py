@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conic_moduli.phg import (
@@ -86,6 +87,15 @@ def test_u0_series_remainder_below_first_omitted_term():
             remainder = abs(u0_value(rf) - partial)
             first_omitted = rf ** (2 * (order + 1)) / ((order + 1) * 4 ** (order + 1))
             assert remainder < 2.0 * first_omitted
+
+
+def test_u0_value_on_arrays_matches_scalar_calls():
+    rf = np.array([[0.0, 0.3, 1.0], [1.5, 1.9, 1.999]])
+    scalar = [[u0_value(float(x)) for x in row] for row in rf]
+    np.testing.assert_allclose(u0_value(rf), scalar, rtol=1e-15, atol=0)
+    for bad in ([0.5, 2.0], [0.5, 3.0], [-0.1, 0.5], [0.5, float("nan")]):
+        with pytest.raises(ValueError):
+            u0_value(np.array(bad))
 
 
 def test_u0_series_guard():

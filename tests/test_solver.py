@@ -507,6 +507,9 @@ def test_merging_pair_rejects_bad_data():
         merging_pair_residual_family(0.4, 0.5, (0.1, 0.05))  # merged parameter <= 0
     with pytest.raises(ValueError):
         merging_pair_residual_family(0.9, 0.6, (0.3, 0.15))  # rho inside the hole
+    with pytest.raises(ValueError):
+        # merged parameter 0.1 puts the whole annulus past rfrak = 2
+        merging_pair_residual_family(0.55, 0.55, (0.1, 0.05))
 
 
 # -- the radial profile -------------------------------------------------------------------
