@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -122,26 +123,12 @@ def _cmd_charts_verify(args: argparse.Namespace) -> int:
 def _cmd_cones_classify(args: argparse.Namespace) -> int:
     betas = _parse_beta_list(args.beta)
     data = cones.ConeData.of(args.genus, betas, args.curvature)
-    verdicts = cones.classify_merges(data)
     payload = {
         "genus": args.genus,
         "curvature": args.curvature,
         "beta": [str(b) for b in data.beta],
         "approximated": data.approximated,
-        "verdicts": [
-            {
-                "subset": str(v.subset),
-                "merged_angle": str(v.merged_angle),
-                "status": v.status.value,
-                "at_equality": v.at_equality,
-                **(
-                    {"partner": str(v.partner), "partner_angle": str(v.partner_angle)}
-                    if v.partner is not None
-                    else {}
-                ),
-            }
-            for v in verdicts
-        ],
+        "verdicts": [{k: x for k, x in vars(v).items() if x is not None} for v in cones.classify_merges(data)],
     }
     _emit_json(payload, args)
     return 0
@@ -191,25 +178,16 @@ def _cmd_phg_u0(args: argparse.Namespace) -> int:
 
 
 def _cmd_phg_recurse(args: argparse.Namespace) -> int:
-    beta = _parse_rational(args.beta)
-    series = phg.PhgSeries(beta, _parse_rational(args.truncation))
     assignments = {}
     for item in args.assign or []:
         key, _, val = item.partition("=")
         if not val:
             raise ValueError(f"malformed assignment {item!r}")
         assignments[key] = Fraction(val)
+    series = phg.recurse(_parse_rational(args.beta), _parse_rational(args.truncation), args.steps, assignments)
     rows = []
     for j in range(1, args.steps + 1):
-        table = phg.recursion_step(j, series)
-        series.set_step(j, table)
-        # free coefficients are fixed by the global problem, not locally;
-        # unassigned ones default to zero so later steps can form products
-        defaults = {s: Fraction(0) for alpha in table for s in table[alpha].free_symbols}
-        defaults.update({k: v for k, v in assignments.items() if k in defaults})
-        series.assign(defaults)
-        for alpha in sorted(table):
-            slot = table[alpha]
+        for alpha, slot in sorted(series.steps[j].items()):
             resolved = slot.trig.substitute(series.assignments)
             degrees = sorted(set(resolved.coeffs) | ({int(alpha)} if slot.is_free_slot else set()))
             labels = ";".join(f"{l}+{k}" for l, k in slot.labels)
@@ -224,11 +202,8 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
     beta = float(_parse_rational(args.beta))
     nt, nphi = _parse_mesh(args.mesh)
     mesh = solver.FiberMesh(args.rmin, args.rmax, nt, nphi, inner="pole", outer="dirichlet")
-    r, _ = mesh.grids()
-    rfrak = r**beta / beta
-    coeffs = phg.u0_series(args.series_order)
-    u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(coeffs)) * np.ones((nt, nphi))
-    report = solver.hyperbolic_correction_solve(mesh, beta, u_trunc, tol=args.tol)
+    profile = functools.partial(phg.u0_truncated, order=args.series_order)
+    report = solver.hyperbolic_correction_solve(mesh, beta, profile, tol=args.tol)
     payload = {
         "equation": "hyperbolic correction (Delta+2)v = f + Q(v)",
         "beta": args.beta,

@@ -191,7 +191,7 @@ def troyanov(d: ConeData) -> bool:
     return holds
 
 
-class MergeStatus(enum.Enum):
+class MergeStatus(str, enum.Enum):
     ADMISSIBLE = "Admissible"
     ANGLE_OBSTRUCTED = "AngleObstructed"
     TROYANOV_VIOLATED = "TroyanovViolated"

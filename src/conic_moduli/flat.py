@@ -245,9 +245,11 @@ def cone_angle_probe(
     For each radius, integrates the metric circumference C(r) of the circle
     around the point and the radial distance L(r) along the ray phi = 0;
     the ratio C(r)/(2 pi L(r)) tends to beta as r -> 0 and is extrapolated
-    polynomially to r = 0.  ``point_index`` is 0-based; all radii must be
-    small enough that the disks contain no other marked point.
+    polynomially to r = 0.  ``point_index`` is 0-based (0 <= index < k); all
+    radii must be small enough that the disks contain no other marked point.
     """
+    if not 0 <= point_index < len(m.points):
+        raise ValueError(f"point index {point_index} is not in 0..{len(m.points) - 1}")
     rs = [float(r) for r in radii]
     if not rs or any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0:
         raise ValueError("radii must be positive and strictly decreasing")

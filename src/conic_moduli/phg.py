@@ -36,9 +36,11 @@ __all__ = [
     "index_set",
     "u0_series",
     "u0_value",
+    "u0_truncated",
     "exp_series",
     "indicial_solve",
     "recursion_step",
+    "recurse",
     "verify_step",
     "friedrichs_exponents",
     "fit_exponents",
@@ -318,6 +320,12 @@ def u0_value(rfrak: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return -np.log1p(-x * x / 4.0)
 
 
+def u0_truncated(rfrak: Union[float, np.ndarray], order: int) -> Union[float, np.ndarray]:
+    """sum_{j=1}^{order} a_j rfrak^{2j}, the radial series truncated at ``order``, elementwise."""
+    x = np.asarray(rfrak, dtype=float)
+    return sum(float(c) * x ** (2 * (j + 1)) for j, c in enumerate(u0_series(order)))
+
+
 def exp_series(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
     """Power-series coefficients of exp(2*sum c_k y^k) through y^order.
 
@@ -380,9 +388,11 @@ class PhgSeries:
     """Tables u_j of the expansion u ~ sum_j rho^j u_j(r, phi) near the corner.
 
     Step 0 is the radial one-cone series (exponents 2*k*beta); later steps
-    are produced by ``recursion_step``.  Free indicial coefficients appear as
-    symbols named a[j,l,c] / a[j,l,s]; ``assign`` fixes them (they are
-    determined by the global problem, not locally).
+    are produced by ``recursion_step`` (``recurse`` runs them).  Free indicial
+    coefficients appear as symbols named a[j,l,c] / a[j,l,s]; ``assign`` fixes
+    them (they are determined by the global problem, not locally).  ``labels``
+    maps each exponent of {0} U ``index_set(beta, truncation)`` to its (l, k)
+    pairs; every table entry sits at one of these exponents.
     """
 
     def __init__(self, beta: Union[Fraction, str], truncation: Union[Fraction, int, str]):
@@ -392,6 +402,8 @@ class PhgSeries:
         self.truncation = Fraction(truncation)
         if self.truncation <= 0:
             raise ValueError("truncation must be positive")
+        self.labels: dict[Fraction, tuple[tuple[int, int], ...]] = {Fraction(0): ((0, 0),)}
+        self.labels.update((e.alpha, e.pairs) for e in index_set(self.beta, self.truncation))
         self.steps: dict[int, StepTable] = {0: self._u0_table()}
         self.assignments: dict[str, Fraction] = {}
 
@@ -413,29 +425,16 @@ class PhgSeries:
         coeffs = [self.steps[0][2 * k * b].trig.coeffs[0][0].value() for k in range(1, kmax + 1)]
         return exp_series(coeffs, kmax)
 
-    def set_step(self, j: int, table: StepTable) -> None:
-        self.steps[j] = table
-
     def inject(self, j: int, alpha: Union[Fraction, int], trig: TrigPoly) -> None:
         """Install a bespoke table entry (unit tests drive the recursion this way)."""
         a = Fraction(alpha)
-        table = self.steps.setdefault(j, {})
-        table[a] = Slot(a, trig, labels=self._labels(a))
+        if a not in self.labels:
+            raise ValueError(f"exponent {a} is not of the form l + 2k*beta <= {self.truncation}")
+        self.steps.setdefault(j, {})[a] = Slot(a, trig, labels=self.labels[a])
 
     def assign(self, values: Mapping[str, Rat]) -> None:
         for k, v in values.items():
             self.assignments[k] = Fraction(v)
-
-    def _labels(self, alpha: Fraction) -> tuple[tuple[int, int], ...]:
-        out = []
-        b = self.beta
-        k = 0
-        while 2 * k * b <= alpha:
-            l = alpha - 2 * k * b
-            if l.denominator == 1 and l >= 0:
-                out.append((int(l), k))
-            k += 1
-        return tuple(sorted(out))
 
     def resolved_table(self, j: int) -> dict[Fraction, TrigPoly]:
         """Step table with current symbol assignments substituted."""
@@ -517,35 +516,21 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
 
         ((r d/dr)^2 + d^2/dphi^2) u_j + 2 r^{2 beta} e^{2 u0} u_j = -RHS
 
-    term by term in increasing exponent.  Indicial slots at integer
-    exponents l receive fresh free symbols a[j,l,c], a[j,l,s] of pure degree
-    l; the weight term propagates every slot up the r^{2 k beta} ladder.
+    term by term over ``prior.labels`` in increasing exponent.  Indicial slots
+    at integer exponents l receive fresh free symbols a[j,l,c], a[j,l,s] of
+    pure degree l; the weight term propagates every slot up the ladder.
     """
     if j < 1:
         raise ValueError("recursion starts at step 1")
     for i in range(j):
         if i not in prior.steps:
             raise ValueError(f"prior is missing step {i}")
-    cap = prior.truncation
     two_b = 2 * prior.beta
     weight, rhs = _forcing(j, prior)
 
-    # candidate exponents: integers (indicial slots), forcing exponents, and
-    # their images under the +2 beta ladder
-    base = {Fraction(n) for n in range(0, int(cap) + 1)} | set(rhs)
-    exponents: set[Fraction] = set()
-    stack = list(base)
-    while stack:
-        x = stack.pop()
-        if x > cap or x in exponents:
-            continue
-        exponents.add(x)
-        if x + two_b <= cap:
-            stack.append(x + two_b)
-
     table: StepTable = {}
     substituted: dict[Fraction, TrigPoly] = {}  # with prior assignments applied
-    for alpha in sorted(exponents):
+    for alpha in sorted(prior.labels):
         force = rhs.get(alpha, TrigPoly())
         # ladder coupling 2 r^{2b} e^{2u0} u_j from already-solved slots
         for x, wk in weight.items():
@@ -570,9 +555,27 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
             solved = solved + free
         if solved.is_zero and not free_syms:
             continue
-        table[alpha] = Slot(alpha, solved, labels=prior._labels(alpha), free_symbols=free_syms)
+        table[alpha] = Slot(alpha, solved, labels=prior.labels[alpha], free_symbols=free_syms)
         substituted[alpha] = solved.substitute(prior.assignments)
     return table
+
+
+def recurse(beta: Fraction, truncation: Fraction, steps: int, values: Mapping[str, Rat]) -> PhgSeries:
+    """Run ``recursion_step`` for steps 1..``steps`` on a fresh ``PhgSeries``.
+
+    After each step its free coefficients are fixed, so later steps can form
+    products: each takes its value from ``values``, or 0 if it has none.  A
+    key of ``values`` that names no free coefficient of the computed steps
+    is refused with ValueError.
+    """
+    series = PhgSeries(beta, truncation)
+    for j in range(1, steps + 1):
+        series.steps[j] = table = recursion_step(j, series)
+        series.assign({s: values.get(s, 0) for slot in table.values() for s in slot.free_symbols})
+    unknown = sorted(set(values) - set(series.assignments))
+    if unknown:
+        raise ValueError(f"no free coefficient named {unknown[0]!r} in steps 1..{steps}")
+    return series
 
 
 def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:

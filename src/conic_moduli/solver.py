@@ -379,22 +379,28 @@ def _restrict(op: ConicLaplacianOp, grid: Field) -> Field:
 
 
 def hyperbolic_correction_solve(
-    mesh: FiberMesh, beta: float, u_approx: Field, tol: float = 1e-10
+    mesh: FiberMesh, beta: float, profile: Callable[[Field], Field], tol: float = 1e-10
 ) -> SolveReport:
     """Hyperbolic cone metric r^{2(beta-1)} e^{2u} |dz|^2 in correction form.
 
+    u_approx = profile(rfrak) is the approximate one-cone conformal factor at
+    rfrak = r^beta / beta: ``phg.u0_value``, or a ``phg.u0_truncated`` partial.
     With gtilde = e^{2 u_approx} g0 for the flat cone g0 = r^{2(beta-1)} |dz|^2,
     the correction v = u - u_approx solves
     Delta_tilde v + 2v = -(K_tilde + 1) - (e^{2v} - 1 - 2v), v = 0 on
     Dirichlet rings, by ``picard_solve``.  The discrete curvature K_tilde at
     a collapsed inner ring includes the cone's distributional curvature;
     that delta belongs to the background, so the exact flux of the conic
-    part is removed from the pole row.  A mesh that reaches the closing
-    radius rfrak = r^beta / beta = 2 is refused with ValueError.
+    part is removed from the pole row.  beta <= 0, and a mesh that reaches
+    the closing radius rfrak = 2, are refused with ValueError.
     """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     r, _ = mesh.grids()
-    if np.max(r**beta / beta) >= 2.0:
+    rfrak = r**beta / beta
+    if np.max(rfrak) >= 2.0:
         raise ValueError("mesh reaches the closing radius of the hyperbolic cone")
+    u_approx = profile(rfrak) * np.ones((mesh.nt, mesh.nphi))
     cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
     op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
     phi_grid = cone_part + u_approx
@@ -808,12 +814,11 @@ def merging_pair_residual_family(
         raise ValueError("rho values must stay well inside the annulus hole")
 
     # exact merged-limit conformal factor, used as boundary data and seed
-    u_d = u0_value(rr**b0 / b0) * np.ones_like(rr + pp * 0)
-    report = hyperbolic_correction_solve(mesh, b0, u_d, tol=tol)
-    u0_grid = u_d + report.solution
+    report = hyperbolic_correction_solve(mesh, b0, u0_value, tol=tol)
+    u0_grid = u0_value(rr**b0 / b0) + report.solution
 
     # limit background density e^{2 G0}
-    op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u_d)))
+    op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u0_grid)))
 
     # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
     g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import pathlib
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from conic_moduli import solver
 from conic_moduli.cli import main
-from conic_moduli.phg import u0_series
+from conic_moduli.phg import u0_truncated
 
 
 def run(capsys, *argv):
@@ -94,10 +95,27 @@ def test_cones_classify_matches_table(capsys):
     assert any(v["status"] == "FootballBoundary" for v in footballs)
 
 
-def test_malformed_beta_exits_2(capsys):
-    rc, _, err = run(capsys, "cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "0.x")
+REFUSALS = {
+    "malformed_beta": (["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "0.x"], "not a rational"),
+    # 1 - 0.45 = 0.55 > (1 - 0.5) + (1 - 0.96) = 0.54: no spherical metric
+    "luo_tian_violation": (["solve", "spherical", "--beta", "9/20,1/2,24/25", "--points", "0,0;1,0"], "Luo-Tian"),
+    # rfrak = r^beta / beta reaches 2 at r = 1 for beta = 1/2
+    "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
+    "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),
+    "assign_names_no_free_coefficient": (["phg", "recurse", "--beta", "3/4", "--assign", "zzz=5"], "'zzz'"),
+    "probe_index_past_k": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "5"], "point index 5"),
+    "probe_index_negative": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "-1"], "point index -1"),
+    "hyperbolic_beta_zero": (["solve", "hyperbolic", "--beta", "0"], "beta must be positive"),
+    "hyperbolic_beta_negative": (["solve", "hyperbolic", "--beta=-1/2"], "beta must be positive"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_2(argv, message, capsys):
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_football_solve_exits_1(capsys):
@@ -108,26 +126,6 @@ def test_football_solve_exits_1(capsys):
     )
     assert rc == 1
     assert "numeric error" in err
-
-
-def test_luo_tian_violation_exits_2(capsys):
-    # 1 - 0.45 = 0.55 > (1 - 0.5) + (1 - 0.96) = 0.54: no spherical metric
-    rc, out, err = run(capsys, "solve", "spherical", "--beta", "9/20,1/2,24/25", "--points", "0,0;1,0")
-    assert rc == 2
-    assert out == "" and "Luo-Tian" in err
-
-
-def test_hyperbolic_past_closing_radius_exits_2(capsys):
-    # rfrak = r^beta / beta reaches 2 at r = 1 for beta = 1/2
-    rc, out, err = run(capsys, "solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5")
-    assert rc == 2
-    assert out == "" and "closing radius" in err
-
-
-def test_faces_enumeration_cap_exits_2(capsys):
-    rc, out, err = run(capsys, "faces", "--k", "8")
-    assert rc == 2
-    assert out == "" and "k <= 7" in err
 
 
 def test_linalg_error_exits_1(capsys, monkeypatch):
@@ -180,10 +178,7 @@ def test_hyperbolic_payload_is_the_shared_solve(capsys):
     assert rc == 0
     payload = json.loads(out)
     mesh = solver.FiberMesh(1e-3, 0.7, 48, 16, inner="pole", outer="dirichlet")
-    r, _ = mesh.grids()
-    rfrak = r**0.5 / 0.5
-    u_trunc = sum(float(c) * rfrak ** (2 * (j + 1)) for j, c in enumerate(u0_series(4))) * np.ones((48, 16))
-    rep = solver.hyperbolic_correction_solve(mesh, 0.5, u_trunc, tol=1e-10)
+    rep = solver.hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4), tol=1e-10)
     assert payload["iterations"] == rep.iterations
     assert payload["residual_sup"] == rep.residual_sup
     assert payload["sup_correction"] == rep.sup_solution

@@ -15,8 +15,10 @@ from conic_moduli.phg import (
     friedrichs_exponents,
     index_set,
     indicial_solve,
+    recurse,
     recursion_step,
     u0_series,
+    u0_truncated,
     u0_value,
     verify_step,
 )
@@ -74,17 +76,14 @@ def test_u0_series_examples():
     assert coeffs[0] == F(1, 4)
     assert coeffs[1] == F(1, 32)
     assert coeffs[2] == F(1, 192)
-    total = sum(float(c) * 0.2 ** (2 * (j + 1)) for j, c in enumerate(u0_series(20)))
-    assert total == pytest.approx(-math.log(0.99), abs=1e-15)
+    assert u0_truncated(0.2, 20) == pytest.approx(-math.log(0.99), abs=1e-15)
     assert u0_value(0.2) == pytest.approx(-math.log(0.99), rel=1e-15)
 
 
 def test_u0_series_remainder_below_first_omitted_term():
     for order in (2, 5, 9):
-        coeffs = u0_series(order)
         for rf in (0.3, 0.7, 1.0):
-            partial = sum(float(c) * rf ** (2 * (j + 1)) for j, c in enumerate(coeffs))
-            remainder = abs(u0_value(rf) - partial)
+            remainder = abs(u0_value(rf) - u0_truncated(rf, order))
             first_omitted = rf ** (2 * (order + 1)) / ((order + 1) * 4 ** (order + 1))
             assert remainder < 2.0 * first_omitted
 
@@ -205,23 +204,38 @@ def test_recursion_degree_bounds():
 def test_recursion_requires_resolved_priors():
     beta = F(3, 4)
     series = PhgSeries(beta, 4)
-    series.set_step(1, recursion_step(1, series))
+    series.steps[1] = recursion_step(1, series)
     with pytest.raises(ValueError):
         recursion_step(2, series)  # free symbols of step 1 unassigned
 
 
 def test_recursion_verify_operator_identity():
-    beta = F(3, 4)
-    series = PhgSeries(beta, F(9, 2))
-    t1 = recursion_step(1, series)
-    series.set_step(1, t1)
-    series.assign({"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2)})
-    assert verify_step(1, series, t1)
-    series.assign({s: F(0) for a in t1 for s in t1[a].free_symbols if s not in series.assignments})
-    t2 = recursion_step(2, series)
-    series.set_step(2, t2)
-    series.assign({s: F(1, 7) for a in t2 for s in t2[a].free_symbols})
-    assert verify_step(2, series, t2)
+    # step 1 partly assigned (the rest default to 0), step 2 fully assigned
+    step2 = {f"a[2,{l},{p}]": F(1, 7) for l in range(5) for p in "cs" if l or p == "c"}
+    series = recurse(F(3, 4), F(9, 2), 2, {"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2), **step2})
+    assert series.assignments["a[1,2,c]"] == 0
+    assert verify_step(1, series, series.steps[1])
+    assert verify_step(2, series, series.steps[2])
+
+
+@pytest.mark.parametrize("beta", [F(1, 2), F(2, 3), F(3, 4), F(5, 4), F(3)], ids=str)
+def test_recurse_verifies_every_step(beta):
+    # integer collisions at beta = 1/2, 2/3, 3/4; at beta = 3, 2*beta is past the truncation
+    steps, truncation = 3, F(9, 2)
+    values = {f"a[{j},{l},c]": F(1, j + l + 1) for j in range(1, steps + 1) for l in range(5)}
+    values.update({f"a[{j},{l},s]": F(-1, 2 * j + l) for j in range(1, steps + 1) for l in range(1, 5)})
+    series = recurse(beta, truncation, steps, values)
+    assert series.assignments == values
+    for j in range(1, steps + 1):
+        assert series.steps[j]
+        assert verify_step(j, series, series.steps[j])
+
+
+def test_recurse_refuses_unknown_assignment():
+    with pytest.raises(ValueError, match="zzz"):
+        recurse(F(3, 4), 4, 2, {"zzz": 5})
+    with pytest.raises(ValueError, match=r"a\[3,1,c\]"):
+        recurse(F(3, 4), 4, 2, {"a[3,1,c]": 1})  # a step-3 name, but only 2 steps ran
 
 
 def test_recursion_collision_slots_share_and_drop_purity():
@@ -232,9 +246,17 @@ def test_recursion_collision_slots_share_and_drop_purity():
     slot = table[F(3)]
     assert slot.multiplicity >= 2
     assert not slot.pure_expected
-    series.set_step(2, table)
+    series.steps[2] = table
     series.assign({s: F(0) for a in table for s in table[a].free_symbols})
     assert verify_step(2, series, table)
+
+
+def test_inject_refuses_exponent_outside_index_set():
+    series = PhgSeries(F(3, 4), 4)
+    series.inject(1, F(5, 2), TrigPoly.cos(1))  # 1 + 2*beta
+    for alpha in (F(1, 3), F(9, 2), -1):  # not l + 2k*beta, past the truncation, negative
+        with pytest.raises(ValueError):
+            series.inject(1, alpha, TrigPoly.cos(1))
 
 
 def test_recursion_truncation_guard():

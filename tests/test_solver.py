@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conic_moduli import solver
-from conic_moduli.phg import u0_series, u0_value
+from conic_moduli.phg import u0_truncated, u0_value
 from conic_moduli.solver import (
     ConicLaplacianOp,
     DivergenceError,
@@ -523,10 +523,7 @@ def test_radial_hyperbolic_matches_closed_form():
 
 def test_radial_hyperbolic_consistency_with_series():
     prof = radial_hyperbolic(1.0, 0.5, 51)
-    coeffs = u0_series(25)
-    for x, u in zip(prof.rfrak, prof.u0):
-        partial = sum(float(c) * x ** (2 * (j + 1)) for j, c in enumerate(coeffs))
-        assert abs(u - partial) < 1e-10
+    assert np.max(np.abs(prof.u0 - u0_truncated(prof.rfrak, 25))) < 1e-10
 
 
 def test_radial_hyperbolic_domain_guard():
