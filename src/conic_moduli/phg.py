@@ -415,7 +415,7 @@ class PhgSeries:
         for k in range(1, kmax + 1):
             alpha = 2 * k * b
             a_rk = coeffs[k - 1] / b ** (2 * k)  # rfrak^{2k} = r^{2k beta}/beta^{2k}
-            table[alpha] = Slot(alpha, TrigPoly.const(a_rk), labels=((0, k),))
+            table[alpha] = Slot(alpha, TrigPoly.const(a_rk), labels=self.labels[alpha])
         return table
 
     def weight_series(self) -> list[Fraction]:
@@ -566,8 +566,10 @@ def recurse(beta: Fraction, truncation: Fraction, steps: int, values: Mapping[st
     After each step its free coefficients are fixed, so later steps can form
     products: each takes its value from ``values``, or 0 if it has none.  A
     key of ``values`` that names no free coefficient of the computed steps
-    is refused with ValueError.
+    is refused with ValueError, as is ``steps`` < 1.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     series = PhgSeries(beta, truncation)
     for j in range(1, steps + 1):
         series.steps[j] = table = recursion_step(j, series)

@@ -103,6 +103,7 @@ REFUSALS = {
     "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
     "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),
     "assign_names_no_free_coefficient": (["phg", "recurse", "--beta", "3/4", "--assign", "zzz=5"], "'zzz'"),
+    "recurse_steps_zero": (["phg", "recurse", "--beta", "3/4", "--steps", "0"], "steps must be at least 1"),
     "probe_index_past_k": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "5"], "point index 5"),
     "probe_index_negative": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "-1"], "point index -1"),
     "hyperbolic_beta_zero": (["solve", "hyperbolic", "--beta", "0"], "beta must be positive"),

@@ -9,6 +9,7 @@ from conic_moduli.phg import (
     IndicialCollisionError,
     LinExpr,
     PhgSeries,
+    Slot,
     TrigPoly,
     exp_series,
     fit_exponents,
@@ -210,6 +211,21 @@ def test_recursion_requires_resolved_priors():
 
 
 def test_recursion_verify_operator_identity():
+    # step 1 partly assigned: a[1,2,*], a[1,3,*], a[1,4,*] stay symbols, so the
+    # operator identity must cancel identically in them
+    series = PhgSeries(F(3, 4), F(9, 2))
+    t1 = series.steps[1] = recursion_step(1, series)
+    series.assign({"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2)})
+    assert any(t.has_symbols() for t in series.resolved_table(1).values())
+    assert verify_step(1, series, t1)
+    # a spurious term linear in a free symbol is caught
+    slot = t1[F(2)]
+    bad = dict(t1)
+    bad[F(2)] = Slot(slot.alpha, slot.trig + TrigPoly.const(LinExpr.symbol("a[1,2,c]")), slot.labels)
+    assert not verify_step(1, series, bad)
+
+
+def test_recurse_verify_operator_identity():
     # step 1 partly assigned (the rest default to 0), step 2 fully assigned
     step2 = {f"a[2,{l},{p}]": F(1, 7) for l in range(5) for p in "cs" if l or p == "c"}
     series = recurse(F(3, 4), F(9, 2), 2, {"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2), **step2})
@@ -246,6 +262,8 @@ def test_recursion_collision_slots_share_and_drop_purity():
     slot = table[F(3)]
     assert slot.multiplicity >= 2
     assert not slot.pure_expected
+    # step 0 takes its labels from the same exponent set: 2*beta = 1 collides with l = 1
+    assert series.steps[0][F(1)].labels == series.labels[F(1)] == ((0, 1), (1, 0))
     series.steps[2] = table
     series.assign({s: F(0) for a in table for s in table[a].free_symbols})
     assert verify_step(2, series, table)
