@@ -2,9 +2,12 @@
 
 Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output.  All numeric payloads carry the package version and
-the seed in use.  Exit codes: 2 for malformed configuration, 1 for numeric
-failures (divergence, degeneracy, singular linear algebra), 0 otherwise --
-verification failures are reported in the payload, not via the exit status.
+the seed in use.  Exit codes: 2 for malformed configuration (ValueError,
+OSError), 1 for numeric failures (any ArithmeticError, which includes the
+solver's divergence, nonconvergence and football-degeneracy errors, and
+singular linear algebra), 0 otherwise -- verification failures are reported
+in the payload, not via the exit status.  Only the ``solve`` commands import
+``solver``, and with it scipy; the others start with numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from . import charts, cones, flat, lattice, phg, solver
+from . import charts, cones, flat, lattice, phg
 from .extrapolate import least_squares_slope, loglog_slopes
 
 DEFAULT_SEED = 20240
@@ -77,14 +80,20 @@ def _parse_points(text: str) -> list[complex]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        x, y = chunk.split(",")
-        pts.append(complex(float(x), float(y)))
+        try:
+            x, y = (float(v) for v in chunk.split(","))
+        except ValueError as exc:  # a wrong count or a non-number
+            raise ValueError(f"malformed point {chunk!r} in {text!r}: expected re,im;re,im") from exc
+        pts.append(complex(x, y))
     return pts
 
 
 def _parse_mesh(text: str) -> tuple[int, int]:
-    t, p = text.lower().split("x")
-    return int(t), int(p)
+    try:
+        nt, nphi = (int(v) for v in text.lower().split("x"))
+    except ValueError as exc:  # a wrong count or a non-integer
+        raise ValueError(f"malformed mesh {text!r}: expected NTxNPHI") from exc
+    return nt, nphi
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +208,8 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
+    from . import solver
+
     beta = float(_parse_rational(args.beta))
     nt, nphi = _parse_mesh(args.mesh)
     mesh = solver.FiberMesh(args.rmin, args.rmax, nt, nphi, inner="pole", outer="dirichlet")
@@ -222,6 +233,8 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_spherical(args: argparse.Namespace) -> int:
+    from . import solver
+
     betas = [float(b) for b in _parse_beta_list(args.beta)]
     pts = _parse_points(args.points) if args.points else _default_sphere_points(len(betas))
     nt, nphi = _parse_mesh(args.mesh)
@@ -379,14 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        solver.DivergenceError,
-        solver.NonconvergenceError,
-        solver.FootballDegeneracyError,
-        phg.IndicialCollisionError,
-        ArithmeticError,
-        np.linalg.LinAlgError,  # a ValueError subclass, so caught first
-    ) as exc:
+    # ArithmeticError covers the solver's and phg's numeric errors;
+    # LinAlgError is a ValueError subclass, so it is caught first
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

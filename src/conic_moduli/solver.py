@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .cones import ConeData, troyanov
 from .extrapolate import least_squares_slope, loglog_slopes
@@ -59,16 +58,16 @@ Field = np.ndarray
 DensityLike = Union[float, Field, Callable[[Field, Field], Field]]
 
 
-class DivergenceError(RuntimeError):
-    """Picard contraction factor reached 1."""
+class DivergenceError(ArithmeticError):
+    """Picard contraction factor reached 1 (an ArithmeticError: the CLI exits 1)."""
 
 
-class NonconvergenceError(RuntimeError):
-    """Iteration budget exhausted before the residual target."""
+class NonconvergenceError(ArithmeticError):
+    """Iteration budget exhausted before the residual target (an ArithmeticError)."""
 
 
-class FootballDegeneracyError(RuntimeError):
-    """Spectral-gap guard refused a solve at or below the degenerate gap."""
+class FootballDegeneracyError(ArithmeticError):
+    """Spectral-gap guard refused a solve at or below the degenerate gap (an ArithmeticError)."""
 
 
 @dataclass(frozen=True)
@@ -298,8 +297,11 @@ def picard_solve(
     any other key raises ValueError).  The reported residual is recomputed
     from scratch on the final iterate, and the discrete maximum-principle
     bound sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
-    boundary data).
+    boundary data).  ``tol`` must be positive (ValueError otherwise; a NaN
+    would stop the loop at once).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
     # the boundary data as a grid field, zero off the Dirichlet rings
     lift = np.zeros_like(op.density)
@@ -471,9 +473,12 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     and 16 rejections in a row are a stall.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
-    raised unless sum W K0 > 0.  The football refusal (spectral gap of the
-    solved metric) is ``spherical_cone_solve``'s.
+    raised unless sum W K0 > 0, and unless ``tol`` > 0 (a NaN would skip the
+    loop).  The football refusal (spectral gap of the solved metric) is
+    ``spherical_cone_solve``'s.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if op.mesh.inner != "pole" or op.mesh.outer != "pole":
         raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
     W = op.W
@@ -667,6 +672,8 @@ def radial_hyperbolic(beta: float, r_max: float, nodes: int) -> RadialProfile:
     b = float(beta)
     if b <= 0:
         raise ValueError("beta must be positive")
+    from scipy.integrate import solve_ivp  # the only ODE user: not loaded with the module
+
     rf = np.linspace(0.0, r_max, nodes)
     u0 = np.zeros(nodes)
     x0 = 1e-6

@@ -1,9 +1,12 @@
 import functools
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,25 +23,68 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def readme_commands():
     """The argument lists of the sh block under the README's "## Command line"."""
-    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def write_family_csv(directory):
+    """The ``family.csv`` that the README's ``fit`` command reads."""
+    with open(directory / "family.csv", "w") as f:
+        f.write("rho,value\n")
+        for r in (0.1, 0.05, 0.025, 0.0125):
+            f.write(f"{r},{r**2}\n")
+
+
+def fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:2]))
 def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with open("family.csv", "w") as f:
-        f.write("rho,value\n")
-        for r in (0.1, 0.05, 0.025, 0.0125):
-            f.write(f"{r},{r**2}\n")
+    write_family_csv(tmp_path)
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse refused a flag or subcommand
         rc = exc.code
     assert rc == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_loads_scipy_only_to_solve(argv, tmp_path):
+    # a cold process: only the solve commands import the solver, and with it scipy
+    write_family_csv(tmp_path)
+    code = (
+        "import contextlib, io, sys\n"
+        "from conic_moduli.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    assert fresh_python(code, tmp_path).split() == ["0", str(argv[0] == "solve")]
+
+
+def test_solver_import_leaves_ode_stack_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from conic_moduli import solver\n"
+        "from conic_moduli.phg import u0_value\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "prof = solver.radial_hyperbolic(0.7, 0.5, 21)\n"
+        "print(float(np.max(np.abs(prof.u0 - u0_value(prof.rfrak)))) < 1e-10)\n"
+    )
+    assert fresh_python(code, tmp_path).split() == ["False", "True"]
 
 
 def test_faces_csv_row_count(capsys):
@@ -108,7 +154,20 @@ REFUSALS = {
     "probe_index_negative": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "-1"], "point index -1"),
     "hyperbolic_beta_zero": (["solve", "hyperbolic", "--beta", "0"], "beta must be positive"),
     "hyperbolic_beta_negative": (["solve", "hyperbolic", "--beta=-1/2"], "beta must be positive"),
+    "mesh_three_parts": (["solve", "hyperbolic", "--beta", "1/2", "--mesh", "129x24x3"], "expected NTxNPHI"),
+    "points_missing_im": (
+        ["solve", "spherical", "--beta", "1/2,2/3,3/4,5/6", "--points", "0,0;1,0;2"], "expected re,im;re,im"
+    ),
 }
+# a NaN tol would end the solve loop at once and print an unsolved field as solved
+for _tol in ("nan", "0", "-1"):
+    REFUSALS[f"hyperbolic_tol_{_tol}"] = (
+        ["solve", "hyperbolic", "--beta", "1/2", "--mesh", "48x16", f"--tol={_tol}"], "tol must be positive"
+    )
+    REFUSALS[f"spherical_tol_{_tol}"] = (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0", "--mesh", "65x16", f"--tol={_tol}"],
+        "tol must be positive",
+    )
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
@@ -127,6 +186,22 @@ def test_football_solve_exits_1(capsys):
     )
     assert rc == 1
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize(
+    "error", [solver.DivergenceError, solver.NonconvergenceError, solver.FootballDegeneracyError],
+    ids=lambda e: e.__name__,
+)
+def test_solver_error_exits_1(error, capsys, monkeypatch):
+    # the solver's errors are ArithmeticErrors, which main maps to exit 1
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(solver, "spherical_cone_solve", fail)
+    rc, out, err = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0")
+    assert rc == 1
+    assert out == ""
+    assert err == "numeric error: injected\n"
 
 
 def test_linalg_error_exits_1(capsys, monkeypatch):
