@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from . import charts, cones, flat, lattice, phg
-from .extrapolate import least_squares_slope, loglog_slopes
+from . import charts, cones, extrapolate, flat, lattice, phg
 
 DEFAULT_SEED = 20240
 ENV_SEED = "CONIC_MODULI_SEED"
@@ -192,7 +191,7 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
         key, _, val = item.partition("=")
         if not val:
             raise ValueError(f"malformed assignment {item!r}")
-        assignments[key] = Fraction(val)
+        assignments[key] = _parse_rational(val)
     series = phg.recurse(_parse_rational(args.beta), _parse_rational(args.truncation), args.steps, assignments)
     rows = []
     for j in range(1, args.steps + 1):
@@ -274,19 +273,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             line = line.strip()
             if not line or line.startswith("#") or line[0].isalpha():
                 continue
-            parts = line.split(",")
-            rows.append((float(parts[0]), float(parts[1])))
-    if len(rows) < 3:
-        raise ValueError("need at least three (rho, value) rows")
-    rhos = [r for r, _ in rows]
-    vals = [abs(v) for _, v in rows]
-    slope = least_squares_slope(rhos, vals)
+            try:
+                rho, value = (float(v) for v in line.split(","))
+            except ValueError as exc:  # a wrong count or a non-number
+                raise ValueError(f"malformed row {line!r}: expected rho,value") from exc
+            rows.append((rho, value))
+    slope, pair_slopes, passes = extrapolate.decay_verdict([r for r, _ in rows], [v for _, v in rows], args.N)
     payload = {
         "input": os.path.basename(args.input),
         "n_target": args.N,
         "slope": slope,
-        "pair_slopes": loglog_slopes(rhos, vals),
-        "passes": slope >= args.N - 0.1,
+        "pair_slopes": pair_slopes,
+        "passes": passes,
     }
     if args.terms:
         fit = phg.fit_exponents(rows, count=args.terms)

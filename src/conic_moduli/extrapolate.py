@@ -1,4 +1,4 @@
-"""Polynomial extrapolation to zero and log-log slope utilities."""
+"""Polynomial extrapolation to zero, log-log slopes and the decay verdict."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["neville_zero", "loglog_slopes", "least_squares_slope"]
+__all__ = ["neville_zero", "loglog_slopes", "least_squares_slope", "decay_verdict"]
 
 
 def neville_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -46,3 +46,29 @@ def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     ly = np.log(np.asarray(ys, dtype=float))
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def decay_verdict(
+    rhos: Sequence[float], values: Sequence[float], n_target: int
+) -> tuple[float, list[float], bool]:
+    """Decay rate of |value| as rho -> 0 and whether it reaches n_target.
+
+    Returns the least-squares log-log slope, the consecutive pair slopes,
+    and the verdict slope >= n_target - 0.1.  Refuses (ValueError) fewer
+    than three samples, rho values that are not positive, strictly
+    decreasing and geometric (successive ratios within 1 % of each other),
+    and a zero or non-finite value.
+    """
+    rhos = [float(r) for r in rhos]
+    mags = [abs(float(v)) for v in values]
+    if len(rhos) < 3:
+        raise ValueError("need at least three (rho, value) samples")
+    if not all(r1 > r2 > 0 for r1, r2 in zip(rhos, rhos[1:])):
+        raise ValueError("rho values must be positive and strictly decreasing")
+    ratios = [r1 / r2 for r1, r2 in zip(rhos, rhos[1:])]
+    if max(ratios) / min(ratios) > 1.01:
+        raise ValueError("rho values must form a geometric sequence")
+    if not all(0 < m < math.inf for m in mags):
+        raise ValueError("values must be finite and nonzero")
+    slope = least_squares_slope(rhos, mags)
+    return slope, loglog_slopes(rhos, mags), slope >= n_target - 0.1

@@ -655,8 +655,11 @@ def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> Fit
     exponent, the matching coefficient is extrapolated the same way, the
     fitted term is subtracted, and the process repeats.  Non-monotone decay
     is reported as a failure, not raised; peeling stops early once the
-    residual reaches the cancellation floor.
+    residual reaches the cancellation floor.  Refuses (ValueError) a count
+    below 1.
     """
+    if count < 1:
+        raise ValueError(f"term count must be at least 1, got {count}")
     rho = [float(r) for r, _ in samples]
     val = [float(v) for _, v in samples]
     if len(rho) < 3:

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import ConeData, troyanov
-from .extrapolate import least_squares_slope, loglog_slopes
+from .extrapolate import decay_verdict, least_squares_slope
 from .phg import u0_value
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ConicLaplacianOp",
     "SolveReport",
     "DecayReport",
-    "RadialProfile",
     "assemble",
     "picard_solve",
     "hyperbolic_correction_solve",
@@ -44,7 +43,6 @@ __all__ = [
     "spherical_cone_solve",
     "eigen_gap",
     "decay_check",
-    "radial_hyperbolic",
     "round_sphere_density",
     "football_density",
     "singular_sphere_background",
@@ -608,18 +606,12 @@ class DecayReport:
 def decay_check(family: Sequence[tuple[float, Field]], n_target: int) -> DecayReport:
     """Log-log decay rate of sup|field| and of its first discrete b-derivatives.
 
-    The family must list at least three geometrically decreasing rho values;
-    passes when the value slope is at least n_target - 0.1.  Report-only:
-    never raises on a failed slope.
+    The sups over interior rows go through ``extrapolate.decay_verdict``,
+    which refuses fewer than three samples, rho values that do not decrease
+    geometrically and a zero sup; passes when the value slope is at least
+    n_target - 0.1.  Report-only: never raises on a failed slope.
     """
-    if len(family) < 3:
-        raise ValueError("need at least three (rho, field) samples")
     rhos = [float(r) for r, _ in family]
-    if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
-        raise ValueError("rho values must be strictly decreasing")
-    ratios = [r1 / r2 for r1, r2 in zip(rhos, rhos[1:])]
-    if max(ratios) / min(ratios) > 1.01:
-        raise ValueError("rho values must form a geometric sequence")
     sups = []
     sups_dt = []
     sups_dp = []
@@ -631,80 +623,18 @@ def decay_check(family: Sequence[tuple[float, Field]], n_target: int) -> DecayRe
         dp = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1))[1:-1, :] / 2.0
         sups_dt.append(float(np.max(np.abs(dt))))
         sups_dp.append(float(np.max(np.abs(dp))))
-    value_slope = least_squares_slope(rhos, sups)
+    value_slope, pair_slopes, passes = decay_verdict(rhos, sups, n_target)
     slope_dt = least_squares_slope(rhos, sups_dt) if min(sups_dt) > 0 else math.inf
     slope_dp = least_squares_slope(rhos, sups_dp) if min(sups_dp) > 0 else math.inf
     return DecayReport(
         rhos=tuple(rhos),
         sup_values=tuple(sups),
         value_slope=value_slope,
-        pair_slopes=tuple(loglog_slopes(rhos, sups)),
+        pair_slopes=tuple(pair_slopes),
         bderiv_slopes=(slope_dt, slope_dp),
         n_target=n_target,
-        passes=value_slope >= n_target - 0.1,
+        passes=passes,
     )
-
-
-# ---------------------------------------------------------------------------
-# the one-cone radial profile by honest ODE integration
-
-
-@dataclass
-class RadialProfile:
-    beta: float
-    rfrak: Field
-    u0: Field
-    r: Field
-
-
-def radial_hyperbolic(beta: float, r_max: float, nodes: int) -> RadialProfile:
-    """Integrate the one-cone geodesic/conformal ODE system numerically.
-
-    The system d rtilde/d rfrak = e^{u0}, sinh(rtilde) = e^{u0} rfrak is
-    reduced to d rtilde/d rfrak = sinh(rtilde)/rfrak and integrated with a
-    high-order scheme from a series start; u0(rfrak) = log(sinh(rtilde)/rfrak)
-    is returned on a uniform grid.  The metric closes up at rfrak = 2.
-    """
-    if not 0 < r_max < 2:
-        raise ValueError("r_max must lie in (0, 2) in the rfrak variable")
-    if nodes < 2:
-        raise ValueError("need at least two nodes")
-    b = float(beta)
-    if b <= 0:
-        raise ValueError("beta must be positive")
-    from scipy.integrate import solve_ivp  # the only ODE user: not loaded with the module
-
-    rf = np.linspace(0.0, r_max, nodes)
-    u0 = np.zeros(nodes)
-    x0 = 1e-6
-
-    def series_rtilde(x: float) -> float:
-        # rtilde = x + x^3/12 + 3 x^5/320 + O(x^7) near the tip
-        return x * (1.0 + x * x / 12.0 + 3.0 * x**4 / 320.0)
-
-    def rhs(x: float, y: Field) -> Field:
-        return np.array([math.sinh(y[0]) / x])
-
-    far = np.nonzero(rf > x0)[0]
-    if far.size:
-        sol = solve_ivp(
-            rhs,
-            (x0, float(rf[far[-1]])),
-            np.array([series_rtilde(x0)]),
-            t_eval=rf[far],
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-16,
-        )
-        if not sol.success:
-            raise ArithmeticError(f"ODE integration failed: {sol.message}")
-        for idx, rtilde in zip(far, sol.y[0]):
-            u0[idx] = math.log(math.sinh(rtilde) / rf[idx])
-    for i, x in enumerate(rf):
-        if 0.0 < x <= x0:
-            u0[i] = math.log(math.sinh(series_rtilde(x)) / x)
-    r = np.power(b * rf, 1.0 / b, where=rf > 0, out=np.zeros_like(rf))
-    return RadialProfile(beta=b, rfrak=rf, u0=u0, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ from conic_moduli.solver import (
     football_density,
     merging_pair_residual_family,
     picard_solve,
-    radial_hyperbolic,
     round_sphere_density,
     spherical_cone_solve,
 )
+
+from oracles import radial_hyperbolic
 
 
 def report(n: int, text: str) -> None:

@@ -75,16 +75,19 @@ def test_readme_command_loads_scipy_only_to_solve(argv, tmp_path):
 
 
 def test_solver_import_leaves_ode_stack_unloaded(tmp_path):
+    # no library module and no README solve loads scipy's ODE integrators
+    solves = [argv for argv in readme_commands() if argv[0] == "solve"]
     code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from conic_moduli import solver\n"
-        "from conic_moduli.phg import u0_value\n"
-        "print('scipy.integrate' in sys.modules)\n"
-        "prof = solver.radial_hyperbolic(0.7, 0.5, 21)\n"
-        "print(float(np.max(np.abs(prof.u0 - u0_value(prof.rfrak)))) < 1e-10)\n"
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import conic_moduli\n"
+        "for mod in pkgutil.iter_modules(conic_moduli.__path__):\n"
+        "    importlib.import_module(f'conic_moduli.{mod.name}')\n"
+        "from conic_moduli.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rcs = [main(argv) for argv in {solves!r}]\n"
+        "print(*rcs, 'scipy.integrate' in sys.modules)\n"
     )
-    assert fresh_python(code, tmp_path).split() == ["False", "True"]
+    assert fresh_python(code, tmp_path).split() == ["0", "0", "False"]
 
 
 def test_faces_csv_row_count(capsys):
@@ -149,6 +152,9 @@ REFUSALS = {
     "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
     "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),
     "assign_names_no_free_coefficient": (["phg", "recurse", "--beta", "3/4", "--assign", "zzz=5"], "'zzz'"),
+    "assign_value_divide_by_zero": (
+        ["phg", "recurse", "--beta", "3/4", "--assign", "a[1,1,c]=1/0"], "not a rational"
+    ),
     "recurse_steps_zero": (["phg", "recurse", "--beta", "3/4", "--steps", "0"], "steps must be at least 1"),
     "probe_index_past_k": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "5"], "point index 5"),
     "probe_index_negative": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--index", "-1"], "point index -1"),
@@ -294,6 +300,42 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert payload["passes"]
     assert payload["slope"] == pytest.approx(3.0, abs=1e-8)
     assert payload["fit_terms"][0]["alpha"] == pytest.approx(3.0, abs=1e-6)
+
+
+FIT_REFUSALS = {
+    "one_field_row": (["0.1,0.01", "0.05", "0.025,0.000625"], [], "malformed row '0.05'"),
+    "increasing_rho": (["0.025,0.000625", "0.05,0.0025", "0.1,0.01"], [], "strictly decreasing"),
+    "non_geometric_rho": (["0.1,0.01", "0.05,0.0025", "0.03,0.0009"], [], "geometric"),
+    "zero_value": (["0.1,0.01", "0.05,0", "0.025,0.000625"], [], "nonzero"),
+    "nan_value": (["0.1,0.01", "0.05,nan", "0.025,0.000625"], [], "finite"),
+    "terms_negative": (["0.1,0.01", "0.05,0.0025", "0.025,0.000625"], ["--terms", "-1"], "at least 1"),
+}
+
+
+@pytest.mark.parametrize("rows, extra, message", FIT_REFUSALS.values(), ids=FIT_REFUSALS.keys())
+def test_fit_refusal_exits_2(rows, extra, message, tmp_path, capsys):
+    path = tmp_path / "family.csv"
+    path.write_text("rho,value\n" + "\n".join(rows) + "\n")
+    rc, out, err = run(capsys, "fit", "--input", str(path), "--N", "2", *extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("n_target", [2, 3])
+def test_fit_and_decay_check_share_the_verdict(n_target, tmp_path, capsys):
+    # constant fields: the interior sup of each is the value's magnitude
+    rhos = [0.1 / 2**i for i in range(5)]
+    values = [-2.0 * r**2.5 * (1 + r) for r in rhos]
+    path = tmp_path / "family.csv"
+    path.write_text("rho,value\n" + "".join(f"{r!r},{v!r}\n" for r, v in zip(rhos, values)))
+    rc, out, _ = run(capsys, "fit", "--input", str(path), "--N", str(n_target))
+    assert rc == 0
+    payload = json.loads(out)
+    rep = solver.decay_check([(r, np.full((5, 4), v)) for r, v in zip(rhos, values)], n_target)
+    assert payload["slope"] == rep.value_slope
+    assert payload["pair_slopes"] == list(rep.pair_slopes)
+    assert payload["passes"] == rep.passes == (n_target == 2)
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -20,11 +20,12 @@ from conic_moduli.solver import (
     merging_pair_residual_family,
     newton_solve_spherical,
     picard_solve,
-    radial_hyperbolic,
     round_sphere_density,
     singular_sphere_background,
     spherical_cone_solve,
 )
+
+from oracles import radial_hyperbolic
 
 
 def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
@@ -486,6 +487,10 @@ def test_decay_check_validation():
         decay_check([(0.1, base), (0.05, base)], 1)
     with pytest.raises(ValueError):
         decay_check([(0.1, base), (0.05, base), (0.03, base)], 1)  # not geometric
+    with pytest.raises(ValueError):
+        decay_check([(0.025, base), (0.05, base), (0.1, base)], 1)  # increasing
+    with pytest.raises(ValueError):
+        decay_check([(0.1, base), (0.05, 0 * base), (0.025, base)], 1)  # a zero field
 
 
 def test_merging_pair_residual_slopes():
