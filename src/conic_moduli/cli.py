@@ -267,17 +267,20 @@ def _default_sphere_points(k: int) -> list[complex]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    rows = []
     with open(args.input, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
-                continue
-            try:
-                rho, value = (float(v) for v in line.split(","))
-            except ValueError as exc:  # a wrong count or a non-number
-                raise ValueError(f"malformed row {line!r}: expected rho,value") from exc
-            rows.append((rho, value))
+        lines = [s for s in (line.strip() for line in f) if s and not s.startswith("#")]
+    if lines:
+        try:
+            float(lines[0].split(",")[0])
+        except ValueError:  # the one header: the first line, led by a non-number
+            del lines[0]
+    rows = []
+    for line in lines:
+        try:
+            rho, value = (float(v) for v in line.split(","))
+        except ValueError as exc:  # a wrong count or a non-number
+            raise ValueError(f"malformed row {line!r}: expected rho,value") from exc
+        rows.append((rho, value))
     slope, pair_slopes, passes = extrapolate.decay_verdict([r for r, _ in rows], [v for _, v in rows], args.N)
     payload = {
         "input": os.path.basename(args.input),

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,20 +73,23 @@ class FlatConicMetric:
         return len(self.points)
 
 
-def green_factor(m: FlatConicMetric, z: complex, exclude: Optional[int] = None) -> float:
-    """G(z) = sum (beta_i - 1) log|z - p_i|; diverges at the marked points.
+def green_factor(m: FlatConicMetric, z: Union[complex, np.ndarray], exclude: Optional[int] = None) -> np.ndarray:
+    """G(z) = sum (beta_i - 1) log|z - p_i|, elementwise; diverges at the marked points.
 
-    With ``exclude`` the log term of points[exclude] is left out, which
-    leaves a function smooth near that point.
+    ``z`` is a complex number or an array; a scalar gives a 0-d array.  With
+    ``exclude`` the log term of points[exclude] is left out, which leaves a
+    function smooth near that point.  Any other marked point in ``z`` raises
+    ValueError.
     """
-    total = 0.0
+    z = np.asarray(z, dtype=complex)
+    total = np.zeros(z.shape)
     for j, (p, b) in enumerate(zip(m.points, m.beta)):
         if j == exclude:
             continue
-        d = abs(z - p)
-        if d == 0.0:
-            raise ValueError(f"z = {z} is a marked point")
-        total += float(b - 1) * math.log(d)
+        d = np.abs(z - p)
+        if np.any(d == 0.0):
+            raise ValueError(f"z hits the marked point {p}")
+        total += float(b - 1) * np.log(d)
     return total
 
 
@@ -157,8 +160,8 @@ def circle_integral(f) -> float:
         vals_new = f(t_new)
         n *= 2
         total = (np.sum(vals) + np.sum(vals_new)) * (2 * math.pi / n)
-        t = np.sort(np.concatenate([t, t_new]))
-        vals = np.concatenate([vals, vals_new])  # order irrelevant for the mean
+        t = np.concatenate([t, t_new])  # only the next midpoints read t
+        vals = np.concatenate([vals, vals_new])
         if abs(total - best) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         best = total
@@ -174,15 +177,15 @@ def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
     Panels double from 4 until the relative change is at most QUAD_RTOL, up
     to 4096 panels; t is a log-radius variable, so integrands are smooth
     here even when the radial integrand is algebraically singular at r = 0.
+    ``g`` works elementwise: each level calls it once, on a panels x 16 array.
     """
     panels = 4
     prev = None
     while panels <= 4096:
         edges = np.linspace(t_lo, t_hi, panels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            total += half * float(np.sum(_GL_WEIGHTS * g(mid + half * _GL_NODES)))
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        vals = g(mid[:, None] + half[:, None] * _GL_NODES)
+        total = float(np.sum(half * np.sum(_GL_WEIGHTS * vals, axis=1)))
         if prev is not None and abs(total - prev) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         prev = total
@@ -205,15 +208,7 @@ class ProbeReport:
 def _circumference(m: FlatConicMetric, index: int, r: float) -> float:
     p = m.points[index]
     b = float(m.beta[index])
-
-    def f(t: np.ndarray) -> np.ndarray:
-        zs = p + r * np.exp(1j * t)
-        out = np.empty_like(t)
-        for i, z in enumerate(zs):
-            out[i] = math.exp(green_factor(m, complex(z), exclude=index))
-        return out
-
-    return r**b * circle_integral(f)
+    return r**b * circle_integral(lambda t: np.exp(green_factor(m, p + r * np.exp(1j * t), exclude=index)))
 
 
 def _radial_length(m: FlatConicMetric, index: int, r: float) -> float:
@@ -221,18 +216,12 @@ def _radial_length(m: FlatConicMetric, index: int, r: float) -> float:
     b = float(m.beta[index])
     t_hi = math.log(r)
     t_lo = t_hi - 40.0 / b
-
-    def g(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            z = p + math.exp(t)
-            out[i] = math.exp(b * t + green_factor(m, z, exclude=index))
-        return out
-
     # analytic tail below t_lo: the smooth factor is constant to machine
     # precision there, so its contribution is exp(Gtilde(p)) e^{b t_lo}/b
     tail = math.exp(green_factor(m, p, exclude=index)) * math.exp(b * t_lo) / b
-    return radial_log_integral(g, t_lo, t_hi) + tail
+    return radial_log_integral(
+        lambda ts: np.exp(b * ts + green_factor(m, p + np.exp(ts), exclude=index)), t_lo, t_hi
+    ) + tail
 
 
 def cone_angle_probe(
@@ -374,7 +363,7 @@ def cluster_split(m: FlatConicMetric, t: ClusterTree, scale: float = 0.5) -> Clu
         pos, centers = _shrunk_positions(m, t, factor)
         probe = centers[deepest] + factor ** (d_deep + 1) * delta
         shrunk = FlatConicMetric(tuple(pos), m.beta)
-        rem = green_factor(shrunk, probe) - float(total_coeff) * math.log(factor)
+        rem = float(green_factor(shrunk, probe)) - float(total_coeff) * math.log(factor)
         path.append((factor, rem))
 
     values = [r for _, r in path]

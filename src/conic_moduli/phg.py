@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .cones import RationalLike, to_fraction
-from .extrapolate import neville_zero
+from .extrapolate import loglog_slopes, neville_zero
 
 __all__ = [
     "LinExpr",
@@ -297,14 +297,17 @@ def index_set(beta: RationalLike, cutoff: RationalLike) -> list[ExponentEntry]:
 # the radial one-cone series
 
 
+_U0_MAX_ORDER = 30  # the most terms of the radial series that ``u0_series`` hands out
+
+
 def u0_series(order: int) -> list[Fraction]:
     """Coefficients a_j of rfrak^{2j}, j = 1..order, of -log(1 - rfrak^2/4).
 
     a_j = 1/(j*4^j); the series is independent of the cone parameter in the
     geodesic-model variable rfrak.
     """
-    if not 1 <= order <= 30:
-        raise ValueError("order must be between 1 and 30")
+    if not 1 <= order <= _U0_MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {_U0_MAX_ORDER}")
     return [Fraction(1, j * 4**j) for j in range(1, order + 1)]
 
 
@@ -392,7 +395,9 @@ class PhgSeries:
     coefficients appear as symbols named a[j,l,c] / a[j,l,s]; ``assign`` fixes
     them (they are determined by the global problem, not locally).  ``labels``
     maps each exponent of {0} U ``index_set(beta, truncation)`` to its (l, k)
-    pairs; every table entry sits at one of these exponents.
+    pairs; every table entry sits at one of these exponents.  ``weight`` is
+    e^{2 u0} at the exponents 2*k*beta <= truncation; ValueError refuses a
+    truncation that needs more one-cone terms than ``u0_series`` hands out.
     """
 
     def __init__(self, beta: Union[Fraction, str], truncation: Union[Fraction, int, str]):
@@ -402,28 +407,24 @@ class PhgSeries:
         self.truncation = Fraction(truncation)
         if self.truncation <= 0:
             raise ValueError("truncation must be positive")
+        b = self.beta
+        kmax = int(self.truncation / (2 * b))
+        if kmax > _U0_MAX_ORDER:
+            raise ValueError(
+                f"beta = {b} with truncation {self.truncation} needs {kmax} one-cone terms; "
+                f"at most {_U0_MAX_ORDER} are tabulated"
+            )
         self.labels: dict[Fraction, tuple[tuple[int, int], ...]] = {Fraction(0): ((0, 0),)}
-        self.labels.update((e.alpha, e.pairs) for e in index_set(self.beta, self.truncation))
-        self.steps: dict[int, StepTable] = {0: self._u0_table()}
+        self.labels.update((e.alpha, e.pairs) for e in index_set(b, self.truncation))
+        # step 0 and the weight, once: a_k rfrak^{2k} = a_k r^{2k beta} / beta^{2k}
+        coeffs = [c / b ** (2 * k) for k, c in enumerate(u0_series(kmax), start=1)] if kmax else []
+        self.steps: dict[int, StepTable] = {0: {}}
+        for k, c in enumerate(coeffs, start=1):
+            self.inject(0, 2 * k * b, TrigPoly.const(c))
+        self.weight: dict[Fraction, TrigPoly] = {
+            2 * k * b: TrigPoly.const(c) for k, c in enumerate(exp_series(coeffs, kmax))
+        }
         self.assignments: dict[str, Fraction] = {}
-
-    def _u0_table(self) -> StepTable:
-        table: StepTable = {}
-        b = self.beta
-        kmax = int(self.truncation / (2 * b))
-        coeffs = u0_series(max(1, kmax)) if kmax >= 1 else []
-        for k in range(1, kmax + 1):
-            alpha = 2 * k * b
-            a_rk = coeffs[k - 1] / b ** (2 * k)  # rfrak^{2k} = r^{2k beta}/beta^{2k}
-            table[alpha] = Slot(alpha, TrigPoly.const(a_rk), labels=self.labels[alpha])
-        return table
-
-    def weight_series(self) -> list[Fraction]:
-        """e^{2 u0} as coefficients of r^{2 k beta}, through the truncation."""
-        b = self.beta
-        kmax = int(self.truncation / (2 * b))
-        coeffs = [self.steps[0][2 * k * b].trig.coeffs[0][0].value() for k in range(1, kmax + 1)]
-        return exp_series(coeffs, kmax)
 
     def inject(self, j: int, alpha: Union[Fraction, int], trig: TrigPoly) -> None:
         """Install a bespoke table entry (unit tests drive the recursion this way)."""
@@ -470,8 +471,8 @@ def _add_tables(
     return {x: t for x, t in out.items() if not t.is_zero}
 
 
-def _forcing(j: int, prior: PhgSeries) -> tuple[dict[Fraction, TrigPoly], dict[Fraction, TrigPoly]]:
-    """The e^{2 u0} weight table and the step-j right-hand side, through the truncation.
+def _forcing(j: int, prior: PhgSeries) -> dict[Fraction, TrigPoly]:
+    """The step-j right-hand side, through the truncation.
 
     The right-hand side is -r^{2 beta} e^{2 u0} Q_j, where Q_j is the rho^j
     coefficient of e^{2v} - 1 - 2v over the resolved prior steps 1..j-1.
@@ -500,11 +501,7 @@ def _forcing(j: int, prior: PhgSeries) -> tuple[dict[Fraction, TrigPoly], dict[F
         W[n] = acc
     q_j = W[j] if j >= 2 else {}  # e^{2v}-1-2v has no rho^1 coefficient
 
-    weight: dict[Fraction, TrigPoly] = {
-        2 * k * b: TrigPoly.const(c) for k, c in enumerate(prior.weight_series()) if 2 * k * b <= cap
-    }
-    rhs = {x + two_b: t.scale(Fraction(-1)) for x, t in _mul_tables(q_j, weight, inner_cap).items()}
-    return weight, rhs
+    return {x + two_b: t.scale(Fraction(-1)) for x, t in _mul_tables(q_j, prior.weight, inner_cap).items()}
 
 
 def recursion_step(j: int, prior: PhgSeries) -> StepTable:
@@ -526,14 +523,14 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
         if i not in prior.steps:
             raise ValueError(f"prior is missing step {i}")
     two_b = 2 * prior.beta
-    weight, rhs = _forcing(j, prior)
+    rhs = _forcing(j, prior)
 
     table: StepTable = {}
     substituted: dict[Fraction, TrigPoly] = {}  # with prior assignments applied
     for alpha in sorted(prior.labels):
         force = rhs.get(alpha, TrigPoly())
         # ladder coupling 2 r^{2b} e^{2u0} u_j from already-solved slots
-        for x, wk in weight.items():
+        for x, wk in prior.weight.items():
             lower = alpha - two_b - x
             if lower in substituted:
                 force = force - substituted[lower].scale(2 * wk.coeffs[0][0].value())
@@ -601,8 +598,8 @@ def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
             op = op + TrigPoly({m: (c * factor, d * factor)})
         if not op.is_zero:
             lhs[alpha] = lhs[alpha] + op if alpha in lhs else op
-    weight, rhs = _forcing(j, prior)
-    coupling = {2 * b + x: t.scale(Fraction(2)) for x, t in weight.items() if 2 * b + x <= cap}
+    rhs = _forcing(j, prior)
+    coupling = {2 * b + x: t.scale(Fraction(2)) for x, t in prior.weight.items() if 2 * b + x <= cap}
     lhs = _add_tables(lhs, _mul_tables(sub, coupling, cap))
 
     keys = set(lhs) | set(rhs)
@@ -654,9 +651,10 @@ def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> Fit
     Consecutive log-log slopes are extrapolated to rho -> 0 for the leading
     exponent, the matching coefficient is extrapolated the same way, the
     fitted term is subtracted, and the process repeats.  Non-monotone decay
-    is reported as a failure, not raised; peeling stops early once the
-    residual reaches the cancellation floor.  Refuses (ValueError) a count
-    below 1.
+    is reported as a failure, not raised, and so are rho values that are not
+    finite, positive and strictly decreasing and values that are zero or
+    not finite; peeling stops early once the residual reaches the
+    cancellation floor.  Refuses (ValueError) a count below 1.
     """
     if count < 1:
         raise ValueError(f"term count must be at least 1, got {count}")
@@ -664,10 +662,10 @@ def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> Fit
     val = [float(v) for _, v in samples]
     if len(rho) < 3:
         return FitReport([], ok=False, message="need at least three samples")
-    if any(r2 >= r1 for r1, r2 in zip(rho, rho[1:])) or any(r <= 0 for r in rho):
-        return FitReport([], ok=False, message="rho must be positive and strictly decreasing")
-    if any(v == 0 for v in val):
-        return FitReport([], ok=False, message="values must be nonzero")
+    if not all(math.inf > r1 > r2 > 0 for r1, r2 in zip(rho, rho[1:])):
+        return FitReport([], ok=False, message="rho must be finite, positive and strictly decreasing")
+    if not all(0 < abs(v) < math.inf for v in val):
+        return FitReport([], ok=False, message="values must be finite and nonzero")
     floor = max(abs(v) for v in val) * 1e-13
     terms: list[FitTerm] = []
     resid = list(val)
@@ -679,12 +677,8 @@ def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> Fit
         if any(m <= 0 for m in mags) or any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
             ok = bool(terms)
             return FitReport(terms, ok=ok, message="non-monotone decay", residual_floor=floor)
-        slopes = []
-        mids = []
-        for (r1, m1), (r2, m2) in zip(zip(rho, mags), zip(rho[1:], mags[1:])):
-            slopes.append(math.log(m1 / m2) / math.log(r1 / r2))
-            mids.append(math.sqrt(r1 * r2))
-        alpha = neville_zero(mids, slopes)
+        mids = [math.sqrt(r1 * r2) for r1, r2 in zip(rho, rho[1:])]
+        alpha = neville_zero(mids, loglog_slopes(rho, mags))
         coeff = sign * neville_zero(rho, [m / r**alpha for r, m in zip(rho, mags)])
         terms.append(FitTerm(alpha=alpha, coefficient=coeff))
         resid = [v - coeff * r**alpha for r, v in zip(rho, resid)]

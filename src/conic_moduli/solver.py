@@ -310,56 +310,44 @@ def picard_solve(
         lift[ring[side], :] = values
     b_lift = op.B @ lift.ravel()
     lu = op.shifted(2.0)
+    eps = float(np.finfo(float).eps)
 
-    def solve_dof(g_grid: Field) -> Field:
-        return lu.solve(op.R @ (g_grid * op.cell_mass).ravel() - b_lift)
-
-    def recomputed_residual(v_dof: Field, v_grid: Field) -> float:
-        # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
-        rhs_grid = f + _q_nonlinearity(v_grid)
-        resid = op.weak_laplacian_dof(v_dof, lift) + 2.0 * v_dof - _restrict(op, rhs_grid)
-        return float(np.max(np.abs(resid)))
-
-    abs_a = abs(op.A)
-
-    def roundoff_floor(v_dof: Field, rhs_sup: float) -> float:
-        amp = (abs_a @ np.abs(v_dof)) / op.W + 2.0 * np.abs(v_dof)
-        return float(np.finfo(float).eps) * (float(np.max(amp)) + rhs_sup)
-
+    # each iterate's grid field and f + Q(v), computed once for every use below
     v = np.zeros(op.ndof)
+    v_grid = op.dof_to_grid(v) + lift
+    rhs_grid = f + _q_nonlinearity(v_grid)
     prev_delta = None
     contraction = 0.0
-    residual = math.inf
     iterations = 0
     while True:
         if iterations >= maxit:
             raise NonconvergenceError(f"no convergence in {maxit} Picard iterations")
         iterations += 1
-        v_grid = op.dof_to_grid(v) + lift
-        v_new = solve_dof(f + _q_nonlinearity(v_grid))
+        v_new = lu.solve(op.R @ (rhs_grid * op.cell_mass).ravel() - b_lift)
         delta = float(np.max(np.abs(v_new - v)))
         if prev_delta is not None and prev_delta > 0 and delta > 0:
             contraction = delta / prev_delta
-            noise = 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(v_new))))
+            noise = 1e3 * eps * (1.0 + float(np.max(np.abs(v_new))))
             if contraction >= 1.0 and delta > max(tol, noise):
                 raise DivergenceError(f"contraction factor {contraction:.3f} >= 1 at iteration {iterations}")
         v, prev_delta = v_new, delta
-        v_grid_new = op.dof_to_grid(v) + lift
-        residual = recomputed_residual(v, v_grid_new)
+        v_grid = op.dof_to_grid(v) + lift
+        rhs_grid = f + _q_nonlinearity(v_grid)
+        # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
+        resid = op.weak_laplacian_dof(v, lift) + 2.0 * v - _restrict(op, rhs_grid)
+        residual = float(np.max(np.abs(resid)))
         if residual <= tol:
             break
-        if delta <= np.finfo(float).eps * (1.0 + float(np.max(np.abs(v)))):
+        if delta <= eps * (1.0 + float(np.max(np.abs(v)))):
             # stagnated; acceptable only when the residual sits at the
             # floating-point evaluation floor of the residual expression
-            rhs_sup = float(np.max(np.abs(f + _q_nonlinearity(v_grid_new))))
-            if residual <= 1000.0 * roundoff_floor(v, rhs_sup):
+            amp = (abs(op.A) @ np.abs(v)) / op.W + 2.0 * np.abs(v)
+            if residual <= 1000.0 * eps * (float(np.max(amp)) + float(np.max(np.abs(rhs_grid)))):
                 break
             raise NonconvergenceError(
                 f"stagnated at residual {residual:.3e} above the evaluation floor"
             )
 
-    v_grid = op.dof_to_grid(v) + lift
-    rhs_grid = f + _q_nonlinearity(v_grid)
     sup_rhs = float(np.max(np.abs(rhs_grid)))
     sup_v = float(np.max(np.abs(v_grid)))
     return SolveReport(
@@ -666,12 +654,16 @@ def singular_sphere_background(
     infinity.  Returns (density, K0): the density is the round sphere times
     |z - p_i|^{2(beta_i - 1)} factors with the compensating (1+|z|^2) power,
     and K0 is its curvature, which has the closed form
-    (chi(beta)/2) * e^{2(phi_round - phi0)} away from the cone points.
+    (chi(beta)/2) * e^{2(phi_round - phi0)} away from the cone points.  A
+    repeated finite point is refused with ValueError.
     """
     bs = [float(b) for b in betas]
     pts = [complex(p) for p in finite_points]
     if len(bs) != len(pts) + 1:
         raise ValueError("need one more beta than finite points (the last is at infinity)")
+    repeated = [p for i, p in enumerate(pts) if p in pts[:i]]
+    if repeated:
+        raise ValueError(f"finite cone point {repeated[0].real:g},{repeated[0].imag:g} is repeated")
     c = sum(b - 1.0 for b in bs)
     chi_beta = 2.0 + c
 
@@ -765,18 +757,14 @@ def merging_pair_residual_family(
     u1 = op0.shifted(shift).solve(-(a_g1 + shift * op0.W * g1_dof))
     u1_grid = op0.dof_to_grid(u1)
 
-    families: dict[int, list[tuple[float, Field]]] = {}
-    for order in (1, 2):
-        fam = []
-        for rho in rhos:
-            log_density_rho = _pair_log_density(b1, b2, float(rho), rr, pp)
-            w_rho = _lumped_mass(mesh, np.exp(log_density_rho))
-            u = u0_grid if order == 1 else u0_grid + float(rho) * u1_grid
+    families: dict[int, list[tuple[float, Field]]] = {1: [], 2: []}
+    for rho in map(float, rhos):
+        log_density_rho = _pair_log_density(b1, b2, rho, rr, pp)
+        mass_rho = op0.R @ _lumped_mass(mesh, np.exp(log_density_rho)).ravel()
+        for order, u in ((1, u0_grid), (2, u0_grid + rho * u1_grid)):
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}
             phi = 0.5 * log_density_rho + u
             weak = op0.A @ op0.grid_to_dof(phi) + op0.B @ phi.ravel()
-            res_dof = weak / (op0.R @ w_rho.ravel()) + op0.grid_to_dof(np.exp(2 * u))
-            res_grid = op0.dof_to_grid(res_dof)
-            fam.append((float(rho), res_grid))
-        families[order] = fam
+            res_dof = weak / mass_rho + op0.grid_to_dof(np.exp(2 * u))
+            families[order].append((rho, op0.dof_to_grid(res_dof)))
     return MergingFamily(mesh=mesh, beta1=b1, beta2=b2, families=families, u0_report=report)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -164,6 +165,14 @@ REFUSALS = {
     "points_missing_im": (
         ["solve", "spherical", "--beta", "1/2,2/3,3/4,5/6", "--points", "0,0;1,0;2"], "expected re,im;re,im"
     ),
+    # refused before any assembly, where a full Newton used to stall
+    "coincident_finite_points": (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;0,0"], "finite cone point 0,0 is repeated"
+    ),
+    # floor(4 / (2/16)) = 32 one-cone terms, more than phg.u0_series hands out
+    "recurse_needs_too_many_u0_terms": (
+        ["phg", "recurse", "--beta", "1/16", "--truncation", "4"], "beta = 1/16 with truncation 4 needs 32 one-cone terms"
+    ),
 }
 # a NaN tol would end the solve loop at once and print an unsolved field as solved
 for _tol in ("nan", "0", "-1"):
@@ -308,6 +317,9 @@ FIT_REFUSALS = {
     "non_geometric_rho": (["0.1,0.01", "0.05,0.0025", "0.03,0.0009"], [], "geometric"),
     "zero_value": (["0.1,0.01", "0.05,0", "0.025,0.000625"], [], "nonzero"),
     "nan_value": (["0.1,0.01", "0.05,nan", "0.025,0.000625"], [], "finite"),
+    # a data row led by letters is no header, however it is spelt
+    "nan_rho": (["0.1,0.01", "nan,0.5", "0.05,0.0025", "0.025,0.000625"], [], "strictly decreasing"),
+    "text_row": (["0.1,0.01", "0.05,0.0025", "0.025,0.000625", "extrapolated,0.5"], [], "'extrapolated,0.5'"),
     "terms_negative": (["0.1,0.01", "0.05,0.0025", "0.025,0.000625"], ["--terms", "-1"], "at least 1"),
 }
 
@@ -336,6 +348,17 @@ def test_fit_and_decay_check_share_the_verdict(n_target, tmp_path, capsys):
     assert payload["slope"] == rep.value_slope
     assert payload["pair_slopes"] == list(rep.pair_slopes)
     assert payload["passes"] == rep.passes == (n_target == 2)
+
+
+DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+
+
+# the "fit variant" entries read perfbench's seeded input; its --self-check runs them
+@pytest.mark.parametrize("command", [k for k in DIGESTS if not k.startswith("fit variant")])
+def test_output_matches_stored_digest(command, capsys):
+    rc, out, _ = run(capsys, *shlex.split(command))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
 def test_output_to_file(tmp_path, capsys):

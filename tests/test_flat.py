@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conic_moduli.extrapolate import neville_zero
@@ -48,6 +49,24 @@ def test_green_factor_exclude_drops_one_term():
     assert green_factor(m, z, exclude=0) == pytest.approx(green_factor(m, z) - term0, rel=1e-14)
     # finite at the excluded point itself
     assert green_factor(m, 0j, exclude=0) == 0.0
+
+
+@pytest.mark.parametrize("exclude", [None, 1])
+def test_green_factor_on_arrays_matches_scalar_calls(exclude):
+    m = FlatConicMetric.of([0j, 1 + 0j, -0.3 + 0.7j], ["1/2", "1/3", "5/4"])
+    z = np.array([[0.3 + 0.4j, -1.2 + 0.1j, 2j], [0.5, 1e-9 + 0j, -0.3 + 0.69j]])
+    scalar = [[float(green_factor(m, complex(x), exclude=exclude)) for x in row] for row in z]
+    np.testing.assert_allclose(green_factor(m, z, exclude=exclude), scalar, rtol=1e-15, atol=0)
+    assert green_factor(m, 0.5).shape == ()
+
+
+def test_green_factor_on_arrays_rejects_any_marked_point():
+    m = FlatConicMetric.of([0j, 1 + 0j], ["1/2", "1/3"])
+    z = np.array([[0.3 + 0.4j, 0.5], [1 + 0j, 2j]])
+    with pytest.raises(ValueError, match=r"marked point \(1\+0j\)$"):
+        green_factor(m, z)
+    # the excluded point is no pole
+    assert np.isfinite(green_factor(m, z, exclude=1)).all()
 
 
 def test_plane_background_constraint():

@@ -283,6 +283,13 @@ def test_recursion_truncation_guard():
         recursion_step(0, series)
 
 
+def test_series_refuses_more_one_cone_terms_than_tabulated():
+    # floor(4 / (2/16)) = 32 terms; 30 (beta = 1/15) still build
+    with pytest.raises(ValueError, match="beta = 1/16 with truncation 4 needs 32 one-cone terms"):
+        PhgSeries(F(1, 16), 4)
+    assert len(PhgSeries(F(1, 15), 4).steps[0]) == 30
+
+
 # -- bounded leading exponents ---------------------------------------------------
 
 
@@ -332,6 +339,22 @@ def test_fit_u0_leading_exponent():
     rep = fit_exponents(samples, count=1)
     assert rep.ok
     assert abs(rep.terms[0].alpha - 2 * beta) < 0.02
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([(0.1, 0.01), (0.05, math.nan), (0.025, 0.000625)], "values must be finite"),
+        ([(0.1, 0.01), (0.05, math.inf), (0.025, 0.000625)], "values must be finite"),
+        ([(0.1, 0.01), (math.nan, 0.0025), (0.025, 0.000625)], "rho must be finite"),
+        ([(math.inf, 0.01), (0.05, 0.0025), (0.025, 0.000625)], "rho must be finite"),
+    ],
+    ids=["nan_value", "inf_value", "nan_rho", "inf_rho"],
+)
+def test_fit_reports_non_finite_data(samples, message):
+    rep = fit_exponents(samples, count=1)
+    assert not rep.ok and not rep.terms
+    assert message in rep.message
 
 
 def test_fit_non_monotone_reports_failure():

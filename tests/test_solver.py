@@ -200,6 +200,21 @@ def manufactured_error(mesh, eps=0.05, tol=1e-11, maxit=100):
     return float(np.max(np.abs(rep.solution - vstar))), rep
 
 
+def test_picard_evaluates_q_once_per_iterate(monkeypatch):
+    # one evaluation for the start and one for each new iterate
+    calls = []
+    q = solver._q_nonlinearity
+
+    def counted(v):
+        calls.append(v)
+        return q(v)
+
+    monkeypatch.setattr(solver, "_q_nonlinearity", counted)
+    _, rep = manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"))
+    assert rep.iterations == 5
+    assert len(calls) == rep.iterations + 1
+
+
 def test_picard_rejects_boundary_keys_it_would_ignore():
     values = np.full(8, 0.01)
     with pytest.raises(ValueError):  # misspelt side
@@ -369,6 +384,11 @@ def test_spherical_cone_solve_refuses_luo_tian_violation(betas, monkeypatch):
     mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
     with pytest.raises(ValueError, match="Luo-Tian"):
         spherical_cone_solve(betas, [0j, 1 + 0j], mesh)
+
+
+def test_singular_background_refuses_repeated_points():
+    with pytest.raises(ValueError, match="finite cone point 0,0 is repeated"):
+        singular_sphere_background([2 / 3, 2 / 3, 2 / 3], [0j, 0j])
 
 
 def test_singular_background_curvature_formula():
