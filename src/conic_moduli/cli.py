@@ -195,13 +195,15 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
     series = phg.recurse(_parse_rational(args.beta), _parse_rational(args.truncation), args.steps, assignments)
     rows = []
     for j in range(1, args.steps + 1):
-        for alpha, slot in sorted(series.steps[j].items()):
-            resolved = slot.trig.substitute(series.assignments)
-            degrees = sorted(set(resolved.coeffs) | ({int(alpha)} if slot.is_free_slot else set()))
-            labels = ";".join(f"{l}+{k}" for l, k in slot.labels)
+        for alpha, trig in sorted(series.steps[j].items()):
+            resolved = trig.substitute(series.assignments)
+            free = bool(phg.free_symbols(j, alpha))
+            degrees = sorted(set(resolved.coeffs) | ({int(alpha)} if free else set()))
+            pairs = series.labels[alpha]
+            labels = ";".join(f"{l}+{k}" for l, k in pairs)
             for m in degrees:
                 c, d = resolved.coeffs.get(m, (phg.LinExpr(), phg.LinExpr()))
-                rows.append((j, str(alpha), labels, slot.multiplicity, int(slot.is_free_slot), m, str(c), str(d)))
+                rows.append((j, str(alpha), labels, len(pairs), int(free), m, str(c), str(d)))
     _emit_csv(("j", "alpha", "labels", "multiplicity", "free", "degree", "cos", "sin"), rows, args)
     return 0
 

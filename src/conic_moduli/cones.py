@@ -30,6 +30,7 @@ __all__ = [
     "merge_angle",
     "admissible",
     "troyanov",
+    "verdict",
     "classify_merges",
 ]
 
@@ -46,22 +47,16 @@ def to_fraction(x: RationalLike) -> tuple[Fraction, bool]:
     fraction with denominator <= INGEST_MAX_DENOMINATOR and flagged, so
     downstream strict inequalities stay exact.
     """
-    if isinstance(x, Fraction):
-        return x, False
-    if isinstance(x, int):
-        return Fraction(x), False
-    if isinstance(x, str):
-        return Fraction(x), False
-    f = Fraction(x).limit_denominator(INGEST_MAX_DENOMINATOR)
-    return f, f != Fraction(x)
+    if isinstance(x, float):
+        f = Fraction(x).limit_denominator(INGEST_MAX_DENOMINATOR)
+        return f, f != Fraction(x)
+    return Fraction(x), False
 
 
-def _betas(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    out = []
-    for v in values:
-        f, _ = to_fraction(v)
-        out.append(f)
-    return tuple(out)
+def _betas(values: Iterable[RationalLike]) -> tuple[tuple[Fraction, ...], bool]:
+    """The exact angles and whether any float among them was snapped."""
+    pairs = [to_fraction(v) for v in values]
+    return tuple(f for f, _ in pairs), any(a for _, a in pairs)
 
 
 @dataclass(frozen=True)
@@ -97,17 +92,9 @@ class ConeData:
         curvature: int,
         area: Optional[RationalLike] = None,
     ) -> "ConeData":
-        bs = []
-        approx = False
-        for b in beta:
-            f, a = to_fraction(b)
-            bs.append(f)
-            approx = approx or a
-        ar = None
-        if area is not None:
-            ar, a = to_fraction(area)
-            approx = approx or a
-        return cls(genus, tuple(bs), curvature, ar, approx)
+        bs, approx = _betas(beta)
+        ar, a = (None, False) if area is None else to_fraction(area)
+        return cls(genus, bs, curvature, ar, approx or a)
 
     @property
     def k(self) -> int:
@@ -148,7 +135,7 @@ def consistent_area(d: ConeData) -> Optional[Fraction]:
 
 def merge_angle(betas: Sequence[RationalLike]) -> Fraction:
     """Angle parameter after a cluster coalesces: sum(beta_i) - (n-1)."""
-    bs = _betas(betas)
+    bs, _ = _betas(betas)
     if not bs:
         raise ValueError("need at least one angle")
     return sum(bs, Fraction(0)) - (len(bs) - 1)
@@ -156,27 +143,17 @@ def merge_angle(betas: Sequence[RationalLike]) -> Fraction:
 
 def admissible(betas: Sequence[RationalLike]) -> bool:
     """Strict inequality sum(beta_i) > n - 1: the merged point is conical."""
-    bs = _betas(betas)
-    if not bs:
-        raise ValueError("need at least one angle")
-    return sum(bs, Fraction(0)) > len(bs) - 1
+    return merge_angle(betas) > 0
 
 
 def _troyanov_status(genus: int, betas: Sequence[Fraction]) -> tuple[bool, bool]:
-    """(holds, at_equality) for min{2, 2 beta_j} + k - chi(M) > sum(beta_i)."""
-    chi = 2 - 2 * genus
-    k = len(betas)
+    """(holds, at_equality) for min{2, 2 beta_j} + k - chi(M) > sum(beta_i), all j.
+
+    The smallest slack over j decides: positive holds, zero is the equality case.
+    """
     total = sum(betas, Fraction(0))
-    holds = True
-    at_eq = False
-    for b in betas:
-        lhs = min(Fraction(2), 2 * b) + k - chi
-        if lhs < total:
-            return False, False
-        if lhs == total:
-            holds = False
-            at_eq = True
-    return holds, at_eq
+    slack = min(min(Fraction(2), 2 * b) + len(betas) - (2 - 2 * genus) - total for b in betas)
+    return slack > 0, slack == 0
 
 
 def troyanov(d: ConeData) -> bool:
@@ -215,6 +192,22 @@ class MergeVerdict:
     partner_angle: Optional[Fraction] = None
 
 
+def verdict(genus: int, curvature: int, betas: Sequence[Fraction]) -> tuple[MergeStatus, bool]:
+    """(status, at_equality): whether a metric with these cone parameters exists.
+
+    A parameter <= 0 is no cone; curvature <= 0 admits every other case; on
+    the sphere two equal angles are the football; else Troyanov's inequalities.
+    """
+    if min(betas) <= 0:
+        return MergeStatus.ANGLE_OBSTRUCTED, False
+    if curvature <= 0:
+        return MergeStatus.ADMISSIBLE, False
+    if genus == 0 and len(betas) == 2 and betas[0] == betas[1]:
+        return MergeStatus.FOOTBALL_BOUNDARY, True
+    holds, at_eq = _troyanov_status(genus, betas)
+    return (MergeStatus.ADMISSIBLE if holds else MergeStatus.TROYANOV_VIOLATED), at_eq
+
+
 def _verdict(d: ConeData, a: IndexSubset, b: Optional[IndexSubset] = None) -> MergeVerdict:
     """Merge subset ``a``, or both blocks of the two-block partition (a, b)."""
     angle_a = merge_angle([d.beta[i - 1] for i in a])
@@ -224,15 +217,7 @@ def _verdict(d: ConeData, a: IndexSubset, b: Optional[IndexSubset] = None) -> Me
     else:
         angle_b = merge_angle([d.beta[i - 1] for i in b])
         post = [angle_a, angle_b]
-    if min(post) <= 0:
-        status, at_eq = MergeStatus.ANGLE_OBSTRUCTED, False
-    elif d.curvature <= 0:
-        status, at_eq = MergeStatus.ADMISSIBLE, False
-    elif d.genus == 0 and len(post) == 2 and post[0] == post[1]:
-        status, at_eq = MergeStatus.FOOTBALL_BOUNDARY, True
-    else:
-        holds, at_eq = _troyanov_status(d.genus, post)
-        status = MergeStatus.ADMISSIBLE if holds else MergeStatus.TROYANOV_VIOLATED
+    status, at_eq = verdict(d.genus, d.curvature, post)
     return MergeVerdict(a, angle_a, status, at_eq, b, angle_b)
 
 
@@ -258,7 +243,5 @@ def classify_merges(d: ConeData) -> list[MergeVerdict]:
             for comb in itertools.combinations(range(2, k + 1), size - 1):
                 a = IndexSubset.of((1,) + comb, k)
                 b = IndexSubset.of(set(indices) - set(a.members), k)
-                if len(b) < 2:
-                    continue
                 verdicts.append(_verdict(d, a, b))
     return verdicts

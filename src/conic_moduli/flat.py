@@ -63,6 +63,9 @@ class FlatConicMetric:
             raise ValueError("need at least one marked point")
         if any(b <= 0 for b in self.beta):
             raise ValueError("angle parameters must be positive")
+        for p in self.points:
+            if not cmath.isfinite(p):
+                raise ValueError(f"marked point {p.real:g},{p.imag:g} is not finite")
 
     @classmethod
     def of(cls, points: Sequence[complex], beta: Sequence[RationalLike]) -> "FlatConicMetric":
@@ -240,8 +243,8 @@ def cone_angle_probe(
     if not 0 <= point_index < len(m.points):
         raise ValueError(f"point index {point_index} is not in 0..{len(m.points) - 1}")
     rs = [float(r) for r in radii]
-    if not rs or any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0:
-        raise ValueError("radii must be positive and strictly decreasing")
+    if not rs or not all(map(math.isfinite, rs)) or any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0:
+        raise ValueError("radii must be finite, positive and strictly decreasing")
     p = m.points[point_index]
     others = [abs(p - q) for j, q in enumerate(m.points) if j != point_index]
     if others and rs[0] >= min(others):
@@ -342,16 +345,8 @@ def cluster_split(m: FlatConicMetric, t: ClusterTree, scale: float = 0.5) -> Clu
     }
 
     # deepest node hosts the probe point
-    def depth(v: IndexSubset) -> int:
-        d = 0
-        w = v
-        while t.parent[w] is not None:
-            w = t.parent[w]
-            d += 1
-        return d
-
-    deepest = max(t.vertices, key=lambda v: (depth(v), -min(v.members)))
-    d_deep = depth(deepest)
+    deepest = max(t.vertices, key=lambda v: (t.depth(v), -min(v.members)))
+    d_deep = t.depth(deepest)
     c_deep = _centroid(pts, deepest.members)
     spread = max(abs(pts[i - 1] - c_deep) for i in deepest.members)
     delta = 1.5 * max(spread, 1e-3) * cmath.exp(0.9j)

@@ -111,6 +111,7 @@ class ClusterTree:
         self.root = by_size[0]
         self.k = self.root.k
         self.parent: dict[IndexSubset, Optional[IndexSubset]] = {}
+        self._depth: dict[IndexSubset, int] = {}
         kids: dict[IndexSubset, list[IndexSubset]] = {}
         for i, v in enumerate(by_size):
             if v.k != self.k:
@@ -124,6 +125,7 @@ class ClusterTree:
             if i and parent is None:
                 raise ValueError(f"vertex {v} is not inside the root {self.root}")
             self.parent[v] = parent
+            self._depth[v] = 0 if parent is None else self._depth[parent] + 1
             kids[v] = []
             if parent is not None:
                 kids[parent].append(v)
@@ -143,6 +145,10 @@ class ClusterTree:
     def children(self, v: IndexSubset) -> tuple[IndexSubset, ...]:
         return self._children[v]
 
+    def depth(self, v: IndexSubset) -> int:
+        """Number of edges from the root to ``v``; the root has depth 0."""
+        return self._depth[v]
+
     @property
     def is_interior(self) -> bool:
         """True for the root-only tree, the open stratum of F_max."""
@@ -156,12 +162,7 @@ class ClusterTree:
     @property
     def height(self) -> int:
         """Longest root-to-leaf path length; the root-only tree has height 0."""
-
-        def depth(v: IndexSubset) -> int:
-            kids = self._children[v]
-            return 0 if not kids else 1 + max(depth(c) for c in kids)
-
-        return depth(self.root)
+        return max(self._depth.values())
 
     def encode(self) -> str:
         """Canonical nested-parentheses encoding, e.g. ``((1,2),3,4)``."""

@@ -31,7 +31,6 @@ __all__ = [
     "TrigPoly",
     "ExponentEntry",
     "PhgSeries",
-    "Slot",
     "IndicialCollisionError",
     "index_set",
     "u0_series",
@@ -39,6 +38,7 @@ __all__ = [
     "u0_truncated",
     "exp_series",
     "indicial_solve",
+    "free_symbols",
     "recursion_step",
     "recurse",
     "verify_step",
@@ -361,30 +361,19 @@ def indicial_solve(a: Rat, m: int, c: Union[LinExpr, Rat]) -> Union[LinExpr, Fra
     return LinExpr.of(c) / denom if isinstance(c, LinExpr) else Fraction(c) / denom
 
 
-@dataclass
-class Slot:
-    """One exponent's worth of a step table: r^alpha * trig."""
+def free_symbols(j: int, alpha: Fraction) -> tuple[str, ...]:
+    """Names of the free indicial coefficients of step ``j`` at exponent ``alpha``.
 
-    alpha: Fraction
-    trig: TrigPoly
-    labels: tuple[tuple[int, int], ...]  # (l, k) pairs with l + 2k*beta = alpha
-    free_symbols: tuple[str, ...] = ()
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_free_slot(self) -> bool:
-        return bool(self.free_symbols)
-
-    @property
-    def pure_expected(self) -> bool:
-        """Purity of the top harmonic is asserted only for collision-free slots."""
-        return len(self.labels) == 1
+    Steps j >= 1 carry a[j,l,c] (and a[j,l,s] for l > 0) at each integer
+    exponent l; step 0 and non-integer exponents carry none.
+    """
+    if j < 1 or Fraction(alpha).denominator != 1:
+        return ()
+    l = int(alpha)
+    return (f"a[{j},{l},c]",) + ((f"a[{j},{l},s]",) if l > 0 else ())
 
 
-StepTable = dict[Fraction, Slot]
+StepTable = dict[Fraction, TrigPoly]  # exponent -> coefficient of r^alpha
 
 
 class PhgSeries:
@@ -431,7 +420,7 @@ class PhgSeries:
         a = Fraction(alpha)
         if a not in self.labels:
             raise ValueError(f"exponent {a} is not of the form l + 2k*beta <= {self.truncation}")
-        self.steps.setdefault(j, {})[a] = Slot(a, trig, labels=self.labels[a])
+        self.steps.setdefault(j, {})[a] = trig
 
     def assign(self, values: Mapping[str, Rat]) -> None:
         for k, v in values.items():
@@ -440,8 +429,8 @@ class PhgSeries:
     def resolved_table(self, j: int) -> dict[Fraction, TrigPoly]:
         """Step table with current symbol assignments substituted."""
         out = {}
-        for alpha, slot in self.steps[j].items():
-            t = slot.trig.substitute(self.assignments)
+        for alpha, trig in self.steps[j].items():
+            t = trig.substitute(self.assignments)
             if not t.is_zero:
                 out[alpha] = t
         return out
@@ -543,16 +532,11 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
                     )
                 continue
             solved = solved + TrigPoly({m: (indicial_solve(alpha, m, c), indicial_solve(alpha, m, d))})
-        free_syms: tuple[str, ...] = ()
-        if alpha.denominator == 1 and alpha >= 0:
-            l = int(alpha)
-            c_sym = f"a[{j},{l},c]"
-            free = TrigPoly({l: (LinExpr.symbol(c_sym), LinExpr.symbol(f"a[{j},{l},s]") if l > 0 else 0)})
-            free_syms = (c_sym,) + ((f"a[{j},{l},s]",) if l > 0 else ())
-            solved = solved + free
-        if solved.is_zero and not free_syms:
+        for name, harmonic in zip(free_symbols(j, alpha), (TrigPoly.cos, TrigPoly.sin)):
+            solved = solved + harmonic(int(alpha), LinExpr.symbol(name))
+        if solved.is_zero:
             continue
-        table[alpha] = Slot(alpha, solved, labels=prior.labels[alpha], free_symbols=free_syms)
+        table[alpha] = solved
         substituted[alpha] = solved.substitute(prior.assignments)
     return table
 
@@ -570,7 +554,7 @@ def recurse(beta: Fraction, truncation: Fraction, steps: int, values: Mapping[st
     series = PhgSeries(beta, truncation)
     for j in range(1, steps + 1):
         series.steps[j] = table = recursion_step(j, series)
-        series.assign({s: values.get(s, 0) for slot in table.values() for s in slot.free_symbols})
+        series.assign({s: values.get(s, 0) for alpha in table for s in free_symbols(j, alpha)})
     unknown = sorted(set(values) - set(series.assignments))
     if unknown:
         raise ValueError(f"no free coefficient named {unknown[0]!r} in steps 1..{steps}")
@@ -588,7 +572,7 @@ def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
     b = prior.beta
     cap = prior.truncation
     values = prior.assignments
-    sub = {alpha: s.trig.substitute(values) for alpha, s in table.items()}
+    sub = {alpha: t.substitute(values) for alpha, t in table.items()}
     # left side: L(r^alpha trig) = (alpha^2 - m^2) r^alpha trig, plus ladder
     lhs: dict[Fraction, TrigPoly] = {}
     for alpha, t in sub.items():

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import ConeData, troyanov
+from .cones import ConeData, MergeStatus, verdict
 from .extrapolate import decay_verdict, least_squares_slope
 from .phg import u0_value
 
@@ -549,21 +549,19 @@ def spherical_cone_solve(
     bounded conformal factor u solves Delta u + K0 - e^{2u} = 0 by one run of
     ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
-    its minimiser is the metric.  With all beta < 1 that condition is
-    necessary too, so data that violate it raise ValueError before any
-    solve.  The gap of the solved metric is computed and the solve is
-    rejected at or below 2 + _GAP_MARGIN (football degeneracy).
+    its minimiser is the metric.  ``cones.verdict`` decides existence before
+    any solve: a parameter that is not positive raises ValueError, two equal
+    angles raise FootballDegeneracyError, and two unequal angles, or all
+    beta < 1 against the Luo-Tian inequalities, raise ValueError, because
+    no metric exists.  The gap of the solved metric is computed and the
+    solve is rejected at or below 2 + _GAP_MARGIN (football degeneracy).
     """
     bs = [float(b) for b in betas]
-    if len(bs) == 2:
-        # two cones on the sphere: either the degenerate two-equal-angles
-        # family (gap exactly 2) or no metric at all
-        if bs[0] == bs[1]:
-            raise FootballDegeneracyError(
-                "two equal cone angles: the degenerate family with spectral gap exactly 2"
-            )
-        raise ValueError("no spherical cone metric exists with two unequal angles")
-    if max(bs) < 1 and not troyanov(ConeData.of(0, bs, 1)):
+    exact = ConeData.of(0, bs, 1).beta
+    status, _ = verdict(0, 1, exact)
+    if status is MergeStatus.FOOTBALL_BOUNDARY:
+        raise FootballDegeneracyError("two equal cone angles: the degenerate family with spectral gap exactly 2")
+    if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
         raise ValueError(f"cone angles {betas} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(bs, finite_points)
     op = assemble(mesh, density)
@@ -655,12 +653,15 @@ def singular_sphere_background(
     |z - p_i|^{2(beta_i - 1)} factors with the compensating (1+|z|^2) power,
     and K0 is its curvature, which has the closed form
     (chi(beta)/2) * e^{2(phi_round - phi0)} away from the cone points.  A
-    repeated finite point is refused with ValueError.
+    repeated or non-finite finite point is refused with ValueError.
     """
     bs = [float(b) for b in betas]
     pts = [complex(p) for p in finite_points]
     if len(bs) != len(pts) + 1:
         raise ValueError("need one more beta than finite points (the last is at infinity)")
+    for p in pts:
+        if not np.isfinite(p):
+            raise ValueError(f"finite cone point {p.real:g},{p.imag:g} is not finite")
     repeated = [p for i, p in enumerate(pts) if p in pts[:i]]
     if repeated:
         raise ValueError(f"finite cone point {repeated[0].real:g},{repeated[0].imag:g} is repeated")

@@ -6,6 +6,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from conic_moduli.cones import ConeData, troyanov
+from conic_moduli.solver import FootballDegeneracyError
+
+
+def spherical_existence_gate(betas) -> None:
+    """The spherical solve's refusal of cone data, written out by cases.
+
+    Two equal angles are the football (FootballDegeneracyError), two unequal
+    angles admit no metric, and with all beta < 1 the Luo-Tian inequalities
+    decide (ValueError); any other data pass.
+    """
+    bs = [float(b) for b in betas]
+    if len(bs) == 2:
+        if bs[0] == bs[1]:
+            raise FootballDegeneracyError("two equal cone angles")
+        raise ValueError("two unequal cone angles")
+    if max(bs) < 1 and not troyanov(ConeData.of(0, bs, 1)):
+        raise ValueError("Luo-Tian inequalities violated")
+
 
 @dataclass
 class RadialProfile:

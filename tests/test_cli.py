@@ -169,6 +169,18 @@ REFUSALS = {
     "coincident_finite_points": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;0,0"], "finite cone point 0,0 is repeated"
     ),
+    # a NaN point or radius used to print nan ratios (exit 0) or fail on the density
+    "probe_point_not_finite": (
+        ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;nan,0;1,1"], "marked point nan,0 is not finite"
+    ),
+    "spherical_point_not_finite": (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "finite cone point nan,0 is not finite"
+    ),
+    "probe_radius_not_finite": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--radii", "1e-2,nan"], "radii must be finite"),
+    # a negative cone parameter used to reach Newton and fail on the spectral gap (exit 1)
+    "spherical_beta_negative": (
+        ["solve", "spherical", "--beta", "3/2,-1/2,1", "--mesh", "65x16"], "angle parameters must be positive"
+    ),
     # floor(4 / (2/16)) = 32 one-cone terms, more than phg.u0_series hands out
     "recurse_needs_too_many_u0_terms": (
         ["phg", "recurse", "--beta", "1/16", "--truncation", "4"], "beta = 1/16 with truncation 4 needs 32 one-cone terms"

@@ -167,6 +167,17 @@ def test_tree_height_examples():
     assert t2.height == 2
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_tree_depth_is_the_parent_walk(k):
+    for t in enumerate_fmax_strata(k):
+        for v in t.vertices:
+            walk, w = 0, v
+            while t.parent[w] is not None:
+                walk, w = walk + 1, t.parent[w]
+            assert t.depth(v) == walk
+        assert t.height == max(t.depth(v) for v in t.vertices)
+
+
 def test_tree_parents_from_vertex_set_in_any_order():
     root, pair, triple, inner = (IndexSubset.of(m, 7) for m in (range(1, 8), [1, 2], [4, 5, 6], [4, 5]))
     vs = [root, pair, triple, inner]

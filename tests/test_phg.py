@@ -9,10 +9,10 @@ from conic_moduli.phg import (
     IndicialCollisionError,
     LinExpr,
     PhgSeries,
-    Slot,
     TrigPoly,
     exp_series,
     fit_exponents,
+    free_symbols,
     friedrichs_exponents,
     index_set,
     indicial_solve,
@@ -165,17 +165,17 @@ def test_recursion_step_one_structure():
     table = recursion_step(1, series)
     # free indicial slots at the integers, pure degree, flagged free
     for ell in (0, 1, 2):
-        slot = table[F(ell)]
-        assert slot.is_free_slot
-        assert slot.trig.degree == ell
-        assert slot.trig.is_pure()
+        trig = table[F(ell)]
+        assert free_symbols(1, F(ell))
+        assert trig.degree == ell
+        assert trig.is_pure()
     # ladder slot at 2*beta driven by the free constant: -2 E0 a/( (2b)^2 )
     ladder = table[2 * beta]
-    coeff = ladder.trig.coeffs[0][0]
+    coeff = ladder.coeffs[0][0]
     assert dict(coeff.terms) == {"a[1,0,c]": F(-2) / (2 * beta) ** 2}
     # ladder at 1 + 2*beta from the free degree-1 slot
     ladder2 = table[1 + 2 * beta]
-    assert dict(ladder2.trig.coeffs[1][0].terms) == {"a[1,1,c]": F(-2) / ((1 + 2 * beta) ** 2 - 1)}
+    assert dict(ladder2.coeffs[1][0].terms) == {"a[1,1,c]": F(-2) / ((1 + 2 * beta) ** 2 - 1)}
 
 
 def test_recursion_step_two_unit_input():
@@ -184,9 +184,9 @@ def test_recursion_step_two_unit_input():
     series.inject(1, 1, TrigPoly.cos(1))  # u_1 = r cos(phi)
     table = recursion_step(2, series)
     alpha = 2 + 2 * beta
-    slot = table[alpha]
-    assert slot.trig.coeffs[0][0].const == F(-1) / alpha**2
-    assert slot.trig.coeffs[2][0].const == F(-1) / (alpha**2 - 4)
+    trig = table[alpha]
+    assert trig.coeffs[0][0].const == F(-1) / alpha**2
+    assert trig.coeffs[2][0].const == F(-1) / (alpha**2 - 4)
 
 
 def test_recursion_degree_bounds():
@@ -195,11 +195,11 @@ def test_recursion_degree_bounds():
     series.inject(1, 1, TrigPoly.cos(1))
     series.inject(1, 2, TrigPoly({2: (F(1, 3), F(-1, 5))}))
     table = recursion_step(2, series)
-    for alpha, slot in table.items():
-        if slot.is_free_slot:
+    for alpha, trig in table.items():
+        if free_symbols(2, alpha):
             continue
-        max_label_ell = max(l for l, k in slot.labels)
-        assert slot.trig.degree <= max_label_ell
+        max_label_ell = max(l for l, k in series.labels[alpha])
+        assert trig.degree <= max_label_ell
 
 
 def test_recursion_requires_resolved_priors():
@@ -219,9 +219,8 @@ def test_recursion_verify_operator_identity():
     assert any(t.has_symbols() for t in series.resolved_table(1).values())
     assert verify_step(1, series, t1)
     # a spurious term linear in a free symbol is caught
-    slot = t1[F(2)]
     bad = dict(t1)
-    bad[F(2)] = Slot(slot.alpha, slot.trig + TrigPoly.const(LinExpr.symbol("a[1,2,c]")), slot.labels)
+    bad[F(2)] = t1[F(2)] + TrigPoly.const(LinExpr.symbol("a[1,2,c]"))
     assert not verify_step(1, series, bad)
 
 
@@ -259,14 +258,21 @@ def test_recursion_collision_slots_share_and_drop_purity():
     series.inject(1, 1, TrigPoly.cos(1))
     table = recursion_step(2, series)
     # at beta = 1/2, 2 + 2*beta = 3 collides with the integer slot
-    slot = table[F(3)]
-    assert slot.multiplicity >= 2
-    assert not slot.pure_expected
-    # step 0 takes its labels from the same exponent set: 2*beta = 1 collides with l = 1
-    assert series.steps[0][F(1)].labels == series.labels[F(1)] == ((0, 1), (1, 0))
+    assert F(3) in table
+    assert len(series.labels[F(3)]) >= 2
+    # step 0 sits on the same exponent set: 2*beta = 1 collides with l = 1
+    assert F(1) in series.steps[0]
+    assert series.labels[F(1)] == ((0, 1), (1, 0))
     series.steps[2] = table
-    series.assign({s: F(0) for a in table for s in table[a].free_symbols})
+    series.assign({s: F(0) for a in table for s in free_symbols(2, a)})
     assert verify_step(2, series, table)
+
+
+def test_free_symbols_name_the_integer_slots_of_later_steps():
+    assert free_symbols(0, F(2)) == ()
+    assert free_symbols(1, F(3, 2)) == ()
+    assert free_symbols(2, F(0)) == ("a[2,0,c]",)
+    assert free_symbols(3, F(2)) == ("a[3,2,c]", "a[3,2,s]")
 
 
 def test_inject_refuses_exponent_outside_index_set():

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +27,7 @@ from conic_moduli.solver import (
     spherical_cone_solve,
 )
 
-from oracles import radial_hyperbolic
+from oracles import radial_hyperbolic, spherical_existence_gate
 
 
 def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
@@ -384,6 +386,40 @@ def test_spherical_cone_solve_refuses_luo_tian_violation(betas, monkeypatch):
     mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
     with pytest.raises(ValueError, match="Luo-Tian"):
         spherical_cone_solve(betas, [0j, 1 + 0j], mesh)
+
+
+class _PastGate(Exception):
+    pass
+
+
+def test_spherical_gate_refuses_what_the_oracle_refuses(monkeypatch):
+    # stop right after the gate: the background is the first step of the solve
+    def stop(betas, points):
+        raise _PastGate
+
+    monkeypatch.setattr(solver, "singular_sphere_background", stop)
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 33, 8, inner="pole", outer="pole")
+    twelfths = [i / 12 for i in range(1, 31)]
+
+    def outcome(gate, betas):
+        try:
+            gate(betas)
+        except (ValueError, FootballDegeneracyError, _PastGate) as exc:
+            return type(exc)
+        return _PastGate
+
+    for k in (2, 3):
+        for betas in itertools.product(twelfths, repeat=k):
+            solve = functools.partial(spherical_cone_solve, finite_points=[0j, 1 + 0j][: k - 1], mesh=mesh)
+            assert outcome(solve, betas) is outcome(spherical_existence_gate, betas), betas
+
+
+def test_spherical_gate_refuses_nonpositive_angles(monkeypatch):
+    monkeypatch.setattr(solver, "singular_sphere_background", lambda betas, points: pytest.fail("past the gate"))
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 33, 8, inner="pole", outer="pole")
+    for betas in ([1.5, -0.5, 1.0], [0.0, 0.5, 0.5], [-0.5, -0.5]):
+        with pytest.raises(ValueError, match="angle parameters must be positive"):
+            spherical_cone_solve(betas, [0j, 1 + 0j][: len(betas) - 1], mesh)
 
 
 def test_singular_background_refuses_repeated_points():
