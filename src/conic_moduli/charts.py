@@ -16,6 +16,7 @@ draws and evaluates its samples in blocks of ``SAMPLE_BLOCK``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ _OMEGA_SLACK = 1e-15
 OMEGA_MARGIN = 1e-6
 # samples drawn and evaluated at once; bounds the memory of a large report
 SAMPLE_BLOCK = 10_000
+# smallest radial coordinate a verification sample draws
+_RADIAL_FLOOR = 1e-6
 
 
 class DegenerateChartError(ValueError):
@@ -100,16 +103,15 @@ class Chart3CornerPoint:
             object.__setattr__(self, name, np.mod(getattr(self, name), TWO_PI))
 
 
-def blowdown2(p: Chart2Point) -> tuple[complex, complex, complex, float]:
-    """Map chart coordinates to (z1, z2, z, rho12).
+def blowdown2(p: Chart2Point) -> tuple[complex, complex, complex]:
+    """Map chart coordinates to (z1, z2, z).
 
     z1 = zeta + rho12 e^{i theta},  z2 = zeta - rho12 e^{i theta},
     z  = zeta + R12 cos(omega) e^{i phi},  rho12 = R12 sin(omega).
     """
-    rho12 = p.R12 * np.sin(p.omega)
-    w = rho12 * np.exp(1j * p.theta)
+    w = p.R12 * np.sin(p.omega) * np.exp(1j * p.theta)
     z = p.zeta + p.R12 * np.cos(p.omega) * np.exp(1j * p.phi)
-    return p.zeta + w, p.zeta - w, z, rho12
+    return p.zeta + w, p.zeta - w, z
 
 
 def chart2_from_points(z1: complex, z2: complex, z: complex) -> Chart2Point:
@@ -179,13 +181,15 @@ def chart3_corner_from_points(
 class LiftingMatrix:
     """Integer exponents e(i,j) in the pullback of base defining functions.
 
-    Rows are total-space faces, columns base faces.  The fibration condition
-    requires at most one nonzero entry per row.
+    Rows are total-space faces, labelled ``face[bdf]`` by the chart coordinate
+    defining the face, and columns base faces.  The fibration condition
+    ``row_condition_ok`` requires at most one nonzero entry per row.
     """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
+    row_condition_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.rows):
@@ -195,9 +199,7 @@ class LiftingMatrix:
                 raise ValueError("entry columns do not match column labels")
             if any(e < 0 for e in row):
                 raise ValueError("exponents must be nonnegative integers")
-
-    def row_condition_ok(self) -> bool:
-        return all(sum(1 for e in row if e != 0) <= 1 for row in self.entries)
+        object.__setattr__(self, "row_condition_ok", all(sum(map(bool, row)) <= 1 for row in self.entries))
 
 
 @dataclass
@@ -217,8 +219,7 @@ class PullbackReport:
     failure: str | None = field(default=None)
 
 
-# Total-space faces per chart: the pair face (bdf R12), the triple face
-# (bdf R123), and the fiber-surface boundary whose bdf is the omega angle.
+# Total-space faces: the pair face C12, the triple face C123 and the fiber boundary.
 _LIFT_TWO = LiftingMatrix(
     rows=("C12[R12]", "fiber[omega]"),
     cols=("rho12",),
@@ -231,17 +232,16 @@ _LIFT_THREE = LiftingMatrix(
 )
 
 
-def _factors_two(p: Chart2Point) -> dict[str, np.ndarray]:
-    return {"rho12": blowdown2(p)[3] / (p.R12 * p.omega)}
+def _base_two(z1, z2, z) -> dict[str, np.ndarray]:
+    return {"rho12": np.abs(z1 - z2) / 2}
 
 
-def _factors_three(p: Chart3CornerPoint) -> dict[str, np.ndarray]:
-    z1, z2, z3, _ = blowdown3_corner(p)
-    # base coordinates, recomputed independently from the points
+def _base_three(z1, z2, z3, z) -> dict[str, np.ndarray]:
     w1 = 0.5 * (z1 - z2)
     w2 = z3 - 0.5 * (z1 + z2)
     rho123 = np.hypot(np.abs(w1), np.abs(w2))
-    return {"rho123": rho123 / p.R123, "rho12": np.abs(w1) / rho123 / (p.R12 * p.omega12)}
+    return {"rho123": rho123, "rho12": np.abs(w1) / rho123}
+
 
 
 def _draw(rng: np.random.Generator, bounds: list[tuple[float, float]], n: int) -> np.ndarray:
@@ -258,9 +258,9 @@ def pullback_report(
 ) -> PullbackReport:
     """Sample a chart region and verify the b-fibration pullback relations.
 
-    For each base boundary defining function rho, the observed smooth factor
-    is A = (rho composed with the blowdown) / prod(bdf^exponent) with the
-    integer exponents of the lifting matrix.  Reports min/max of A per base
+    For each base boundary defining function rho, a function of the points,
+    the observed smooth factor is A = (rho composed with the blowdown) /
+    prod(bdf^exponent) over the lifting matrix's rows.  Reports min/max of A per base
     face; a factor not bounded away from zero is reported as a verification
     failure, not raised.  The point-level round trip (blowdown, inversion,
     blowdown) runs on one further block of min(samples, SAMPLE_BLOCK)
@@ -268,38 +268,42 @@ def pullback_report(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0.0 < region < 1.0:
-        raise ValueError("region must lie in (0, 1)")
+    if not _RADIAL_FLOOR < region < 1.0:
+        raise ValueError(f"region must lie in ({_RADIAL_FLOOR:g}, 1): radial samples start at {_RADIAL_FLOOR:g}")
     rng = np.random.default_rng(seed)
     top = np.pi / 2 - OMEGA_MARGIN
     angles = [(0.0, TWO_PI)] * 3
     # per chart: the coordinates drawn, in draw order, and their sampling bounds
     if chart == "two":
-        lifting, point, factors = _LIFT_TWO, Chart2Point, _factors_two
-        blowdown, invert, npts = blowdown2, chart2_from_points, 3
+        lifting, point, base = _LIFT_TWO, Chart2Point, _base_two
+        blowdown, invert = blowdown2, chart2_from_points
         coords = ("R12", "omega", "phi", "theta")
-        sample_bounds = [(1e-6, region), (1e-9, top)]
+        sample_bounds = [(_RADIAL_FLOOR, region), (1e-9, top)]
         trip_bounds = [(0.1 * region, region), (0.0, top)] + angles[:2]
     elif chart == "three-corner":
-        lifting, point, factors = _LIFT_THREE, Chart3CornerPoint, _factors_three
-        blowdown, invert, npts = blowdown3_corner, chart3_corner_from_points, 4
+        lifting, point, base = _LIFT_THREE, Chart3CornerPoint, _base_three
+        blowdown, invert = blowdown3_corner, chart3_corner_from_points
         coords = ("R123", "R12", "omega12", "theta12", "phi12", "phi2")
-        sample_bounds = [(1e-6, 1.0), (1e-6, region), (1e-9, top)] + angles
+        sample_bounds = [(_RADIAL_FLOOR, 1.0), (_RADIAL_FLOOR, region), (1e-9, top)] + angles
         trip_bounds = [(0.1, 1.0), (0.1 * region, region), (0.05, top)] + angles
     else:
         raise ValueError(f"unknown chart {chart!r} (expected 'two' or 'three-corner')")
 
+    bdfs = [row[row.index("[") + 1 : -1] for row in lifting.rows]  # "C12[R12]" -> "R12"
     ranges: dict[str, tuple[float, float]] = {}
     for start in range(0, samples, SAMPLE_BLOCK):
         x = _draw(rng, sample_bounds, min(SAMPLE_BLOCK, samples - start))
-        for face, a in factors(point(**dict(zip(coords, x.T)))).items():
+        p = point(**dict(zip(coords, x.T)))
+        rhos = base(*blowdown(p))
+        for face, column in zip(lifting.cols, zip(*lifting.entries)):
+            a = rhos[face] / math.prod((getattr(p, c) ** e for c, e in zip(bdfs, column) if e), start=1.0)
             lo, hi = ranges.get(face, (np.inf, -np.inf))
             ranges[face] = (min(lo, float(a.min())), max(hi, float(a.max())))
 
     # round trip: the center of mass zeta is drawn first, then the coordinates
     x = _draw(rng, [(-1.0, 1.0), (-1.0, 1.0)] + trip_bounds, min(samples, SAMPLE_BLOCK))
-    pts = blowdown(point(zeta=x[:, 0] + 1j * x[:, 1], **dict(zip(coords, x[:, 2:].T))))[:npts]
-    back = blowdown(invert(*pts))[:npts]
+    pts = blowdown(point(zeta=x[:, 0] + 1j * x[:, 1], **dict(zip(coords, x[:, 2:].T))))
+    back = blowdown(invert(*pts))
     err = np.max([np.abs(a - b) for a, b in zip(pts, back)], axis=0)
     scale = np.max([np.abs(z) for z in pts], axis=0)
     roundtrip = float(np.max(err / np.maximum(1.0, scale)))

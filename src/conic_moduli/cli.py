@@ -122,9 +122,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 def _cmd_charts_verify(args: argparse.Namespace) -> int:
     report = charts.pullback_report(args.chart, samples=args.samples, region=args.region, seed=_seed(args))
-    payload = dataclasses.asdict(report)
-    payload["lifting"]["row_condition_ok"] = report.lifting.row_condition_ok()
-    _emit_json(payload, args)
+    _emit_json(dataclasses.asdict(report), args)
     return 0
 
 
@@ -191,6 +189,8 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
         key, _, val = item.partition("=")
         if not val:
             raise ValueError(f"malformed assignment {item!r}")
+        if key in assignments:
+            raise ValueError(f"free coefficient {key!r} is assigned twice")
         assignments[key] = _parse_rational(val)
     series = phg.recurse(_parse_rational(args.beta), _parse_rational(args.truncation), args.steps, assignments)
     rows = []

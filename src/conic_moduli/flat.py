@@ -127,11 +127,13 @@ class CornerExpansion2:
 def corner_expansion_2pt(
     beta1: RationalLike, beta2: RationalLike, order: int
 ) -> CornerExpansion2:
-    """Taylor coefficients in s of the two-point corner expansion of G."""
+    """Taylor coefficients in s of the two-point corner expansion of G (ValueError for beta <= 0)."""
     if not 1 <= order <= 8:
         raise ValueError("order must be between 1 and 8")
     b1, _ = to_fraction(beta1)
     b2, _ = to_fraction(beta2)
+    if b1 <= 0 or b2 <= 0:
+        raise ValueError("angle parameters must be positive")
     terms = []
     for n in range(1, order + 1):
         c = -Fraction((b1 - 1) + (-1) ** n * (b2 - 1), n)

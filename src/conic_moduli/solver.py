@@ -9,9 +9,8 @@ unknown: the angular fluctuations vanish there (they decay like a positive
 power of r) while the ring constant keeps the natural zero-flux condition.
 That is the discrete counterpart of the bounded-leading-behavior domain.
 
-Sign conventions: ``ConicLaplacianOp.weak_laplacian_dof`` returns
-(A x + B g) / W, the geometer's nonnegative Laplacian
-Delta = -e^{-2 phi0} r^{-2} ((r d/dr)^2 + d^2/dphi^2), which sends
+Sign conventions: ``ConicLaplacianOp.weak_form(g) / W`` is the geometer's
+nonnegative Laplacian Delta = -e^{-2 phi0} r^{-2} ((r d/dr)^2 + d^2/dphi^2), which sends
 r^a cos(m phi) to (m^2 - a^2) r^{a-2} cos(m phi).  It is used in all
 equations: curvature equations are written as Delta u + e^{2u} + K0 = 0
 (hyperbolic) and Delta u + K0 - e^{2u} = 0 (spherical).
@@ -215,6 +214,8 @@ class ConicLaplacianOp:
 
         self.cell_mass = _lumped_mass(mesh, self.density)
         self.W = self.R @ self.cell_mass.ravel()
+        if not np.all(np.isfinite(self.W) & (self.W > 0)):
+            raise ValueError("lumped mass W is zero or not finite at some dof: density * r^2 under/overflows")
 
     # -- grid <-> dof transfer ----------------------------------------------
     def grid_to_dof(self, u: Field) -> Field:
@@ -231,15 +232,9 @@ class ConicLaplacianOp:
         return u
 
     # -- operator action and shifted factorizations ---------------------------
-    def weak_laplacian_dof(self, x: Field, rings: Optional[Field] = None) -> Field:
-        """(A x + B rings) / W: the nonnegative Laplacian in dof space.
-
-        B reads the Dirichlet ring values of the grid field ``rings`` (default zero).
-        """
-        out = self.A @ x
-        if rings is not None:
-            out += self.B @ rings.ravel()
-        return out / self.W
+    def weak_form(self, g: Field) -> Field:
+        """A x + B g, the weak form of Delta g for a grid field g with dof values x and ring values read by B."""
+        return self.A @ self.grid_to_dof(g) + self.B @ g.ravel()
 
     def shifted(self, shift: Union[float, Field]) -> spla.SuperLU:
         """Sparse LU factorization of A + diag(shift * W).
@@ -312,10 +307,11 @@ def picard_solve(
     lu = op.shifted(2.0)
     eps = float(np.finfo(float).eps)
 
-    # each iterate's grid field and f + Q(v), computed once for every use below
+    # each iterate's grid field, f + Q(v) and load vector, computed once for every use below
     v = np.zeros(op.ndof)
     v_grid = op.dof_to_grid(v) + lift
     rhs_grid = f + _q_nonlinearity(v_grid)
+    load = op.R @ (rhs_grid * op.cell_mass).ravel()
     prev_delta = None
     contraction = 0.0
     iterations = 0
@@ -323,7 +319,7 @@ def picard_solve(
         if iterations >= maxit:
             raise NonconvergenceError(f"no convergence in {maxit} Picard iterations")
         iterations += 1
-        v_new = lu.solve(op.R @ (rhs_grid * op.cell_mass).ravel() - b_lift)
+        v_new = lu.solve(load - b_lift)
         delta = float(np.max(np.abs(v_new - v)))
         if prev_delta is not None and prev_delta > 0 and delta > 0:
             contraction = delta / prev_delta
@@ -333,16 +329,15 @@ def picard_solve(
         v, prev_delta = v_new, delta
         v_grid = op.dof_to_grid(v) + lift
         rhs_grid = f + _q_nonlinearity(v_grid)
+        load = op.R @ (rhs_grid * op.cell_mass).ravel()
         # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
-        resid = op.weak_laplacian_dof(v, lift) + 2.0 * v - _restrict(op, rhs_grid)
+        resid = op.weak_form(v_grid) / op.W + 2.0 * v - load / op.W
         residual = float(np.max(np.abs(resid)))
         if residual <= tol:
             break
         if delta <= eps * (1.0 + float(np.max(np.abs(v)))):
-            # stagnated; acceptable only when the residual sits at the
-            # floating-point evaluation floor of the residual expression
-            amp = (abs(op.A) @ np.abs(v)) / op.W + 2.0 * np.abs(v)
-            if residual <= 1000.0 * eps * (float(np.max(amp)) + float(np.max(np.abs(rhs_grid)))):
+            # stagnated; acceptable only at the evaluation floor
+            if residual <= _evaluation_floor(op, v, 2.0 * np.abs(v) + float(np.max(np.abs(rhs_grid)))):
                 break
             raise NonconvergenceError(
                 f"stagnated at residual {residual:.3e} above the evaluation floor"
@@ -361,9 +356,9 @@ def picard_solve(
     )
 
 
-def _restrict(op: ConicLaplacianOp, grid: Field) -> Field:
-    """Mass-average a grid field onto dofs (pole dofs get their ring mean)."""
-    return op.R @ (grid * op.cell_mass).ravel() / op.W
+def _evaluation_floor(op: ConicLaplacianOp, u: Field, other: Union[float, Field]) -> float:
+    """1000 eps max((|A||u|)/W + other): below it a strong residual is round-off, not progress."""
+    return 1000.0 * float(np.finfo(float).eps) * float(np.max((abs(op.A) @ np.abs(u)) / op.W + other))
 
 
 def hyperbolic_correction_solve(
@@ -391,11 +386,10 @@ def hyperbolic_correction_solve(
     u_approx = profile(rfrak) * np.ones((mesh.nt, mesh.nphi))
     cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
     op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
-    phi_grid = cone_part + u_approx
-    K_tilde = op.weak_laplacian_dof(op.grid_to_dof(phi_grid), phi_grid)
+    K_tilde = op.weak_form(cone_part + u_approx) / op.W
     if mesh.inner == "pole":
         pole = op.dof_of[0, 0]
-        K_tilde[pole] -= op.weak_laplacian_dof(op.grid_to_dof(cone_part))[pole]
+        K_tilde[pole] -= op.weak_form(cone_part)[pole] / op.W[pole]
     return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
 
 
@@ -468,11 +462,11 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     if op.mesh.inner != "pole" or op.mesh.outer != "pole":
         raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
     W = op.W
-    K0_dof = _restrict(op, np.asarray(K0, dtype=float))
+    K0_dof = op.R @ (np.asarray(K0, dtype=float) * op.cell_mass).ravel() / W  # mass average
 
     def residual_dof(u_dof: Field) -> Field:
         with np.errstate(over="ignore", invalid="ignore"):
-            return op.weak_laplacian_dof(u_dof) + K0_dof - np.exp(2 * u_dof)
+            return op.A @ u_dof / W + K0_dof - np.exp(2 * u_dof)
 
     M = float(W @ K0_dof)
     if not M > 1e-8 * float(W @ np.abs(K0_dof)):
@@ -487,14 +481,6 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         with np.errstate(over="ignore", invalid="ignore"):
             val = float(res @ (W * res))
         return math.sqrt(val) if math.isfinite(val) else math.inf
-
-    abs_a = abs(op.A)
-
-    def roundoff_floor(u_dof: Field) -> float:
-        # forward-error scale of evaluating the residual expression itself;
-        # below this no iteration can make honest progress
-        amp = (abs_a @ np.abs(u_dof)) / W + np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max())
-        return float(np.finfo(float).eps) * float(np.max(amp))
 
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
@@ -520,7 +506,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
             tau = max(0.3 * tau, 1e-12)
             rejections = 0
         else:
-            if res_sup <= 1000.0 * roundoff_floor(u):
+            if res_sup <= _evaluation_floor(op, u, np.abs(K0_dof) + np.exp(2 * np.abs(u).max())):
                 break  # stagnated at the evaluation floor
             tau = min(4.0 * tau, 1e9)
             rejections += 1
@@ -752,10 +738,8 @@ def merging_pair_residual_family(
 
     # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
     g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
-    g1_dof = op0.grid_to_dof(g1)
     shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
-    a_g1 = op0.A @ g1_dof + op0.B @ g1.ravel()
-    u1 = op0.shifted(shift).solve(-(a_g1 + shift * op0.W * g1_dof))
+    u1 = op0.shifted(shift).solve(-(op0.weak_form(g1) + shift * op0.W * op0.grid_to_dof(g1)))
     u1_grid = op0.dof_to_grid(u1)
 
     families: dict[int, list[tuple[float, Field]]] = {1: [], 2: []}
@@ -765,7 +749,6 @@ def merging_pair_residual_family(
         for order, u in ((1, u0_grid), (2, u0_grid + rho * u1_grid)):
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}
             phi = 0.5 * log_density_rho + u
-            weak = op0.A @ op0.grid_to_dof(phi) + op0.B @ phi.ravel()
-            res_dof = weak / mass_rho + op0.grid_to_dof(np.exp(2 * u))
+            res_dof = op0.weak_form(phi) / mass_rho + op0.grid_to_dof(np.exp(2 * u))
             families[order].append((rho, op0.dof_to_grid(res_dof)))
     return MergingFamily(mesh=mesh, beta1=b1, beta2=b2, families=families, u0_report=report)

@@ -88,7 +88,7 @@ def test_acceptance_2_bfibration_verification():
     corner = pullback_report("three-corner", samples=10_000, region=0.3, seed=20240)
     assert two.roundtrip_max_err < 1e-12
     assert corner.roundtrip_max_err < 1e-12
-    assert two.lifting.row_condition_ok() and corner.lifting.row_condition_ok()
+    assert two.lifting.row_condition_ok and corner.lifting.row_condition_ok
     lo, hi = corner.factors["rho123"]
     assert lo >= 0.95394 - 1e-9
     assert hi <= 1.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conic_moduli import charts
 from conic_moduli.charts import (
     Chart2Point,
     Chart3CornerPoint,
@@ -20,8 +21,8 @@ from conic_moduli.charts import (
 
 def test_blowdown2_example():
     p = Chart2Point(zeta=0j, R12=0.2, omega=math.pi / 6, phi=0.0, theta=0.0)
-    z1, z2, z, rho12 = blowdown2(p)
-    assert rho12 == pytest.approx(0.1, abs=1e-15)
+    z1, z2, z = blowdown2(p)
+    assert abs(z1 - z2) / 2 == pytest.approx(0.1, abs=1e-15)
     assert z1 == pytest.approx(0.1 + 0j, abs=1e-15)
     assert z2 == pytest.approx(-0.1 + 0j, abs=1e-15)
     assert z == pytest.approx(0.1 * math.sqrt(3) + 0j, abs=1e-15)
@@ -30,12 +31,12 @@ def test_blowdown2_example():
 def test_blowdown2_boundary_cases():
     # omega = pi/2: z collapses to the center of mass, rho12 = R12
     p = Chart2Point(zeta=0.3 + 0.4j, R12=0.5, omega=math.pi / 2, phi=1.0, theta=2.0)
-    _, _, z, rho12 = blowdown2(p)
+    z1, z2, z = blowdown2(p)
     assert abs(z - p.zeta) < 1e-16
-    assert rho12 == pytest.approx(0.5)
+    assert abs(z1 - z2) / 2 == pytest.approx(0.5)
     # omega = 0: the two points coincide, z sits on the circle of radius R12
     q = Chart2Point(zeta=0j, R12=0.5, omega=0.0, phi=0.7, theta=0.0)
-    z1, z2, z, rho12 = blowdown2(q)
+    z1, z2, z = blowdown2(q)
     assert z1 == z2 == 0j
     assert abs(abs(z) - 0.5) < 1e-15
 
@@ -71,9 +72,9 @@ def test_swap_symmetry():
             phi=rng.uniform(0, 2 * math.pi),
             theta=rng.uniform(0, 2 * math.pi),
         )
-        z1, z2, z, _ = blowdown2(p)
+        z1, z2, z = blowdown2(p)
         q = Chart2Point(p.zeta, p.R12, p.omega, p.phi, p.theta + math.pi)
-        w1, w2, w, _ = blowdown2(q)
+        w1, w2, w = blowdown2(q)
         assert abs(w1 - z2) < 5e-16 * (1 + abs(z2))
         assert abs(w2 - z1) < 5e-16 * (1 + abs(z1))
         assert w == z
@@ -89,7 +90,7 @@ def test_roundtrip_coordinates_interior():
             phi=rng.uniform(0, 2 * math.pi),
             theta=rng.uniform(0, 2 * math.pi),
         )
-        z1, z2, z, _ = blowdown2(p)
+        z1, z2, z = blowdown2(p)
         q = chart2_from_points(z1, z2, z)
         assert q.R12 == pytest.approx(p.R12, rel=1e-12)
         assert q.omega == pytest.approx(p.omega, abs=1e-12)
@@ -168,16 +169,16 @@ def test_chart3_corner_roundtrip():
 
 def test_lifting_matrix_row_condition():
     good = LiftingMatrix(rows=("a", "b"), cols=("x", "y"), entries=((1, 0), (0, 2)))
-    assert good.row_condition_ok()
+    assert good.row_condition_ok
     bad = LiftingMatrix(rows=("a",), cols=("x", "y"), entries=((1, 1),))
-    assert not bad.row_condition_ok()
+    assert not bad.row_condition_ok
     with pytest.raises(ValueError):
         LiftingMatrix(rows=("a",), cols=("x",), entries=((-1,),))
 
 
 def test_pullback_two_chart():
     rep = pullback_report("two", samples=4000, region=0.3, seed=101)
-    assert rep.lifting.row_condition_ok()
+    assert rep.lifting.row_condition_ok
     assert rep.lifting.entries == ((1,), (1,))
     lo, hi = rep.factors["rho12"]
     # A = sin(omega)/omega on (0, pi/2]
@@ -188,7 +189,7 @@ def test_pullback_two_chart():
 
 def test_pullback_three_corner_chart():
     rep = pullback_report("three-corner", samples=4000, region=0.3, seed=101)
-    assert rep.lifting.row_condition_ok()
+    assert rep.lifting.row_condition_ok
     assert rep.lifting.entries == ((1, 0), (0, 1), (0, 1))
     lo123, hi123 = rep.factors["rho123"]
     assert math.sqrt(0.91) - 1e-12 <= lo123 and hi123 <= 1.0 + 1e-12
@@ -198,18 +199,33 @@ def test_pullback_three_corner_chart():
     assert rep.roundtrip_max_err < 1e-12
 
 
+def test_pullback_factors_follow_the_lifting_matrix(monkeypatch):
+    # a wrong exponent must show in the factors: R12^2 leaves a factor ~ 1/R12
+    wrong = LiftingMatrix(
+        rows=("C123[R123]", "C12[R12]", "fiber[omega12]"),
+        cols=("rho123", "rho12"),
+        entries=((1, 0), (0, 2), (0, 1)),
+    )
+    monkeypatch.setattr(charts, "_LIFT_THREE", wrong)
+    rep = pullback_report("three-corner", samples=4000, region=0.3, seed=101)
+    assert rep.lifting is wrong
+    assert rep.factors["rho12"][1] > 1e3
+
+
 def test_pullback_rejects_bad_arguments():
     with pytest.raises(ValueError):
         pullback_report("two", samples=0)
     with pytest.raises(ValueError):
         pullback_report("two", region=1.5)
+    with pytest.raises(ValueError, match="radial samples start at 1e-06"):
+        pullback_report("three-corner", region=1e-6)
     with pytest.raises(ValueError):
         pullback_report("five")
 
 
 MAPS = {
-    "two": (blowdown2, chart2_from_points, 3),
-    "three-corner": (blowdown3_corner, chart3_corner_from_points, 4),
+    "two": (blowdown2, chart2_from_points),
+    "three-corner": (blowdown3_corner, chart3_corner_from_points),
 }
 
 
@@ -248,23 +264,23 @@ def assert_entrywise(arrays, scalars):
 
 @pytest.mark.parametrize("chart", ["two", "three-corner"])
 def test_chart_maps_on_arrays_match_scalar_calls(chart):
-    blowdown, invert, npts = MAPS[chart]
+    blowdown, invert = MAPS[chart]
     p = random_points(np.random.default_rng(17), 64)[chart]
     n = p.zeta.size
     pts = blowdown(p)
     assert all(np.shape(z) == (n,) for z in pts)
     assert_entrywise(pts, [blowdown(entry(p, i)) for i in range(n)])
-    q = invert(*pts[:npts])
+    q = invert(*pts)
     coords = list(vars(q))
     assert_entrywise(
         [getattr(q, c) for c in coords],
-        [[getattr(invert(*(z[i] for z in pts[:npts])), c) for c in coords] for i in range(n)],
+        [[getattr(invert(*(z[i] for z in pts)), c) for c in coords] for i in range(n)],
     )
 
 
 def test_chart_maps_on_arrays_reject_any_bad_entry():
     points = random_points(np.random.default_rng(19), 8)
-    z1, z2, z, _ = blowdown2(points["two"])
+    z1, z2, z = blowdown2(points["two"])
     z1[3] = z2[3] = z[3] = 0.5 + 0.5j
     with pytest.raises(DegenerateChartError):
         chart2_from_points(z1, z2, z)

@@ -185,6 +185,25 @@ REFUSALS = {
     "recurse_needs_too_many_u0_terms": (
         ["phg", "recurse", "--beta", "1/16", "--truncation", "4"], "beta = 1/16 with truncation 4 needs 32 one-cone terms"
     ),
+    # 17 cones would take ~11 s and ~230 MB; the cap refuses before enumerating
+    "classify_past_cap": (
+        ["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", ",".join(["9/10"] * 17)],
+        "limited to k <= 16",
+    ),
+    # these three used to print a table, silently keep the last value, or leak numpy's message
+    "expand_beta_zero": (["flat", "expand", "--beta1", "0", "--beta2", "1/2"], "angle parameters must be positive"),
+    "expand_beta_negative": (["flat", "expand", "--beta1=-1/2", "--beta2", "1/2"], "angle parameters must be positive"),
+    "assign_name_twice": (
+        ["phg", "recurse", "--beta", "3/4", "--assign", "a[1,1,c]=1", "--assign", "a[1,1,c]=2"],
+        "'a[1,1,c]' is assigned twice",
+    ),
+    "charts_region_below_radial_floor": (
+        ["charts", "verify", "--chart", "two", "--region", "1e-300"], "radial samples start at 1e-06"
+    ),
+    # e^{2t} = r^2 underflows at r_min = 1e-300: the lumped mass used to be 0 on the pole ring
+    "hyperbolic_mass_underflow": (
+        ["solve", "hyperbolic", "--beta", "1/2", "--rmin", "1e-300", "--mesh", "65x16"], "lumped mass W is zero"
+    ),
 }
 # a NaN tol would end the solve loop at once and print an unsolved field as solved
 for _tol in ("nan", "0", "-1"):
