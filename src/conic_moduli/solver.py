@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .cones import ConeData, MergeStatus, verdict
 from .extrapolate import decay_verdict, least_squares_slope
@@ -236,13 +237,73 @@ class ConicLaplacianOp:
         """A x + B g, the weak form of Delta g for a grid field g with dof values x and ring values read by B."""
         return self.A @ self.grid_to_dof(g) + self.B @ g.ravel()
 
-    def shifted(self, shift: Union[float, Field]) -> spla.SuperLU:
-        """Sparse LU factorization of A + diag(shift * W).
+    def shifted(self, shift: Union[float, Field]) -> Union[spla.SuperLU, _FourierFactor]:
+        """Factorization of A + diag(shift * W), with a ``solve(b)`` method.
 
         ``shift`` is a scalar or a per-dof array; the factor is the weak
-        form of Delta + shift with the Dirichlet rings eliminated.
+        form of Delta + shift with the Dirichlet rings eliminated.  When
+        shift * W is exactly constant on every ring the operator is
+        rotation-invariant and the factor is a ``_FourierFactor`` (no fill);
+        otherwise it is SuperLU's, in minimum-degree order on A + A^T.  An
+        exactly singular factor raises RuntimeError either way.
         """
-        return spla.splu((self.A + sp.diags(shift * self.W)).tocsc())
+        s = shift * self.W
+        rings = s[self.dof_of[self.dof_of[:, 0] >= 0]]  # one row per ring with dofs
+        if np.all(rings == rings[:, :1]):
+            return _FourierFactor(self, s)
+        return spla.splu((self.A + sp.diags(s)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+class _FourierFactor:
+    """LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
+
+    The orthonormal real FFT in phi turns a ring's angular coupling
+    c (x_{j-1} + x_{j+1}) into 2 c cos(2 pi k / nphi) on mode k, leaving one
+    tridiagonal in t per mode.  A collapsed ring couples only to mode 0: the
+    ring sum of its neighbour is sqrt(nphi) times that mode, so it borders
+    mode 0's block with coupling sqrt(nphi) times its radial entry.  The
+    coefficients are read from ``op.A``.  All blocks sit in one tridiagonal
+    with zero couplings between them, factored once by LAPACK's dgttrf,
+    which pivots (a Newton shift may be indefinite); the real and imaginary
+    parts of every right-hand side are solved together by dgttrs.
+    """
+
+    def __init__(self, op: ConicLaplacianOp, s: Field):
+        A, n, P = op.A, op.ndof, op.mesh.nphi
+        self.n, self.P = n, P
+        self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
+        rows = np.arange(self.lo, n - self.hi, P)  # first dof of each ring of nphi dofs
+        self.m = rows.size
+        diag = A.diagonal() + s
+        angular = np.asarray(A[rows, rows + 1]).ravel()
+        radial = np.asarray(A[rows[:-1], rows[1:]]).ravel()
+        modes = np.arange(P // 2 + 1)
+        d = diag[rows] + 2.0 * np.cos(2.0 * np.pi * modes / P)[:, None] * angular
+        e = np.zeros_like(d)  # coupling to the next ring; zero ends each mode's block
+        e[:, :-1] = radial
+        border = math.sqrt(P)
+        inner = [border * A[0, rows[0]]] * self.lo
+        outer = [border * A[rows[-1], n - 1]] * self.hi
+        d = np.concatenate([diag[: self.lo], d[0], diag[n - self.hi :], d[1:].ravel()])
+        e = np.concatenate([inner, e[0, :-1], outer, e[0, -1:], e[1:].ravel()[:-1]])
+        *self.lu, info = dgttrf(e, d, e)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b: Field) -> Field:
+        """x with (A + diag(s)) x = b, for b of shape (ndof,) or (ndof, k)."""
+        lo, hi, m, P = self.lo, self.hi, self.m, self.P
+        x = np.asarray(b, dtype=float).reshape(self.n, -1)
+        k = x.shape[1]
+        f = np.fft.rfft(x[lo : self.n - hi].reshape(m, P, k), axis=1, norm="ortho")
+        f = np.concatenate([f.real, f.imag], axis=2).transpose(1, 0, 2)  # (mode, ring, real|imag)
+        poles = np.pad(x[np.r_[:lo, self.n - hi : self.n]], ((0, 0), (0, k)))  # no imaginary part
+        rhs = np.concatenate([poles[:lo], f[0], poles[lo:], f[1:].reshape(-1, 2 * k)])
+        y, _ = dgttrs(*self.lu, rhs)
+        f = np.concatenate([y[lo : lo + m], y[lo + m + hi :]]).reshape(-1, m, 2 * k)
+        rings = np.fft.irfft((f[..., :k] + 1j * f[..., k:]).transpose(1, 0, 2), n=P, axis=1, norm="ortho")
+        out = np.concatenate([y[:lo, :k], rings.reshape(m * P, k), y[lo + m : lo + m + hi, :k]])
+        return out.reshape(np.shape(b))
 
 
 def assemble(mesh: FiberMesh, density: DensityLike) -> ConicLaplacianOp:
@@ -492,7 +553,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         with np.errstate(over="ignore", invalid="ignore"):
             e2u = np.exp(2 * u)
             q = W * e2u
-            try:  # a temporary factor: one SuperLU factor alive at a time
+            try:  # a temporary factor: one factor alive at a time
                 y, z = op.shifted(tau - 2.0 * e2u).solve(np.column_stack([-(W * res), q])).T
             except RuntimeError:  # exactly singular: rejected like a failed step
                 y = z = np.full(op.ndof, np.nan)
@@ -736,9 +797,12 @@ def merging_pair_residual_family(
     # limit background density e^{2 G0}
     op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u0_grid)))
 
-    # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1)
+    # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1);
+    # the merged limit is rotation-invariant, so u0 is taken at its ring mean
+    # (its solve leaves round-off off the rings) and the shift factors by FFT
     g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
-    shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
+    u0_ring = np.broadcast_to(u0_grid.mean(axis=1, keepdims=True), u0_grid.shape)
+    shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_ring))
     u1 = op0.shifted(shift).solve(-(op0.weak_form(g1) + shift * op0.W * op0.grid_to_dof(g1)))
     u1_grid = op0.dof_to_grid(u1)
 

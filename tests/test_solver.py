@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conic_moduli import solver
 from conic_moduli.phg import u0_truncated, u0_value
@@ -19,6 +20,7 @@ from conic_moduli.solver import (
     decay_check,
     eigen_gap,
     football_density,
+    hyperbolic_correction_solve,
     merging_pair_residual_family,
     newton_solve_spherical,
     picard_solve,
@@ -140,6 +142,46 @@ def test_shifted_factorization_matches_dense_solve():
         dense = np.linalg.solve(op.A.toarray() + np.diag(shift * op.W), b)
         got = op.shifted(shift).solve(b)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def radial_density(r, phi):
+    return 1.0 + r + 0.0 * phi
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
+@pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "per-ring"])
+def test_fourier_factor_matches_superlu(inner, outer, shift):
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), radial_density)
+    if shift == "per-ring":  # a ring-constant per-dof array
+        shift = op.grid_to_dof(np.broadcast_to(1.0 - op.mesh.r[:, None], op.density.shape))
+    factor = op.shifted(shift)
+    assert isinstance(factor, solver._FourierFactor)
+    reference = spla.splu((op.A + sp.diags(shift * op.W)).tocsc())
+    rng = np.random.default_rng(5)
+    for b in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 2))):
+        got, want = factor.solve(b), reference.solve(b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_shifted_uses_superlu_off_the_rotation_invariant_case():
+    # a density or a shift that varies along a ring has no Fourier factor
+    bumpy = assemble(FiberMesh(0.05, 1.0, 17, 8), bumpy_density)
+    assert isinstance(bumpy.shifted(2.0), spla.SuperLU)
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8), radial_density)
+    shift = op.grid_to_dof(2.0 + np.cos(np.broadcast_to(op.mesh.phi, op.density.shape)))
+    assert isinstance(op.shifted(shift), spla.SuperLU)
+
+
+def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
+    # LAPACK's info > 0 (a zero pivot) is SuperLU's RuntimeError, which Newton rejects on
+    def zero_pivot(dl, d, du):
+        return dl, d, du, d[2:], np.arange(1, d.size + 1, dtype=np.int32), 3
+
+    monkeypatch.setattr(solver, "dgttrf", zero_pivot)
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), 1.0)
+    with pytest.raises(RuntimeError):
+        op.shifted(2.0)
 
 
 @pytest.mark.parametrize("outer", ["pole", "dirichlet"])
@@ -293,6 +335,50 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
     assert rep.residual_sup < 1e-10
     assert len(calls) > 1
+
+
+def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch):
+    # tau - 2 e^{2u} starts ring-constant and indefinite: a factor without
+    # pivoting (Cholesky) would fail there, and Newton would reject the step
+    mesh = closed_sphere_mesh()
+    op = assemble(mesh, round_sphere_density)
+    r, _ = mesh.grids()
+    K0 = (1.0 + 0.5 * (r**2 - 1.0) / (r**2 + 1.0)) * np.ones((mesh.nt, mesh.nphi))
+    shifted, factors, raised = ConicLaplacianOp.shifted, [], []
+
+    def recorded(op, shift):
+        try:
+            factors.append((np.min(shift), shifted(op, shift)))
+        except RuntimeError:
+            raised.append(shift)
+            raise
+        return factors[-1][1]
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", recorded)
+    rep = newton_solve_spherical(op, K0)
+    assert not raised
+    first_shift, first_factor = factors[0]
+    assert first_shift < 0 and isinstance(first_factor, solver._FourierFactor)
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, s: spla.splu((op.A + sp.diags(s * op.W)).tocsc()))
+    forced = newton_solve_spherical(op, K0)
+    assert np.max(np.abs(rep.solution - forced.solution)) <= 1e-8
+
+
+def test_rotation_invariant_solves_build_no_superlu_factor(monkeypatch):
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("a SuperLU factor was built")
+
+    monkeypatch.setattr(spla, "splu", no_superlu)
+    # the README hyperbolic solve, the default merging family, the round and
+    # football gaps and the manufactured Picard solve
+    hyperbolic = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
+    assert hyperbolic_correction_solve(hyperbolic, 0.5, functools.partial(u0_truncated, order=4)).bound_ok
+    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025))
+    assert decay_check(fam.families[2], 2).passes
+    assert abs(eigen_gap(assemble(closed_sphere_mesh(), round_sphere_density)) - 2.0) < 0.05
+    assert abs(eigen_gap(assemble(closed_sphere_mesh(10.0, 129, 16), football_density(0.5))) - 2.0) < 0.05
+    error, rep = manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"))
+    assert rep.bound_ok and error < 1e-3
 
 
 def test_spherical_cone_solve_three_cones():
