@@ -122,20 +122,22 @@ def gauss_bonnet_residual(d: ConeData) -> Fraction:
     return d.chi_beta - d.curvature * d.area
 
 
+def _sign_rule_holds(chi_beta: Fraction, curvature: int) -> bool:
+    """Gauss-Bonnet's sign rule: K * A / (2*pi) = chi(M, beta) with A > 0 needs sign(chi_beta) = K."""
+    return (chi_beta > 0) - (chi_beta < 0) == curvature
+
+
 def consistent_area(d: ConeData) -> Optional[Fraction]:
     """The area (in units of 2*pi) forced by Gauss-Bonnet, if any.
 
-    For K = 0 returns None (any area); raises if the data admit no
-    positive-area solution.
+    For K = 0 returns None (any area); raises ValueError if the data admit
+    no positive-area solution, by the sign rule ``verdict`` applies first.
     """
-    if d.curvature == 0:
-        if d.chi_beta != 0:
-            raise ValueError("flat data require chi(M, beta) = 0")
-        return None
-    area = d.chi_beta / d.curvature
-    if area <= 0:
-        raise ValueError("no positive area satisfies Gauss-Bonnet for these data")
-    return area
+    if not _sign_rule_holds(d.chi_beta, d.curvature):
+        raise ValueError(
+            f"no positive area satisfies Gauss-Bonnet: chi(M, beta) = {d.chi_beta} with curvature {d.curvature}"
+        )
+    return None if d.curvature == 0 else d.chi_beta / d.curvature
 
 
 def merge_angle(betas: Sequence[RationalLike]) -> Fraction:
@@ -177,6 +179,7 @@ class MergeStatus(str, enum.Enum):
     ADMISSIBLE = "Admissible"
     ANGLE_OBSTRUCTED = "AngleObstructed"
     TROYANOV_VIOLATED = "TroyanovViolated"
+    GAUSS_BONNET_VIOLATED = "GaussBonnetViolated"
     FOOTBALL_BOUNDARY = "FootballBoundary"
 
 
@@ -200,9 +203,14 @@ class MergeVerdict:
 def verdict(genus: int, curvature: int, betas: Sequence[Fraction]) -> tuple[MergeStatus, bool]:
     """(status, at_equality): whether a metric with these cone parameters exists.
 
-    A parameter <= 0 is no cone; curvature <= 0 admits every other case; on
-    the sphere two equal angles are the football; else Troyanov's inequalities.
+    Gauss-Bonnet's sign rule comes first: chi(M, beta) = 2 - 2 genus +
+    sum(beta_i - 1) must be positive for curvature 1, negative for -1 and
+    zero for 0.  Then a parameter <= 0 is no cone; curvature <= 0 admits
+    every other case; on the sphere two equal angles are the football; else
+    Troyanov's inequalities.
     """
+    if not _sign_rule_holds(2 - 2 * genus + sum(betas, Fraction(0)) - len(betas), curvature):
+        return MergeStatus.GAUSS_BONNET_VIOLATED, False
     if min(betas) <= 0:
         return MergeStatus.ANGLE_OBSTRUCTED, False
     if curvature <= 0:
@@ -229,9 +237,11 @@ def _verdict(d: ConeData, a: IndexSubset, b: Optional[IndexSubset] = None) -> Me
 def classify_merges(d: ConeData) -> list[MergeVerdict]:
     """One verdict per subset of size 2..k, plus sphere football partitions.
 
-    For K <= 0 admissibility alone decides.  For the sphere, a merge must
-    leave a configuration satisfying the positive-curvature inequalities;
-    collapsing to two equal angles is flagged as the football boundary.
+    Merging keeps chi(M, beta), so data that fail Gauss-Bonnet's sign rule
+    get that verdict on every subset.  Otherwise, for K <= 0 admissibility
+    alone decides.  For the sphere, a merge must leave a configuration
+    satisfying the positive-curvature inequalities; collapsing to two
+    equal angles is flagged as the football boundary.
     Simultaneous merges are enumerated only for partitions of {1..k} into
     two blocks of size >= 2 (single-subset verdicts cover the rest).  Over
     ``MAX_CLASSIFY_K`` cone points raise ValueError before any enumeration.

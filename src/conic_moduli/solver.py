@@ -2,12 +2,13 @@
 
 A fiber surface is discretized in log-radius t = log r (uniform) and a
 periodic angle phi.  Conformally, the Dirichlet energy is the flat (t, phi)
-energy, so the stiffness matrix is density-independent; the metric enters
-only through the lumped mass weights density * e^{2t}.  Cone tips and
-sphere closures are modelled by collapsing a boundary ring to a single
-unknown: the angular fluctuations vanish there (they decay like a positive
-power of r) while the ring constant keeps the natural zero-flux condition.
-That is the discrete counterpart of the bounded-leading-behavior domain.
+energy, so the stiffness matrix is the flat 5-point stencil, the same for
+every density; the metric enters only through the lumped mass weights
+density * e^{2t}.  Cone tips and sphere closures are modelled by collapsing
+a boundary ring to a single unknown: the angular fluctuations vanish there
+(they decay like a positive power of r) while the ring constant keeps the
+natural zero-flux condition.  That is the discrete counterpart of the
+bounded-leading-behavior domain.
 
 Sign conventions: ``ConicLaplacianOp.weak_form(g) / W`` is the geometer's
 nonnegative Laplacian Delta = -e^{-2 phi0} r^{-2} ((r d/dr)^2 + d^2/dphi^2), which sends
@@ -86,8 +87,10 @@ class FiberMesh:
     outer: str = "dirichlet"
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max and math.isfinite(self.r_max)):
+            raise ValueError("need finite radii 0 < r_min < r_max")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nt, self.nphi)):
+            raise ValueError("node counts must be integers")
         if self.nt < 8 or self.nphi < 8:
             raise ValueError("node counts must be >= 8")
         if self.nphi % 2:
@@ -149,9 +152,17 @@ def _lumped_mass(mesh: FiberMesh, density: Field) -> Field:
 class ConicLaplacianOp:
     """Discrete conic Laplacian: flat (t, phi) stiffness + metric mass.
 
-    The stiffness A is assembled from the Dirichlet energy with edge
-    weights hp/ht (radial) and ht/hp (angular); A is symmetric positive
-    semidefinite and annihilates constants when both rings are collapsed.
+    The stiffness A is the flat (t, phi) 5-point stencil, written straight
+    into CSR: an interior dof couples to its down- and up-ring neighbours
+    with -hp/ht and to its left and right ones with -ht/hp, and a collapsed
+    ring's dof to each node of its neighbour ring with -hp/ht.  ``stencil``
+    holds (radial, angular, centre, pole): hp/ht, ht/hp and the two
+    diagonals, summed in the order of an edge-by-edge assembly (an interior
+    node's two radial then two angular edges, a pole's nphi radial edges one
+    after another), so A is that assembly's matrix bit for bit.  A is
+    symmetric positive semidefinite and annihilates constants when both
+    rings are collapsed.
+
     The lumped mass is density * e^{2t} * ht * hp with half cells at the
     end rings (a collapsed ring's unknown carries its whole ring mass; the
     area below the truncation radius is dropped).
@@ -185,33 +196,40 @@ class ConicLaplacianOp:
 
     # -- assembly -----------------------------------------------------------
     def _build_matrices(self) -> None:
-        mesh = self.mesh
-        nt, P = mesh.nt, mesh.nphi
-        # edges as node pairs: radial (i, j)-(i+1, j), then angular (i, j)-(i, j+1)
-        node = np.arange(nt * P).reshape(nt, P)
-        n1 = np.concatenate([node[:-1].ravel(), node.ravel()])
-        n2 = np.concatenate([node[1:].ravel(), np.roll(node, -1, axis=1).ravel()])
-        w = np.repeat([mesh.hp / mesh.ht, mesh.ht / mesh.hp], [(nt - 1) * P, nt * P])
-        dof = self.dof_of.ravel()
-        a, b = dof[n1], dof[n2]
-        keep = a != b  # drops edges collapsed onto one unknown
-        a, b, w, n1, n2 = a[keep], b[keep], w[keep], n1[keep], n2[keep]
-        # per edge (a,a,w), (a,b,-w), (b,b,w), (b,a,-w); a coupling to a
-        # Dirichlet ring node goes to B, in that node's column.  This entry
-        # order fixes the order in which duplicates are summed.
-        pa, pb = a >= 0, b >= 0
-        rows = np.stack([a, a, b, b], axis=1)
-        cols = np.stack([a, np.where(pb, b, n2), b, np.where(pa, a, n1)], axis=1)
-        vals = np.stack([w, -w, w, -w], axis=1)
-        none = np.zeros_like(pa)
-        in_a = np.stack([pa, pa & pb, pb, pa & pb], axis=1)
-        in_b = np.stack([none, pa & ~pb, none, pb & ~pa], axis=1)
-        self.A = sp.csr_matrix((vals[in_a], (rows[in_a], cols[in_a])), shape=(self.ndof, self.ndof))
-        self.B = sp.csr_matrix((vals[in_b], (rows[in_b], cols[in_b])), shape=(self.ndof, nt * P))
+        mesh, n, nt, P = self.mesh, self.ndof, self.mesh.nt, self.mesh.nphi
+        lo, hi = int(mesh.inner == "pole"), int(mesh.outer == "pole")
+        wr, wa = mesh.hp / mesh.ht, mesh.ht / mesh.hp
+        # diagonals summed as an edge loop sums them: an interior node's two radial
+        # and two angular edges, and a collapsed ring's nphi radial edges, in turn
+        centre, pole = ((wr + wr) + wa) + wa, np.cumsum(np.full(P, wr))[-1]
+        self.stencil = (wr, wa, centre, pole)
+        # a ring's rows: columns from its first dof (down-ring, left, centre, right,
+        # up-ring) ascending, so the wrap moves row 0's left and row nphi-1's right
+        j = np.arange(P)[:, None]
+        order = np.argsort((j + [-1, 0, 1]) % P, axis=1)
+        cols = np.hstack([j - P, (j + order - 1) % P, j + P])
+        vals = np.hstack([[[-wr]] * P, np.array([-wa, centre, -wa])[order], [[-wr]] * P])
+        # row blocks: first dofs, columns from them, weights.  A collapsed ring is one
+        # dof next to its neighbour ring's; a Dirichlet ring has none and goes to B
+        ring = self.dof_of[:, 0]
+        blocks = [(ring[:1], np.arange(P + 1)[None], np.r_[pole, [-wr] * P][None])] * lo + [
+            (ring[1:2], np.hstack([[[-1]] * P, cols[:, 1:]])[:, 1 - lo :], vals[:, 1 - lo :]),
+            (ring[2:-2], cols, vals),
+            (ring[-2:-1], np.hstack([cols[:, :-1], [[P]] * P])[:, : 4 + hi], vals[:, : 4 + hi]),
+        ] + [(ring[-1:], np.arange(-P, 1)[None], np.r_[[-wr] * P, pole][None])] * hi
+        sizes = np.repeat([v.shape[1] for *_, v in blocks], [b.size * len(v) for b, _, v in blocks])
+        indptr = np.cumsum(np.r_[0, sizes], dtype=np.int32)
+        indices = np.concatenate([(b[:, None, None] + c).ravel() for b, c, _ in blocks], dtype=np.int32)
+        data = np.concatenate([np.broadcast_to(v, (b.size, *v.shape)).ravel() for b, _, v in blocks])
+        self.A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        fixed = np.flatnonzero(ring < 0)  # Dirichlet rings: B takes their radial edges, in the node's column
+        rows, nodes = self.dof_of[np.clip(fixed, 1, nt - 2)].ravel(), (fixed[:, None] * P + j.T).ravel()
+        self.B = sp.csr_matrix((np.full(rows.size, -wr), (rows, nodes)), shape=(n, nt * P))
 
         # grid -> dof summation: R @ field.ravel() sums each dof's nodes
+        dof = self.dof_of.ravel()
         nodes = np.flatnonzero(dof >= 0)
-        self.R = sp.csr_matrix((np.ones(nodes.size), (dof[nodes], nodes)), shape=(self.ndof, nt * P))
+        self.R = sp.csr_matrix((np.ones(nodes.size), (dof[nodes], nodes)), shape=(n, nt * P))
 
         self.cell_mass = _lumped_mass(mesh, self.density)
         self.W = self.R @ self.cell_mass.ravel()
@@ -257,35 +275,29 @@ class ConicLaplacianOp:
 class _FourierFactor:
     """LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
 
-    The orthonormal real FFT in phi turns a ring's angular coupling
-    c (x_{j-1} + x_{j+1}) into 2 c cos(2 pi k / nphi) on mode k, leaving one
-    tridiagonal in t per mode.  A collapsed ring couples only to mode 0: the
-    ring sum of its neighbour is sqrt(nphi) times that mode, so it borders
-    mode 0's block with coupling sqrt(nphi) times its radial entry.  The
-    coefficients are read from ``op.A``.  All blocks sit in one tridiagonal
-    with zero couplings between them, factored once by LAPACK's dgttrf,
-    which pivots (a Newton shift may be indefinite); the real and imaginary
-    parts of every right-hand side are solved together by dgttrs.
+    The coefficients are the scalar weights of ``op.stencil``; no entry of
+    ``op.A`` is read.  The orthonormal real FFT in phi turns a ring's angular
+    coupling -wa (x_{j-1} + x_{j+1}) into -2 wa cos(2 pi k / nphi) on mode k,
+    leaving one tridiagonal in t per mode, with radial coupling -wr.  A
+    collapsed ring couples only to mode 0: the ring sum of its neighbour is
+    sqrt(nphi) times that mode, so it borders mode 0's block with coupling
+    -sqrt(nphi) wr.  All blocks sit in one tridiagonal with zero couplings
+    between them, factored once by LAPACK's dgttrf, which pivots (a Newton
+    shift may be indefinite); the real and imaginary parts of every
+    right-hand side are solved together by dgttrs.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
-        A, n, P = op.A, op.ndof, op.mesh.nphi
-        self.n, self.P = n, P
-        self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
-        rows = np.arange(self.lo, n - self.hi, P)  # first dof of each ring of nphi dofs
-        self.m = rows.size
-        diag = A.diagonal() + s
-        angular = np.asarray(A[rows, rows + 1]).ravel()
-        radial = np.asarray(A[rows[:-1], rows[1:]]).ravel()
-        modes = np.arange(P // 2 + 1)
-        d = diag[rows] + 2.0 * np.cos(2.0 * np.pi * modes / P)[:, None] * angular
-        e = np.zeros_like(d)  # coupling to the next ring; zero ends each mode's block
-        e[:, :-1] = radial
-        border = math.sqrt(P)
-        inner = [border * A[0, rows[0]]] * self.lo
-        outer = [border * A[rows[-1], n - 1]] * self.hi
-        d = np.concatenate([diag[: self.lo], d[0], diag[n - self.hi :], d[1:].ravel()])
-        e = np.concatenate([inner, e[0, :-1], outer, e[0, -1:], e[1:].ravel()[:-1]])
+        n, P = self.n, self.P = op.ndof, op.mesh.nphi
+        lo, hi = self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
+        self.m = (n - lo - hi) // P  # rings of nphi dofs
+        wr, wa, centre, pole = op.stencil
+        d = (centre + s[lo : n - hi : P]) - 2.0 * np.cos(2.0 * np.pi * np.arange(P // 2 + 1) / P)[:, None] * wa
+        e = np.full_like(d, -wr)  # coupling to the next ring; zero ends each mode's block
+        e[:, -1] = 0.0
+        border = [-math.sqrt(P) * wr]  # a pole's coupling to mode 0
+        d = np.concatenate([pole + s[:lo], d[0], pole + s[n - hi :], d[1:].ravel()])
+        e = np.concatenate([border * lo, e[0, :-1], border * hi, e[0, -1:], e[1:].ravel()[:-1]])
         *self.lu, info = dgttrf(e, d, e)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
@@ -597,17 +609,21 @@ def spherical_cone_solve(
     ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
     its minimiser is the metric.  ``cones.verdict`` decides existence before
-    any solve: a parameter that is not positive raises ValueError, two equal
-    angles raise FootballDegeneracyError, and two unequal angles, or all
-    beta < 1 against the Luo-Tian inequalities, raise ValueError, because
-    no metric exists.  The gap of the solved metric is computed and the
-    solve is rejected at or below 2 + _GAP_MARGIN (football degeneracy).
+    any solve: a parameter that is not positive raises ValueError, as do
+    angles with chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no
+    positive area), whatever the largest beta; two equal angles raise
+    FootballDegeneracyError, and two unequal angles, or all beta < 1
+    against the Luo-Tian inequalities, raise ValueError, because no metric
+    exists.  The gap of the solved metric is computed and the solve is
+    rejected at or below 2 + _GAP_MARGIN (football degeneracy).
     """
     bs = [float(b) for b in betas]
     exact = ConeData.of(0, bs, 1).beta
     status, _ = verdict(0, 1, exact)
     if status is MergeStatus.FOOTBALL_BOUNDARY:
         raise FootballDegeneracyError("two equal cone angles: the degenerate family with spectral gap exactly 2")
+    if status is MergeStatus.GAUSS_BONNET_VIOLATED:
+        raise ValueError(f"cone angles {betas} have chi(beta) <= 0: Gauss-Bonnet leaves no spherical metric")
     if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
         raise ValueError(f"cone angles {betas} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(bs, finite_points)

@@ -13,11 +13,15 @@ from conic_moduli.solver import FootballDegeneracyError
 def spherical_existence_gate(betas) -> None:
     """The spherical solve's refusal of cone data, written out by cases.
 
-    Two equal angles are the football (FootballDegeneracyError), two unequal
-    angles admit no metric, and with all beta < 1 the Luo-Tian inequalities
-    decide (ValueError); any other data pass.
+    Angles with 2 + sum(beta_i - 1) <= 0 leave Gauss-Bonnet no positive area
+    (ValueError).  Two equal angles are the football
+    (FootballDegeneracyError), two unequal angles admit no metric, and with
+    all beta < 1 the Luo-Tian inequalities decide (ValueError); any other
+    data pass.
     """
     bs = [float(b) for b in betas]
+    if 2 + sum(b - 1 for b in ConeData.of(0, bs, 1).beta) <= 0:
+        raise ValueError("no positive area")
     if len(bs) == 2:
         if bs[0] == bs[1]:
             raise FootballDegeneracyError("two equal cone angles")

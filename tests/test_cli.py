@@ -190,6 +190,20 @@ REFUSALS = {
         ["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", ",".join(["9/10"] * 17)],
         "limited to k <= 16",
     ),
+    # chi(M, beta) without the sign of K leaves Gauss-Bonnet no positive area; each used to print a table
+    "classify_hyperbolic_positive_chi": (
+        ["cones", "classify", "--genus", "0", "--curvature", "-1", "--beta", "1/2,1/2,1/2"], "Gauss-Bonnet"
+    ),
+    "classify_spherical_negative_chi": (
+        ["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "1/12,1/12,1/12"], "Gauss-Bonnet"
+    ),
+    "classify_flat_nonzero_chi": (
+        ["cones", "classify", "--genus", "0", "--curvature", "0", "--beta", "1/2,1/2,1/2"], "Gauss-Bonnet"
+    ),
+    # refused by the existence verdict before any assembly, whatever the largest angle
+    "spherical_negative_chi": (
+        ["solve", "spherical", "--beta", "1/12,1/12,1/12,5/4", "--points", "0,0;1,0;2,0"], "Gauss-Bonnet"
+    ),
     # these three used to print a table, silently keep the last value, or leak numpy's message
     "expand_beta_zero": (["flat", "expand", "--beta1", "0", "--beta2", "1/2"], "angle parameters must be positive"),
     "expand_beta_negative": (["flat", "expand", "--beta1=-1/2", "--beta2", "1/2"], "angle parameters must be positive"),

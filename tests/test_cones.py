@@ -14,6 +14,7 @@ from conic_moduli.cones import (
     merge_angle,
     to_fraction,
     troyanov,
+    verdict,
 )
 
 
@@ -186,6 +187,36 @@ def test_float_ingestion_flagged():
     assert not approx2 and val2 == F(1, 2)
     d = ConeData.of(0, [1 / 3, 1 / 3, 1 / 3], 0)
     assert d.approximated
+
+
+@pytest.mark.parametrize(
+    "genus, curvature, betas",
+    [
+        (0, 1, ["1/12"] * 3),  # chi = -3/4
+        (0, 1, ["1/4", "1/4", "1/2"]),  # chi = 0: no positive area either
+        (0, -1, ["1/2"] * 3),  # chi = 1/2
+        (0, 0, ["1/2"] * 3),  # chi = 1/2
+        (2, 0, ["1/2"]),  # chi = -5/2
+        (1, 1, ["1/2", "3/4"]),  # chi = -3/4
+    ],
+)
+def test_verdict_applies_gauss_bonnet_sign_rule_first(genus, curvature, betas):
+    # each of these used to be ADMISSIBLE
+    d = ConeData.of(genus, betas, curvature)
+    assert verdict(genus, curvature, d.beta) == (MergeStatus.GAUSS_BONNET_VIOLATED, False)
+    with pytest.raises(ValueError, match="Gauss-Bonnet"):
+        consistent_area(d)
+    # merging keeps chi(M, beta), so no merge escapes the rule
+    assert all(v.status is MergeStatus.GAUSS_BONNET_VIOLATED for v in classify_merges(d))
+
+
+@pytest.mark.parametrize(
+    "genus, curvature, betas",
+    [(0, 0, ["1/2"] * 4), (0, -1, ["1/3"] * 4), (1, 0, ["1/2", "3/2"]), (0, 1, ["2/3"] * 3)],
+)
+def test_verdict_passes_the_sign_rule_on_consistent_data(genus, curvature, betas):
+    d = ConeData.of(genus, betas, curvature)
+    assert verdict(genus, curvature, d.beta) == (MergeStatus.ADMISSIBLE, False)
 
 
 def test_positive_curvature_requires_small_angles():

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def test_mesh_validation():
         FiberMesh(0.1, 1.0, 32, 15)
     with pytest.raises(ValueError):
         FiberMesh(0.1, 1.0, 32, 16, inner="robin")
+    # an infinite r_max used to give ht = inf, a fractional nt a TypeError in mesh.t
+    for args in ((1e-3, math.inf, 16, 8), (math.nan, 1.0, 16, 8), (1e-3, math.nan, 16, 8)):
+        with pytest.raises(ValueError, match="finite radii"):
+            FiberMesh(*args)
+    for args in ((1e-3, 1.0, 16.5, 8), (1e-3, 1.0, 16, 8.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            FiberMesh(*args)
 
 
 def test_assemble_rejects_nonpositive_density():
@@ -103,12 +111,31 @@ def loop_assembly(op):
     return csr(ent_a, op.ndof), csr(ent_b, nt * P)
 
 
+# at nphi = 16 a pole's diagonal, wr summed 16 times in turn, is not 16 * wr
+# (nor a pairwise sum); at nphi = 8 the two agree
+@pytest.mark.parametrize(
+    "inner,outer,nphi",
+    [pytest.param(i, o, 8, id=f"{i}-{o}") for i, o in RING_KINDS]
+    + [pytest.param(i, o, 16, id=f"{i}-{o}-16") for i, o in RING_KINDS],
+)
+def test_assembly_matches_edge_loop(inner, outer, nphi):
+    op = assemble(FiberMesh(0.05, 1.0, 17, nphi, inner, outer), bumpy_density)
+    for got, want in zip((op.A, op.B), loop_assembly(op)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
-def test_assembly_matches_edge_loop(inner, outer):
-    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
-    A, B = loop_assembly(op)
-    assert np.array_equal(op.A.toarray(), A.toarray())
-    assert np.array_equal(op.B.toarray(), B.toarray())
+def test_assembly_peak_memory_is_a_few_operators(inner, outer):
+    # the per-edge COO assembly traced 10.6 times A's bytes here
+    mesh = FiberMesh(0.05, 1.0, 257, 64, inner, outer)
+    tracemalloc.start()
+    try:
+        op = assemble(mesh, bumpy_density)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (op.A.data.nbytes + op.A.indices.nbytes + op.A.indptr.nbytes)
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
@@ -498,6 +525,15 @@ def test_spherical_gate_refuses_what_the_oracle_refuses(monkeypatch):
         for betas in itertools.product(twelfths, repeat=k):
             solve = functools.partial(spherical_cone_solve, finite_points=[0j, 1 + 0j][: k - 1], mesh=mesh)
             assert outcome(solve, betas) is outcome(spherical_existence_gate, betas), betas
+
+
+def test_spherical_gate_refuses_nonpositive_chi_beta_whatever_the_largest_angle(monkeypatch):
+    # chi(beta) = 2 + sum(beta_i - 1) = -1/2 with a beta >= 1, which the Luo-Tian
+    # gate leaves unchecked: it used to reach Newton's float test on sum W K0
+    monkeypatch.setattr(solver, "singular_sphere_background", lambda betas, points: pytest.fail("past the gate"))
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 33, 8, inner="pole", outer="pole")
+    with pytest.raises(ValueError, match="Gauss-Bonnet"):
+        spherical_cone_solve([1 / 12, 1 / 12, 1 / 12, 5 / 4], [0j, 1 + 0j, 2 + 0j], mesh)
 
 
 def test_spherical_gate_refuses_nonpositive_angles(monkeypatch):
