@@ -43,6 +43,9 @@ OMEGA_MARGIN = 1e-6
 SAMPLE_BLOCK = 10_000
 # smallest radial coordinate a verification sample draws
 _RADIAL_FLOOR = 1e-6
+# a smooth factor must lie strictly inside (bound, 1/bound): the log-midpoint
+# between a bounded factor and one power of a wrong exponent at the floor
+_FACTOR_BOUND = math.sqrt(_RADIAL_FLOOR)
 
 
 class DegenerateChartError(ValueError):
@@ -261,10 +264,11 @@ def pullback_report(
     For each base boundary defining function rho, a function of the points,
     the observed smooth factor is A = (rho composed with the blowdown) /
     prod(bdf^exponent) over the lifting matrix's rows.  Reports min/max of A per base
-    face; a factor not bounded away from zero is reported as a verification
-    failure, not raised.  The point-level round trip (blowdown, inversion,
-    blowdown) runs on one further block of min(samples, SAMPLE_BLOCK)
-    interior points.
+    face; a factor reaching 1e-3 from above or 1e3 from below, where one
+    wrong exponent lands at the 1e-6 radial floor, is reported as a
+    verification failure naming the face and side, not raised.  The
+    point-level round trip (blowdown, inversion, blowdown) runs on one
+    further block of min(samples, SAMPLE_BLOCK) interior points.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -310,7 +314,10 @@ def pullback_report(
 
     amin = min(lo for lo, _ in ranges.values())
     amax = max(hi for _, hi in ranges.values())
-    positivity_ok = amin > 1e-12
+    low, high = _FACTOR_BOUND, 1 / _FACTOR_BOUND
+    failures = [f"smooth factor of {face} below {low:g}" for face, (lo, _) in ranges.items() if lo <= low]
+    failures += [f"smooth factor of {face} above {high:g}" for face, (_, hi) in ranges.items() if hi >= high]
+    positivity_ok = not failures
     return PullbackReport(
         chart=chart,
         lifting=lifting,
@@ -322,5 +329,5 @@ def pullback_report(
         seed=seed,
         region=region,
         positivity_ok=positivity_ok,
-        failure=None if positivity_ok else "smooth factor not bounded away from zero",
+        failure="; ".join(failures) or None,
     )

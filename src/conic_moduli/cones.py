@@ -25,10 +25,8 @@ __all__ = [
     "ConeData",
     "MergeStatus",
     "MergeVerdict",
-    "gauss_bonnet_residual",
     "consistent_area",
     "merge_angle",
-    "admissible",
     "troyanov",
     "verdict",
     "classify_merges",
@@ -66,17 +64,14 @@ def _betas(values: Iterable[RationalLike]) -> tuple[tuple[Fraction, ...], bool]:
 
 @dataclass(frozen=True)
 class ConeData:
-    """A marked-surface datum: genus, angle parameters, curvature sign, area.
+    """A marked-surface datum: genus, angle parameters and curvature sign.
 
-    ``area`` is measured in units of 2*pi so the Gauss-Bonnet identity
-    chi(M) + sum(beta_i - 1) = K * A / (2*pi) is a statement between
-    rationals.  ``area=None`` means "unconstrained".
+    ``approximated`` flags angles snapped from floats by ``to_fraction``.
     """
 
     genus: int
     beta: tuple[Fraction, ...]
     curvature: int
-    area: Optional[Fraction] = None
     approximated: bool = False
 
     def __post_init__(self) -> None:
@@ -86,20 +81,11 @@ class ConeData:
             raise ValueError("curvature sign must be -1, 0 or +1")
         if any(b <= 0 for b in self.beta):
             raise ValueError("angle parameters must be positive")
-        if self.area is not None and self.area <= 0:
-            raise ValueError("area must be positive")
 
     @classmethod
-    def of(
-        cls,
-        genus: int,
-        beta: Sequence[RationalLike],
-        curvature: int,
-        area: Optional[RationalLike] = None,
-    ) -> "ConeData":
+    def of(cls, genus: int, beta: Sequence[RationalLike], curvature: int) -> "ConeData":
         bs, approx = _betas(beta)
-        ar, a = (None, False) if area is None else to_fraction(area)
-        return cls(genus, bs, curvature, ar, approx or a)
+        return cls(genus, bs, curvature, approx)
 
     @property
     def k(self) -> int:
@@ -113,13 +99,6 @@ class ConeData:
     def chi_beta(self) -> Fraction:
         """chi(M, beta) = chi(M) + sum(beta_i - 1)."""
         return self.chi + sum((b - 1 for b in self.beta), Fraction(0))
-
-
-def gauss_bonnet_residual(d: ConeData) -> Fraction:
-    """chi(M) + sum(beta_j - 1) - K*A/(2*pi), exactly; zero means consistent."""
-    if d.area is None:
-        raise ValueError("residual needs a prescribed area")
-    return d.chi_beta - d.curvature * d.area
 
 
 def _sign_rule_holds(chi_beta: Fraction, curvature: int) -> bool:
@@ -146,11 +125,6 @@ def merge_angle(betas: Sequence[RationalLike]) -> Fraction:
     if not bs:
         raise ValueError("need at least one angle")
     return sum(bs, Fraction(0)) - (len(bs) - 1)
-
-
-def admissible(betas: Sequence[RationalLike]) -> bool:
-    """Strict inequality sum(beta_i) > n - 1: the merged point is conical."""
-    return merge_angle(betas) > 0
 
 
 def _troyanov_status(genus: int, betas: Sequence[Fraction]) -> tuple[bool, bool]:

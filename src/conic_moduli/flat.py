@@ -8,9 +8,8 @@ the flat singular metric e^{2G} |dz|^2 with
 With sum(beta_i - 1) = -2 this is the genus-zero global model on the plane,
 smooth at infinity; otherwise it is a local model on a disk.  Nothing below
 depends on which, so there is no background to choose.  The probes measure
-cone angles by comparing circumference to radial distance, expand G at the
-two-point merging corner, and verify the cluster factorization of G into
-per-node logarithmic terms.
+cone angles by comparing circumference to radial distance, and G is
+expanded at the two-point merging corner.
 """
 
 from __future__ import annotations
@@ -25,18 +24,15 @@ import numpy as np
 
 from .cones import RationalLike, to_fraction
 from .extrapolate import neville_zero
-from .lattice import ClusterTree, IndexSubset
 from .phg import TrigPoly
 
 __all__ = [
     "FlatConicMetric",
     "CornerExpansion2",
     "ProbeReport",
-    "ClusterSplitReport",
     "green_factor",
     "corner_expansion_2pt",
     "cone_angle_probe",
-    "cluster_split",
     "circle_integral",
     "radial_log_integral",
 ]
@@ -258,119 +254,3 @@ def cone_angle_probe(
         ratios.append(c / (2 * math.pi * length))
     extrapolated = neville_zero(rs, ratios) if len(rs) > 1 else ratios[0]
     return ProbeReport(point_index, tuple(rs), tuple(ratios), extrapolated)
-
-
-# ---------------------------------------------------------------------------
-# cluster factorization
-
-
-@dataclass
-class ClusterSplitReport:
-    """Per-node log coefficients and the remainder along a shrinking path."""
-
-    coefficients: dict[IndexSubset, Fraction]
-    path: tuple[tuple[float, float], ...]  # (contraction factor, remainder)
-    value_at_first: float
-    variation: float
-    bounded: bool
-
-
-def _centroid(points: Sequence[complex], members: Sequence[int]) -> complex:
-    return sum(points[i - 1] for i in members) / len(members)
-
-
-def _shrunk_positions(
-    m: FlatConicMetric, t: ClusterTree, factor: float
-) -> tuple[list[complex], dict[IndexSubset, complex]]:
-    """Contract every cluster level of the configuration by ``factor``.
-
-    Offsets between a node's children (and its free points) keep their
-    directions from the metric's own points but are rescaled by factor per
-    tree level, so every node's relative separation scale equals factor.
-    """
-    pts = list(m.points)
-    pos = [0j] * m.k
-    centers: dict[IndexSubset, complex] = {}
-
-    def rec(node: IndexSubset, base: complex, acc: float) -> None:
-        # acc is the accumulated contraction at this node's own level; the
-        # relative separation scale of every node is then exactly ``factor``
-        centers[node] = base
-        c_node = _centroid(pts, node.members)
-        for child in t.children(node):
-            c_child = _centroid(pts, child.members)
-            rec(child, base + acc * (c_child - c_node), acc * factor)
-        covered = set().union(*(set(c.members) for c in t.children(node))) if t.children(node) else set()
-        for i in node.members:
-            if i not in covered:
-                pos[i - 1] = base + acc * (pts[i - 1] - c_node)
-
-    rec(t.root, _centroid(pts, t.root.members), factor)
-    return pos, centers
-
-
-def cluster_split(m: FlatConicMetric, t: ClusterTree, scale: float = 0.5) -> ClusterSplitReport:
-    """Per-node coefficients of log(cluster scale) in G, with a remainder check.
-
-    Exact part: each tree node I contributes (sum_{i in I} beta_i - |I|)
-    times the log of its relative contraction.  Numeric part: the
-    configuration is contracted level-by-level by factors 10^{-1}..10^{-6},
-    a probe point rides in the deepest node's chart, and the remainder
-    G(probe) - sum(coefficient * log factor) must stay bounded.
-
-    ``scale`` is the required separation contrast: each cluster's diameter
-    must be below scale times its distance to the rest of its parent,
-    otherwise the tree is inconsistent with the points and a ValueError is
-    raised.
-    """
-    if t.k != m.k:
-        raise ValueError("tree ambient count does not match the configuration")
-    if not 0 < scale < 1:
-        raise ValueError("scale must lie in (0, 1)")
-    pts = m.points
-    for v in t.vertices:
-        parent = t.parent[v]
-        if parent is None:
-            continue
-        inside = [pts[i - 1] for i in v.members]
-        outside = [pts[i - 1] for i in parent.members if i not in v]
-        diam = max((abs(a - b) for a in inside for b in inside), default=0.0)
-        gap = min(abs(a - b) for a in inside for b in outside)
-        if diam >= scale * gap:
-            raise ValueError(
-                f"tree inconsistent with point clustering at node {v}: "
-                f"diameter {diam:.3g} vs separation {gap:.3g}"
-            )
-
-    coefficients = {
-        v: sum((m.beta[i - 1] for i in v.members), Fraction(0)) - len(v) for v in t.vertices
-    }
-
-    # deepest node hosts the probe point
-    deepest = max(t.vertices, key=lambda v: (t.depth(v), -min(v.members)))
-    d_deep = t.depth(deepest)
-    c_deep = _centroid(pts, deepest.members)
-    spread = max(abs(pts[i - 1] - c_deep) for i in deepest.members)
-    delta = 1.5 * max(spread, 1e-3) * cmath.exp(0.9j)
-
-    total_coeff = sum(coefficients.values(), Fraction(0))
-    path = []
-    for depth_exp in range(1, 7):
-        factor = 10.0**-depth_exp
-        pos, centers = _shrunk_positions(m, t, factor)
-        probe = centers[deepest] + factor ** (d_deep + 1) * delta
-        shrunk = FlatConicMetric(tuple(pos), m.beta)
-        rem = float(green_factor(shrunk, probe)) - float(total_coeff) * math.log(factor)
-        path.append((factor, rem))
-
-    values = [r for _, r in path]
-    variation = max(values) - min(values)
-    first = values[0]
-    bounded = variation < 10.0 * (abs(first) + 1e-9)
-    return ClusterSplitReport(
-        coefficients=coefficients,
-        path=tuple(path),
-        value_at_first=first,
-        variation=variation,
-        bounded=bounded,
-    )

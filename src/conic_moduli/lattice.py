@@ -3,26 +3,19 @@
 Boundary strata of the compactified configuration space are encoded by
 laminar families of index subsets of {1..k}: collections whose members are
 pairwise nested or disjoint, arranged into a rooted cluster tree.  This
-module enumerates those trees, classifies subset pairs, and decomposes
-concrete planar configurations into well-separated clusters.
+module builds those trees from their vertex sets and enumerates them.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 __all__ = [
     "IndexSubset",
-    "PairRelation",
     "ClusterTree",
-    "ClusterPartition",
-    "classify_pair",
     "enumerate_fmax_strata",
-    "enumerate_cmax_strata",
-    "cluster_decomposition",
     "MAX_ENUMERATION_K",
     "MAX_AUGMENTED_K",
 ]
@@ -70,27 +63,6 @@ class IndexSubset:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.members)) + "}"
-
-
-class PairRelation(enum.Enum):
-    NESTED = "nested"
-    DISJOINT = "disjoint"
-    CROSSING = "crossing"
-
-
-def classify_pair(a: IndexSubset, b: IndexSubset) -> PairRelation:
-    """Classify two index subsets as nested, disjoint or crossing.
-
-    Nested or disjoint pairs blow up in a well-defined order; crossing pairs
-    never occur together in a stratum tree.
-    """
-    if a.k != b.k:
-        raise ValueError(f"ambient counts differ: {a.k} != {b.k}")
-    if a.issubset(b) or b.issubset(a):
-        return PairRelation.NESTED
-    if a.isdisjoint(b):
-        return PairRelation.DISJOINT
-    return PairRelation.CROSSING
 
 
 class ClusterTree:
@@ -178,32 +150,6 @@ class ClusterTree:
         return f"ClusterTree({self._encoding}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Disjoint blocks covering {1..k}, pairwise separated by >= epsilon."""
-
-    blocks: tuple[IndexSubset, ...]
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("partition must have at least one block")
-        k = self.blocks[0].k
-        covered: set[int] = set()
-        for b in self.blocks:
-            if b.k != k:
-                raise ValueError("mixed ambient counts in partition")
-            if covered & set(b.members):
-                raise ValueError("blocks are not disjoint")
-            covered |= set(b.members)
-        if covered != set(range(1, k + 1)):
-            raise ValueError("blocks must cover {1..k}")
-
-    @property
-    def k(self) -> int:
-        return self.blocks[0].k
-
-
 def _partial_partitions(pool: tuple[int, ...], min_size: int):
     """Yield collections of disjoint subsets of ``pool`` with sizes >= min_size.
 
@@ -258,61 +204,3 @@ def enumerate_fmax_strata(k: int, augmented: bool = False) -> list[ClusterTree]:
         raise ValueError(f"{kind} limited to k <= {cap}")
     families = _families(frozenset(range(1, k + 1)), k, 1 if augmented else 2, {})
     return sorted(map(ClusterTree, families), key=ClusterTree.encode)
-
-
-def enumerate_cmax_strata(k: int) -> list[tuple[ClusterTree, IndexSubset]]:
-    """All (tree, node) pairs labelling faces and corners of the total space.
-
-    One hemisphere of the fiber tower sits over each node of each stratum
-    tree, so the pairs are exactly the boundary faces/corners of the deepest
-    face of the configuration family.
-    """
-    out = []
-    for t in enumerate_fmax_strata(k):
-        for v in t.vertices:
-            out.append((t, v))
-    return out
-
-
-_Point = Union[complex, tuple]
-
-
-def _as_complex(p: _Point) -> complex:
-    if isinstance(p, (tuple, list)):
-        return complex(p[0], p[1])
-    return complex(p)
-
-
-def cluster_decomposition(points: Sequence[_Point], epsilon: float) -> ClusterPartition:
-    """Finest partition with distinct blocks pairwise >= epsilon separated.
-
-    Single linkage at threshold epsilon in the Euclidean chart metric:
-    points closer than epsilon are forced into a common block.  Labels are
-    1-based to match the index-subset convention.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    zs = [_as_complex(p) for p in points]
-    k = len(zs)
-    if k == 0:
-        raise ValueError("need at least one point")
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(zs[i] - zs[j]) < epsilon:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i + 1)
-    blocks = tuple(
-        IndexSubset.of(m, k) for m in sorted(groups.values(), key=lambda m: m[0])
-    )
-    return ClusterPartition(blocks, float(epsilon))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -210,6 +211,31 @@ def test_pullback_factors_follow_the_lifting_matrix(monkeypatch):
     rep = pullback_report("three-corner", samples=4000, region=0.3, seed=101)
     assert rep.lifting is wrong
     assert rep.factors["rho12"][1] > 1e3
+
+
+def off_by_one(chart, attr):
+    """(chart, attr, entries, face, side) for each exponent of a chart's matrix moved by one."""
+    lifting = getattr(charts, attr)
+    for i, j in itertools.product(range(len(lifting.rows)), range(len(lifting.cols))):
+        for step, side in ((-1, "below 0.001"), (1, "above 1000")):
+            entries = [list(row) for row in lifting.entries]
+            entries[i][j] += step
+            if entries[i][j] >= 0:
+                entries = tuple(map(tuple, entries))
+                yield pytest.param(chart, attr, entries, lifting.cols[j], side, id=f"{chart}-{entries}")
+
+
+@pytest.mark.parametrize(
+    "chart, attr, entries, face, side",
+    [*off_by_one("two", "_LIFT_TWO"), *off_by_one("three-corner", "_LIFT_THREE")],
+)
+def test_pullback_flags_a_wrong_exponent(chart, attr, entries, face, side, monkeypatch):
+    # one exponent too many leaves a factor ~ 1/bdf, one too few ~ bdf
+    lifting = getattr(charts, attr)
+    monkeypatch.setattr(charts, attr, LiftingMatrix(lifting.rows, lifting.cols, entries))
+    rep = pullback_report(chart, samples=10_000)
+    assert not rep.positivity_ok
+    assert rep.failure == f"smooth factor of {face} {side}"
 
 
 def test_pullback_rejects_bad_arguments():

@@ -185,6 +185,8 @@ REFUSALS = {
     "recurse_needs_too_many_u0_terms": (
         ["phg", "recurse", "--beta", "1/16", "--truncation", "4"], "beta = 1/16 with truncation 4 needs 32 one-cone terms"
     ),
+    # a box of 210,000,651 (j, k) pairs would take minutes and GBs; the cap refuses before enumerating
+    "index_past_cap": (["phg", "index", "--beta", "1/1000003", "--cutoff", "20"], "index set limited to 1000000"),
     # 17 cones would take ~11 s and ~230 MB; the cap refuses before enumerating
     "classify_past_cap": (
         ["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", ",".join(["9/10"] * 17)],

@@ -7,10 +7,8 @@ import pytest
 from conic_moduli.cones import (
     ConeData,
     MergeStatus,
-    admissible,
     classify_merges,
     consistent_area,
-    gauss_bonnet_residual,
     merge_angle,
     to_fraction,
     troyanov,
@@ -19,16 +17,12 @@ from conic_moduli.cones import (
 
 
 def test_gauss_bonnet_examples():
-    # flat 3-cone data close up exactly
-    d = ConeData.of(0, ["1/3", "1/3", "1/3"], 0, area="7/2")
-    assert gauss_bonnet_residual(d) == 0
+    # flat 3-cone data close up with any area
+    assert consistent_area(ConeData.of(0, ["1/3", "1/3", "1/3"], 0)) is None
     # spherical two equal angles force area 2*pi (one unit of 2*pi)
-    d2 = ConeData.of(0, ["1/2", "1/2"], 1)
-    assert consistent_area(d2) == 1
-    assert gauss_bonnet_residual(ConeData.of(0, ["1/2", "1/2"], 1, area=1)) == 0
+    assert consistent_area(ConeData.of(0, ["1/2", "1/2"], 1)) == 1
     # smooth hyperbolic genus 2: area 4*pi = 2 units
-    d3 = ConeData.of(2, [], -1, area=2)
-    assert gauss_bonnet_residual(d3) == 0
+    assert consistent_area(ConeData.of(2, [], -1)) == 2
 
 
 def test_consistent_area_errors():
@@ -42,12 +36,6 @@ def test_merge_angle_examples():
     assert merge_angle(["1/2", "4/5"]) == F(3, 10)
     assert merge_angle(["5/7"]) == F(5, 7)
     assert merge_angle(["2/3", "2/3", "5/6"]) == F(1, 6)
-
-
-def test_admissible_examples():
-    assert not admissible(["2/5", "1/2"])
-    assert admissible(["3/5", "7/10"])
-    assert admissible(["1/2", "5/6"])
 
 
 def test_troyanov_examples():

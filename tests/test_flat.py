@@ -8,12 +8,10 @@ import pytest
 from conic_moduli.extrapolate import neville_zero
 from conic_moduli.flat import (
     FlatConicMetric,
-    cluster_split,
     cone_angle_probe,
     corner_expansion_2pt,
     green_factor,
 )
-from conic_moduli.lattice import ClusterTree, IndexSubset
 
 
 def unit_roots(k):
@@ -199,34 +197,3 @@ def test_discrete_harmonicity_of_green_factor():
     l1, l2 = abs(lap(1e-2)), abs(lap(5e-3))
     assert l1 < 1e-3
     assert l2 < 0.3 * l1  # second-order decay
-
-
-def tree_of(vertices, k):
-    return ClusterTree(IndexSubset.of(s, k) for s in vertices)
-
-
-def test_cluster_split_two_level_tree():
-    t = tree_of([(1, 2, 3), (1, 2)], 3)
-    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3)
-    rep = cluster_split(m, t, scale=0.2)
-    root = IndexSubset.of([1, 2, 3], 3)
-    pair = IndexSubset.of([1, 2], 3)
-    assert rep.coefficients[root] == F(1) - 3
-    assert rep.coefficients[pair] == F(2, 3) - 2
-    assert rep.bounded
-    assert rep.variation < 10 * abs(rep.value_at_first)
-
-
-def test_cluster_split_root_only():
-    t = tree_of([(1, 2, 3)], 3)
-    m = FlatConicMetric.of(unit_roots(3), ["1/3"] * 3)
-    rep = cluster_split(m, t, scale=0.9)
-    assert list(rep.coefficients.values()) == [F(1) - 3]
-    assert rep.variation < 1e-9  # exactly scale-invariant layout
-
-
-def test_cluster_split_inconsistent_tree():
-    t = tree_of([(1, 2, 3), (1, 3)], 3)
-    m = FlatConicMetric.of([1 + 0.005j, 1 - 0.005j, -1 + 0j], ["1/3"] * 3)
-    with pytest.raises(ValueError):
-        cluster_split(m, t, scale=0.2)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conic_moduli import phg
 from conic_moduli.phg import (
     IndicialCollisionError,
     LinExpr,
@@ -13,7 +14,6 @@ from conic_moduli.phg import (
     exp_series,
     fit_exponents,
     free_symbols,
-    friedrichs_exponents,
     index_set,
     indicial_solve,
     recurse,
@@ -46,6 +46,15 @@ def test_index_set_half_collisions():
 def test_index_set_huge_denominator_no_collisions():
     entries = index_set(F(577, 1000), 4)
     assert all(e.multiplicity == 1 for e in entries)
+
+
+def test_index_set_refuses_a_box_past_the_cap(monkeypatch):
+    # beta = 3/4, cutoff 31/10 spans (floor(31/10 / (3/2)) + 1) * (floor(31/10) + 1) = 12 pairs
+    monkeypatch.setattr(phg, "MAX_INDEX_PAIRS", 12)
+    assert len(index_set(F(3, 4), F(31, 10))) == 5
+    monkeypatch.setattr(phg, "MAX_INDEX_PAIRS", 11)
+    with pytest.raises(ValueError, match="limited to 11 .* spans 12"):
+        index_set(F(3, 4), F(31, 10))
 
 
 def brute_force_index_count(beta: F, cutoff: F) -> int:
@@ -294,32 +303,6 @@ def test_series_refuses_more_one_cone_terms_than_tabulated():
     with pytest.raises(ValueError, match="beta = 1/16 with truncation 4 needs 32 one-cone terms"):
         PhgSeries(F(1, 16), 4)
     assert len(PhgSeries(F(1, 15), 4).steps[0]) == 30
-
-
-# -- bounded leading exponents ---------------------------------------------------
-
-
-def test_friedrichs_exponents_examples():
-    assert friedrichs_exponents(F(3, 5)) == [F(0), F(5, 3)]
-    assert friedrichs_exponents(F(2, 5)) == [F(0)]
-    assert friedrichs_exponents(F(9, 10)) == [F(0), F(10, 9)]
-
-
-def test_friedrichs_exponents_range_property():
-    rng = random.Random(8)
-    for _ in range(50):
-        beta = F(rng.randint(1, 40), rng.randint(1, 40))
-        exps = friedrichs_exponents(beta)
-        assert exps[0] == 0
-        assert all(0 <= e < 2 for e in exps)
-        # completeness: j/beta < 2 iff present
-        j = 1
-        while F(j) / beta < 2:
-            assert F(j) / beta in exps
-            j += 1
-
-
-# -- numeric exponent fitting ------------------------------------------------------
 
 
 def test_fit_single_power():
