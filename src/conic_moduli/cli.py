@@ -6,8 +6,11 @@ the seed in use.  Exit codes: 2 for malformed configuration (ValueError,
 OSError), 1 for numeric failures (any ArithmeticError, which includes the
 solver's divergence, nonconvergence and football-degeneracy errors, and
 singular linear algebra), 0 otherwise -- verification failures are reported
-in the payload, not via the exit status.  Only the ``solve`` commands import
-``solver``, and with it scipy; the others start with numpy alone.
+in the payload, not via the exit status.  Each command imports only the
+layers it runs: ``faces``, ``cones classify``, ``flat expand`` and the ``phg``
+commands run on the standard library alone, ``charts verify``, ``flat probe``
+and ``fit`` load numpy, and only the ``solve`` commands import ``solver``,
+and with it scipy.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from . import charts, cones, extrapolate, flat, lattice, phg
 
 DEFAULT_SEED = 20240
 ENV_SEED = "CONIC_MODULI_SEED"
@@ -100,6 +100,8 @@ def _parse_mesh(text: str) -> tuple[int, int]:
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
+    from . import lattice
+
     trees = lattice.enumerate_fmax_strata(args.k, augmented=args.augmented)
     rows = [(t.encode(), t.codimension, t.height, int(t.is_interior)) for t in trees]
     if args.format == "csv":
@@ -121,12 +123,16 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_charts_verify(args: argparse.Namespace) -> int:
+    from . import charts
+
     report = charts.pullback_report(args.chart, samples=args.samples, region=args.region, seed=_seed(args))
     _emit_json(dataclasses.asdict(report), args)
     return 0
 
 
 def _cmd_cones_classify(args: argparse.Namespace) -> int:
+    from . import cones
+
     betas = _parse_beta_list(args.beta)
     data = cones.ConeData.of(args.genus, betas, args.curvature)
     cones.consistent_area(data)  # refuses data with no positive area; merging keeps chi(M, beta)
@@ -142,6 +148,8 @@ def _cmd_cones_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_flat_expand(args: argparse.Namespace) -> int:
+    from . import flat
+
     b1 = _parse_rational(args.beta1)
     b2 = _parse_rational(args.beta2)
     exp2 = flat.corner_expansion_2pt(b1, b2, args.order)
@@ -157,6 +165,8 @@ def _cmd_flat_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_flat_probe(args: argparse.Namespace) -> int:
+    from . import flat
+
     betas = _parse_beta_list(args.beta)
     if args.points:
         pts = _parse_points(args.points)
@@ -172,6 +182,8 @@ def _cmd_flat_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_phg_index(args: argparse.Namespace) -> int:
+    from . import phg
+
     entries = phg.index_set(_parse_rational(args.beta), _parse_rational(args.cutoff))
     rows = [(str(e.alpha), j, k, e.multiplicity) for e in entries for j, k in e.pairs]
     _emit_csv(("alpha", "j", "k", "multiplicity"), rows, args)
@@ -179,12 +191,16 @@ def _cmd_phg_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_phg_u0(args: argparse.Namespace) -> int:
+    from . import phg
+
     rows = [(j + 1, str(c)) for j, c in enumerate(phg.u0_series(args.order))]
     _emit_csv(("j", "a_j"), rows, args)
     return 0
 
 
 def _cmd_phg_recurse(args: argparse.Namespace) -> int:
+    from . import phg
+
     assignments = {}
     for item in args.assign or []:
         key, _, val = item.partition("=")
@@ -210,7 +226,7 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
-    from . import solver
+    from . import phg, solver
 
     beta = float(_parse_rational(args.beta))
     nt, nphi = _parse_mesh(args.mesh)
@@ -270,6 +286,8 @@ def _default_sphere_points(k: int) -> list[complex]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from . import extrapolate, phg
+
     with open(args.input, "r", encoding="utf-8") as f:
         lines = [s for s in (line.strip() for line in f) if s and not s.startswith("#")]
     if lines:
@@ -396,12 +414,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ArithmeticError covers the solver's and phg's numeric errors;
-    # LinAlgError is a ValueError subclass, so it is caught first
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ArithmeticError, ValueError, OSError) as exc:
+        # ArithmeticError covers the solver's and phg's numeric errors, and
+        # LinAlgError, a ValueError subclass, is numeric too; numpy.linalg can
+        # only have raised it if the command loaded it
+        linalg = sys.modules.get("numpy.linalg")
+        if isinstance(exc, ArithmeticError) or (linalg is not None and isinstance(exc, linalg.LinAlgError)):
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

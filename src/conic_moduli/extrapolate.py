@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 __all__ = ["neville_zero", "loglog_slopes", "least_squares_slope", "decay_verdict"]
 
 
@@ -42,6 +40,8 @@ def loglog_slopes(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
 
 def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""
+    import numpy as np
+
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     lx = lx - lx.mean()

@@ -15,16 +15,18 @@ expanded at the two-point merging corner.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cones import RationalLike, to_fraction
 from .extrapolate import neville_zero
 from .phg import TrigPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FlatConicMetric",
@@ -47,6 +49,7 @@ class FlatConicMetric:
     When sum(beta_i - 1) = -2 exactly the metric is the plane model, closing
     up smoothly at infinity; otherwise it is the local density on a disk.
     Both are the same object here, so no background is chosen or checked.
+    The points must be finite and distinct (ValueError otherwise).
     """
 
     points: tuple[complex, ...]
@@ -59,9 +62,11 @@ class FlatConicMetric:
             raise ValueError("need at least one marked point")
         if any(b <= 0 for b in self.beta):
             raise ValueError("angle parameters must be positive")
-        for p in self.points:
+        for i, p in enumerate(self.points):
             if not cmath.isfinite(p):
                 raise ValueError(f"marked point {p.real:g},{p.imag:g} is not finite")
+            if p in self.points[:i]:
+                raise ValueError(f"marked point {p.real:g},{p.imag:g} is repeated")
 
     @classmethod
     def of(cls, points: Sequence[complex], beta: Sequence[RationalLike]) -> "FlatConicMetric":
@@ -80,6 +85,8 @@ def green_factor(m: FlatConicMetric, z: Union[complex, np.ndarray], exclude: Opt
     function smooth near that point.  Any other marked point in ``z`` raises
     ValueError.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=complex)
     total = np.zeros(z.shape)
     for j, (p, b) in enumerate(zip(m.points, m.beta)):
@@ -152,6 +159,8 @@ def circle_integral(f) -> float:
     Nodes double from 32 until the relative change is at most QUAD_RTOL, up
     to 2^17 nodes.
     """
+    import numpy as np
+
     n = 32
     t = np.arange(n) * (2 * math.pi / n)
     vals = f(t)
@@ -169,7 +178,12 @@ def circle_integral(f) -> float:
     return best
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1], computed on first use."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(16)
 
 
 def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
@@ -180,13 +194,16 @@ def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
     here even when the radial integrand is algebraically singular at r = 0.
     ``g`` works elementwise: each level calls it once, on a panels x 16 array.
     """
+    import numpy as np
+
+    nodes, weights = _gauss_legendre_16()
     panels = 4
     prev = None
     while panels <= 4096:
         edges = np.linspace(t_lo, t_hi, panels + 1)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        vals = g(mid[:, None] + half[:, None] * _GL_NODES)
-        total = float(np.sum(half * np.sum(_GL_WEIGHTS * vals, axis=1)))
+        vals = g(mid[:, None] + half[:, None] * nodes)
+        total = float(np.sum(half * np.sum(weights * vals, axis=1)))
         if prev is not None and abs(total - prev) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         prev = total
@@ -207,12 +224,16 @@ class ProbeReport:
 
 
 def _circumference(m: FlatConicMetric, index: int, r: float) -> float:
+    import numpy as np
+
     p = m.points[index]
     b = float(m.beta[index])
     return r**b * circle_integral(lambda t: np.exp(green_factor(m, p + r * np.exp(1j * t), exclude=index)))
 
 
 def _radial_length(m: FlatConicMetric, index: int, r: float) -> float:
+    import numpy as np
+
     p = m.points[index]
     b = float(m.beta[index])
     t_hi = math.log(r)

@@ -16,14 +16,16 @@ Implements, over exact rationals:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .cones import RationalLike, to_fraction
 from .extrapolate import loglog_slopes, neville_zero
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinExpr",
@@ -291,16 +293,18 @@ def index_set(beta: RationalLike, cutoff: RationalLike) -> list[ExponentEntry]:
         raise ValueError(
             f"index set limited to {MAX_INDEX_PAIRS} (j, k) pairs; beta = {b} with cutoff {cut} spans {box}"
         )
-    found: dict[Fraction, list[tuple[int, int]]] = {}
-    k = 0
-    while 2 * k * b <= cut:
-        j = 0
-        while j + 2 * k * b <= cut:
-            if (j, k) != (0, 0):
-                found.setdefault(j + 2 * k * b, []).append((j, k))
-            j += 1
-        k += 1
-    return [ExponentEntry(a, tuple(sorted(found[a]))) for a in sorted(found)]
+    # over beta's denominator q, alpha = (j*q + 2*k*p)/q: collect integer
+    # numerators and make one Fraction per entry.  k outermost lets the pairs
+    # of one k share its int; an entry's pairs arrive with k ascending, so j
+    # descending, and are reversed into (j, k) order
+    p, q = b.numerator, b.denominator
+    top = cut.numerator * q // cut.denominator  # floor(cut * q)
+    found: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for k in range(top // (2 * p) + 1):
+        base = 2 * k * p
+        for j in range(0 if k else 1, (top - base) // q + 1):
+            found[base + j * q].append((j, k))
+    return [ExponentEntry(Fraction(n, q), tuple(reversed(found[n]))) for n in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +331,8 @@ def u0_value(rfrak: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     ``rfrak`` is a float or an array; every entry must lie in [0, 2), inside
     the closing radius, and the check runs before any log is taken.
     """
+    import numpy as np
+
     x = np.asarray(rfrak, dtype=float)
     if not np.all((0 <= x) & (x < 2)):
         raise ValueError("rfrak must lie in [0, 2)")
@@ -335,6 +341,8 @@ def u0_value(rfrak: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 def u0_truncated(rfrak: Union[float, np.ndarray], order: int) -> Union[float, np.ndarray]:
     """sum_{j=1}^{order} a_j rfrak^{2j}, the radial series truncated at ``order``, elementwise."""
+    import numpy as np
+
     x = np.asarray(rfrak, dtype=float)
     return sum(float(c) * x ** (2 * (j + 1)) for j, c in enumerate(u0_series(order)))
 

@@ -363,11 +363,14 @@ def picard_solve(
     any other key raises ValueError).  The reported residual is recomputed
     from scratch on the final iterate, and the discrete maximum-principle
     bound sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
-    boundary data).  ``tol`` must be positive (ValueError otherwise; a NaN
-    would stop the loop at once).
+    boundary data).  ``tol`` must be positive and finite (ValueError
+    otherwise; a NaN would stop the loop at once, an infinity would accept
+    the first iterate).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
     # the boundary data as a grid field, zero off the Dirichlet rings
     lift = np.zeros_like(op.density)
@@ -526,12 +529,14 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     and 16 rejections in a row are a stall.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
-    raised unless sum W K0 > 0, and unless ``tol`` > 0 (a NaN would skip the
-    loop).  The football refusal (spectral gap of the solved metric) is
-    ``spherical_cone_solve``'s.
+    raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf (a NaN or an
+    infinity would skip the loop).  The football refusal (spectral gap of the
+    solved metric) is ``spherical_cone_solve``'s.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
     if op.mesh.inner != "pole" or op.mesh.outer != "pole":
         raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
     W = op.W

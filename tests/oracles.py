@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from conic_moduli.cones import ConeData, troyanov
+from conic_moduli.phg import ExponentEntry
 from conic_moduli.solver import FootballDegeneracyError
 
 
@@ -85,3 +87,17 @@ def radial_hyperbolic(beta: float, r_max: float, nodes: int) -> RadialProfile:
             u0[i] = math.log(math.sinh(series_rtilde(x)) / x)
     r = np.power(b * rf, 1.0 / b, where=rf > 0, out=np.zeros_like(rf))
     return RadialProfile(beta=b, rfrak=rf, u0=u0, r=r)
+
+
+def index_set_by_fractions(beta: Fraction, cutoff: Fraction) -> list[ExponentEntry]:
+    """``phg.index_set`` without its cap, enumerating one Fraction j + 2*k*beta per (j, k) pair."""
+    found: dict[Fraction, list[tuple[int, int]]] = {}
+    k = 0
+    while 2 * k * beta <= cutoff:
+        j = 0
+        while j + 2 * k * beta <= cutoff:
+            if (j, k) != (0, 0):
+                found.setdefault(j + 2 * k * beta, []).append((j, k))
+            j += 1
+        k += 1
+    return [ExponentEntry(a, tuple(sorted(found[a]))) for a in sorted(found)]

@@ -61,18 +61,24 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
+# the README commands that compute in floating point; the others run on the standard library alone
+NUMPY_COMMANDS = (["charts", "verify"], ["flat", "probe"], ["fit"], ["solve"])
+
+
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:2]))
 def test_readme_command_loads_scipy_only_to_solve(argv, tmp_path):
-    # a cold process: only the solve commands import the solver, and with it scipy
+    # a cold process: each command imports only the layers it runs, and only
+    # the solve commands import the solver, and with it scipy
     write_family_csv(tmp_path)
     code = (
         "import contextlib, io, sys\n"
         "from conic_moduli.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main({argv!r})\n"
-        "print(rc, 'scipy' in sys.modules)\n"
+        "print(rc, 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
     )
-    assert fresh_python(code, tmp_path).split() == ["0", str(argv[0] == "solve")]
+    numpy = any(argv[: len(prefix)] == prefix for prefix in NUMPY_COMMANDS)
+    assert fresh_python(code, tmp_path).split() == ["0", str(numpy), str(argv[0] == "solve")]
 
 
 def test_solver_import_leaves_ode_stack_unloaded(tmp_path):
@@ -173,6 +179,10 @@ REFUSALS = {
     "probe_point_not_finite": (
         ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;nan,0;1,1"], "marked point nan,0 is not finite"
     ),
+    # used to be refused as "largest radius reaches another marked point"
+    "probe_point_repeated": (
+        ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;0,0;1,0"], "marked point 0,0 is repeated"
+    ),
     "spherical_point_not_finite": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "finite cone point nan,0 is not finite"
     ),
@@ -221,14 +231,14 @@ REFUSALS = {
         ["solve", "hyperbolic", "--beta", "1/2", "--rmin", "1e-300", "--mesh", "65x16"], "lumped mass W is zero"
     ),
 }
-# a NaN tol would end the solve loop at once and print an unsolved field as solved
-for _tol in ("nan", "0", "-1"):
+# a NaN or infinite tol would end the solve loop early and print an unsolved field as solved
+for _tol, _message in (("nan", "positive"), ("0", "positive"), ("-1", "positive"), ("inf", "finite")):
     REFUSALS[f"hyperbolic_tol_{_tol}"] = (
-        ["solve", "hyperbolic", "--beta", "1/2", "--mesh", "48x16", f"--tol={_tol}"], "tol must be positive"
+        ["solve", "hyperbolic", "--beta", "1/2", "--mesh", "48x16", f"--tol={_tol}"], f"tol must be {_message}"
     )
     REFUSALS[f"spherical_tol_{_tol}"] = (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0", "--mesh", "65x16", f"--tol={_tol}"],
-        "tol must be positive",
+        f"tol must be {_message}",
     )
 
 

@@ -24,6 +24,8 @@ from conic_moduli.phg import (
     verify_step,
 )
 
+from oracles import index_set_by_fractions
+
 
 # -- index sets -----------------------------------------------------------------
 
@@ -57,25 +59,19 @@ def test_index_set_refuses_a_box_past_the_cap(monkeypatch):
         index_set(F(3, 4), F(31, 10))
 
 
-def brute_force_index_count(beta: F, cutoff: F) -> int:
-    alphas = set()
-    j = 0
-    while j <= cutoff:
-        k = 0
-        while j + 2 * k * beta <= cutoff:
-            if (j, k) != (0, 0):
-                alphas.add(j + 2 * k * beta)
-            k += 1
-        j += 1
-    return len(alphas)
-
-
 def test_index_set_completeness_random():
     rng = random.Random(2)
     for _ in range(30):
         beta = F(rng.randint(1, 12), rng.randint(1, 12))
         cutoff = F(rng.randint(2, 9))
-        assert len(index_set(beta, cutoff)) == brute_force_index_count(beta, cutoff)
+        assert index_set(beta, cutoff) == index_set_by_fractions(beta, cutoff)
+
+
+@pytest.mark.parametrize("beta", [F(1), F(3, 4), F(1, 2), F(2, 3), F(5, 2), F(7, 3), F(577, 1000), F(1, 101), F(13, 6)])
+@pytest.mark.parametrize("cutoff", [F(1, 3), F(1), F(31, 10), F(4), F(17, 2)])
+def test_index_set_matches_fraction_enumeration(beta, cutoff):
+    # entries, pairs and their order equal the per-pair Fraction enumeration
+    assert index_set(beta, cutoff) == index_set_by_fractions(beta, cutoff)
 
 
 # -- the radial series -----------------------------------------------------------
