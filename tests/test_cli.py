@@ -186,6 +186,13 @@ REFUSALS = {
     "spherical_point_not_finite": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "finite cone point nan,0 is not finite"
     ),
+    # math.exp overflowed before FiberMesh saw the radii (exit 1, "math range error")
+    "spherical_extent_overflows": (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "710"], "extent 710.0 must be positive"
+    ),
+    "spherical_extent_far_past_overflow": (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "1e6"], "extent 1000000.0 must be positive"
+    ),
     "probe_radius_not_finite": (["flat", "probe", "--beta", "1/3,1/3,1/3", "--radii", "1e-2,nan"], "radii must be finite"),
     # a negative cone parameter used to reach Newton and fail on the spectral gap (exit 1)
     "spherical_beta_negative": (

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,12 +14,13 @@ from conic_moduli.lattice import (
 # -- independent brute-force oracle (written against the definition only) ----
 
 
-def brute_force_laminar_families(k: int) -> set[frozenset]:
-    """Every pairwise nested-or-disjoint collection of >=2-subsets plus root."""
+def brute_force_laminar_families(k: int, min_size: int = 2) -> set[frozenset]:
+    """Every pairwise nested-or-disjoint collection of proper subsets of size
+    >= ``min_size``, plus the root."""
     ground = frozenset(range(1, k + 1))
     cands = [
         frozenset(c)
-        for size in range(2, k)
+        for size in range(min_size, k)
         for c in itertools.combinations(range(1, k + 1), size)
     ]
 
@@ -118,6 +120,59 @@ def test_augmented_trees_allow_singleton_leaves():
         for v in t.vertices:
             if len(v) == 1:
                 assert t.children(v) == ()
+
+
+@pytest.mark.parametrize("k,count", [(2, 4), (3, 32), (4, 416)])
+def test_augmented_matches_brute_force(k, count):
+    ours = [as_family(t) for t in enumerate_fmax_strata(k, augmented=True)]
+    assert len(ours) == len(set(ours)) == count
+    assert set(ours) == brute_force_laminar_families(k, min_size=1)
+
+
+# -- trees joined from shared subtrees -------------------------------------------
+
+
+@pytest.mark.parametrize("k,augmented", [(k, False) for k in (2, 3, 4, 5)] + [(k, True) for k in (2, 3, 4)])
+def test_joined_trees_match_the_validating_constructor(k, augmented):
+    for t in enumerate_fmax_strata(k, augmented=augmented):
+        u = ClusterTree(t.vertices)
+        assert list(u.parent.items()) == list(t.parent.items())
+        assert u.vertices == t.vertices
+        assert [u.depth(v) for v in u.vertices] == [t.depth(v) for v in t.vertices]
+        assert [u.children(v) for v in u.vertices] == [t.children(v) for v in t.vertices]
+        assert u.encode() == t.encode() and u == t
+        assert (u.codimension, u.height, u.is_interior) == (t.codimension, t.height, t.is_interior)
+
+
+def test_enumeration_makes_no_laminarity_checks(monkeypatch):
+    calls = []
+
+    def counted(name):
+        method = getattr(IndexSubset, name)
+
+        def wrapper(self, other):
+            calls.append(name)
+            return method(self, other)
+
+        return wrapper
+
+    for name in ("issubset", "isdisjoint"):
+        monkeypatch.setattr(IndexSubset, name, counted(name))
+    assert len(enumerate_fmax_strata(5)) == 236
+    assert calls == []
+
+
+def test_enumerated_trees_share_their_subtrees():
+    # 7,552 trees of augmented k = 5 hold about 310 bytes each when joined
+    # from cached subtrees, and about 1,300 when each owns its vertex set
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trees = enumerate_fmax_strata(5, augmented=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(trees) < 700
 
 
 # -- total-space strata ---------------------------------------------------------
