@@ -256,8 +256,11 @@ def _cmd_solve_spherical(args: argparse.Namespace) -> int:
     betas = [float(b) for b in _parse_beta_list(args.beta)]
     pts = _parse_points(args.points) if args.points else _default_sphere_points(len(betas))
     nt, nphi = _parse_mesh(args.mesh)
-    if not 0 < args.extent < math.log(sys.float_info.max):  # e^extent must be a finite float
-        raise ValueError(f"extent {args.extent} must be positive and below {math.log(sys.float_info.max):.2f}")
+    # the background density divides by (1 + r^2)^2, which overflows once r = e^extent
+    # passes float max^(1/4)
+    bound = math.log(sys.float_info.max) / 4
+    if not 0 < args.extent < bound:
+        raise ValueError(f"extent {args.extent} must be positive and below {bound:.2f}")
     mesh = solver.FiberMesh(
         math.exp(-args.extent), math.exp(args.extent), nt, nphi, inner="pole", outer="pole"
     )

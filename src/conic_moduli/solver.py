@@ -20,13 +20,14 @@ equations: curvature equations are written as Delta u + e^{2u} + K0 = 0
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .cones import ConeData, MergeStatus, verdict
 from .extrapolate import decay_verdict, least_squares_slope
@@ -255,21 +256,42 @@ class ConicLaplacianOp:
         """A x + B g, the weak form of Delta g for a grid field g with dof values x and ring values read by B."""
         return self.A @ self.grid_to_dof(g) + self.B @ g.ravel()
 
-    def shifted(self, shift: Union[float, Field]) -> Union[spla.SuperLU, _FourierFactor]:
+    def shifted(self, shift: Union[float, Field]) -> Union[_FourierFactor, _BandFactor, spla.SuperLU]:
         """Factorization of A + diag(shift * W), with a ``solve(b)`` method.
 
         ``shift`` is a scalar or a per-dof array; the factor is the weak
         form of Delta + shift with the Dirichlet rings eliminated.  When
         shift * W is exactly constant on every ring the operator is
-        rotation-invariant and the factor is a ``_FourierFactor`` (no fill);
-        otherwise it is SuperLU's, in minimum-degree order on A + A^T.  An
-        exactly singular factor raises RuntimeError either way.
+        rotation-invariant and the factor is a ``_FourierFactor`` (no fill).
+        Otherwise it is a ``_BandFactor`` (LAPACK's pivoting band LU in ring
+        order) on rings of at most ``_BAND_MAX_NPHI`` nodes, and SuperLU's,
+        in minimum-degree order on A + A^T, on wider ones.  An exactly
+        singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
         rings = s[self.dof_of[self.dof_of[:, 0] >= 0]]  # one row per ring with dofs
         if np.all(rings == rings[:, :1]):
             return _FourierFactor(self, s)
+        if self.mesh.nphi <= _BAND_MAX_NPHI:
+            return _BandFactor(self, s)
         return spla.splu((self.A + sp.diags(s)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+# Widest ring factored as a band.  The band holds (3 nphi + 1) ndof doubles,
+# about 24 nt nphi^2 bytes, where SuperLU holds its fill.  One factor of the
+# 3-cone operator with an indefinite per-dof shift, SuperLU -> band (2-core
+# Intel Xeon VM, one BLAS thread; median time of 15, RSS growth in a fresh process):
+#   129x24     7.7 ->   2.6 ms    2.4 ->   2.1 MB
+#   193x32    14.0 ->   4.9 ms    4.5 ->   5.1 MB
+#   257x40    27.6 ->  12.9 ms    7.7 ->   9.8 MB
+#   385x48    55.0 ->  23.2 ms   14.4 ->  20.5 MB
+#   513x64   121.8 ->  59.0 ms   26.4 ->  47.2 MB
+#   1025x128 699.5 -> 510.9 ms  121.4 -> 379.4 MB  (past the cut: SuperLU)
+# At 2049x256 the band would hold 3.2 GB.
+_BAND_MAX_NPHI = 64
+# where the OS allows it, the band's pages are mapped pre-faulted: one call instead
+# of a fault per page, which made a 257x40 factor a third slower
+_BAND_PAGES = {"flags": mmap.MAP_PRIVATE | mmap.MAP_POPULATE} if hasattr(mmap, "MAP_POPULATE") else {}
 
 
 class _FourierFactor:
@@ -316,6 +338,39 @@ class _FourierFactor:
         rings = np.fft.irfft((f[..., :k] + 1j * f[..., k:]).transpose(1, 0, 2), n=P, axis=1, norm="ortho")
         out = np.concatenate([y[:lo, :k], rings.reshape(m * P, k), y[lo + m : lo + m + hi, :k]])
         return out.reshape(np.shape(b))
+
+
+class _BandFactor:
+    """LU factor of A + diag(s) as a band: in ring order no entry is more than nphi off the diagonal.
+
+    A ring couples to its neighbour rings at distance nphi, its periodic wrap
+    sits at nphi - 1 and a collapsed ring couples to its neighbour's nphi
+    dofs, so A + diag(s) is banded with half-bandwidth nphi.  ``op.A``'s CSR
+    entries are written into LAPACK's band storage (row 2 nphi + i - j of
+    column j, with nphi rows left for the fill of row interchanges), Fortran
+    ordered so that dgbtrf factors it in place, with pivoting (a Newton shift
+    may be indefinite); dgbtrs solves.
+    """
+
+    def __init__(self, op: ConicLaplacianOp, s: Field):
+        A, P = op.A, op.mesh.nphi
+        # mapped zero pages, not malloc: a freed malloc block this large raises glibc's
+        # mmap threshold, so later bands come from the heap, where a freed one can stay
+        # resident (sphere-continuation's peak RSS read 80.6 or 85.3 MB, 77.4 mapped)
+        shape = (3 * P + 1, op.ndof)
+        ab = np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * shape[0] * shape[1], **_BAND_PAGES))
+        rows = np.repeat(np.arange(op.ndof), np.diff(A.indptr))
+        ab[2 * P + rows - A.indices, A.indices] = A.data
+        ab[2 * P] += s
+        self.P = P
+        self.lu, self.piv, info = dgbtrf(ab, P, P, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b: Field) -> Field:
+        """x with (A + diag(s)) x = b, for b of shape (ndof,) or (ndof, k)."""
+        x, _ = dgbtrs(self.lu, self.P, self.P, np.reshape(b, (self.piv.size, -1)), self.piv)
+        return x.reshape(np.shape(b))
 
 
 def assemble(mesh: FiberMesh, density: DensityLike) -> ConicLaplacianOp:
@@ -522,11 +577,15 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     F reduced over the constants:
     (A + W (tau - 2 e^{2u}) + 2 q q^T / M) d = -W r with q = W e^{2u}, one
     ``op.shifted`` factor for both right-hand sides plus a Sherman-Morrison
-    update.  That Hessian is positive at a solution whose spectral gap
-    exceeds 2, so the shift tau only damps: a step is kept when the W-norm
-    of the residual drops (tau shrinks), otherwise tau grows; a residual at
-    the floating-point evaluation floor is accepted at the first rejection
-    and 16 rejections in a row are a stall.
+    update.  On a non-radial density the shift varies along rings, so the
+    factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
+    SuperLU's on wider ones; each step's factor is dropped before the next
+    is built, so one factor is alive at a time.  That Hessian is positive
+    at a solution whose spectral gap exceeds 2, so the shift tau only
+    damps: a step is kept when the W-norm of the residual drops (tau
+    shrinks), otherwise tau grows; a residual at the floating-point
+    evaluation floor is accepted at the first rejection and 16 rejections in
+    a row are a stall.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
     raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf (a NaN or an

@@ -186,6 +186,14 @@ REFUSALS = {
     "spherical_point_not_finite": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "finite cone point nan,0 is not finite"
     ),
+    # (1 + r^2)^2 in the background density overflowed past extent 177.45: numpy
+    # warned and the density was refused as not positive, without naming the extent
+    **{
+        f"spherical_extent_{e}_overflows_the_density": (
+            ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", e], f"extent {float(e)} must be positive"
+        )
+        for e in ("180", "350", "709")
+    },
     # math.exp overflowed before FiberMesh saw the radii (exit 1, "math range error")
     "spherical_extent_overflows": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "710"], "extent 710.0 must be positive"

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -191,13 +192,32 @@ def test_fourier_factor_matches_superlu(inner, outer, shift):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_shifted_uses_superlu_off_the_rotation_invariant_case():
-    # a density or a shift that varies along a ring has no Fourier factor
-    bumpy = assemble(FiberMesh(0.05, 1.0, 17, 8), bumpy_density)
-    assert isinstance(bumpy.shifted(2.0), spla.SuperLU)
-    op = assemble(FiberMesh(0.05, 1.0, 17, 8), radial_density)
+@pytest.mark.parametrize("nphi, kind", [(8, solver._BandFactor), (64, solver._BandFactor), (66, spla.SuperLU)])
+def test_shifted_dispatches_on_ring_constancy_and_ring_width(nphi, kind):
+    # a density or a shift that varies along a ring has no Fourier factor; it is
+    # a band on rings of at most _BAND_MAX_NPHI nodes and SuperLU's past them
+    bumpy = assemble(FiberMesh(0.05, 1.0, 17, nphi), bumpy_density)
+    assert isinstance(bumpy.shifted(2.0), kind)
+    op = assemble(FiberMesh(0.05, 1.0, 17, nphi), radial_density)
     shift = op.grid_to_dof(2.0 + np.cos(np.broadcast_to(op.mesh.phi, op.density.shape)))
-    assert isinstance(op.shifted(shift), spla.SuperLU)
+    assert isinstance(op.shifted(shift), kind)
+    assert isinstance(op.shifted(2.0), solver._FourierFactor)
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
+@pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "indefinite"])
+def test_band_factor_matches_dense_solve(inner, outer, shift):
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
+    rng = np.random.default_rng(7)
+    if shift == "indefinite":  # a per-dof shift of both signs
+        shift = rng.uniform(-2.0, 2.0, op.ndof)
+    factor = op.shifted(shift)
+    assert isinstance(factor, solver._BandFactor)
+    dense = op.A.toarray() + np.diag(shift * op.W)
+    for b in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 2))):
+        got, want = factor.solve(b), np.linalg.solve(dense, b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
@@ -207,6 +227,16 @@ def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
 
     monkeypatch.setattr(solver, "dgttrf", zero_pivot)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), 1.0)
+    with pytest.raises(RuntimeError):
+        op.shifted(2.0)
+
+
+def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
+    def zero_pivot(ab, kl, ku, overwrite_ab=0):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 3
+
+    monkeypatch.setattr(solver, "dgbtrf", zero_pivot)
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), bumpy_density)
     with pytest.raises(RuntimeError):
         op.shifted(2.0)
 
@@ -406,6 +436,38 @@ def test_rotation_invariant_solves_build_no_superlu_factor(monkeypatch):
     assert abs(eigen_gap(assemble(closed_sphere_mesh(10.0, 129, 16), football_density(0.5))) - 2.0) < 0.05
     error, rep = manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"))
     assert rep.bound_ok and error < 1e-3
+
+
+def readme_three_cone_mesh():
+    return FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
+
+
+def test_spherical_cone_solve_builds_no_superlu_factor(monkeypatch):
+    # the README 3-cone solve: every Newton step and the gap factor a band
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("a SuperLU factor was built")
+
+    monkeypatch.setattr(spla, "splu", no_superlu)
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], readme_three_cone_mesh())
+    assert rep.residual_sup < 1e-10 and rep.gap > 2.0
+
+
+def test_newton_holds_one_factor_at_a_time(monkeypatch):
+    # each step's band (about 1.8 MB here, mapped outside tracemalloc's view) is
+    # released before the next is built: no earlier factor is alive at a new one
+    shifted, built = ConicLaplacianOp.shifted, []
+
+    def tracked(op, shift):
+        assert all(ref() is None for ref in built), "an earlier factor is still alive"
+        factor = shifted(op, shift)
+        built.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", tracked)
+    mesh = readme_three_cone_mesh()
+    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
+    rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
+    assert rep.residual_sup < 1e-10 and len(built) == rep.iterations >= 2
 
 
 def test_spherical_cone_solve_three_cones():
