@@ -253,7 +253,7 @@ def _cmd_solve_hyperbolic(args: argparse.Namespace) -> int:
 def _cmd_solve_spherical(args: argparse.Namespace) -> int:
     from . import solver
 
-    betas = [float(b) for b in _parse_beta_list(args.beta)]
+    betas = _parse_beta_list(args.beta)  # exact: the solve's gate reads them as given
     pts = _parse_points(args.points) if args.points else _default_sphere_points(len(betas))
     nt, nphi = _parse_mesh(args.mesh)
     # the background density divides by (1 + r^2)^2, which overflows once r = e^extent

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
-from .cones import ConeData, MergeStatus, verdict
+from .cones import ConeData, MergeStatus, RationalLike, verdict
 from .extrapolate import decay_verdict, least_squares_slope
 from .phg import u0_value
 
@@ -168,37 +168,26 @@ class ConicLaplacianOp:
     end rings (a collapsed ring's unknown carries its whole ring mass; the
     area below the truncation radius is dropped).
 
-    Dirichlet ring nodes carry no unknown (``dof_of`` is -1 there).  B, of
-    shape ndof x (nt*nphi), couples the dofs to them by grid node, at most
-    one entry per row: ``B @ field.ravel()`` reads a field's ring values.
+    The dofs run ring by ring: a collapsed ring is one dof, the interior
+    rings [1:-1] are runs of nphi dofs and Dirichlet ring nodes have none
+    (``dof_of`` is -1 there), so grid <-> dof transfers are ring slices.  B,
+    of shape ndof x (nt*nphi), couples the dofs to the Dirichlet nodes, at
+    most one entry per row: ``B @ field.ravel()`` reads their values.
     """
 
     def __init__(self, mesh: FiberMesh, density: DensityLike):
         self.mesh = mesh
         self.density = _density_array(mesh, density)
-        self._build_dofs()
-        self._build_matrices()
+        self._build()
 
-    # -- layout -------------------------------------------------------------
-    def _build_dofs(self) -> None:
-        mesh = self.mesh
-        nt, P = mesh.nt, mesh.nphi
-        self.dof_of = np.full((nt, P), -1, dtype=int)  # -1 on Dirichlet rings
-        kind = {0: mesh.inner, nt - 1: mesh.outer}
-        ndof = 0
-        for i in range(nt):
-            if kind.get(i) == "pole":
-                self.dof_of[i, :] = ndof
-                ndof += 1
-            elif i not in kind:
-                self.dof_of[i, :] = np.arange(ndof, ndof + P)
-                ndof += P
-        self.ndof = ndof
-
-    # -- assembly -----------------------------------------------------------
-    def _build_matrices(self) -> None:
-        mesh, n, nt, P = self.mesh, self.ndof, self.mesh.nt, self.mesh.nphi
+    # -- layout and assembly --------------------------------------------------
+    def _build(self) -> None:
+        mesh, nt, P = self.mesh, self.mesh.nt, self.mesh.nphi
         lo, hi = int(mesh.inner == "pole"), int(mesh.outer == "pole")
+        self.ndof = n = lo + (nt - 2) * P + hi
+        self._rings = slice(lo, n - hi)  # the interior rings' dofs
+        self._poles = [(i, d) for i, d, kind in ((0, 0, mesh.inner), (-1, n - 1, mesh.outer)) if kind == "pole"]
+        self.dof_of = self.dof_to_grid(np.arange(1.0, n + 1)).astype(int) - 1  # -1 on Dirichlet rings
         wr, wa = mesh.hp / mesh.ht, mesh.ht / mesh.hp
         # diagonals summed as an edge loop sums them: an interior node's two radial
         # and two angular edges, and a collapsed ring's nphi radial edges, in turn
@@ -227,28 +216,33 @@ class ConicLaplacianOp:
         rows, nodes = self.dof_of[np.clip(fixed, 1, nt - 2)].ravel(), (fixed[:, None] * P + j.T).ravel()
         self.B = sp.csr_matrix((np.full(rows.size, -wr), (rows, nodes)), shape=(n, nt * P))
 
-        # grid -> dof summation: R @ field.ravel() sums each dof's nodes
-        dof = self.dof_of.ravel()
-        nodes = np.flatnonzero(dof >= 0)
-        self.R = sp.csr_matrix((np.ones(nodes.size), (dof[nodes], nodes)), shape=(n, nt * P))
-
         self.cell_mass = _lumped_mass(mesh, self.density)
-        self.W = self.R @ self.cell_mass.ravel()
+        self.W = self.ring_sum(self.cell_mass)
         if not np.all(np.isfinite(self.W) & (self.W > 0)):
             raise ValueError("lumped mass W is zero or not finite at some dof: density * r^2 under/overflows")
 
     # -- grid <-> dof transfer ----------------------------------------------
     def grid_to_dof(self, u: Field) -> Field:
-        out = np.zeros(self.ndof)
-        mask = self.dof_of >= 0
-        out[self.dof_of[mask]] = u[mask]  # pole rings are constant, any copy works
-        return out
+        """Dof values of a grid field; a collapsed ring is read at its last node."""
+        x = np.empty(self.ndof)
+        x[self._rings].reshape(-1, self.mesh.nphi)[:] = u[1:-1]
+        for i, d in self._poles:
+            x[d] = u[i, -1]
+        return x
+
+    def ring_sum(self, field: Field) -> Field:
+        """Per-dof sums of a grid field's nodes, a collapsed ring's in ring order."""
+        x = self.grid_to_dof(field)
+        for i, d in self._poles:
+            x[d] = np.cumsum(field[i])[-1]
+        return x
 
     def dof_to_grid(self, x: Field) -> Field:
         """Grid field of a dof vector, zero on Dirichlet rings."""
         u = np.zeros((self.mesh.nt, self.mesh.nphi))
-        mask = self.dof_of >= 0
-        u[mask] = x[self.dof_of[mask]]
+        u[1:-1] = x[self._rings].reshape(-1, self.mesh.nphi)
+        for i, d in self._poles:
+            u[i] = x[d]
         return u
 
     # -- operator action and shifted factorizations ---------------------------
@@ -269,7 +263,7 @@ class ConicLaplacianOp:
         singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
-        rings = s[self.dof_of[self.dof_of[:, 0] >= 0]]  # one row per ring with dofs
+        rings = s[self._rings].reshape(-1, self.mesh.nphi)  # a collapsed ring is one dof
         if np.all(rings == rings[:, :1]):
             return _FourierFactor(self, s)
         if self.mesh.nphi <= _BAND_MAX_NPHI:
@@ -303,40 +297,43 @@ class _FourierFactor:
     leaving one tridiagonal in t per mode, with radial coupling -wr.  A
     collapsed ring couples only to mode 0: the ring sum of its neighbour is
     sqrt(nphi) times that mode, so it borders mode 0's block with coupling
-    -sqrt(nphi) wr.  All blocks sit in one tridiagonal with zero couplings
-    between them, factored once by LAPACK's dgttrf, which pivots (a Newton
-    shift may be indefinite); the real and imaginary parts of every
-    right-hand side are solved together by dgttrs.
+    -sqrt(nphi) wr, and is an identity row on every other mode.  The
+    equal-sized blocks sit in one tridiagonal with zero couplings between
+    them, factored once by LAPACK's pivoting dgttrf (a Newton shift may be
+    indefinite); dgttrs solves all real and imaginary parts in place.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
         n, P = self.n, self.P = op.ndof, op.mesh.nphi
         lo, hi = self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
-        self.m = (n - lo - hi) // P  # rings of nphi dofs
+        m = self.m = (n - lo - hi) // P  # rings of nphi dofs
         wr, wa, centre, pole = op.stencil
-        d = (centre + s[lo : n - hi : P]) - 2.0 * np.cos(2.0 * np.pi * np.arange(P // 2 + 1) / P)[:, None] * wa
-        e = np.full_like(d, -wr)  # coupling to the next ring; zero ends each mode's block
-        e[:, -1] = 0.0
-        border = [-math.sqrt(P) * wr]  # a pole's coupling to mode 0
-        d = np.concatenate([pole + s[:lo], d[0], pole + s[n - hi :], d[1:].ravel()])
-        e = np.concatenate([border * lo, e[0, :-1], border * hi, e[0, -1:], e[1:].ravel()[:-1]])
-        *self.lu, info = dgttrf(e, d, e)
+        cos = np.cos(2.0 * np.pi * np.arange(P // 2 + 1) / P)[:, None]
+        d = np.ones((P // 2 + 1, lo + m + hi))  # (mode, row of its block)
+        d[:, lo : lo + m] = (centre + s[lo : n - hi : P]) - 2.0 * cos * wa
+        d[0, :lo], d[0, lo + m :] = pole + s[:lo], pole + s[n - hi :]
+        e = np.zeros_like(d)  # coupling to the next row; zero ends each mode's block
+        e[:, lo : lo + m - 1] = -wr
+        e[0, :lo] = e[0, lo + m - 1 : lo + m - 1 + hi] = -math.sqrt(P) * wr  # a pole's coupling to mode 0
+        *self.lu, info = dgttrf(e.ravel()[:-1], d.ravel(), e.ravel()[:-1])
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
 
     def solve(self, b: Field) -> Field:
         """x with (A + diag(s)) x = b, for b of shape (ndof,) or (ndof, k)."""
-        lo, hi, m, P = self.lo, self.hi, self.m, self.P
-        x = np.asarray(b, dtype=float).reshape(self.n, -1)
+        lo, hi, m, P, n = self.lo, self.hi, self.m, self.P, self.n
+        x = np.asarray(b, dtype=float).reshape(n, -1)
         k = x.shape[1]
-        f = np.fft.rfft(x[lo : self.n - hi].reshape(m, P, k), axis=1, norm="ortho")
-        f = np.concatenate([f.real, f.imag], axis=2).transpose(1, 0, 2)  # (mode, ring, real|imag)
-        poles = np.pad(x[np.r_[:lo, self.n - hi : self.n]], ((0, 0), (0, k)))  # no imaginary part
-        rhs = np.concatenate([poles[:lo], f[0], poles[lo:], f[1:].reshape(-1, 2 * k)])
-        y, _ = dgttrs(*self.lu, rhs)
-        f = np.concatenate([y[lo : lo + m], y[lo + m + hi :]]).reshape(-1, m, 2 * k)
-        rings = np.fft.irfft((f[..., :k] + 1j * f[..., k:]).transpose(1, 0, 2), n=P, axis=1, norm="ortho")
-        out = np.concatenate([y[:lo, :k], rings.reshape(m * P, k), y[lo + m : lo + m + hi, :k]])
+        f = np.fft.rfft(x[lo : n - hi].reshape(m, P, k), axis=1, norm="ortho")  # (ring, mode, column)
+        y = np.zeros((2, k, P // 2 + 1, lo + m + hi))  # (real|imag, column, mode, row of its block)
+        y[0, :, :, lo : lo + m], y[1, :, :, lo : lo + m] = f.real.T, f.imag.T
+        y[0, :, 0, :lo], y[0, :, 0, lo + m :] = x[:lo].T, x[n - hi :].T  # a pole has no imaginary part
+        y = dgttrs(*self.lu, y.reshape(2 * k, -1).T, overwrite_b=1)[0].T.reshape(y.shape)
+        f.real[...], f.imag[...] = y[0, :, :, lo : lo + m].T, y[1, :, :, lo : lo + m].T
+        out = np.empty((n, k))
+        out[:lo], out[n - hi :] = y[0, :, 0, :lo].T, y[0, :, 0, lo + m :].T
+        del y  # freed before the inverse FFT allocates
+        out[lo : n - hi] = np.fft.irfft(f, n=P, axis=1, norm="ortho").reshape(m * P, k)
         return out.reshape(np.shape(b))
 
 
@@ -442,7 +439,7 @@ def picard_solve(
     v = np.zeros(op.ndof)
     v_grid = op.dof_to_grid(v) + lift
     rhs_grid = f + _q_nonlinearity(v_grid)
-    load = op.R @ (rhs_grid * op.cell_mass).ravel()
+    load = op.ring_sum(rhs_grid * op.cell_mass)
     prev_delta = None
     contraction = 0.0
     iterations = 0
@@ -460,7 +457,7 @@ def picard_solve(
         v, prev_delta = v_new, delta
         v_grid = op.dof_to_grid(v) + lift
         rhs_grid = f + _q_nonlinearity(v_grid)
-        load = op.R @ (rhs_grid * op.cell_mass).ravel()
+        load = op.ring_sum(rhs_grid * op.cell_mass)
         # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
         resid = op.weak_form(v_grid) / op.W + 2.0 * v - load / op.W
         residual = float(np.max(np.abs(resid)))
@@ -518,9 +515,8 @@ def hyperbolic_correction_solve(
     cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
     op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
     K_tilde = op.weak_form(cone_part + u_approx) / op.W
-    if mesh.inner == "pole":
-        pole = op.dof_of[0, 0]
-        K_tilde[pole] -= op.weak_form(cone_part)[pole] / op.W[pole]
+    if mesh.inner == "pole":  # the inner ring's dof is the first
+        K_tilde[0] -= op.weak_form(cone_part)[0] / op.W[0]
     return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
 
 
@@ -599,7 +595,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     if op.mesh.inner != "pole" or op.mesh.outer != "pole":
         raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
     W = op.W
-    K0_dof = op.R @ (np.asarray(K0, dtype=float) * op.cell_mass).ravel() / W  # mass average
+    K0_dof = op.ring_sum(np.asarray(K0, dtype=float) * op.cell_mass) / W  # mass average
 
     def residual_dof(u_dof: Field) -> Field:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -661,7 +657,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
 
 
 def spherical_cone_solve(
-    betas: Sequence[float],
+    betas: Sequence[RationalLike],
     finite_points: Sequence[complex],
     mesh: FiberMesh,
     tol: float = 1e-10,
@@ -673,24 +669,25 @@ def spherical_cone_solve(
     ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
     its minimiser is the metric.  ``cones.verdict`` decides existence before
-    any solve: a parameter that is not positive raises ValueError, as do
-    angles with chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no
-    positive area), whatever the largest beta; two equal angles raise
+    any solve, on the angles as given (floats snapped by ``to_fraction``): a
+    parameter that is not positive raises ValueError, as do angles with
+    chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no positive
+    area), whatever the largest beta; two equal angles raise
     FootballDegeneracyError, and two unequal angles, or all beta < 1
     against the Luo-Tian inequalities, raise ValueError, because no metric
     exists.  The gap of the solved metric is computed and the solve is
     rejected at or below 2 + _GAP_MARGIN (football degeneracy).
     """
-    bs = [float(b) for b in betas]
-    exact = ConeData.of(0, bs, 1).beta
+    exact = ConeData.of(0, betas, 1).beta
     status, _ = verdict(0, 1, exact)
+    named = ", ".join(map(str, betas))
     if status is MergeStatus.FOOTBALL_BOUNDARY:
         raise FootballDegeneracyError("two equal cone angles: the degenerate family with spectral gap exactly 2")
     if status is MergeStatus.GAUSS_BONNET_VIOLATED:
-        raise ValueError(f"cone angles {betas} have chi(beta) <= 0: Gauss-Bonnet leaves no spherical metric")
+        raise ValueError(f"cone angles {named} have chi(beta) <= 0: Gauss-Bonnet leaves no spherical metric")
     if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
-        raise ValueError(f"cone angles {betas} violate the Luo-Tian inequalities: no spherical metric")
-    density, K0 = singular_sphere_background(bs, finite_points)
+        raise ValueError(f"cone angles {named} violate the Luo-Tian inequalities: no spherical metric")
+    density, K0 = singular_sphere_background(betas, finite_points)
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
     report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
@@ -889,7 +886,7 @@ def merging_pair_residual_family(
     families: dict[int, list[tuple[float, Field]]] = {1: [], 2: []}
     for rho in map(float, rhos):
         log_density_rho = _pair_log_density(b1, b2, rho, rr, pp)
-        mass_rho = op0.R @ _lumped_mass(mesh, np.exp(log_density_rho)).ravel()
+        mass_rho = op0.ring_sum(_lumped_mass(mesh, np.exp(log_density_rho)))
         for order, u in ((1, u0_grid), (2, u0_grid + rho * u1_grid)):
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}
             phi = 0.5 * log_density_rho + u

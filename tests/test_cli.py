@@ -155,6 +155,12 @@ REFUSALS = {
     "malformed_beta": (["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "0.x"], "not a rational"),
     # 1 - 0.45 = 0.55 > (1 - 0.5) + (1 - 0.96) = 0.54: no spherical metric
     "luo_tian_violation": (["solve", "spherical", "--beta", "9/20,1/2,24/25", "--points", "0,0;1,0"], "Luo-Tian"),
+    # on the Luo-Tian equality exactly; snapped to denominators <= 10^6 the angles
+    # read admissible, and the solve used to exit 0
+    "luo_tian_equality_past_the_float_snap": (
+        ["solve", "spherical", "--beta", "1000005/2000006,1/2,1/1000003", "--points", "0,0;1,0"],
+        "cone angles 1000005/2000006, 1/2, 1/1000003 violate the Luo-Tian",
+    ),
     # rfrak = r^beta / beta reaches 2 at r = 1 for beta = 1/2
     "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
     "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),

@@ -162,6 +162,41 @@ def test_mass_is_per_dof_sum_of_cell_mass(inner, outer):
     assert np.array_equal(op.W, ref)  # a pole dof holds its whole ring
 
 
+@pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
+def test_transfers_match_the_dof_map_bit_for_bit(inner, outer):
+    # references from dof_of alone: a mask gather (a repeated index keeps its last
+    # node), a mask scatter and a per-dof sum in ring order; at nphi = 16 the
+    # pole's sum in turn differs from a pairwise one
+    op = assemble(FiberMesh(0.05, 1.0, 17, 16, inner, outer), bumpy_density)
+    rng = np.random.default_rng(11)
+    field = rng.standard_normal((17, 16)) * 10.0 ** rng.uniform(-3, 3, (17, 16))
+    x = rng.standard_normal(op.ndof)
+    mask = op.dof_of >= 0
+    gathered, scattered, summed = np.zeros(op.ndof), np.zeros((17, 16)), np.zeros(op.ndof)
+    gathered[op.dof_of[mask]] = field[mask]
+    scattered[mask] = x[op.dof_of[mask]]
+    for (i, j), d in np.ndenumerate(op.dof_of):
+        if d >= 0:
+            summed[d] += field[i, j]
+    assert np.array_equal(op.grid_to_dof(field), gathered)
+    assert np.array_equal(op.dof_to_grid(x), scattered)
+    assert np.array_equal(op.ring_sum(field), summed)
+
+
+def test_fourier_solve_transient_is_a_few_right_hand_sides():
+    # the concatenated and transposed right-hand sides traced 6.0 times b's bytes here
+    op = assemble(FiberMesh(1e-3, 0.7, 1025, 128), 1.0)
+    factor = op.shifted(2.0)
+    b = np.cos(np.arange(op.ndof))
+    tracemalloc.start()
+    try:
+        factor.solve(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * b.nbytes
+
+
 def test_shifted_factorization_matches_dense_solve():
     op = assemble(FiberMesh(0.05, 1.0, 12, 8, inner="pole", outer="dirichlet"), bumpy_density)
     rng = np.random.default_rng(1)
