@@ -157,7 +157,7 @@ def _cmd_flat_expand(args: argparse.Namespace) -> int:
     for n, poly in exp2.terms:
         for m in sorted(poly.coeffs):
             c, d = poly.coeffs[m]
-            rows.append((n, m, str(c.value()), str(d.value())))
+            rows.append((n, m, str(c), str(d)))
         if poly.is_zero:
             rows.append((n, n, "0", "0"))
     _emit_csv(("power", "degree", "cos", "sin"), rows, args)
@@ -213,13 +213,12 @@ def _cmd_phg_recurse(args: argparse.Namespace) -> int:
     rows = []
     for j in range(1, args.steps + 1):
         for alpha, trig in sorted(series.steps[j].items()):
-            resolved = trig.substitute(series.assignments)
             free = bool(phg.free_symbols(j, alpha))
-            degrees = sorted(set(resolved.coeffs) | ({int(alpha)} if free else set()))
+            degrees = sorted(set(trig.coeffs) | ({int(alpha)} if free else set()))
             pairs = series.labels[alpha]
             labels = ";".join(f"{l}+{k}" for l, k in pairs)
             for m in degrees:
-                c, d = resolved.coeffs.get(m, (phg.LinExpr(), phg.LinExpr()))
+                c, d = trig.coeffs.get(m, (0, 0))
                 rows.append((j, str(alpha), labels, len(pairs), int(free), m, str(c), str(d)))
     _emit_csv(("j", "alpha", "labels", "multiplicity", "free", "degree", "cos", "sin"), rows, args)
     return 0

@@ -391,6 +391,19 @@ class SolveReport:
     bound_ok: bool = True
 
 
+def _require_finite_tol(tol: float) -> None:
+    """Refuse tol <= 0, a NaN (it stops a solve's loop at once) and inf (it accepts the first iterate)."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
+
+
+def _require_closed_fiber(op: ConicLaplacianOp, what: str) -> None:
+    if op.mesh.inner != "pole" or op.mesh.outer != "pole":
+        raise ValueError(f"{what} needs a closed fiber (both rings collapsed)")
+
+
 # ---------------------------------------------------------------------------
 # Picard iteration (hyperbolic-type correction solves)
 
@@ -416,13 +429,9 @@ def picard_solve(
     from scratch on the final iterate, and the discrete maximum-principle
     bound sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
     boundary data).  ``tol`` must be positive and finite (ValueError
-    otherwise; a NaN would stop the loop at once, an infinity would accept
-    the first iterate).
+    otherwise).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if tol == math.inf:
-        raise ValueError("tol must be finite")
+    _require_finite_tol(tol)
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
     # the boundary data as a grid field, zero off the Dirichlet rings
     lift = np.zeros_like(op.density)
@@ -535,8 +544,7 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     Krylov space breaks down), so no random start is drawn.  ARPACK's
     failure to converge raises NonconvergenceError.
     """
-    if op.mesh.inner != "pole" or op.mesh.outer != "pole":
-        raise ValueError("eigen_gap needs a closed fiber (both rings collapsed)")
+    _require_closed_fiber(op, "eigen_gap")
     n = op.ndof
     inverse = spla.LinearOperator((n, n), matvec=op.shifted(1e-3).solve, dtype=float)
     try:
@@ -584,16 +592,11 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     a row are a stall.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
-    raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf (a NaN or an
-    infinity would skip the loop).  The football refusal (spectral gap of the
-    solved metric) is ``spherical_cone_solve``'s.
+    raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf.  The football
+    refusal (spectral gap of the solved metric) is ``spherical_cone_solve``'s.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if tol == math.inf:
-        raise ValueError("tol must be finite")
-    if op.mesh.inner != "pole" or op.mesh.outer != "pole":
-        raise ValueError("the spherical solve needs a closed fiber (both rings collapsed)")
+    _require_finite_tol(tol)
+    _require_closed_fiber(op, "the spherical solve")
     W = op.W
     K0_dof = op.ring_sum(np.asarray(K0, dtype=float) * op.cell_mass) / W  # mass average
 
@@ -673,10 +676,11 @@ def spherical_cone_solve(
     parameter that is not positive raises ValueError, as do angles with
     chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no positive
     area), whatever the largest beta; two equal angles raise
-    FootballDegeneracyError, and two unequal angles, or all beta < 1
-    against the Luo-Tian inequalities, raise ValueError, because no metric
-    exists.  The gap of the solved metric is computed and the solve is
-    rejected at or below 2 + _GAP_MARGIN (football degeneracy).
+    FootballDegeneracyError, and one cone point (the teardrop), two unequal
+    angles, or all beta < 1 against the Luo-Tian inequalities raise
+    ValueError, because no metric exists.  The gap of the solved metric is
+    computed and the solve is rejected at or below 2 + _GAP_MARGIN (football
+    degeneracy).
     """
     exact = ConeData.of(0, betas, 1).beta
     status, _ = verdict(0, 1, exact)
@@ -685,6 +689,8 @@ def spherical_cone_solve(
         raise FootballDegeneracyError("two equal cone angles: the degenerate family with spectral gap exactly 2")
     if status is MergeStatus.GAUSS_BONNET_VIOLATED:
         raise ValueError(f"cone angles {named} have chi(beta) <= 0: Gauss-Bonnet leaves no spherical metric")
+    if len(exact) == 1:
+        raise ValueError(f"one cone point of angle {named}: no spherical metric has exactly one cone point")
     if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
         raise ValueError(f"cone angles {named} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(betas, finite_points)

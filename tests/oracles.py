@@ -7,28 +7,32 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from conic_moduli.cones import ConeData, troyanov
 from conic_moduli.phg import ExponentEntry
 from conic_moduli.solver import FootballDegeneracyError
 
 
 def spherical_existence_gate(betas) -> None:
-    """The spherical solve's refusal of cone data, written out by cases.
+    """The spherical solve's refusal of cone data, written out by cases in exact rationals.
 
-    Angles with 2 + sum(beta_i - 1) <= 0 leave Gauss-Bonnet no positive area
+    Angles with chi(beta) = 2 + sum(beta_i - 1) <= 0 leave Gauss-Bonnet no
+    positive area (ValueError).  One cone point admits no metric
     (ValueError).  Two equal angles are the football
-    (FootballDegeneracyError), two unequal angles admit no metric, and with
-    all beta < 1 the Luo-Tian inequalities decide (ValueError); any other
-    data pass.
+    (FootballDegeneracyError), two unequal angles admit no metric
+    (ValueError), and with all beta < 1 the Luo-Tian inequalities
+    1 - beta_i < sum_{j != i} (1 - beta_j), for every i, decide (ValueError);
+    any other data pass.
     """
-    bs = [float(b) for b in betas]
-    if 2 + sum(b - 1 for b in ConeData.of(0, bs, 1).beta) <= 0:
+    bs = [Fraction(b) for b in betas]
+    defects = [1 - b for b in bs]
+    if 2 - sum(defects) <= 0:
         raise ValueError("no positive area")
+    if len(bs) == 1:
+        raise ValueError("one cone point")
     if len(bs) == 2:
         if bs[0] == bs[1]:
             raise FootballDegeneracyError("two equal cone angles")
         raise ValueError("two unequal cone angles")
-    if max(bs) < 1 and not troyanov(ConeData.of(0, bs, 1)):
+    if max(bs) < 1 and any(d >= sum(defects) - d for d in defects):
         raise ValueError("Luo-Tian inequalities violated")
 
 

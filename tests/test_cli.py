@@ -162,6 +162,10 @@ REFUSALS = {
         "cone angles 1000005/2000006, 1/2, 1/1000003 violate the Luo-Tian",
     ),
     # rfrak = r^beta / beta reaches 2 at r = 1 for beta = 1/2
+    # the teardrop: it used to reach Newton and end on the gap guard (exit 1)
+    "spherical_one_cone": (
+        ["solve", "spherical", "--beta", "3", "--points", ";"], "one cone point of angle 3: no spherical metric"
+    ),
     "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
     "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),
     "assign_names_no_free_coefficient": (["phg", "recurse", "--beta", "3/4", "--assign", "zzz=5"], "'zzz'"),

@@ -81,11 +81,11 @@ def test_corner_expansion_symbolic_coefficients():
     assert exp2.log_coefficient == b1 + b2 - 2
     # s^1: (b2 - b1) cos(D)
     c1 = exp2.coefficient(1)
-    assert c1.coeffs[1][0].value() == b2 - b1
+    assert c1.coeffs[1][0] == b2 - b1
     assert c1.is_pure() and c1.degree == 1
     # s^2: -(b12 - 1) cos(2D) / 2 with b12 = b1 + b2 - 1
     c2 = exp2.coefficient(2)
-    assert c2.coeffs[2][0].value() == -(b1 + b2 - 2) / 2
+    assert c2.coeffs[2][0] == -(b1 + b2 - 2) / 2
     assert c2.is_pure() and c2.degree == 2
 
 

@@ -8,7 +8,6 @@ import pytest
 from conic_moduli import phg
 from conic_moduli.phg import (
     IndicialCollisionError,
-    LinExpr,
     PhgSeries,
     TrigPoly,
     exp_series,
@@ -139,11 +138,11 @@ def test_trig_product_rules():
     y = TrigPoly.sin(3, 1)
     prod = x * y
     # cos(2)sin(3)/2 = (sin(5) - sin(-1))/4 = sin(5)/4 + sin(1)/4
-    assert prod.coeffs[5][1].value() == F(1, 4)
-    assert prod.coeffs[1][1].value() == F(1, 4)
+    assert prod.coeffs[5][1] == F(1, 4)
+    assert prod.coeffs[1][1] == F(1, 4)
     sq = TrigPoly.cos(1) * TrigPoly.cos(1)
-    assert sq.coeffs[0][0].value() == F(1, 2)
-    assert sq.coeffs[2][0].value() == F(1, 2)
+    assert sq.coeffs[0][0] == F(1, 2)
+    assert sq.coeffs[2][0] == F(1, 2)
 
 
 def test_trig_numeric_evaluation_matches_algebra():
@@ -155,32 +154,27 @@ def test_trig_numeric_evaluation_matches_algebra():
         assert (a * b).evaluate(phi) == pytest.approx(a.evaluate(phi) * b.evaluate(phi), abs=1e-12)
 
 
-def test_linexpr_refuses_symbol_products():
-    s = LinExpr.symbol("a")
-    with pytest.raises(ValueError):
-        s * s
-
-
 # -- the transverse recursion -------------------------------------------------------
 
 
 def test_recursion_step_one_structure():
     beta = F(3, 4)
     series = PhgSeries(beta, 4)
+    # unit values for the cosine coefficients at l = 0, 1, 2; the rest read 0
+    series.assign({f"a[1,{ell},c]": 1 for ell in (0, 1, 2)})
     table = recursion_step(1, series)
     # free indicial slots at the integers, pure degree, flagged free
     for ell in (0, 1, 2):
         trig = table[F(ell)]
         assert free_symbols(1, F(ell))
-        assert trig.degree == ell
-        assert trig.is_pure()
+        assert trig == TrigPoly.cos(ell)
+    # a free slot stays in the table at value 0: a[1,3,*] are unassigned, and the
+    # ladder terms from the slots at 0 and 3/2 cancel at 3
+    assert table[F(3)].is_zero
     # ladder slot at 2*beta driven by the free constant: -2 E0 a/( (2b)^2 )
-    ladder = table[2 * beta]
-    coeff = ladder.coeffs[0][0]
-    assert dict(coeff.terms) == {"a[1,0,c]": F(-2) / (2 * beta) ** 2}
+    assert table[2 * beta] == TrigPoly.const(F(-2) / (2 * beta) ** 2)
     # ladder at 1 + 2*beta from the free degree-1 slot
-    ladder2 = table[1 + 2 * beta]
-    assert dict(ladder2.coeffs[1][0].terms) == {"a[1,1,c]": F(-2) / ((1 + 2 * beta) ** 2 - 1)}
+    assert table[1 + 2 * beta] == TrigPoly.cos(1, F(-2) / ((1 + 2 * beta) ** 2 - 1))
 
 
 def test_recursion_step_two_unit_input():
@@ -190,8 +184,8 @@ def test_recursion_step_two_unit_input():
     table = recursion_step(2, series)
     alpha = 2 + 2 * beta
     trig = table[alpha]
-    assert trig.coeffs[0][0].const == F(-1) / alpha**2
-    assert trig.coeffs[2][0].const == F(-1) / (alpha**2 - 4)
+    assert trig.coeffs[0][0] == F(-1) / alpha**2
+    assert trig.coeffs[2][0] == F(-1) / (alpha**2 - 4)
 
 
 def test_recursion_degree_bounds():
@@ -207,26 +201,17 @@ def test_recursion_degree_bounds():
         assert trig.degree <= max_label_ell
 
 
-def test_recursion_requires_resolved_priors():
-    beta = F(3, 4)
-    series = PhgSeries(beta, 4)
-    series.steps[1] = recursion_step(1, series)
-    with pytest.raises(ValueError):
-        recursion_step(2, series)  # free symbols of step 1 unassigned
-
-
 def test_recursion_verify_operator_identity():
-    # step 1 partly assigned: a[1,2,*], a[1,3,*], a[1,4,*] stay symbols, so the
-    # operator identity must cancel identically in them
+    # step 1 partly assigned: a[1,2,*], a[1,3,*], a[1,4,*] read 0
     series = PhgSeries(F(3, 4), F(9, 2))
-    t1 = series.steps[1] = recursion_step(1, series)
     series.assign({"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2)})
-    assert any(t.has_symbols() for t in series.resolved_table(1).values())
+    t1 = series.steps[1] = recursion_step(1, series)
     assert verify_step(1, series, t1)
-    # a spurious term linear in a free symbol is caught
-    bad = dict(t1)
-    bad[F(2)] = t1[F(2)] + TrigPoly.const(LinExpr.symbol("a[1,2,c]"))
-    assert not verify_step(1, series, bad)
+    # a spurious term is caught, at a free slot and at a ladder slot
+    for alpha in (F(2), F(3, 2)):
+        bad = dict(t1)
+        bad[alpha] = t1[alpha] + TrigPoly.const(1)
+        assert not verify_step(1, series, bad)
 
 
 def test_recurse_verify_operator_identity():

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -609,7 +610,7 @@ def test_spherical_gate_refuses_what_the_oracle_refuses(monkeypatch):
 
     monkeypatch.setattr(solver, "singular_sphere_background", stop)
     mesh = FiberMesh(math.exp(-6), math.exp(6), 33, 8, inner="pole", outer="pole")
-    twelfths = [i / 12 for i in range(1, 31)]
+    twelfths = [Fraction(i, 12) for i in range(1, 31)]
 
     def outcome(gate, betas):
         try:
@@ -618,7 +619,7 @@ def test_spherical_gate_refuses_what_the_oracle_refuses(monkeypatch):
             return type(exc)
         return _PastGate
 
-    for k in (2, 3):
+    for k in (1, 2, 3):
         for betas in itertools.product(twelfths, repeat=k):
             solve = functools.partial(spherical_cone_solve, finite_points=[0j, 1 + 0j][: k - 1], mesh=mesh)
             assert outcome(solve, betas) is outcome(spherical_existence_gate, betas), betas
