@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .cones import ConeData, MergeStatus, RationalLike, verdict
@@ -245,6 +246,11 @@ class ConicLaplacianOp:
             u[i] = x[d]
         return u
 
+    def _constant_on_rings(self, x: Field) -> bool:
+        """Whether a dof vector is exactly equal (``==``) along every ring; a collapsed ring is one dof."""
+        rings = x[self._rings].reshape(-1, self.mesh.nphi)
+        return bool(np.all(rings == rings[:, :1]))
+
     # -- operator action and shifted factorizations ---------------------------
     def weak_form(self, g: Field) -> Field:
         """A x + B g, the weak form of Delta g for a grid field g with dof values x and ring values read by B."""
@@ -263,8 +269,7 @@ class ConicLaplacianOp:
         singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
-        rings = s[self._rings].reshape(-1, self.mesh.nphi)  # a collapsed ring is one dof
-        if np.all(rings == rings[:, :1]):
+        if self._constant_on_rings(s):
             return _FourierFactor(self, s)
         if self.mesh.nphi <= _BAND_MAX_NPHI:
             return _BandFactor(self, s)
@@ -288,8 +293,8 @@ _BAND_MAX_NPHI = 64
 _BAND_PAGES = {"flags": mmap.MAP_PRIVATE | mmap.MAP_POPULATE} if hasattr(mmap, "MAP_POPULATE") else {}
 
 
-class _FourierFactor:
-    """LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
+def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Field, Field]:
+    """A + diag(s), for s constant on every ring, on angular modes 0 .. modes-1: one tridiagonal in t each.
 
     The coefficients are the scalar weights of ``op.stencil``; no entry of
     ``op.A`` is read.  The orthonormal real FFT in phi turns a ring's angular
@@ -297,24 +302,38 @@ class _FourierFactor:
     leaving one tridiagonal in t per mode, with radial coupling -wr.  A
     collapsed ring couples only to mode 0: the ring sum of its neighbour is
     sqrt(nphi) times that mode, so it borders mode 0's block with coupling
-    -sqrt(nphi) wr, and is an identity row on every other mode.  The
-    equal-sized blocks sit in one tridiagonal with zero couplings between
-    them, factored once by LAPACK's pivoting dgttrf (a Newton shift may be
+    -sqrt(nphi) wr, and is an identity row on every other mode.  Returns
+    (d, e) of shape (mode, row of its block): the diagonals, and each row's
+    coupling to the next, zero on a block's last row.
+    """
+    n, P = op.ndof, op.mesh.nphi
+    lo, hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
+    m = (n - lo - hi) // P  # rings of nphi dofs
+    wr, wa, centre, pole = op.stencil
+    cos = np.cos(2.0 * np.pi * np.arange(modes) / P)[:, None]
+    d = np.ones((modes, lo + m + hi))
+    d[:, lo : lo + m] = (centre + s[lo : n - hi : P]) - 2.0 * cos * wa
+    d[0, :lo], d[0, lo + m :] = pole + s[:lo], pole + s[n - hi :]
+    e = np.zeros_like(d)
+    e[:, lo : lo + m - 1] = -wr
+    e[0, :lo] = e[0, lo + m - 1 : lo + m - 1 + hi] = -math.sqrt(P) * wr  # a pole's coupling to mode 0
+    return d, e
+
+
+class _FourierFactor:
+    """LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
+
+    The blocks of ``_mode_tridiagonals`` for the modes 0 .. nphi/2 of the
+    real FFT sit in one tridiagonal with zero couplings between them,
+    factored once by LAPACK's pivoting dgttrf (a Newton shift may be
     indefinite); dgttrs solves all real and imaginary parts in place.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
         n, P = self.n, self.P = op.ndof, op.mesh.nphi
         lo, hi = self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
-        m = self.m = (n - lo - hi) // P  # rings of nphi dofs
-        wr, wa, centre, pole = op.stencil
-        cos = np.cos(2.0 * np.pi * np.arange(P // 2 + 1) / P)[:, None]
-        d = np.ones((P // 2 + 1, lo + m + hi))  # (mode, row of its block)
-        d[:, lo : lo + m] = (centre + s[lo : n - hi : P]) - 2.0 * cos * wa
-        d[0, :lo], d[0, lo + m :] = pole + s[:lo], pole + s[n - hi :]
-        e = np.zeros_like(d)  # coupling to the next row; zero ends each mode's block
-        e[:, lo : lo + m - 1] = -wr
-        e[0, :lo] = e[0, lo + m - 1 : lo + m - 1 + hi] = -math.sqrt(P) * wr  # a pole's coupling to mode 0
+        self.m = (n - lo - hi) // P  # rings of nphi dofs
+        d, e = _mode_tridiagonals(op, s, P // 2 + 1)
         *self.lu, info = dgttrf(e.ravel()[:-1], d.ravel(), e.ravel()[:-1])
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
@@ -536,8 +555,25 @@ def hyperbolic_correction_solve(
 def eigen_gap(op: ConicLaplacianOp) -> float:
     """Smallest nonzero eigenvalue of the weighted Laplacian on a closed fiber.
 
-    Requires both rings collapsed (the surface is closed).  The two
-    eigenvalues of A x = lambda W x nearest sigma = -1e-3 are found by
+    Requires both rings collapsed (the surface is closed).  The eigenproblem
+    is A x = lambda W x.  When W is exactly constant on every ring (a
+    rotation-invariant density: the round sphere, the footballs) it
+    separates by angular mode, with the blocks of ``_mode_tridiagonals``
+    and each row's ring mass: mode 0 is the poles plus the ring means,
+    whose smallest eigenvalue is the constants' 0, and modes k >= 1 are the
+    interior rings alone (the identity pole rows the factor puts there are
+    no eigenvalues).  Mode k's block is mode 1's plus
+    2 wa (cos(2 pi / nphi) - cos(2 pi k / nphi)) I, a nonnegative multiple
+    of the identity on the same rows with the same W, so no eigenvalue of
+    it is below mode 1's smallest.  The gap is therefore the smaller of
+    mode 0's second eigenvalue and mode 1's first.  Each block, scaled by
+    W^{-1/2} on both sides, goes to LAPACK's bisection (dstebz, through
+    ``scipy.linalg.eigh_tridiagonal``) with the smallest positive tolerance.
+    The default, eps ||T||, is too loose: pole rows have W near 1e-6, so
+    ||T|| is near 1e9, and on the round sphere at 2049x256 the constants' 0
+    read -1.1e-8 and the gap was 5.9e-8 off, relative.
+
+    Otherwise the two eigenvalues nearest sigma = -1e-3 are found by
     ARPACK's shift-invert Lanczos on one ``op.shifted(1e-3)`` factor: the
     smaller is the constants' 0, the larger is the gap.  The start vector is
     fixed and not constant (a constant start is an eigenvector, on which the
@@ -546,11 +582,23 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     """
     _require_closed_fiber(op, "eigen_gap")
     n = op.ndof
+    if op._constant_on_rings(op.W):
+        d, e = _mode_tridiagonals(op, np.zeros(n), 2)
+        w = op.W[np.r_[0, 1 : n - 1 : op.mesh.nphi, n - 1]]  # the mass of each block row
+        root = np.sqrt(w)
+        d, e = d / w, e[:, :-1] / (root[:-1] * root[1:])
+        bisect = {"eigvals_only": True, "select": "i", "tol": np.finfo(float).tiny}
+        mode0 = eigh_tridiagonal(d[0], e[0], select_range=(1, 1), **bisect)[0]
+        mode1 = eigh_tridiagonal(d[1, 1:-1], e[1, 1:-1], select_range=(0, 0), **bisect)[0]  # rings only
+        return float(min(mode0, mode1))
     inverse = spla.LinearOperator((n, n), matvec=op.shifted(1e-3).solve, dtype=float)
     try:
-        # ncv = 8 Lanczos vectors: faster than ARPACK's default of 20, and
-        # unlike 5, 7 or 10 it found the smallest member of the sphere's
-        # near-triple cluster at 2 on every round and football mesh swept
+        # ncv = 8 Lanczos vectors.  On the solved cone metrics that reach this
+        # path ((2/3)^3 at 65x16, 129x24, 193x32, 257x40 and 513x64, 1/2,1/3,1/4
+        # at 129x24 and 257x48, (1/2)^3, the 4-cone default and five cones) it
+        # agreed with ARPACK's default of 20 on SuperLU's factor within 9e-14
+        # relative, at the same speed (7.3 vs 6.9 ms at 129x24, 41.7 vs 40.7 ms
+        # at 257x40, 2-core Xeon VM, one BLAS thread); 8 keeps the gaps as they were
         vals = spla.eigsh(
             op.A, k=2, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse, ncv=8,
             v0=np.cos(np.arange(n)), tol=1e-10, return_eigenvectors=False,

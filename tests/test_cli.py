@@ -322,8 +322,10 @@ def test_arpack_nonconvergence_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", stuck)
     mesh = solver.FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    # a non-radial operator: a rotation-invariant one's gap never reaches ARPACK
+    density, _ = solver.singular_sphere_background([2 / 3] * 3, [0j, 1 + 0j])
     with pytest.raises(solver.NonconvergenceError):
-        solver.eigen_gap(solver.assemble(mesh, solver.round_sphere_density))
+        solver.eigen_gap(solver.assemble(mesh, density))
     rc, out, err = run(
         capsys,
         "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0", "--mesh", "65x16",

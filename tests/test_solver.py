@@ -707,11 +707,13 @@ def solved_metric_op(betas, points):
     [
         lambda mesh, _: assemble(mesh, round_sphere_density),
         lambda mesh, _: assemble(mesh, football_density(1 / 3)),
+        # radial but not symmetric under r -> 1/r: the two pole masses differ
+        lambda mesh, _: assemble(mesh, lambda r, phi: 1.0 / (r * (1.0 + r) ** 3)),
         solved_metric_op([2 / 3] * 3, [0j, 1 + 0j]),
         solved_metric_op([1 / 3, 1 / 2, 1 / 4], [0j, 1 + 0j]),
         solved_metric_op(*FIVE_CONES),
     ],
-    ids=["round", "football-1/3", "three-2/3", "1/3,1/2,1/4", "five-cones"],
+    ids=["round", "football-1/3", "radial-unequal-poles", "three-2/3", "1/3,1/2,1/4", "five-cones"],
 )
 def test_eigen_gap_matches_dense_generalized_eigensolver(operator, monkeypatch):
     mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
@@ -719,6 +721,58 @@ def test_eigen_gap_matches_dense_generalized_eigensolver(operator, monkeypatch):
     dense = scipy.linalg.eigh(op.A.toarray(), np.diag(op.W), eigvals_only=True)
     assert dense[0] == pytest.approx(0.0, abs=1e-9)
     assert eigen_gap(op) == pytest.approx(dense[1], rel=1e-8)
+
+
+def lanczos_gap(op):
+    """The gap by shift-invert Lanczos on SuperLU's own factor of A + 1e-3 W, no op.shifted.
+
+    Four eigenvalues nearest -1e-3, so that a cluster at the gap (the round
+    sphere's near-triple one at 2) cannot hide its smallest member; the
+    first is the constants' 0, the second is the gap.
+    """
+    lu = spla.splu((op.A + sp.diags(1e-3 * op.W)).tocsc())
+    inverse = spla.LinearOperator(op.A.shape, matvec=lu.solve, dtype=float)
+    vals = spla.eigsh(
+        op.A, k=4, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse,
+        v0=np.cos(np.arange(op.ndof)), tol=1e-13, return_eigenvectors=False,
+    )
+    return np.sort(vals)[1]
+
+
+@pytest.mark.parametrize(
+    "L, nt, nphi, density",
+    [(6.0, 257, 32, round_sphere_density), (10.0, 257, 24, football_density(1 / 3))],
+    ids=["round-257x32", "football-1/3-257x24"],
+)
+def test_radial_eigen_gap_matches_shift_invert_lanczos(L, nt, nphi, density):
+    op = assemble(FiberMesh(math.exp(-L), math.exp(L), nt, nphi, inner="pole", outer="pole"), density)
+    assert eigen_gap(op) == pytest.approx(lanczos_gap(op), rel=1e-10)
+
+
+def test_radial_eigen_gap_needs_no_factor_and_no_lanczos(monkeypatch):
+    # a rotation-invariant W separates the eigenproblem by angular mode: two
+    # tridiagonals, no shifted factor and no ARPACK; a solved cone metric is
+    # not rotation-invariant and takes one factor and one Lanczos run
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    solved = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
+    shifted, eigsh = ConicLaplacianOp.shifted, spla.eigsh
+    calls = {"shifted": 0, "eigsh": 0}
+
+    def counted_shifted(op, shift):
+        calls["shifted"] += 1
+        return shifted(op, shift)
+
+    def counted_eigsh(*args, **kwargs):
+        calls["eigsh"] += 1
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", counted_shifted)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    for density in (round_sphere_density, football_density(1 / 3)):
+        assert abs(eigen_gap(assemble(mesh, density)) - 2.0) < 0.25
+    assert calls == {"shifted": 0, "eigsh": 0}
+    assert eigen_gap(solved) > 2.0
+    assert calls == {"shifted": 1, "eigsh": 1}
 
 
 def test_eigen_gap_draws_no_random_numbers(monkeypatch):
