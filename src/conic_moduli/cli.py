@@ -168,11 +168,7 @@ def _cmd_flat_probe(args: argparse.Namespace) -> int:
     from . import flat
 
     betas = _parse_beta_list(args.beta)
-    if args.points:
-        pts = _parse_points(args.points)
-    else:
-        k = len(betas)
-        pts = [complex(math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k)) for j in range(k)]
+    pts = _parse_points(args.points) if args.points else _unit_roots(len(betas))
     metric = flat.FlatConicMetric.of(pts, betas)
     radii = [float(r) for r in args.radii.split(",")]
     report = flat.cone_angle_probe(metric, args.index, radii)
@@ -278,15 +274,18 @@ def _cmd_solve_spherical(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unit_roots(k: int) -> list[complex]:
+    """The k-th roots of unity, exact at the quarter turns 1, i, -1, -i."""
+    return [
+        (1 + 0j, 1j, -1 + 0j, -1j)[4 * j // k] if 4 * j % k == 0
+        else complex(math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k))
+        for j in range(k)
+    ]
+
+
 def _default_sphere_points(k: int) -> list[complex]:
-    """Cones at 0, roots of unity, and infinity (the last angle)."""
-    if k < 2:
-        raise ValueError("need at least two cone angles")
-    inner = k - 2
-    pts = [0j]
-    for j in range(inner):
-        pts.append(complex(math.cos(2 * math.pi * j / max(inner, 1)), math.sin(2 * math.pi * j / max(inner, 1))))
-    return pts
+    """Cones at 0, the (k-2)-th roots of unity, and infinity (the last angle); one angle has no finite point."""
+    return ([0j] if k > 1 else []) + _unit_roots(k - 2)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -170,10 +170,10 @@ class ConicLaplacianOp:
     area below the truncation radius is dropped).
 
     The dofs run ring by ring: a collapsed ring is one dof, the interior
-    rings [1:-1] are runs of nphi dofs and Dirichlet ring nodes have none
-    (``dof_of`` is -1 there), so grid <-> dof transfers are ring slices.  B,
-    of shape ndof x (nt*nphi), couples the dofs to the Dirichlet nodes, at
-    most one entry per row: ``B @ field.ravel()`` reads their values.
+    rings [1:-1] are runs of nphi dofs and Dirichlet ring nodes have none,
+    so grid <-> dof transfers are ring slices.  A Dirichlet ring's radial
+    edges couple each of its nodes to the dof beside it in the neighbour
+    ring with -hp/ht; ``weak_form`` adds them by one ring slice.
     """
 
     def __init__(self, mesh: FiberMesh, density: DensityLike):
@@ -186,9 +186,11 @@ class ConicLaplacianOp:
         mesh, nt, P = self.mesh, self.mesh.nt, self.mesh.nphi
         lo, hi = int(mesh.inner == "pole"), int(mesh.outer == "pole")
         self.ndof = n = lo + (nt - 2) * P + hi
+        self._ends = lo, hi  # whether the inner and outer rings are collapsed
         self._rings = slice(lo, n - hi)  # the interior rings' dofs
-        self._poles = [(i, d) for i, d, kind in ((0, 0, mesh.inner), (-1, n - 1, mesh.outer)) if kind == "pole"]
-        self.dof_of = self.dof_to_grid(np.arange(1.0, n + 1)).astype(int) - 1  # -1 on Dirichlet rings
+        self._poles = [(0, 0)] * lo + [(-1, n - 1)] * hi
+        # each Dirichlet ring with its neighbour ring's dofs
+        self._dirichlet = [(0, slice(0, P))] * (1 - lo) + [(-1, slice(n - P, n))] * (1 - hi)
         wr, wa = mesh.hp / mesh.ht, mesh.ht / mesh.hp
         # diagonals summed as an edge loop sums them: an interior node's two radial
         # and two angular edges, and a collapsed ring's nphi radial edges, in turn
@@ -201,8 +203,8 @@ class ConicLaplacianOp:
         cols = np.hstack([j - P, (j + order - 1) % P, j + P])
         vals = np.hstack([[[-wr]] * P, np.array([-wa, centre, -wa])[order], [[-wr]] * P])
         # row blocks: first dofs, columns from them, weights.  A collapsed ring is one
-        # dof next to its neighbour ring's; a Dirichlet ring has none and goes to B
-        ring = self.dof_of[:, 0]
+        # dof next to its neighbour ring's; a Dirichlet ring has none (first dof -1)
+        ring = np.r_[lo - 1, lo + P * np.arange(nt - 2), hi * n - 1]
         blocks = [(ring[:1], np.arange(P + 1)[None], np.r_[pole, [-wr] * P][None])] * lo + [
             (ring[1:2], np.hstack([[[-1]] * P, cols[:, 1:]])[:, 1 - lo :], vals[:, 1 - lo :]),
             (ring[2:-2], cols, vals),
@@ -213,9 +215,6 @@ class ConicLaplacianOp:
         indices = np.concatenate([(b[:, None, None] + c).ravel() for b, c, _ in blocks], dtype=np.int32)
         data = np.concatenate([np.broadcast_to(v, (b.size, *v.shape)).ravel() for b, _, v in blocks])
         self.A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        fixed = np.flatnonzero(ring < 0)  # Dirichlet rings: B takes their radial edges, in the node's column
-        rows, nodes = self.dof_of[np.clip(fixed, 1, nt - 2)].ravel(), (fixed[:, None] * P + j.T).ravel()
-        self.B = sp.csr_matrix((np.full(rows.size, -wr), (rows, nodes)), shape=(n, nt * P))
 
         self.cell_mass = _lumped_mass(mesh, self.density)
         self.W = self.ring_sum(self.cell_mass)
@@ -253,8 +252,11 @@ class ConicLaplacianOp:
 
     # -- operator action and shifted factorizations ---------------------------
     def weak_form(self, g: Field) -> Field:
-        """A x + B g, the weak form of Delta g for a grid field g with dof values x and ring values read by B."""
-        return self.A @ self.grid_to_dof(g) + self.B @ g.ravel()
+        """Weak form of Delta g: A x for g's dof values x plus each Dirichlet ring * -hp/ht on its neighbour ring."""
+        y = self.A @ self.grid_to_dof(g)
+        for i, near in self._dirichlet:
+            y[near] += -self.stencil[0] * g[i]
+        return y
 
     def shifted(self, shift: Union[float, Field]) -> Union[_FourierFactor, _BandFactor, spla.SuperLU]:
         """Factorization of A + diag(shift * W), with a ``solve(b)`` method.
@@ -306,9 +308,7 @@ def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Fiel
     (d, e) of shape (mode, row of its block): the diagonals, and each row's
     coupling to the next, zero on a block's last row.
     """
-    n, P = op.ndof, op.mesh.nphi
-    lo, hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
-    m = (n - lo - hi) // P  # rings of nphi dofs
+    n, P, m, (lo, hi) = op.ndof, op.mesh.nphi, op.mesh.nt - 2, op._ends  # m rings of nphi dofs
     wr, wa, centre, pole = op.stencil
     cos = np.cos(2.0 * np.pi * np.arange(modes) / P)[:, None]
     d = np.ones((modes, lo + m + hi))
@@ -330,10 +330,8 @@ class _FourierFactor:
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
-        n, P = self.n, self.P = op.ndof, op.mesh.nphi
-        lo, hi = self.lo, self.hi = int(op.mesh.inner == "pole"), int(op.mesh.outer == "pole")
-        self.m = (n - lo - hi) // P  # rings of nphi dofs
-        d, e = _mode_tridiagonals(op, s, P // 2 + 1)
+        self.n, self.P, self.m, (self.lo, self.hi) = op.ndof, op.mesh.nphi, op.mesh.nt - 2, op._ends
+        d, e = _mode_tridiagonals(op, s, self.P // 2 + 1)
         *self.lu, info = dgttrf(e.ravel()[:-1], d.ravel(), e.ravel()[:-1])
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
@@ -419,7 +417,7 @@ def _require_finite_tol(tol: float) -> None:
 
 
 def _require_closed_fiber(op: ConicLaplacianOp, what: str) -> None:
-    if op.mesh.inner != "pole" or op.mesh.outer != "pole":
+    if op._ends != (1, 1):
         raise ValueError(f"{what} needs a closed fiber (both rings collapsed)")
 
 
@@ -459,7 +457,7 @@ def picard_solve(
         if side not in ring:
             raise ValueError(f"boundary key {side!r} is not a dirichlet side of the mesh")
         lift[ring[side], :] = values
-    b_lift = op.B @ lift.ravel()
+    b_lift = op.weak_form(lift)
     lu = op.shifted(2.0)
     eps = float(np.finfo(float).eps)
 
@@ -832,6 +830,18 @@ def football_density(beta: float) -> Callable[[Field, Field], Field]:
     return density
 
 
+def _add_cone_logs(start: Field, r: Field, phi: Field, betas: Sequence[float], points: Sequence[complex]) -> Field:
+    """start + sum 2 (beta_i - 1) log|z - p_i| at z = r e^{i phi}, one cone at a time; ValueError on a cone point."""
+    z = r * np.exp(1j * phi)
+    out = start
+    for b, p in zip(betas, points):
+        d = np.abs(z - p)
+        if np.any(d == 0):
+            raise ValueError("mesh node coincides with a cone point")
+        out = out + 2.0 * (b - 1.0) * np.log(d)
+    return out
+
+
 def singular_sphere_background(
     betas: Sequence[float], finite_points: Sequence[complex]
 ) -> tuple[Callable[[Field, Field], Field], Callable[[Field, Field], Field]]:
@@ -858,15 +868,8 @@ def singular_sphere_background(
     chi_beta = 2.0 + c
 
     def log_density(r: Field, phi: Field) -> Field:
-        z = r * np.exp(1j * phi)
-        out = np.log(4.0 / (1.0 + r**2) ** 2)
-        for b, p in zip(bs[:-1], pts):
-            d = np.abs(z - p)
-            if np.any(d == 0):
-                raise ValueError("mesh node coincides with a cone point")
-            out = out + 2.0 * (b - 1.0) * np.log(d)
-        out = out - c * np.log1p(r**2)
-        return out
+        out = _add_cone_logs(np.log(4.0 / (1.0 + r**2) ** 2), r, phi, bs[:-1], pts)
+        return out - c * np.log1p(r**2)
 
     def density(r: Field, phi: Field) -> Field:
         return np.exp(log_density(r, phi))
@@ -894,11 +897,6 @@ class MergingFamily:
     beta2: float
     families: dict[int, list[tuple[float, Field]]]
     u0_report: SolveReport
-
-
-def _pair_log_density(beta1: float, beta2: float, rho: float, r: Field, phi: Field) -> Field:
-    z = r * np.exp(1j * phi)
-    return 2.0 * (beta1 - 1.0) * np.log(np.abs(z - rho)) + 2.0 * (beta2 - 1.0) * np.log(np.abs(z + rho))
 
 
 def merging_pair_residual_family(
@@ -950,7 +948,7 @@ def merging_pair_residual_family(
 
     families: dict[int, list[tuple[float, Field]]] = {1: [], 2: []}
     for rho in map(float, rhos):
-        log_density_rho = _pair_log_density(b1, b2, rho, rr, pp)
+        log_density_rho = _add_cone_logs(0.0, rr, pp, (b1, b2), (rho, -rho))  # the pair at +-rho
         mass_rho = op0.ring_sum(_lumped_mass(mesh, np.exp(log_density_rho)))
         for order, u in ((1, u0_grid), (2, u0_grid + rho * u1_grid)):
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}

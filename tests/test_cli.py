@@ -166,6 +166,10 @@ REFUSALS = {
     "spherical_one_cone": (
         ["solve", "spherical", "--beta", "3", "--points", ";"], "one cone point of angle 3: no spherical metric"
     ),
+    # the default layout of one angle has no finite point: the library's refusal
+    "spherical_one_cone_default_layout": (
+        ["solve", "spherical", "--beta", "3"], "one cone point of angle 3: no spherical metric"
+    ),
     "hyperbolic_past_closing_radius": (["solve", "hyperbolic", "--beta", "1/2", "--rmax", "1.5"], "closing radius"),
     "faces_enumeration_cap": (["faces", "--k", "8"], "k <= 7"),
     "assign_names_no_free_coefficient": (["phg", "recurse", "--beta", "3/4", "--assign", "zzz=5"], "'zzz'"),
@@ -335,17 +339,12 @@ def test_arpack_nonconvergence_exits_1(capsys, monkeypatch):
 
 
 def test_four_cone_default_layout_solves(capsys):
-    # the default layout puts the third finite cone at -1 + 1.2e-16j; the
-    # result must not depend on that rounding
-    rc, out, _ = run(capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6")
-    assert rc == 0
-    gap = json.loads(out)["spectral_gap"]
-    assert gap > 2.05
-    rc, out, _ = run(
-        capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6", "--points", "0,0;1,0;-1,0"
-    )
-    assert rc == 0
-    assert gap == pytest.approx(json.loads(out)["spectral_gap"], rel=1e-8)
+    # the default layout is 0, 1, -1 exactly: float cos/sin put the third finite
+    # cone at -1 + 1.2e-16j, and the payload's last digits moved with it
+    default = run(capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6")
+    assert default[0] == 0 and json.loads(default[1])["spectral_gap"] > 2.05
+    explicit = run(capsys, "solve", "spherical", "--beta", "1/2,2/3,3/4,5/6", "--points", "0,0;1,0;-1,0")
+    assert default == explicit
 
 
 def test_hyperbolic_payload_is_the_shared_solve(capsys):

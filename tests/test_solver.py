@@ -81,14 +81,29 @@ def test_assemble_rejects_nonpositive_density():
         assemble(annulus(), 0.0)
 
 
+def dof_map(op):
+    """Node -> dof, node by node: a collapsed ring is one dof, an interior ring nphi, a Dirichlet ring -1."""
+    mesh = op.mesh
+    dof_of, d = np.full((mesh.nt, mesh.nphi), -1), 0
+    for i in range(mesh.nt):
+        kind = mesh.inner if i == 0 else mesh.outer if i == mesh.nt - 1 else "interior"
+        if kind == "pole":
+            dof_of[i], d = d, d + 1
+        elif kind == "interior":
+            dof_of[i], d = d + np.arange(mesh.nphi), d + mesh.nphi
+    assert d == op.ndof
+    return dof_of
+
+
 def loop_assembly(op):
-    """Reference (A, B): the per-edge loop the vectorized assembly replaced."""
+    """Reference (A, B): the per-edge loop the vectorized assembly replaced; B couples dofs to Dirichlet nodes."""
     mesh = op.mesh
     nt, P = mesh.nt, mesh.nphi
+    dof_of = dof_map(op)
     ent_a, ent_b = [], []
 
     def edge(n1, n2, w):
-        a, b = op.dof_of[n1], op.dof_of[n2]
+        a, b = dof_of[n1], dof_of[n2]
         if a == b and a >= 0:
             return
         for x, y, ny in ((a, b, n2), (b, a, n1)):
@@ -117,14 +132,22 @@ def loop_assembly(op):
 # (nor a pairwise sum); at nphi = 8 the two agree
 @pytest.mark.parametrize(
     "inner,outer,nphi",
-    [pytest.param(i, o, 8, id=f"{i}-{o}") for i, o in RING_KINDS]
-    + [pytest.param(i, o, 16, id=f"{i}-{o}-16") for i, o in RING_KINDS],
+    [pytest.param(i, o, 8, id=f"{i}-{o}") for i, o in RING_KINDS + [("dirichlet", "pole")]]
+    + [pytest.param(i, o, 16, id=f"{i}-{o}-16") for i, o in RING_KINDS + [("dirichlet", "pole")]],
 )
 def test_assembly_matches_edge_loop(inner, outer, nphi):
     op = assemble(FiberMesh(0.05, 1.0, 17, nphi, inner, outer), bumpy_density)
-    for got, want in zip((op.A, op.B), loop_assembly(op)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
+    A_loop, B_loop = loop_assembly(op)
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(op.A, part), getattr(A_loop, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the weak form is the loop's A x + B g bit for bit, for x the field's dof values
+    # (a collapsed ring read at its last node) and g nonzero on the Dirichlet rings
+    dof_of = dof_map(op)
+    g = np.random.default_rng(13).standard_normal((17, nphi)) * 10.0 ** np.arange(-3, 4)[np.arange(17) % 7, None]
+    x = np.zeros(op.ndof)
+    x[dof_of[dof_of >= 0]] = g[dof_of >= 0]
+    assert op.weak_form(g).tobytes() == (A_loop @ x + B_loop @ g.ravel()).tobytes()
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
@@ -142,22 +165,23 @@ def test_assembly_peak_memory_is_a_few_operators(inner, outer):
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
 def test_coupling_reads_only_dirichlet_ring_values(inner, outer):
+    # a unit value on one node: the weak form is A's action on its dof values plus
+    # the edge loop's coupling column, which is nonzero exactly on Dirichlet nodes
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
-    rng = np.random.default_rng(3)
-    field = rng.standard_normal((17, 8))
-    other = rng.standard_normal((17, 8))
-    rings = op.dof_of < 0  # the Dirichlet ring nodes
-    other[rings] = field[rings]
-    assert np.array_equal(op.B @ field.ravel(), op.B @ other.ravel())
-    # B's nonzero columns are exactly the Dirichlet ring nodes
-    assert np.array_equal(np.unique(op.B.indices), np.flatnonzero(rings.ravel()))
+    _, B_loop = loop_assembly(op)
+    for node, d in enumerate(dof_map(op).ravel()):
+        unit = np.zeros((17, 8))
+        unit.flat[node] = 1.0
+        coupling = B_loop[:, [node]].toarray().ravel()
+        assert np.array_equal(op.weak_form(unit), op.A @ op.grid_to_dof(unit) + coupling)
+        assert np.any(coupling) == (d < 0)
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS)
 def test_mass_is_per_dof_sum_of_cell_mass(inner, outer):
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
     ref = np.zeros(op.ndof)
-    for (i, j), d in np.ndenumerate(op.dof_of):
+    for (i, j), d in np.ndenumerate(dof_map(op)):
         if d >= 0:
             ref[d] += op.cell_mass[i, j]
     assert np.array_equal(op.W, ref)  # a pole dof holds its whole ring
@@ -165,18 +189,19 @@ def test_mass_is_per_dof_sum_of_cell_mass(inner, outer):
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
 def test_transfers_match_the_dof_map_bit_for_bit(inner, outer):
-    # references from dof_of alone: a mask gather (a repeated index keeps its last
+    # references from the dof map alone: a mask gather (a repeated index keeps its last
     # node), a mask scatter and a per-dof sum in ring order; at nphi = 16 the
     # pole's sum in turn differs from a pairwise one
     op = assemble(FiberMesh(0.05, 1.0, 17, 16, inner, outer), bumpy_density)
     rng = np.random.default_rng(11)
     field = rng.standard_normal((17, 16)) * 10.0 ** rng.uniform(-3, 3, (17, 16))
     x = rng.standard_normal(op.ndof)
-    mask = op.dof_of >= 0
+    dof_of = dof_map(op)
+    mask = dof_of >= 0
     gathered, scattered, summed = np.zeros(op.ndof), np.zeros((17, 16)), np.zeros(op.ndof)
-    gathered[op.dof_of[mask]] = field[mask]
-    scattered[mask] = x[op.dof_of[mask]]
-    for (i, j), d in np.ndenumerate(op.dof_of):
+    gathered[dof_of[mask]] = field[mask]
+    scattered[mask] = x[dof_of[mask]]
+    for (i, j), d in np.ndenumerate(dof_of):
         if d >= 0:
             summed[d] += field[i, j]
     assert np.array_equal(op.grid_to_dof(field), gathered)
@@ -296,9 +321,11 @@ def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
 @pytest.mark.parametrize("outer", ["pole", "dirichlet"])
 def test_weak_form_annihilates_constants(outer):
     op = assemble(FiberMesh(0.05, 1.0, 33, 24, inner="pole", outer=outer), 2.5)
-    ones, ones_fixed = np.ones(op.ndof), np.ones(op.B.shape[1])
-    resid = op.A @ ones + op.B @ ones_fixed
-    row_scale = abs(op.A) @ ones + abs(op.B) @ ones_fixed
+    ones = np.ones((33, 24))
+    resid = op.weak_form(ones)
+    # the coupling's weights: the weak form of ones on the Dirichlet rings alone
+    fixed = np.where(dof_map(op) < 0, 1.0, 0.0)
+    row_scale = abs(op.A) @ op.grid_to_dof(ones) + np.abs(op.weak_form(fixed))
     # rounding only: the row sums cancel up to a few ulps of the row scale
     assert np.all(np.abs(resid) <= 8 * np.finfo(float).eps * row_scale)
 
