@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -180,6 +181,11 @@ class ConicLaplacianOp:
         self.mesh = mesh
         self.density = _density_array(mesh, density)
         self._build()
+        # _BandFactor's storage: the flat band position of each entry of A (set by the
+        # first band factor), and the last factor's mapped band with a weak reference to it
+        self._band_at: Optional[Field] = None
+        self._band: Optional[Field] = None
+        self._band_owner: Callable[[], object] = lambda: None
 
     # -- layout and assembly --------------------------------------------------
     def _build(self) -> None:
@@ -267,8 +273,11 @@ class ConicLaplacianOp:
         rotation-invariant and the factor is a ``_FourierFactor`` (no fill).
         Otherwise it is a ``_BandFactor`` (LAPACK's pivoting band LU in ring
         order) on rings of at most ``_BAND_MAX_NPHI`` nodes, and SuperLU's,
-        in minimum-degree order on A + A^T, on wider ones.  An exactly
-        singular factor raises RuntimeError in all three cases.
+        in minimum-degree order on A + A^T, on wider ones.  A band factor
+        refills the band of this operator's last one when that factor is
+        gone and maps a band of its own while it is alive, so a caller that
+        drops each factor before asking for the next maps one band.  An
+        exactly singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
         if self._constant_on_rings(s):
@@ -280,14 +289,15 @@ class ConicLaplacianOp:
 
 # Widest ring factored as a band.  The band holds (3 nphi + 1) ndof doubles,
 # about 24 nt nphi^2 bytes, where SuperLU holds its fill.  One factor of the
-# 3-cone operator with an indefinite per-dof shift, SuperLU -> band (2-core
-# Intel Xeon VM, one BLAS thread; median time of 15, RSS growth in a fresh process):
-#   129x24     7.7 ->   2.6 ms    2.4 ->   2.1 MB
-#   193x32    14.0 ->   4.9 ms    4.5 ->   5.1 MB
-#   257x40    27.6 ->  12.9 ms    7.7 ->   9.8 MB
-#   385x48    55.0 ->  23.2 ms   14.4 ->  20.5 MB
-#   513x64   121.8 ->  59.0 ms   26.4 ->  47.2 MB
-#   1025x128 699.5 -> 510.9 ms  121.4 -> 379.4 MB  (past the cut: SuperLU)
+# 3-cone operator (half-width 6) with the indefinite shift -W: SuperLU -> a
+# band freshly mapped / refilled in place, and the RSS growth of SuperLU -> a
+# band in a fresh process (2-core Intel Xeon VM, one BLAS thread; median of 15):
+#   129x24     7.5 ->   1.5 /   1.5 ms    2.3 ->   2.2 MB
+#   193x32    16.2 ->   4.9 /   3.5 ms    5.0 ->   4.9 MB
+#   257x40    29.7 ->  12.5 /   9.8 ms    8.6 ->  11.2 MB
+#   385x48    59.7 ->  27.1 /  18.0 ms   15.9 ->  23.0 MB
+#   513x64   136.1 ->  85.2 /  59.9 ms   29.9 ->  52.0 MB
+#   1025x128 605.5 -> 505.2 / 466.6 ms  133.8 -> 399.6 MB  (past the cut: SuperLU)
 # At 2049x256 the band would hold 3.2 GB.
 _BAND_MAX_NPHI = 64
 # where the OS allows it, the band's pages are mapped pre-faulted: one call instead
@@ -364,18 +374,34 @@ class _BandFactor:
     column j, with nphi rows left for the fill of row interchanges), Fortran
     ordered so that dgbtrf factors it in place, with pivoting (a Newton shift
     may be indefinite); dgbtrs solves.
+
+    The factor lives in its band, and ``op`` keeps the band of its last band
+    factor.  When a weak reference shows that factor gone, the next one
+    refills the band in place: rows nphi .. 3 nphi are cleared (dgbtrf sets
+    the nphi fill rows above them itself) and A's entries are put at the
+    flat positions ``op`` recorded at its first band factor.  While that
+    factor is alive, the next one maps a band of its own, so two live
+    factors never share storage.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
         A, P = op.A, op.mesh.nphi
-        # mapped zero pages, not malloc: a freed malloc block this large raises glibc's
-        # mmap threshold, so later bands come from the heap, where a freed one can stay
-        # resident (sphere-continuation's peak RSS read 80.6 or 85.3 MB, 77.4 mapped)
-        shape = (3 * P + 1, op.ndof)
-        ab = np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * shape[0] * shape[1], **_BAND_PAGES))
-        rows = np.repeat(np.arange(op.ndof), np.diff(A.indptr))
-        ab[2 * P + rows - A.indices, A.indices] = A.data
+        ab = op._band
+        if ab is None or op._band_owner() is not None:
+            # mapped zero pages, not malloc: a freed malloc block this large raises glibc's
+            # mmap threshold, so later bands come from the heap, where a freed one can stay
+            # resident (sphere-continuation's peak RSS read 80.6 or 85.3 MB, 77.4 mapped)
+            shape = (3 * P + 1, op.ndof)
+            ab = np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * shape[0] * shape[1], **_BAND_PAGES))
+        else:
+            ab[P:] = 0.0
+        if op._band_at is None:
+            # entry (i, j), row 2 nphi + i - j of column j, sits at 2 nphi + i + 3 nphi j of the flat band
+            i = np.repeat(np.arange(op.ndof), np.diff(A.indptr))
+            op._band_at = (2 * P + i + 3 * P * A.indices.astype(np.int64)).astype(np.int32)
+        ab.reshape(-1, order="F")[op._band_at] = A.data
         ab[2 * P] += s
+        op._band, op._band_owner = ab, weakref.ref(self)
         self.P = P
         self.lu, self.piv, info = dgbtrf(ab, P, P, overwrite_ab=1)
         if info > 0:
@@ -573,11 +599,14 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     ||T|| is near 1e9, and on the round sphere at 2049x256 the constants' 0
     read -1.1e-8 and the gap was 5.9e-8 off, relative.
 
-    Otherwise the two eigenvalues nearest sigma = -1e-3 are found by
-    ARPACK's shift-invert Lanczos on one ``op.shifted(1e-3)`` factor: the
-    smaller is the constants' 0, the larger is the gap.  The start vector is
-    fixed and not constant (a constant start is an eigenvector, on which the
-    Krylov space breaks down), so no random start is drawn.  ARPACK's
+    Otherwise the gap is the eigenvalue nearest sigma = -1e-3 on the
+    W-orthogonal complement of the constants, found by ARPACK's shift-invert
+    Lanczos on one ``op.shifted(1e-3)`` factor.  The constants' 0 is known
+    exactly, so it is left out rather than resolved: the W-mean is removed
+    from the start vector and from every solve's result, and ARPACK is
+    asked for one eigenvalue.  The inverse maps the complement to itself,
+    so the removal only keeps round-off from growing the constants back.
+    The start vector is fixed, so no random start is drawn.  ARPACK's
     failure to converge raises NonconvergenceError.
     """
     _require_closed_fiber(op, "eigen_gap")
@@ -591,21 +620,27 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
         mode0 = eigh_tridiagonal(d[0], e[0], select_range=(1, 1), **bisect)[0]
         mode1 = eigh_tridiagonal(d[1, 1:-1], e[1, 1:-1], select_range=(0, 0), **bisect)[0]  # rings only
         return float(min(mode0, mode1))
-    inverse = spla.LinearOperator((n, n), matvec=op.shifted(1e-3).solve, dtype=float)
+    W, lu = op.W, op.shifted(1e-3)
+    mass = float(np.sum(W))
+
+    def deflated(x: Field) -> Field:  # x minus its W-mean: W-orthogonal to the constants
+        return x - (W @ x) / mass
+
+    inverse = spla.LinearOperator((n, n), matvec=lambda b: deflated(lu.solve(b)), dtype=float)
     try:
         # ncv = 8 Lanczos vectors.  On the solved cone metrics that reach this
         # path ((2/3)^3 at 65x16, 129x24, 193x32, 257x40 and 513x64, 1/2,1/3,1/4
-        # at 129x24 and 257x48, (1/2)^3, the 4-cone default and five cones) it
-        # agreed with ARPACK's default of 20 on SuperLU's factor within 9e-14
-        # relative, at the same speed (7.3 vs 6.9 ms at 129x24, 41.7 vs 40.7 ms
-        # at 257x40, 2-core Xeon VM, one BLAS thread); 8 keeps the gaps as they were
+        # at 129x24 and 257x48, (1/2)^3, the 4-cone default and five cones) the
+        # gap agreed with ARPACK's default of 20 within 2e-15 relative and took
+        # 10.2 vs 12.5 ms at 129x24, 36.9 vs 45.3 ms at 257x40 (2-core Xeon VM,
+        # one BLAS thread)
         vals = spla.eigsh(
-            op.A, k=2, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse, ncv=8,
-            v0=np.cos(np.arange(n)), tol=1e-10, return_eigenvectors=False,
+            op.A, k=1, M=sp.diags(W), sigma=-1e-3, OPinv=inverse, ncv=8,
+            v0=deflated(np.cos(np.arange(n))), tol=1e-10, return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:
         raise NonconvergenceError("shift-invert Lanczos did not converge") from exc
-    return float(max(vals))
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +673,10 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     update.  On a non-radial density the shift varies along rings, so the
     factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
     SuperLU's on wider ones; each step's factor is dropped before the next
-    is built, so one factor is alive at a time.  That Hessian is positive
-    at a solution whose spectral gap exceeds 2, so the shift tau only
-    damps: a step is kept when the W-norm of the residual drops (tau
+    is built, so one factor is alive at a time and every band factor after
+    the first refills the band ``op`` kept from the step before.  That
+    Hessian is positive at a solution whose spectral gap exceeds 2, so the
+    shift tau only damps: a step is kept when the W-norm of the residual drops (tau
     shrinks by 0.3), otherwise tau grows by 4; a residual at the
     floating-point evaluation floor is accepted at the first rejection and
     16 rejections in a row are a stall.  tau starts at ``_NEWTON_TAU0`` =
@@ -753,7 +789,9 @@ def spherical_cone_solve(
     density, K0 = singular_sphere_background(betas, finite_points)
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
-    report.gap = eigen_gap(assemble(mesh, op.density * np.exp(2 * report.solution)))
+    density = op.density * np.exp(2 * report.solution)
+    del op  # with its band, before the gap's factor maps one
+    report.gap = eigen_gap(assemble(mesh, density))
     if report.gap <= 2.0 + _GAP_MARGIN:
         raise FootballDegeneracyError(
             f"solved metric has spectral gap {report.gap:.6f} <= 2 + margin = {2 + _GAP_MARGIN:.2f}"

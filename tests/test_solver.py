@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import mmap
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -318,6 +319,61 @@ def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
         op.shifted(2.0)
 
 
+class MappingCounter:
+    """Stands in for solver's ``mmap`` module: counts the bands mapped and those still mapped.
+
+    It keeps no reference to a band or a factor, so it cannot keep one alive.
+    """
+
+    def __init__(self):
+        self.made = self.alive = self.most_alive = 0
+
+    def mmap(self, *args, **kwargs):
+        band = mmap.mmap(*args, **kwargs)
+        self.made += 1
+        self.alive += 1
+        self.most_alive = max(self.most_alive, self.alive)
+        weakref.finalize(band, self._unmapped)
+        return band
+
+    def _unmapped(self):
+        self.alive -= 1
+
+
+@pytest.mark.parametrize("pages", ["populated", "faulted"])
+def test_band_factors_alive_together_keep_their_own_bands(pages, monkeypatch):
+    # the operator's band is refilled only when the factor that last used it is
+    # gone: factors alive together each map their own, and one built after its
+    # predecessor was dropped refills that band while an older factor lives on
+    if pages == "faulted":  # the branch without MAP_POPULATE
+        monkeypatch.setattr(solver, "_BAND_PAGES", {})
+    maps = MappingCounter()
+    monkeypatch.setattr(solver, "mmap", maps)
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), bumpy_density)
+    rng = np.random.default_rng(11)
+    shifts = [rng.uniform(-2.0, 2.0, op.ndof) for _ in range(4)]  # indefinite: the pivots differ
+    b = rng.standard_normal(op.ndof)
+
+    def check(factor, shift):
+        assert isinstance(factor, solver._BandFactor)
+        want = np.linalg.solve(op.A.toarray() + np.diag(shift * op.W), b)
+        assert np.max(np.abs(factor.solve(b) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    first, second = op.shifted(shifts[0]), op.shifted(shifts[1])
+    assert maps.made == 2
+    check(first, shifts[0])
+    check(second, shifts[1])
+    del second
+    third = op.shifted(shifts[2])  # in the dropped second factor's band
+    assert maps.made == maps.alive == 2
+    check(first, shifts[0])
+    check(third, shifts[2])
+    del first, third
+    fourth = op.shifted(shifts[3])  # in the third's band; the first's is unmapped
+    assert maps.made == 2 and maps.alive == 1
+    check(fourth, shifts[3])
+
+
 @pytest.mark.parametrize("outer", ["pole", "dirichlet"])
 def test_weak_form_annihilates_constants(outer):
     op = assemble(FiberMesh(0.05, 1.0, 33, 24, inner="pole", outer=outer), 2.5)
@@ -532,8 +588,8 @@ def test_spherical_cone_solve_builds_no_superlu_factor(monkeypatch):
 
 
 def test_newton_holds_one_factor_at_a_time(monkeypatch):
-    # each step's band (about 1.8 MB here, mapped outside tracemalloc's view) is
-    # released before the next is built: no earlier factor is alive at a new one
+    # each step's factor is dropped before the next is built, which therefore
+    # refills its band in place: no earlier factor is alive at a new one
     shifted, built = ConicLaplacianOp.shifted, []
 
     def tracked(op, shift):
@@ -547,6 +603,27 @@ def test_newton_holds_one_factor_at_a_time(monkeypatch):
     density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
     rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
     assert rep.residual_sup < 1e-10 and len(built) == rep.iterations >= 2
+
+
+def test_newton_maps_one_band(monkeypatch):
+    # every step after the first refills the band the operator kept from the step before
+    maps = MappingCounter()
+    monkeypatch.setattr(solver, "mmap", maps)
+    mesh = readme_three_cone_mesh()
+    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
+    rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
+    assert rep.residual_sup < 1e-10 and rep.iterations >= 2
+    assert maps.made == 1
+
+
+def test_spherical_cone_solve_maps_one_band_at_a_time(monkeypatch):
+    # the Newton operator, which keeps its band, is released before the gap's
+    # factor maps one: two bands, never both mapped
+    maps = MappingCounter()
+    monkeypatch.setattr(solver, "mmap", maps)
+    mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
+    assert spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh).gap > 2.0
+    assert maps.made == 2 and maps.most_alive == 1
 
 
 def test_spherical_cone_solve_three_cones():
@@ -786,6 +863,35 @@ def test_eigen_gap_matches_dense_generalized_eigensolver(operator, monkeypatch):
     dense = scipy.linalg.eigh(op.A.toarray(), np.diag(op.W), eigvals_only=True)
     assert dense[0] == pytest.approx(0.0, abs=1e-9)
     assert eigen_gap(op) == pytest.approx(dense[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("half_width, nt, nphi", [(6.0, 129, 24), (7.0, 193, 32), (8.0, 257, 40)])
+def test_eigen_gap_leaves_out_the_constants(half_width, nt, nphi, monkeypatch):
+    # Lanczos on the W-orthogonal complement of the constants asks for the gap
+    # alone: at most 17 band solves on these solved metrics, where asking for
+    # the two eigenvalues nearest -1e-3 (the constants' 0 and the gap) took 24
+    mesh = FiberMesh(math.exp(-half_width), math.exp(half_width), nt, nphi, inner="pole", outer="pole")
+    op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
+    shifted, solves = ConicLaplacianOp.shifted, []
+
+    class Counted:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, b):
+            solves.append(b.shape)
+            return self.factor.solve(b)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, shift: Counted(shifted(op, shift)))
+    gap = eigen_gap(op)
+    assert 0 < len(solves) <= 17
+    # the two eigenvalues nearest -1e-3 on the whole space, the larger the gap
+    inverse = spla.LinearOperator(op.A.shape, matvec=shifted(op, 1e-3).solve, dtype=float)
+    both = spla.eigsh(
+        op.A, k=2, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse, ncv=8,
+        v0=np.cos(np.arange(op.ndof)), tol=1e-10, return_eigenvectors=False,
+    )
+    assert gap == pytest.approx(max(both), rel=1e-13)
 
 
 def lanczos_gap(op):
