@@ -20,9 +20,8 @@ equations: curvature equations are written as Delta u + e^{2u} + K0 = 0
 from __future__ import annotations
 
 import math
-import mmap
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -181,11 +180,6 @@ class ConicLaplacianOp:
         self.mesh = mesh
         self.density = _density_array(mesh, density)
         self._build()
-        # _BandFactor's storage: the flat band position of each entry of A (set by the
-        # first band factor), and the last factor's mapped band with a weak reference to it
-        self._band_at: Optional[Field] = None
-        self._band: Optional[Field] = None
-        self._band_owner: Callable[[], object] = lambda: None
 
     # -- layout and assembly --------------------------------------------------
     def _build(self) -> None:
@@ -273,11 +267,8 @@ class ConicLaplacianOp:
         rotation-invariant and the factor is a ``_FourierFactor`` (no fill).
         Otherwise it is a ``_BandFactor`` (LAPACK's pivoting band LU in ring
         order) on rings of at most ``_BAND_MAX_NPHI`` nodes, and SuperLU's,
-        in minimum-degree order on A + A^T, on wider ones.  A band factor
-        refills the band of this operator's last one when that factor is
-        gone and maps a band of its own while it is alive, so a caller that
-        drops each factor before asking for the next maps one band.  An
-        exactly singular factor raises RuntimeError in all three cases.
+        in minimum-degree order on A + A^T, on wider ones.  An exactly
+        singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
         if self._constant_on_rings(s):
@@ -286,23 +277,32 @@ class ConicLaplacianOp:
             return _BandFactor(self, s)
         return spla.splu((self.A + sp.diags(s)).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
+    @cached_property
+    def _band_at(self) -> Field:
+        """Flat position of each entry of A in ``_BandFactor``'s band: (i, j) at 2 nphi + i + 3 nphi j."""
+        P = self.mesh.nphi
+        i = np.repeat(np.arange(self.ndof), np.diff(self.A.indptr))
+        return (2 * P + i + 3 * P * self.A.indices.astype(np.int64)).astype(np.int32)
+
 
 # Widest ring factored as a band.  The band holds (3 nphi + 1) ndof doubles,
 # about 24 nt nphi^2 bytes, where SuperLU holds its fill.  One factor of the
-# 3-cone operator (half-width 6) with the indefinite shift -W: SuperLU -> a
-# band freshly mapped / refilled in place, and the RSS growth of SuperLU -> a
-# band in a fresh process (2-core Intel Xeon VM, one BLAS thread; median of 15):
-#   129x24     7.5 ->   1.5 /   1.5 ms    2.3 ->   2.2 MB
-#   193x32    16.2 ->   4.9 /   3.5 ms    5.0 ->   4.9 MB
-#   257x40    29.7 ->  12.5 /   9.8 ms    8.6 ->  11.2 MB
-#   385x48    59.7 ->  27.1 /  18.0 ms   15.9 ->  23.0 MB
-#   513x64   136.1 ->  85.2 /  59.9 ms   29.9 ->  52.0 MB
-#   1025x128 605.5 -> 505.2 / 466.6 ms  133.8 -> 399.6 MB  (past the cut: SuperLU)
+# 3-cone operator (half-width 6) with the indefinite shift -W, each built after
+# the last was dropped: SuperLU -> a band, and the RSS a live factor adds in a
+# fresh process (2-core Intel Xeon VM, one BLAS thread; median of 15):
+#   129x24     6.9 ->   1.7 ms    1.9 ->   2.2 MB
+#   193x32    15.3 ->   3.5 ms    3.1 ->   5.5 MB
+#   257x40    26.8 ->   6.9 ms    5.5 ->  11.3 MB
+#   385x48    51.5 ->  13.6 ms    9.7 ->  22.2 MB
+#   513x64    97.5 ->  62.3 ms   18.3 ->  50.9 MB
+#   1025x128 688.8 -> 431.8 ms   89.6 -> 404.2 MB  (past the cut: SuperLU)
+# Up to 385x48 glibc hands a dropped band back to the next factor with no page
+# faults.  The 50 MB band of 513x64 is above glibc's 32 MB cap on its mmap
+# threshold, so every factor there gets fresh pages; numpy asks for transparent
+# huge pages, which the VM above grants in its "madvise" mode.  With THP
+# "never" each 4 KB page would fault; that case is unmeasured.
 # At 2049x256 the band would hold 3.2 GB.
 _BAND_MAX_NPHI = 64
-# where the OS allows it, the band's pages are mapped pre-faulted: one call instead
-# of a fault per page, which made a 257x40 factor a third slower
-_BAND_PAGES = {"flags": mmap.MAP_PRIVATE | mmap.MAP_POPULATE} if hasattr(mmap, "MAP_POPULATE") else {}
 
 
 def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Field, Field]:
@@ -374,34 +374,14 @@ class _BandFactor:
     column j, with nphi rows left for the fill of row interchanges), Fortran
     ordered so that dgbtrf factors it in place, with pivoting (a Newton shift
     may be indefinite); dgbtrs solves.
-
-    The factor lives in its band, and ``op`` keeps the band of its last band
-    factor.  When a weak reference shows that factor gone, the next one
-    refills the band in place: rows nphi .. 3 nphi are cleared (dgbtrf sets
-    the nphi fill rows above them itself) and A's entries are put at the
-    flat positions ``op`` recorded at its first band factor.  While that
-    factor is alive, the next one maps a band of its own, so two live
-    factors never share storage.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
-        A, P = op.A, op.mesh.nphi
-        ab = op._band
-        if ab is None or op._band_owner() is not None:
-            # mapped zero pages, not malloc: a freed malloc block this large raises glibc's
-            # mmap threshold, so later bands come from the heap, where a freed one can stay
-            # resident (sphere-continuation's peak RSS read 80.6 or 85.3 MB, 77.4 mapped)
-            shape = (3 * P + 1, op.ndof)
-            ab = np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * shape[0] * shape[1], **_BAND_PAGES))
-        else:
-            ab[P:] = 0.0
-        if op._band_at is None:
-            # entry (i, j), row 2 nphi + i - j of column j, sits at 2 nphi + i + 3 nphi j of the flat band
-            i = np.repeat(np.arange(op.ndof), np.diff(A.indptr))
-            op._band_at = (2 * P + i + 3 * P * A.indices.astype(np.int64)).astype(np.int32)
-        ab.reshape(-1, order="F")[op._band_at] = A.data
+        P = op.mesh.nphi
+        ab = np.empty((3 * P + 1, op.ndof), order="F")
+        ab[P:] = 0.0  # dgbtrf sets the nphi fill rows above these itself
+        ab.reshape(-1, order="F")[op._band_at] = op.A.data
         ab[2 * P] += s
-        op._band, op._band_owner = ab, weakref.ref(self)
         self.P = P
         self.lu, self.piv, info = dgbtrf(ab, P, P, overwrite_ab=1)
         if info > 0:
@@ -673,10 +653,9 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     update.  On a non-radial density the shift varies along rings, so the
     factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
     SuperLU's on wider ones; each step's factor is dropped before the next
-    is built, so one factor is alive at a time and every band factor after
-    the first refills the band ``op`` kept from the step before.  That
-    Hessian is positive at a solution whose spectral gap exceeds 2, so the
-    shift tau only damps: a step is kept when the W-norm of the residual drops (tau
+    is built, so one factor is alive at a time.  That Hessian is positive
+    at a solution whose spectral gap exceeds 2, so the shift tau only
+    damps: a step is kept when the W-norm of the residual drops (tau
     shrinks by 0.3), otherwise tau grows by 4; a residual at the
     floating-point evaluation floor is accepted at the first rejection and
     16 rejections in a row are a stall.  tau starts at ``_NEWTON_TAU0`` =
@@ -790,7 +769,7 @@ def spherical_cone_solve(
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
     density = op.density * np.exp(2 * report.solution)
-    del op  # with its band, before the gap's factor maps one
+    del op  # releases the Newton operator's arrays before the gap's are assembled
     report.gap = eigen_gap(assemble(mesh, density))
     if report.gap <= 2.0 + _GAP_MARGIN:
         raise FootballDegeneracyError(
