@@ -297,10 +297,10 @@ class ConicLaplacianOp:
 #   513x64    97.5 ->  62.3 ms   18.3 ->  50.9 MB
 #   1025x128 688.8 -> 431.8 ms   89.6 -> 404.2 MB  (past the cut: SuperLU)
 # Up to 385x48 glibc hands a dropped band back to the next factor with no page
-# faults.  The 50 MB band of 513x64 is above glibc's 32 MB cap on its mmap
-# threshold, so every factor there gets fresh pages; numpy asks for transparent
-# huge pages, which the VM above grants in its "madvise" mode.  With THP
-# "never" each 4 KB page would fault; that case is unmeasured.
+# faults.  The 50 MB band of 513x64 is above the largest block glibc ever
+# serves from its heap (32 MB), so every factor there gets fresh pages; numpy
+# asks for transparent huge pages, which the VM above grants in its "madvise"
+# mode.  With THP "never" each 4 KB page would fault; that case is unmeasured.
 # At 2049x256 the band would hold 3.2 GB.
 _BAND_MAX_NPHI = 64
 
