@@ -318,9 +318,21 @@ def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
         op.shifted(2.0)
 
 
-def test_band_factors_alive_together_keep_their_own_bands():
+@pytest.mark.parametrize("pages", ["populated", "faulted"])
+def test_band_factors_alive_together_keep_their_own_bands(pages, monkeypatch):
     # each factor owns its band: factors alive together, one built after a drop
-    # while an older factor lives, and one built after all were dropped
+    # while an older factor lives, and one built after all were dropped.  A band
+    # may land in pages a dropped band left populated with its values (here NaN
+    # in every fresh float array) or in freshly faulted zero pages; neither shows
+    empty, stale = np.empty, np.nan if pages == "populated" else 0.0
+
+    def allocated(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(stale)
+        return out
+
+    monkeypatch.setattr(np, "empty", allocated)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), bumpy_density)
     rng = np.random.default_rng(11)
     shifts = [rng.uniform(-2.0, 2.0, op.ndof) for _ in range(4)]  # indefinite: the pivots differ
