@@ -9,7 +9,10 @@ With sum(beta_i - 1) = -2 this is the genus-zero global model on the plane,
 smooth at infinity; otherwise it is a local model on a disk.  Nothing below
 depends on which, so there is no background to choose.  The probes measure
 cone angles by comparing circumference to radial distance, and G is
-expanded at the two-point merging corner.
+expanded at the two-point merging corner.  G is also the cone potential of
+the solver's singular sphere background and of its merging pair, so
+``FlatConicMetric`` is the one check of marked points and ``green_factor``
+the one sum of (beta_i - 1) log|z - p_i|.
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
-from .cones import ConeData, MergeStatus, RationalLike, verdict
+from .cones import ConeData, MergeStatus, RationalLike, to_fraction, verdict
 from .extrapolate import decay_verdict, least_squares_slope
+from .flat import FlatConicMetric, green_factor
 from .phg import u0_value
 
 __all__ = [
@@ -744,8 +745,9 @@ def spherical_cone_solve(
     ``newton_solve_spherical`` from u = 0.  Where the subcritical (Troyanov,
     Luo-Tian) condition holds the reduced Liouville energy is coercive and
     its minimiser is the metric.  ``cones.verdict`` decides existence before
-    any solve, on the angles as given (floats snapped by ``to_fraction``): a
-    parameter that is not positive raises ValueError, as do angles with
+    any solve, and the background is built, on the same exact angles (floats
+    snapped by ``to_fraction``): a parameter that is not positive raises
+    ValueError, as do angles with
     chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no positive
     area), whatever the largest beta; two equal angles raise
     FootballDegeneracyError, and one cone point (the teardrop), two unequal
@@ -765,7 +767,7 @@ def spherical_cone_solve(
         raise ValueError(f"one cone point of angle {named}: no spherical metric has exactly one cone point")
     if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
         raise ValueError(f"cone angles {named} violate the Luo-Tian inequalities: no spherical metric")
-    density, K0 = singular_sphere_background(betas, finite_points)
+    density, K0 = singular_sphere_background(exact, finite_points)
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
     density = op.density * np.exp(2 * report.solution)
@@ -847,46 +849,30 @@ def football_density(beta: float) -> Callable[[Field, Field], Field]:
     return density
 
 
-def _add_cone_logs(start: Field, r: Field, phi: Field, betas: Sequence[float], points: Sequence[complex]) -> Field:
-    """start + sum 2 (beta_i - 1) log|z - p_i| at z = r e^{i phi}, one cone at a time; ValueError on a cone point."""
-    z = r * np.exp(1j * phi)
-    out = start
-    for b, p in zip(betas, points):
-        d = np.abs(z - p)
-        if np.any(d == 0):
-            raise ValueError("mesh node coincides with a cone point")
-        out = out + 2.0 * (b - 1.0) * np.log(d)
-    return out
-
-
 def singular_sphere_background(
-    betas: Sequence[float], finite_points: Sequence[complex]
+    betas: Sequence[RationalLike], finite_points: Sequence[complex]
 ) -> tuple[Callable[[Field, Field], Field], Callable[[Field, Field], Field]]:
     """Conic background on the sphere: cones at the finite points and infinity.
 
     betas lists the parameters of the finite points followed by the one at
-    infinity.  Returns (density, K0): the density is the round sphere times
-    |z - p_i|^{2(beta_i - 1)} factors with the compensating (1+|z|^2) power,
-    and K0 is its curvature, which has the closed form
-    (chi(beta)/2) * e^{2(phi_round - phi0)} away from the cone points.  A
-    repeated or non-finite finite point is refused with ValueError.
+    infinity; floats are snapped by ``to_fraction``.  Returns (density, K0):
+    the log density is log(4/(1+r^2)^2) + 2 G - c log(1+r^2), the round
+    sphere times e^{2G} for the cone potential G = ``flat.green_factor`` of
+    the finite cones, with c = sum(beta_i - 1) taken exactly, and K0 is its
+    curvature, which has the closed form
+    (chi(beta)/2) * e^{2(phi_round - phi0)} away from the cone points.  The
+    finite cones are a ``flat.FlatConicMetric``, so no finite point, one
+    that is not finite or repeated, and a finite beta <= 0 raise ValueError.
     """
-    bs = [float(b) for b in betas]
-    pts = [complex(p) for p in finite_points]
-    if len(bs) != len(pts) + 1:
+    if len(betas) != len(finite_points) + 1:
         raise ValueError("need one more beta than finite points (the last is at infinity)")
-    for p in pts:
-        if not np.isfinite(p):
-            raise ValueError(f"finite cone point {p.real:g},{p.imag:g} is not finite")
-    repeated = [p for i, p in enumerate(pts) if p in pts[:i]]
-    if repeated:
-        raise ValueError(f"finite cone point {repeated[0].real:g},{repeated[0].imag:g} is repeated")
-    c = sum(b - 1.0 for b in bs)
-    chi_beta = 2.0 + c
+    cones = FlatConicMetric.of(finite_points, betas[:-1])
+    c = sum(cones.beta) + to_fraction(betas[-1])[0] - len(betas)
+    chi_beta, c = float(2 + c), float(c)
 
     def log_density(r: Field, phi: Field) -> Field:
-        out = _add_cone_logs(np.log(4.0 / (1.0 + r**2) ** 2), r, phi, bs[:-1], pts)
-        return out - c * np.log1p(r**2)
+        g = green_factor(cones, r * np.exp(1j * phi))
+        return np.log(4.0 / (1.0 + r**2) ** 2) + 2.0 * g - c * np.log1p(r**2)
 
     def density(r: Field, phi: Field) -> Field:
         return np.exp(log_density(r, phi))
@@ -964,8 +950,9 @@ def merging_pair_residual_family(
     u1_grid = op0.dof_to_grid(u1)
 
     families: dict[int, list[tuple[float, Field]]] = {1: [], 2: []}
+    z = rr * np.exp(1j * pp)
     for rho in map(float, rhos):
-        log_density_rho = _add_cone_logs(0.0, rr, pp, (b1, b2), (rho, -rho))  # the pair at +-rho
+        log_density_rho = 2.0 * green_factor(FlatConicMetric.of((rho, -rho), (b1, b2)), z)  # the pair at +-rho
         mass_rho = op0.ring_sum(_lumped_mass(mesh, np.exp(log_density_rho)))
         for order, u in ((1, u0_grid), (2, u0_grid + rho * u1_grid)):
             # weak residual of Delta_rho u + e^{2u} + K_rho(=0): A (G_rho + u) + W_rho e^{2u}

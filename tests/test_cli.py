@@ -187,7 +187,7 @@ REFUSALS = {
     ),
     # refused before any assembly, where a full Newton used to stall
     "coincident_finite_points": (
-        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;0,0"], "finite cone point 0,0 is repeated"
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;0,0"], "marked point 0,0 is repeated"
     ),
     # a NaN point or radius used to print nan ratios (exit 0) or fail on the density
     "probe_point_not_finite": (
@@ -198,7 +198,7 @@ REFUSALS = {
         ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;0,0;1,0"], "marked point 0,0 is repeated"
     ),
     "spherical_point_not_finite": (
-        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "finite cone point nan,0 is not finite"
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "marked point nan,0 is not finite"
     ),
     # (1 + r^2)^2 in the background density overflowed past extent 177.45: numpy
     # warned and the density was refused as not positive, without naming the extent

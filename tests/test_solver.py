@@ -536,11 +536,16 @@ def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch
     assert np.max(np.abs(rep.solution - forced.solution)) <= 1e-8
 
 
-def test_rotation_invariant_solves_build_no_superlu_factor(monkeypatch):
-    def no_superlu(*args, **kwargs):
-        raise AssertionError("a SuperLU factor was built")
+def test_rotation_invariant_solves_factor_only_by_fourier(monkeypatch):
+    # every factor of these solves is a _FourierFactor: one that falls off the
+    # Fourier path builds a _BandFactor at nphi <= 64, which a ban on SuperLU misses
+    shifted, factors = ConicLaplacianOp.shifted, []
 
-    monkeypatch.setattr(spla, "splu", no_superlu)
+    def recorded(op, shift):
+        factors.append(shifted(op, shift))
+        return factors[-1]
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", recorded)
     # the README hyperbolic solve, the default merging family, the round and
     # football gaps and the manufactured Picard solve
     hyperbolic = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
@@ -551,6 +556,7 @@ def test_rotation_invariant_solves_build_no_superlu_factor(monkeypatch):
     assert abs(eigen_gap(assemble(closed_sphere_mesh(10.0, 129, 16), football_density(0.5))) - 2.0) < 0.05
     error, rep = manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"))
     assert rep.bound_ok and error < 1e-3
+    assert factors and all(isinstance(f, solver._FourierFactor) for f in factors), [type(f) for f in factors]
 
 
 def readme_three_cone_mesh():
@@ -759,8 +765,17 @@ def test_spherical_gate_refuses_nonpositive_angles(monkeypatch):
 
 
 def test_singular_background_refuses_repeated_points():
-    with pytest.raises(ValueError, match="finite cone point 0,0 is repeated"):
+    with pytest.raises(ValueError, match="marked point 0,0 is repeated"):
         singular_sphere_background([2 / 3, 2 / 3, 2 / 3], [0j, 0j])
+
+
+def test_singular_background_reads_the_gate_angles():
+    # a float the gate snaps to 2/3 gives 2/3's density and curvature, bit for bit
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    snapped = singular_sphere_background([0.6666667] * 3, [0j, 1 + 0j])
+    exact = singular_sphere_background([Fraction(2, 3)] * 3, [0j, 1 + 0j])
+    for got, want in zip(snapped, exact):
+        assert np.array_equal(got(*mesh.grids()), want(*mesh.grids()))
 
 
 def test_singular_background_curvature_formula():
