@@ -747,14 +747,13 @@ def spherical_cone_solve(
     its minimiser is the metric.  ``cones.verdict`` decides existence before
     any solve, and the background is built, on the same exact angles (floats
     snapped by ``to_fraction``): a parameter that is not positive raises
-    ValueError, as do angles with
-    chi(beta) = 2 + sum(beta_i - 1) <= 0 (Gauss-Bonnet leaves no positive
-    area), whatever the largest beta; two equal angles raise
-    FootballDegeneracyError, and one cone point (the teardrop), two unequal
-    angles, or all beta < 1 against the Luo-Tian inequalities raise
-    ValueError, because no metric exists.  The gap of the solved metric is
-    computed and the solve is rejected at or below 2 + _GAP_MARGIN (football
-    degeneracy).
+    ValueError, as do angles with chi(beta) = 2 + sum(beta_i - 1) <= 0
+    (Gauss-Bonnet leaves no positive area), whatever the largest beta; two
+    equal angles raise FootballDegeneracyError, and one cone point (the
+    teardrop), two unequal angles, or all beta < 1 against the Luo-Tian
+    inequalities raise ValueError, because no metric exists.  The gap of the
+    solved metric is computed and the solve is rejected at or below
+    2 + _GAP_MARGIN (football degeneracy).
     """
     exact = ConeData.of(0, betas, 1).beta
     status, _ = verdict(0, 1, exact)
