@@ -658,8 +658,10 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     at a solution whose spectral gap exceeds 2, so the shift tau only
     damps: a step is kept when the W-norm of the residual drops (tau
     shrinks by 0.3), otherwise tau grows by 4; a residual at the
-    floating-point evaluation floor is accepted at the first rejection and
-    16 rejections in a row are a stall.  tau starts at ``_NEWTON_TAU0`` =
+    floating-point evaluation floor is accepted at the first rejection, or
+    at the first kept step that does not halve its W-norm (such a step
+    moves only round-off, so how many of them are kept would depend on the
+    BLAS summation order), and 16 rejections in a row are a stall.  tau starts at ``_NEWTON_TAU0`` =
     1e-3.  A start at 1 over-damps: the Hessian's smallest W-eigenvalue near
     the solution is gap - 2, about 1.4 on the README case, so tau = 1 is its
     own scale, and the solve took 8-9 steps where 4-5 do.
@@ -691,11 +693,14 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
             val = float(res @ (W * res))
         return math.sqrt(val) if math.isfinite(val) else math.inf
 
+    def at_floor(u_dof: Field, sup: float) -> bool:
+        return sup <= _evaluation_floor(op, u_dof, np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max()))
+
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
     res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
-    tau, rejections, iterations = _NEWTON_TAU0, 0, 0
-    while res_sup > tol:
+    tau, rejections, iterations, stalled = _NEWTON_TAU0, 0, 0, False
+    while res_sup > tol and not stalled:
         if iterations >= _NEWTON_MAXIT:
             raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -710,12 +715,15 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
         if l2_new < res_l2:
+            # a kept step that does not halve the residual at the floor moved only round-off
+            halved = l2_new <= 0.5 * res_l2
             u, res, res_l2 = u_new, res_new, l2_new
             res_sup = float(np.max(np.abs(res)))
             tau = max(0.3 * tau, 1e-12)
             rejections = 0
+            stalled = not halved and at_floor(u, res_sup)
         else:
-            if res_sup <= _evaluation_floor(op, u, np.abs(K0_dof) + np.exp(2 * np.abs(u).max())):
+            if at_floor(u, res_sup):
                 break  # stagnated at the evaluation floor
             tau = min(4.0 * tau, 1e9)
             rejections += 1
