@@ -2,14 +2,16 @@
 
 Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output at a fixed BLAS thread count.  LAPACK's band factor
-(``dgbtrf``) sums its blocked BLAS calls in a thread-dependent order, so
-``solve spherical`` of (2/3)^3 at 257x40 takes 4 Newton steps with the default
-threads and 5 with one; CI and perfbench pin one thread.  All numeric payloads
-carry the package version and the seed in use.  Exit codes: 2 for malformed
-configuration (ValueError, OSError), 1 for numeric failures (any
-ArithmeticError, which includes the solver's divergence, nonconvergence and
-football-degeneracy errors, and singular linear algebra), 0 otherwise --
-verification failures are reported in the payload, not via the exit status.
+(``dgbtrf``) sums its blocked BLAS calls in a thread-dependent order, so the
+last digits of ``solve spherical`` can move with it: (2/3)^3 at 257x40 takes 5
+Newton steps with one thread and with two, and its gap reads
+3.3901456499775944 with one and 3.390145649977582 with two; CI and perfbench
+pin one thread.  All numeric payloads carry the package version and the seed
+in use.  Exit codes: 2 for malformed configuration (ValueError, OSError), 1
+for numeric failures (any ArithmeticError, which includes the solver's
+divergence, nonconvergence and football-degeneracy errors, an unconverged
+quadrature, and singular linear algebra), 0 otherwise -- verification failures
+are reported in the payload, not via the exit status.
 Each command imports only the layers it runs: ``faces``, ``cones classify``,
 ``flat expand`` and the ``phg`` commands run on the standard library alone,
 ``charts verify``, ``flat probe`` and ``fit`` load numpy, and only the

@@ -160,7 +160,7 @@ def circle_integral(f) -> float:
     """Integral over [0, 2*pi) of a periodic function by doubling trapezoid.
 
     Nodes double from 32 until the relative change is at most QUAD_RTOL, up
-    to 2^17 nodes.
+    to 2^17 nodes; ArithmeticError if it is not reached there.
     """
     import numpy as np
 
@@ -178,7 +178,7 @@ def circle_integral(f) -> float:
         if abs(total - best) <= QUAD_RTOL * max(abs(total), 1e-300):
             return total
         best = total
-    return best
+    raise ArithmeticError(f"circle_integral did not converge to QUAD_RTOL in {n} nodes")
 
 
 @functools.cache
@@ -193,8 +193,9 @@ def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
     """Integral of g(t) dt on [t_lo, t_hi] by panelled 16-point Gauss-Legendre.
 
     Panels double from 4 until the relative change is at most QUAD_RTOL, up
-    to 4096 panels; t is a log-radius variable, so integrands are smooth
-    here even when the radial integrand is algebraically singular at r = 0.
+    to 4096 panels (ArithmeticError if it is not reached there); t is a
+    log-radius variable, so integrands are smooth here even when the radial
+    integrand is algebraically singular at r = 0.
     ``g`` works elementwise: each level calls it once, on a panels x 16 array.
     """
     import numpy as np
@@ -211,7 +212,7 @@ def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
             return total
         prev = total
         panels *= 2
-    return prev if prev is not None else 0.0
+    raise ArithmeticError(f"radial_log_integral did not converge to QUAD_RTOL in {panels // 2} panels of 16 nodes")
 
 
 # ---------------------------------------------------------------------------

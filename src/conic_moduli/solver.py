@@ -657,14 +657,16 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     is built, so one factor is alive at a time.  That Hessian is positive
     at a solution whose spectral gap exceeds 2, so the shift tau only
     damps: a step is kept when the W-norm of the residual drops (tau
-    shrinks by 0.3), otherwise tau grows by 4; a residual at the
-    floating-point evaluation floor is accepted at the first rejection, or
-    at the first kept step that does not halve its W-norm (such a step
-    moves only round-off, so how many of them are kept would depend on the
-    BLAS summation order), and 16 rejections in a row are a stall.  tau starts at ``_NEWTON_TAU0`` =
-    1e-3.  A start at 1 over-damps: the Hessian's smallest W-eigenvalue near
-    the solution is gap - 2, about 1.4 on the README case, so tau = 1 is its
-    own scale, and the solve took 8-9 steps where 4-5 do.
+    shrinks by 0.3), otherwise it is rejected and tau grows by 4.  When the
+    iterate's residual is at the floating-point evaluation floor, the first
+    step that does not halve the W-norm ends the solve untaken: such a step
+    moves only round-off, so whether it is kept would depend on the BLAS
+    summation order.  60 steps, or 16 rejections in a row, are a stall
+    (NonconvergenceError).  ``iterations`` counts every step, that is every
+    factor built.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
+    over-damps: the Hessian's smallest W-eigenvalue near the solution is
+    gap - 2, about 1.4 on the README case, so tau = 1 is its own scale, and
+    the solve took 8-9 steps where 4-5 do.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
     raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf.  The football
@@ -699,10 +701,11 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
     res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
-    tau, rejections, iterations, stalled = _NEWTON_TAU0, 0, 0, False
-    while res_sup > tol and not stalled:
-        if iterations >= _NEWTON_MAXIT:
+    tau, rejections, iterations = _NEWTON_TAU0, 0, 0
+    while res_sup > tol:
+        if iterations >= _NEWTON_MAXIT or rejections >= 16:
             raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
+        iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):
             e2u = np.exp(2 * u)
             q = W * e2u
@@ -714,22 +717,14 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
             u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / (1.0 + 2.0 * (q @ z) / M))
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
+        if l2_new > 0.5 * res_l2 and at_floor(u, res_sup):
+            break  # at the evaluation floor a step that does not halve the residual moves only round-off
         if l2_new < res_l2:
-            # a kept step that does not halve the residual at the floor moved only round-off
-            halved = l2_new <= 0.5 * res_l2
             u, res, res_l2 = u_new, res_new, l2_new
             res_sup = float(np.max(np.abs(res)))
-            tau = max(0.3 * tau, 1e-12)
-            rejections = 0
-            stalled = not halved and at_floor(u, res_sup)
+            tau, rejections = max(0.3 * tau, 1e-12), 0
         else:
-            if at_floor(u, res_sup):
-                break  # stagnated at the evaluation floor
-            tau = min(4.0 * tau, 1e9)
-            rejections += 1
-            if rejections >= 16:
-                raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
-        iterations += 1
+            tau, rejections = min(4.0 * tau, 1e9), rejections + 1
     u_grid = op.dof_to_grid(u)
     return SolveReport(
         solution=u_grid,

@@ -289,6 +289,28 @@ def test_football_solve_exits_1(capsys):
     assert "numeric error" in err
 
 
+# a probe whose quadrature stops short of QUAD_RTOL; each used to exit 0 with the
+# unconverged ratio (0.341402099244046 at r = 0.999, 0.36656564931755786 at 0.999999)
+UNCONVERGED_PROBES = {
+    "probe_radial_rule_unconverged": (
+        ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;1,0;-1,0", "--radii", "0.999"],
+        "radial_log_integral did not converge to QUAD_RTOL in 4096 panels of 16 nodes",
+    ),
+    "probe_circle_rule_unconverged": (
+        ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;1,0;-1,0", "--radii", "0.999999"],
+        "circle_integral did not converge to QUAD_RTOL in 131072 nodes",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", UNCONVERGED_PROBES.values(), ids=UNCONVERGED_PROBES.keys())
+def test_unconverged_probe_exits_1(argv, message, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"numeric error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "error", [solver.DivergenceError, solver.NonconvergenceError, solver.FootballDegeneracyError],
     ids=lambda e: e.__name__,

@@ -476,6 +476,24 @@ def test_picard_divergence_detected():
         picard_solve(op, np.full((32, 16), 30.0), maxit=40)
 
 
+def test_picard_budget_raises():
+    mesh = FiberMesh(0.05, 1.0, 129, 32, inner="dirichlet", outer="dirichlet")
+    with pytest.raises(solver.NonconvergenceError, match="no convergence in 2 Picard iterations"):
+        manufactured_error(mesh, maxit=2)
+
+
+def test_picard_stagnation_above_the_floor_raises(monkeypatch):
+    # at r_min = 1e-8 the hyperbolic solve stagnates above tol and is accepted
+    # at the evaluation floor; without that floor the same stagnation is refused
+    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
+    profile = functools.partial(u0_truncated, order=4)
+    rep = hyperbolic_correction_solve(mesh, 0.5, profile)
+    assert rep.residual_sup > 1e-10
+    monkeypatch.setattr(solver, "_evaluation_floor", lambda *args: 0.0)
+    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .* above the evaluation floor"):
+        hyperbolic_correction_solve(mesh, 0.5, profile)
+
+
 # -- spherical solves ---------------------------------------------------------------
 
 
@@ -575,7 +593,10 @@ def test_spherical_cone_solve_builds_no_superlu_factor(monkeypatch):
 
 def test_newton_holds_one_factor_at_a_time(monkeypatch):
     # each step's factor is dropped before the next is built, so no earlier
-    # factor, and no band of one, is alive at a new one
+    # factor, and no band of one, is alive at a new one; every factor built is
+    # one iteration, also that of a last step that ends the solve untaken (the
+    # 4-cone default's sixth).  Rings of 24 nodes keep LAPACK's band LU
+    # unblocked, so the counts do not depend on the BLAS thread count
     shifted, built = ConicLaplacianOp.shifted, []
 
     def tracked(op, shift):
@@ -586,9 +607,13 @@ def test_newton_holds_one_factor_at_a_time(monkeypatch):
 
     monkeypatch.setattr(ConicLaplacianOp, "shifted", tracked)
     mesh = readme_three_cone_mesh()
-    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
-    rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
-    assert rep.residual_sup < 1e-10 and len(built) == rep.iterations >= 2
+    readme = ([2 / 3] * 3, [0j, 1.0 + 0j], 1e-10)
+    four_cone_default = ([Fraction(k, k + 1) for k in range(1, 5)], [0j, 1.0 + 0j, -1.0 + 0j], 1e-9)
+    for betas, points, residual in (readme, four_cone_default):
+        built.clear()
+        density, K0 = singular_sphere_background(betas, points)
+        rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
+        assert rep.residual_sup < residual and len(built) == rep.iterations >= 2, betas
 
 
 def test_spherical_cone_solve_traces_below_two_bands():
@@ -668,6 +693,7 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
     assert rep.gap > 2.0
     assert calls["gap"] == 1
     assert calls["newton"] + calls["gap"] <= 7  # 9 Newton factors when tau started at 1
+    assert calls["newton"] == rep.iterations  # 5, at one BLAS thread and at two
 
 
 @pytest.mark.parametrize(
@@ -709,6 +735,22 @@ def test_spherical_cone_solve_football_refused():
         spherical_cone_solve([0.5, 0.5], [0j], mesh)
     with pytest.raises(ValueError):
         spherical_cone_solve([0.4, 0.5], [0j], mesh)
+
+
+def test_spherical_cone_solve_refuses_a_solved_gap_within_the_margin():
+    # Luo-Tian admissible, so the gate passes and Newton converges, but the
+    # solved metric's gap, 2.0486 on the README mesh, is within the margin of 2
+    betas = [Fraction(2, 3), Fraction(2, 3), Fraction(99, 100)]
+    spherical_existence_gate(betas)
+    with pytest.raises(FootballDegeneracyError, match=r"solved metric has spectral gap 2\.04"):
+        spherical_cone_solve(betas, [0j, 1.0 + 0j], readme_three_cone_mesh())
+
+
+def test_spherical_newton_stall_raises():
+    # a close pair that Newton does not solve, although a metric exists
+    # (Moebius-equivalent to the README case): 16 rejections in a row
+    with pytest.raises(solver.NonconvergenceError, match="Newton stalled at residual"):
+        spherical_cone_solve([2 / 3] * 3, [0j, 0.01 + 0j], readme_three_cone_mesh())
 
 
 @pytest.mark.parametrize("betas", [[0.45, 0.5, 0.96], [0.4, 0.7, 0.7]], ids=["outside", "at-equality"])
