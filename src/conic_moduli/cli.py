@@ -1,11 +1,11 @@
 """The ``conic-moduli`` command line front end.
 
 Every subcommand emits deterministic artifacts: identical invocations give
-byte-identical output at a fixed BLAS thread count.  LAPACK's band factor
-(``dgbtrf``) sums its blocked BLAS calls in a thread-dependent order, so the
-last digits of ``solve spherical`` can move with it: (2/3)^3 at 257x40 takes 5
-Newton steps with one thread and with two, and its gap reads
-3.3901456499775944 with one and 3.390145649977582 with two; CI and perfbench
+byte-identical output at a fixed BLAS thread count.  LAPACK's band factors
+(``dgbtrf``, ``dpbtrf``) sum their blocked BLAS calls in a thread-dependent
+order, so the last digits of ``solve spherical`` can move with it: (2/3)^3 at
+257x40 builds 3 Newton factors with one thread and with two, and its gap reads
+3.3901456499815077 with one and 3.3901456499815237 with two; CI and perfbench
 pin one thread.  All numeric payloads carry the package version and the seed
 in use.  Exit codes: 2 for malformed configuration (ValueError, OSError), 1
 for numeric failures (any ArithmeticError, which includes the solver's

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpbtrf, dpbtrs
 
 from .cones import ConeData, MergeStatus, RationalLike, to_fraction, verdict
 from .extrapolate import decay_verdict, least_squares_slope
@@ -266,9 +266,11 @@ class ConicLaplacianOp:
         form of Delta + shift with the Dirichlet rings eliminated.  When
         shift * W is exactly constant on every ring the operator is
         rotation-invariant and the factor is a ``_FourierFactor`` (no fill).
-        Otherwise it is a ``_BandFactor`` (LAPACK's pivoting band LU in ring
-        order) on rings of at most ``_BAND_MAX_NPHI`` nodes, and SuperLU's,
-        in minimum-degree order on A + A^T, on wider ones.  An exactly
+        Otherwise it is a ``_BandFactor`` in ring order on rings of at most
+        ``_BAND_MAX_NPHI`` nodes: LAPACK's band Cholesky when every entry of
+        shift * W is positive (the gap's shift), its pivoting band LU
+        otherwise (Newton's indefinite shift); and SuperLU's, in
+        minimum-degree order on A + A^T, on wider rings.  An exactly
         singular factor raises RuntimeError in all three cases.
         """
         s = shift * self.W
@@ -280,29 +282,45 @@ class ConicLaplacianOp:
 
     @cached_property
     def _band_at(self) -> Field:
-        """Flat position of each entry of A in ``_BandFactor``'s band: (i, j) at 2 nphi + i + 3 nphi j."""
+        """Flat position of each entry of A in ``_BandFactor``'s LU band: (i, j) at 2 nphi + i + 3 nphi j."""
         P = self.mesh.nphi
         i = np.repeat(np.arange(self.ndof), np.diff(self.A.indptr))
         return (2 * P + i + 3 * P * self.A.indices.astype(np.int64)).astype(np.int32)
 
+    @cached_property
+    def _upper_band_at(self) -> tuple[Field, Field]:
+        """A's entries with i <= j, and their flat positions in ``_BandFactor``'s Cholesky band: nphi + i + nphi j."""
+        P = self.mesh.nphi
+        i = np.repeat(np.arange(self.ndof), np.diff(self.A.indptr))
+        upper = np.flatnonzero(i <= self.A.indices)
+        return upper, (P + i[upper] + P * self.A.indices[upper].astype(np.int64)).astype(np.int32)
 
-# Widest ring factored as a band.  The band holds (3 nphi + 1) ndof doubles,
-# about 24 nt nphi^2 bytes, where SuperLU holds its fill.  One factor of the
-# 3-cone operator (half-width 6) with the indefinite shift -W, each built after
-# the last was dropped: SuperLU -> a band, and the RSS a live factor adds in a
-# fresh process (2-core Intel Xeon VM, one BLAS thread; median of 15):
-#   129x24     6.9 ->   1.7 ms    1.9 ->   2.2 MB
-#   193x32    15.3 ->   3.5 ms    3.1 ->   5.5 MB
-#   257x40    26.8 ->   6.9 ms    5.5 ->  11.3 MB
-#   385x48    51.5 ->  13.6 ms    9.7 ->  22.2 MB
-#   513x64    97.5 ->  62.3 ms   18.3 ->  50.9 MB
-#   1025x128 688.8 -> 431.8 ms   89.6 -> 404.2 MB  (past the cut: SuperLU)
+
+# Widest ring factored as a band.  The LU band holds (3 nphi + 1) ndof doubles,
+# about 24 nt nphi^2 bytes, the Cholesky band (nphi + 1) ndof, about
+# 8 nt nphi^2, where SuperLU holds its fill.  One factor of the 3-cone operator
+# (half-width 6), each built after the last was dropped: SuperLU -> the LU band
+# (shift -W) -> the Cholesky band (shift +W); the factor, one solve, and the
+# RSS the first live factor adds in a fresh process (2-core Intel Xeon VM, one
+# BLAS thread; median of 15):
+#              factor ms             solve ms              MB
+#   129x24     3.8 ->   0.8 ->   0.5  0.11 ->  0.11 ->  0.06   1.6 ->   2.0 ->   1.0
+#   193x32     7.2 ->   1.7 ->   1.4  0.22 ->  0.26 ->  0.18   3.0 ->   4.8 ->   1.9
+#   257x40    12.8 ->   4.9 ->   3.2  0.38 ->  0.58 ->  0.25   5.1 ->   9.7 ->   3.6
+#   385x48    26.3 ->   8.1 ->   7.4  0.72 ->  1.16 ->  0.61   9.4 ->  20.6 ->   7.2
+#   513x64    51.3 ->  27.5 ->  17.5  1.66 ->  3.52 ->  1.32  16.8 ->  48.5 ->  16.6
+#   1025x128 286.4 -> 264.5 -> 142.8  9.32 -> 37.98 -> 13.65  82.4 -> 385.4 -> 129.7
+# 1025x128 is past the cut, where shifted is SuperLU's; its bands were timed
+# with the cut raised.  An LU solve reads the whole band twice, so at 513x64 it
+# is slower than SuperLU's; a Cholesky solve reads a third of that.  (2/3)^3 at 513x64 (half-width 6) on bands -> on SuperLU alone, three
+# runs each: Newton's 3 factors and 8 solves 0.081 + 0.026 s -> 0.14 + 0.013 s,
+# the gap 0.047 s (its factor and 17 solves) -> 0.078 s, the solve 0.17 -> 0.25 s.
 # Up to 385x48 glibc hands a dropped band back to the next factor with no page
-# faults.  The 50 MB band of 513x64 is above the largest block glibc ever
+# faults.  The 50 MB LU band of 513x64 is above the largest block glibc ever
 # serves from its heap (32 MB), so every factor there gets fresh pages; numpy
 # asks for transparent huge pages, which the VM above grants in its "madvise"
 # mode.  With THP "never" each 4 KB page would fault; that case is unmeasured.
-# At 2049x256 the band would hold 3.2 GB.
+# At 2049x256 the LU band would hold 3.2 GB.
 _BAND_MAX_NPHI = 64
 
 
@@ -366,31 +384,46 @@ class _FourierFactor:
 
 
 class _BandFactor:
-    """LU factor of A + diag(s) as a band: in ring order no entry is more than nphi off the diagonal.
+    """Cholesky or LU factor of A + diag(s) as a band: in ring order no entry is more than nphi off the diagonal.
 
     A ring couples to its neighbour rings at distance nphi, its periodic wrap
     sits at nphi - 1 and a collapsed ring couples to its neighbour's nphi
     dofs, so A + diag(s) is banded with half-bandwidth nphi.  ``op.A``'s CSR
-    entries are written into LAPACK's band storage (row 2 nphi + i - j of
-    column j, with nphi rows left for the fill of row interchanges), Fortran
-    ordered so that dgbtrf factors it in place, with pivoting (a Newton shift
-    may be indefinite); dgbtrs solves.
+    entries are written into LAPACK's band storage, Fortran ordered so that
+    LAPACK factors it in place.  When every s > 0 the matrix is symmetric
+    positive definite (A is semidefinite): its upper entries go to row
+    nphi + i - j of column j, (nphi + 1) ndof doubles, and dpbtrf factors
+    them by Cholesky; dpbtrs solves.  Otherwise (a Newton shift may be
+    indefinite) every entry goes to row 2 nphi + i - j, with nphi rows left
+    for the fill of row interchanges, (3 nphi + 1) ndof doubles, and dgbtrf
+    factors it by LU with pivoting; dgbtrs solves.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
-        P = op.mesh.nphi
-        ab = np.empty((3 * P + 1, op.ndof), order="F")
-        ab[P:] = 0.0  # dgbtrf sets the nphi fill rows above these itself
-        ab.reshape(-1, order="F")[op._band_at] = op.A.data
-        ab[2 * P] += s
-        self.P = P
-        self.lu, self.piv, info = dgbtrf(ab, P, P, overwrite_ab=1)
+        P = self.P = op.mesh.nphi
+        if np.all(s > 0):
+            upper, at = op._upper_band_at
+            ab = np.zeros((P + 1, op.ndof), order="F")
+            ab.reshape(-1, order="F")[at] = op.A.data[upper]
+            ab[P] += s
+            self.band, info = dpbtrf(ab, overwrite_ab=1)
+            self.piv = None
+        else:
+            ab = np.empty((3 * P + 1, op.ndof), order="F")
+            ab[P:] = 0.0  # dgbtrf sets the nphi fill rows above these itself
+            ab.reshape(-1, order="F")[op._band_at] = op.A.data
+            ab[2 * P] += s
+            self.band, self.piv, info = dgbtrf(ab, P, P, overwrite_ab=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
 
     def solve(self, b: Field) -> Field:
         """x with (A + diag(s)) x = b, for b of shape (ndof,) or (ndof, k)."""
-        x, _ = dgbtrs(self.lu, self.P, self.P, np.reshape(b, (self.piv.size, -1)), self.piv)
+        rhs = np.reshape(b, (self.band.shape[1], -1))
+        if self.piv is None:
+            x, _ = dpbtrs(self.band, rhs)
+        else:
+            x, _ = dgbtrs(self.band, self.P, self.P, rhs, self.piv)
         return x.reshape(np.shape(b))
 
 
@@ -582,7 +615,9 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 
     Otherwise the gap is the eigenvalue nearest sigma = -1e-3 on the
     W-orthogonal complement of the constants, found by ARPACK's shift-invert
-    Lanczos on one ``op.shifted(1e-3)`` factor.  The constants' 0 is known
+    Lanczos on one ``op.shifted(1e-3)`` factor: the shift is positive, so on
+    rings of at most ``_BAND_MAX_NPHI`` nodes it is a band Cholesky, whose
+    solves read a third of an LU band.  The constants' 0 is known
     exactly, so it is left out rather than resolved: the W-mean is removed
     from the start vector and from every solve's result, and ARPACK is
     asked for one eigenvalue.  The inverse maps the complement to itself,
@@ -628,7 +663,8 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 # spherical Newton solver
 
 
-# iteration budget of the spherical Newton, kept and rejected steps alike
+# factor budget of the spherical Newton, kept and rejected steps alike (a step
+# on a held factor builds none and is not counted)
 _NEWTON_MAXIT = 60
 # the damping shift's start, 1e-3 of the reduced Hessian's scale (Levenberg-
 # Marquardt's customary start).  On 80 seeded Luo-Tian-admissible data (3-5
@@ -636,6 +672,12 @@ _NEWTON_MAXIT = 60
 # 454, 371 and 353 steps in all, with gaps equal within 4e-10 relative; the
 # README 3-cone case takes 4 steps from 1e-3, and 1e-4 adds a step at 193x32
 _NEWTON_TAU0 = 1e-3
+# a factor is held for the next step while its steps cut the residual's W-norm
+# by this.  On the 80 seeded data above (129x24, one BLAS thread) factoring
+# every step built 379 factors; holding at 1/2, 1/10 and 1/100 built 137, 178
+# and 227 in 917, 590 and 455 steps, each sweep 0.56-0.59 s, and the README
+# 3-cone case at 129x24, 193x32 and 257x40 built 1/2/2, 2/3/3 and 3/4/4
+_NEWTON_HOLD = 0.1
 # a solved spherical metric is refused when its spectral gap is <= 2 + this
 _GAP_MARGIN = 0.05
 
@@ -652,18 +694,29 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     (A + W (tau - 2 e^{2u}) + 2 q q^T / M) d = -W r with q = W e^{2u}, one
     ``op.shifted`` factor for both right-hand sides plus a Sherman-Morrison
     update.  On a non-radial density the shift varies along rings, so the
-    factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
-    SuperLU's on wider ones; each step's factor is dropped before the next
-    is built, so one factor is alive at a time.  That Hessian is positive
-    at a solution whose spectral gap exceeds 2, so the shift tau only
-    damps: a step is kept when the W-norm of the residual drops (tau
-    shrinks by 0.3), otherwise it is rejected and tau grows by 4.  When the
-    iterate's residual is at the floating-point evaluation floor, the first
-    step that does not halve the W-norm ends the solve untaken: such a step
-    moves only round-off, so whether it is kept would depend on the BLAS
-    summation order.  60 steps, or 16 rejections in a row, are a stall
-    (NonconvergenceError).  ``iterations`` counts every step, that is every
-    factor built.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
+    factor is a band on rings of at most ``_BAND_MAX_NPHI`` nodes (LU, as
+    the shift is indefinite) and SuperLU's on wider ones.  That Hessian is
+    positive at a solution whose spectral gap exceeds 2, so the shift tau
+    only damps: a step is kept when the W-norm of the residual drops (tau
+    shrinks by 0.3), otherwise it is rejected and tau grows by 4.
+
+    A factor whose step cut the W-norm at least tenfold (``_NEWTON_HOLD``)
+    is held, with its q, z and Sherman-Morrison denominator, and the next
+    step solves on it for -W r alone (Newton-chord, Shamanskii's method).
+    A held step that again cuts tenfold is kept and the factor held again;
+    one that at least halves the W-norm is kept and the factor dropped; one
+    that does not is discarded, neither a rejection nor a change of tau,
+    and redone on a fresh factor.  Every factor is dropped, with no alias
+    left, before the next is built, so one factor is alive at a time.  Each
+    held step cuts the W-norm tenfold, so they need no budget of their own.
+
+    When the iterate's residual is at the floating-point evaluation floor,
+    the first step on a fresh factor that does not halve the W-norm ends the
+    solve untaken: such a step moves only round-off, so whether it is kept
+    would depend on the BLAS summation order.  60 factors, or 16 rejections
+    in a row, are a stall (NonconvergenceError).  ``iterations`` counts the
+    factors built, fresh steps kept, rejected or untaken; held steps are not
+    counted.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
     over-damps: the Hessian's smallest W-eigenvalue near the solution is
     gap - 2, about 1.4 on the README case, so tau = 1 is its own scale, and
     the solve took 8-9 steps where 4-5 do.
@@ -698,32 +751,50 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     def at_floor(u_dof: Field, sup: float) -> bool:
         return sup <= _evaluation_floor(op, u_dof, np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max()))
 
+    def factored(u_dof: Field, res: Field, tau: float) -> tuple[tuple, Field]:
+        """A fresh factor at u with q = W e^{2u}, its z solving for q and 1 + 2 q.z / M; and its y solving for -W res."""
+        e2u = np.exp(2 * u_dof)
+        q = W * e2u
+        factor = op.shifted(tau - 2.0 * e2u)
+        y, z = factor.solve(np.column_stack([-(W * res), q])).T
+        return (factor, q, z, 1.0 + 2.0 * (q @ z) / M), y
+
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
     res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
     tau, rejections, iterations = _NEWTON_TAU0, 0, 0
+    held = None  # factored()'s tuple while its steps cut the residual by _NEWTON_HOLD
     while res_sup > tol:
-        if iterations >= _NEWTON_MAXIT or rejections >= 16:
-            raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
-        iterations += 1
+        fresh = held is None
         with np.errstate(over="ignore", invalid="ignore"):
-            e2u = np.exp(2 * u)
-            q = W * e2u
-            try:  # a temporary factor: one factor alive at a time
-                y, z = op.shifted(tau - 2.0 * e2u).solve(np.column_stack([-(W * res), q])).T
-            except RuntimeError:  # exactly singular: rejected like a failed step
-                y = z = np.full(op.ndof, np.nan)
-            # Sherman-Morrison for the rank-one term 2 q q^T / M
-            u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / (1.0 + 2.0 * (q @ z) / M))
+            if not fresh:
+                y = held[0].solve(-(W * res))
+            elif iterations >= _NEWTON_MAXIT or rejections >= 16:
+                raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
+            else:
+                iterations += 1
+                try:  # no factor is alive here, so one is alive at a time
+                    held, y = factored(u, res, tau)
+                except RuntimeError:  # exactly singular: rejected like a failed step
+                    y = np.full(op.ndof, np.nan)
+            if held is None:  # the singular factor's step
+                u_new = y
+            else:  # Sherman-Morrison for the rank-one term 2 q q^T / M; no alias of the factor
+                q, z, denominator = held[1:]
+                u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / denominator)
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
-        if l2_new > 0.5 * res_l2 and at_floor(u, res_sup):
+        if fresh and l2_new > 0.5 * res_l2 and at_floor(u, res_sup):
             break  # at the evaluation floor a step that does not halve the residual moves only round-off
-        if l2_new < res_l2:
+        kept = l2_new < res_l2 if fresh else l2_new <= 0.5 * res_l2
+        if not (kept and l2_new <= _NEWTON_HOLD * res_l2):
+            held = None  # dropped before the next factor is built
+        if kept:
             u, res, res_l2 = u_new, res_new, l2_new
             res_sup = float(np.max(np.abs(res)))
+        if fresh and kept:
             tau, rejections = max(0.3 * tau, 1e-12), 0
-        else:
+        elif fresh:
             tau, rejections = min(4.0 * tau, 1e9), rejections + 1
     u_grid = op.dof_to_grid(u)
     return SolveReport(

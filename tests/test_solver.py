@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -12,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conic_moduli import solver
+from conic_moduli import cli, solver
 from conic_moduli.phg import u0_truncated, u0_value
 from conic_moduli.solver import (
     ConicLaplacianOp,
@@ -269,21 +270,47 @@ def test_fourier_factor_matches_superlu(inner, outer, shift):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@pytest.fixture
+def band_routines(monkeypatch):
+    """The names of the LAPACK band routines ``solver`` calls, in call order."""
+    calls = []
+
+    def spy(name, routine):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+
+        return called
+
+    for name in ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"):
+        monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
+    return calls
+
+
 @pytest.mark.parametrize("nphi, kind", [(8, solver._BandFactor), (64, solver._BandFactor), (66, spla.SuperLU)])
-def test_shifted_dispatches_on_ring_constancy_and_ring_width(nphi, kind):
+def test_shifted_dispatches_on_ring_constancy_and_ring_width(nphi, kind, band_routines):
     # a density or a shift that varies along a ring has no Fourier factor; it is
-    # a band on rings of at most _BAND_MAX_NPHI nodes and SuperLU's past them
+    # a band on rings of at most _BAND_MAX_NPHI nodes, Cholesky's for a positive
+    # shift and LU's otherwise, and SuperLU's past them
+    factored = ["dpbtrf", "dgbtrf"] if kind is solver._BandFactor else []
     bumpy = assemble(FiberMesh(0.05, 1.0, 17, nphi), bumpy_density)
     assert isinstance(bumpy.shifted(2.0), kind)
+    assert isinstance(bumpy.shifted(-0.7), kind)
+    assert band_routines == factored
+    band_routines.clear()
     op = assemble(FiberMesh(0.05, 1.0, 17, nphi), radial_density)
-    shift = op.grid_to_dof(2.0 + np.cos(np.broadcast_to(op.mesh.phi, op.density.shape)))
-    assert isinstance(op.shifted(shift), kind)
+    waves = np.cos(np.broadcast_to(op.mesh.phi, op.density.shape))
+    assert isinstance(op.shifted(op.grid_to_dof(2.0 + waves)), kind)
+    assert isinstance(op.shifted(op.grid_to_dof(waves)), kind)  # indefinite
+    assert band_routines == factored
     assert isinstance(op.shifted(2.0), solver._FourierFactor)
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
 @pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "indefinite"])
-def test_band_factor_matches_dense_solve(inner, outer, shift):
+def test_band_factor_matches_dense_solve(inner, outer, shift, band_routines):
+    # a positive shift is factored by Cholesky, any other by LU with pivoting
+    routines = ["dpbtrf", "dpbtrs"] if shift in (2.0, 1e-3) else ["dgbtrf", "dgbtrs"]
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), bumpy_density)
     rng = np.random.default_rng(7)
     if shift == "indefinite":  # a per-dof shift of both signs
@@ -295,6 +322,7 @@ def test_band_factor_matches_dense_solve(inner, outer, shift):
         got, want = factor.solve(b), np.linalg.solve(dense, b)
         assert got.shape == b.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert band_routines == routines[:1] + routines[1:] * 2
 
 
 def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
@@ -309,21 +337,28 @@ def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
 
 
 def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
+    # LAPACK's info > 0, a zero pivot of the LU or a nonpositive one of Cholesky
     def zero_pivot(ab, kl, ku, overwrite_ab=0):
         return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 3
 
+    def nonpositive_pivot(ab, overwrite_ab=0):
+        return ab, 3
+
     monkeypatch.setattr(solver, "dgbtrf", zero_pivot)
+    monkeypatch.setattr(solver, "dpbtrf", nonpositive_pivot)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), bumpy_density)
-    with pytest.raises(RuntimeError):
-        op.shifted(2.0)
+    for shift in (-0.7, 2.0):
+        with pytest.raises(RuntimeError):
+            op.shifted(shift)
 
 
 @pytest.mark.parametrize("pages", ["populated", "faulted"])
 def test_band_factors_alive_together_keep_their_own_bands(pages, monkeypatch):
     # each factor owns its band: factors alive together, one built after a drop
-    # while an older factor lives, and one built after all were dropped.  A band
-    # may land in pages a dropped band left populated with its values (here NaN
-    # in every fresh float array) or in freshly faulted zero pages; neither shows
+    # while an older factor lives, and one built after all were dropped, with
+    # the LU and the Cholesky band in either order.  A band may land in pages a
+    # dropped band left populated with its values (here NaN in every fresh float
+    # array) or in freshly faulted zero pages; neither shows
     empty, stale = np.empty, np.nan if pages == "populated" else 0.0
 
     def allocated(*args, **kwargs):
@@ -335,23 +370,30 @@ def test_band_factors_alive_together_keep_their_own_bands(pages, monkeypatch):
     monkeypatch.setattr(np, "empty", allocated)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), bumpy_density)
     rng = np.random.default_rng(11)
-    shifts = [rng.uniform(-2.0, 2.0, op.ndof) for _ in range(4)]  # indefinite: the pivots differ
+    draw = {  # indefinite shifts get LU with differing pivots, positive ones Cholesky
+        "LU": lambda: rng.uniform(-2.0, 2.0, op.ndof),
+        "Cholesky": lambda: rng.uniform(0.5, 2.0, op.ndof),
+    }
     b = rng.standard_normal(op.ndof)
 
     def check(factor, shift):
         assert isinstance(factor, solver._BandFactor)
+        # (nphi + 1) rows of the upper band for Cholesky, (3 nphi + 1) for LU
+        assert factor.band.shape == ((9 if np.all(shift > 0) else 25), op.ndof)
         want = np.linalg.solve(op.A.toarray() + np.diag(shift * op.W), b)
         assert np.max(np.abs(factor.solve(b) - want)) <= 1e-10 * np.max(np.abs(want))
 
-    first, second = op.shifted(shifts[0]), op.shifted(shifts[1])
-    check(first, shifts[0])
-    check(second, shifts[1])
-    del second
-    third = op.shifted(shifts[2])
-    check(first, shifts[0])
-    check(third, shifts[2])
-    del first, third
-    check(op.shifted(shifts[3]), shifts[3])
+    for kinds in (("LU", "Cholesky"), ("Cholesky", "LU")):
+        shifts = [draw[kinds[k % 2]]() for k in range(4)]
+        first, second = op.shifted(shifts[0]), op.shifted(shifts[1])
+        check(first, shifts[0])
+        check(second, shifts[1])
+        del second
+        third = op.shifted(shifts[2])
+        check(first, shifts[0])
+        check(third, shifts[2])
+        del first, third
+        check(op.shifted(shifts[3]), shifts[3])
 
 
 @pytest.mark.parametrize("outer", ["pole", "dirichlet"])
@@ -616,6 +658,63 @@ def test_newton_holds_one_factor_at_a_time(monkeypatch):
         assert rep.residual_sup < residual and len(built) == rep.iterations >= 2, betas
 
 
+def test_newton_holds_a_factor_that_cut_the_residual_tenfold(monkeypatch):
+    # on the README case a fresh factor's step cuts the residual tenfold, so the
+    # next steps solve on that factor again: more steps than factors, and at
+    # every build and every solve no factor but the newest is alive
+    shifted, band_solve, built, solves = ConicLaplacianOp.shifted, solver._BandFactor.solve, [], []
+
+    def tracked(op, shift):
+        assert all(ref() is None for ref in built), "an earlier factor is still alive"
+        factor = shifted(op, shift)
+        built.append(weakref.ref(factor))
+        return factor
+
+    def counted(factor, b):
+        assert all(ref() is None for ref in built[:-1]), "an earlier factor is still alive"
+        solves.append(np.ndim(b))
+        return band_solve(factor, b)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", tracked)
+    monkeypatch.setattr(solver._BandFactor, "solve", counted)
+    mesh = readme_three_cone_mesh()
+    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
+    rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
+    assert rep.residual_sup < 1e-10
+    assert len(built) == rep.iterations < len(solves)
+    # a fresh factor solves for -W res and q at once, a held one for -W res alone
+    assert solves.count(2) == rep.iterations
+
+
+def luo_tian_admissible_data(count, seed):
+    """Seeded spherical cone data: 3-5 distinct angles in [0.15, 0.95], Luo-Tian admissible.
+
+    The angles are rounded to 3 digits and kept when chi(beta) > 0 and
+    2 (1 - beta_i) < sum_j (1 - beta_j); the cones sit at 0, 1, k - 3 points
+    uniform in [-2, 2]^2, and infinity (the last angle).
+    """
+    rng = random.Random(seed)
+    data = []
+    while len(data) < count:
+        k = rng.randint(3, 5)
+        betas = [round(rng.uniform(0.15, 0.95), 3) for _ in range(k)]
+        deficits = [1 - b for b in betas]
+        if len(set(betas)) < k or not (sum(deficits) < 2 and all(2 * d < sum(deficits) for d in deficits)):
+            continue
+        points = [0j, 1 + 0j] + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(k - 3)]
+        data.append((betas, points))
+    return data
+
+
+def test_spherical_newton_converges_on_seeded_admissible_data():
+    # every datum converges on the README mesh within 5 factors (at most 4 at
+    # one BLAS thread and at two; 178 in all, where factoring every step took 379)
+    mesh = readme_three_cone_mesh()
+    for betas, points in luo_tian_admissible_data(80, seed=7):
+        rep = spherical_cone_solve(betas, points, mesh)
+        assert rep.residual_sup <= 1e-8 and rep.iterations <= 5 and rep.gap > 2.0, (betas, points)
+
+
 def test_spherical_cone_solve_traces_below_two_bands():
     # Newton's last factor is dropped and its operator released before the gap's
     # factor allocates its band: the traced peak stays below two bands (1.32 on numpy 2.4)
@@ -700,7 +799,7 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
     "betas,points,gap",
     [
         ([2 / 3] * 3, [0j, 1 + 0j], 3.360606159732047),
-        ([1 / 2, 2 / 3, 3 / 4, 5 / 6], [0j, 1 + 0j, cmath.exp(1j * math.pi)], 3.4703357792254925),
+        ([1 / 2, 2 / 3, 3 / 4, 5 / 6], cli._default_sphere_points(4), 3.470335779229304),
         ([1 / 2, 1 / 3, 1 / 4], [0j, 1 + 0j], 23.365269328026976),
         ([1 / 2] * 3, [0j, 1 + 0j], 5.796499936258584),
         (*FIVE_CONES, 3.517178062217959),
@@ -710,8 +809,8 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
 )
 def test_spherical_newton_takes_few_steps_on_admissible_data(betas, points, gap):
     # Luo-Tian admissible data on the README mesh (the 4-cone layout is the
-    # CLI's default); each took 8 or 9 steps when the damping started at
-    # tau = 1, and the gaps are the values recorded then
+    # CLI's default, with its third cone at exactly -1); each took 8 or 9 steps
+    # when the damping started at tau = 1, and the gaps are the values recorded then
     rep = spherical_cone_solve(betas, points, readme_three_cone_mesh())
     assert rep.iterations <= 6
     assert rep.residual_sup < 1e-9
