@@ -715,11 +715,21 @@ def test_spherical_newton_converges_on_seeded_admissible_data():
         assert rep.residual_sup <= 1e-8 and rep.iterations <= 5 and rep.gap > 2.0, (betas, points)
 
 
-def test_spherical_cone_solve_traces_below_two_bands():
+def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
     # Newton's last factor is dropped and its operator released before the gap's
-    # factor allocates its band: the traced peak stays below two bands (1.32 on numpy 2.4)
+    # factor allocates its band: the traced peak stays below two LU bands (1.28 on
+    # numpy 2.4).  The gap's Cholesky band is a third of an LU band, so a Newton
+    # band left alive would stay below that too; when the gap starts, what is
+    # traced is below half an LU band (0.11; 1.11 with Newton's last band alive)
     mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
     band = 8 * (3 * mesh.nphi + 1) * ((mesh.nt - 2) * mesh.nphi + 2)
+    gap, at_gap = solver.eigen_gap, []
+
+    def traced_gap(op):
+        at_gap.append(tracemalloc.get_traced_memory()[0])
+        return gap(op)
+
+    monkeypatch.setattr(solver, "eigen_gap", traced_gap)
     tracemalloc.start()
     try:
         rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
@@ -728,6 +738,7 @@ def test_spherical_cone_solve_traces_below_two_bands():
         tracemalloc.stop()
     assert rep.gap > 2.0
     assert peak < 2 * band
+    assert len(at_gap) == 1 and at_gap[0] < band / 2
 
 
 def test_spherical_cone_solve_three_cones():
