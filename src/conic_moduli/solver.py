@@ -670,7 +670,8 @@ _NEWTON_MAXIT = 60
 # Marquardt's customary start).  On 80 seeded Luo-Tian-admissible data (3-5
 # cones, 129x24) every solve converged from 1, 1e-2, 1e-3 and 1e-4, in 717,
 # 454, 371 and 353 steps in all, with gaps equal within 4e-10 relative; the
-# README 3-cone case takes 4 steps from 1e-3, and 1e-4 adds a step at 193x32
+# README 3-cone case took 4 steps from 1e-3, and 1e-4 added a step at 193x32
+# (each step on a fresh factor, before ``_NEWTON_HOLD``)
 _NEWTON_TAU0 = 1e-3
 # a factor is held for the next step while its steps cut the residual's W-norm
 # by this.  On the 80 seeded data above (129x24, one BLAS thread) factoring
@@ -719,7 +720,8 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     counted.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
     over-damps: the Hessian's smallest W-eigenvalue near the solution is
     gap - 2, about 1.4 on the README case, so tau = 1 is its own scale, and
-    the solve took 8-9 steps where 4-5 do.
+    with a fresh factor for every step the solve took 8-9 steps where 4-5
+    did from 1e-3.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
     raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf.  The football
