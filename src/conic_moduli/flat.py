@@ -75,10 +75,6 @@ class FlatConicMetric:
     def of(cls, points: Sequence[complex], beta: Sequence[RationalLike]) -> "FlatConicMetric":
         return cls(tuple(complex(p) for p in points), tuple(to_fraction(b)[0] for b in beta))
 
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
 
 def green_factor(m: FlatConicMetric, z: Union[complex, np.ndarray], exclude: Optional[int] = None) -> np.ndarray:
     """G(z) = sum (beta_i - 1) log|z - p_i|, elementwise; diverges at the marked points.

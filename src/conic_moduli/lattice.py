@@ -5,7 +5,9 @@ laminar families of index subsets of {1..k}: collections whose members are
 pairwise nested or disjoint, arranged into a rooted cluster tree.  This
 module builds those trees from their vertex sets, checking them, and
 enumerates them by joining each root to shared, already built subtrees,
-which are not checked again.
+which are not checked again.  A tree is its root and those subtrees, and
+nothing else: there is no parent map or depth table, and whatever walks a
+tree recurses over ``subtrees``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
     "IndexSubset",
@@ -83,8 +85,9 @@ class ClusterTree:
     from the subtrees when the tree is built: ``codimension``, the number of
     vertices (the corner codimension the tree labels); ``height``, the
     longest root-to-leaf path (0 for the root-only tree); and the encoding.
-    ``parent``, ``depth``, ``children`` and ``vertices`` are derived from the
-    subtrees on first use.
+    ``vertices`` is collected from the subtrees on first use; a vertex's
+    children are the roots of its subtree's ``subtrees``, so anything that
+    walks the tree recurses over ``subtrees``.
 
     ``ClusterTree(vertices)`` validates outside input: ``vertices`` is any
     iterable of subsets of one {1..k}, every two of them nested or disjoint.
@@ -138,36 +141,11 @@ class ClusterTree:
         items += [(s.root.members[0], s._encoding) for s in subtrees]
         self._encoding = "(" + ",".join(e for _, e in sorted(items)) + ")"
 
-    def _walk(self, parent: Optional[IndexSubset] = None, depth: int = 0):
-        """Yield ``(subtree, parent vertex, depth)`` for every vertex, root first."""
-        yield self, parent, depth
-        for s in self.subtrees:
-            yield from s._walk(self.root, depth + 1)
-
-    @functools.cached_property
-    def parent(self) -> dict[IndexSubset, Optional[IndexSubset]]:
-        """Each vertex's smallest strict superset (None at the root), by descending size."""
-        return dict(sorted(((s.root, p) for s, p, _ in self._walk()), key=lambda item: _by_size(item[0])))
-
-    @functools.cached_property
-    def _depth(self) -> dict[IndexSubset, int]:
-        return {s.root: d for s, _, d in self._walk()}
-
-    @functools.cached_property
-    def _children(self) -> dict[IndexSubset, tuple[IndexSubset, ...]]:
-        return {s.root: tuple(c.root for c in s.subtrees) for s, _, _ in self._walk()}
-
     @functools.cached_property
     def vertices(self) -> tuple[IndexSubset, ...]:
         """Every vertex, ordered by smallest index and then by descending size."""
-        return tuple(sorted((s.root for s, _, _ in self._walk()), key=lambda v: (v.members[0], -len(v), v.members)))
-
-    def children(self, v: IndexSubset) -> tuple[IndexSubset, ...]:
-        return self._children[v]
-
-    def depth(self, v: IndexSubset) -> int:
-        """Number of edges from the root to ``v``; the root has depth 0."""
-        return self._depth[v]
+        found = [self.root, *(v for s in self.subtrees for v in s.vertices)]
+        return tuple(sorted(found, key=lambda v: (v.members[0], -len(v), v.members)))
 
     @property
     def is_interior(self) -> bool:

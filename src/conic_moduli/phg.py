@@ -336,9 +336,8 @@ class PhgSeries:
         self.labels.update((e.alpha, e.pairs) for e in index_set(b, self.truncation))
         # step 0 and the weight, once: a_k rfrak^{2k} = a_k r^{2k beta} / beta^{2k}
         coeffs = [c / b ** (2 * k) for k, c in enumerate(u0_series(kmax), start=1)] if kmax else []
-        self.steps: dict[int, StepTable] = {0: {}}
-        for k, c in enumerate(coeffs, start=1):
-            self.inject(0, 2 * k * b, TrigPoly.const(c))
+        # each 2k beta <= truncation is an exponent of index_set, so no label is checked
+        self.steps: dict[int, StepTable] = {0: {2 * k * b: TrigPoly.const(c) for k, c in enumerate(coeffs, start=1)}}
         self.weight: dict[Fraction, TrigPoly] = {
             2 * k * b: TrigPoly.const(c) for k, c in enumerate(exp_series(coeffs, kmax))
         }

@@ -19,6 +19,7 @@ equations: curvature equations are written as Delta u + e^{2u} + K0 = 0
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -168,7 +169,9 @@ class ConicLaplacianOp:
 
     The lumped mass is density * e^{2t} * ht * hp with half cells at the
     end rings (a collapsed ring's unknown carries its whole ring mass; the
-    area below the truncation radius is dropped).
+    area below the truncation radius is dropped).  It is the only part that
+    depends on the density, so ``conformal(u)``, the operator of the metric
+    e^{2u} times this one, shares A and the layout and sets a new mass.
 
     The dofs run ring by ring: a collapsed ring is one dof, the interior
     rings [1:-1] are runs of nphi dofs and Dirichlet ring nodes have none,
@@ -179,8 +182,19 @@ class ConicLaplacianOp:
 
     def __init__(self, mesh: FiberMesh, density: DensityLike):
         self.mesh = mesh
-        self.density = _density_array(mesh, density)
         self._build()
+        self._mass(_density_array(mesh, density))
+
+    def conformal(self, u: Field) -> "ConicLaplacianOp":
+        """The operator of density * e^{2u} for a grid field u: only the mass changes.
+
+        A copy that shares A, the ring layout, ``stencil`` and any cached band
+        positions with this operator (nothing writes to them) and carries its
+        own density, cell masses and W.
+        """
+        op = copy.copy(self)
+        op._mass(self.density * np.exp(2 * u))
+        return op
 
     # -- layout and assembly --------------------------------------------------
     def _build(self) -> None:
@@ -217,7 +231,10 @@ class ConicLaplacianOp:
         data = np.concatenate([np.broadcast_to(v, (b.size, *v.shape)).ravel() for b, _, v in blocks])
         self.A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
-        self.cell_mass = _lumped_mass(mesh, self.density)
+    def _mass(self, density: Field) -> None:
+        """Set the density, its lumped cell masses and their per-dof sums W."""
+        self.density = density
+        self.cell_mass = _lumped_mass(self.mesh, density)
         self.W = self.ring_sum(self.cell_mass)
         if not np.all(np.isfinite(self.W) & (self.W > 0)):
             raise ValueError("lumped mass W is zero or not finite at some dof: density * r^2 under/overflows")
@@ -828,8 +845,9 @@ def spherical_cone_solve(
     equal angles raise FootballDegeneracyError, and one cone point (the
     teardrop), two unequal angles, or all beta < 1 against the Luo-Tian
     inequalities raise ValueError, because no metric exists.  The gap of the
-    solved metric is computed and the solve is rejected at or below
-    2 + _GAP_MARGIN (football degeneracy).
+    solved metric is computed on ``op.conformal(u)``, which shares Newton's
+    stiffness, so one A is built per solve, and the solve is rejected at or
+    below 2 + _GAP_MARGIN (football degeneracy).
     """
     exact = ConeData.of(0, betas, 1).beta
     status, _ = verdict(0, 1, exact)
@@ -845,9 +863,7 @@ def spherical_cone_solve(
     density, K0 = singular_sphere_background(exact, finite_points)
     op = assemble(mesh, density)
     report = newton_solve_spherical(op, K0(*mesh.grids()), tol=tol)
-    density = op.density * np.exp(2 * report.solution)
-    del op  # releases the Newton operator's arrays before the gap's are assembled
-    report.gap = eigen_gap(assemble(mesh, density))
+    report.gap = eigen_gap(op.conformal(report.solution))
     if report.gap <= 2.0 + _GAP_MARGIN:
         raise FootballDegeneracyError(
             f"solved metric has spectral gap {report.gap:.6f} <= 2 + margin = {2 + _GAP_MARGIN:.2f}"

@@ -125,6 +125,16 @@ def test_charts_verify_payload(capsys):
     assert out2 == out
 
 
+def test_seed_flag_takes_precedence_over_the_environment(capsys, monkeypatch):
+    argv = ["charts", "verify", "--chart", "two", "--samples", "50"]
+    rc, out, _ = run(capsys, *argv, "--seed", "7")
+    assert rc == 0 and '"seed": 7' in out
+    monkeypatch.setenv("CONIC_MODULI_SEED", "11")
+    assert run(capsys, *argv, "--seed", "7") == (0, out, "")
+    rc, env_out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(env_out)["seed"] == 11
+
+
 def test_charts_verify_corner_100k_meets_tolerances(capsys):
     # the 100,000-sample corner check spans ten sampling blocks
     rc, out, _ = run(capsys, "charts", "verify", "--chart", "three-corner", "--samples", "100000")
@@ -196,6 +206,9 @@ REFUSALS = {
     # used to be refused as "largest radius reaches another marked point"
     "probe_point_repeated": (
         ["flat", "probe", "--beta", "1/3,1/3,1/3", "--points", "0,0;0,0;1,0"], "marked point 0,0 is repeated"
+    ),
+    "spherical_beta_count_mismatch": (
+        ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0"], "need one more beta than finite points"
     ),
     "spherical_point_not_finite": (
         ["solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "nan,0;1,0"], "marked point nan,0 is not finite"
@@ -399,6 +412,13 @@ def test_flat_expand_csv(capsys):
     rows = [l.split(",") for l in out.strip().splitlines()[2:]]
     assert rows[0] == ["1", "1", "5/12", "0"]
     assert rows[1] == ["2", "2", "11/24", "0"]
+
+
+def test_flat_expand_prints_zero_rows(capsys):
+    # equal angles cancel every odd power, which is still printed as a zero row
+    rc, out, _ = run(capsys, "flat", "expand", "--beta1", "1/2", "--beta2", "1/2", "--order", "4")
+    assert rc == 0
+    assert out.splitlines()[2:] == ["1,1,0,0", "2,2,1/2,0", "3,3,0,0", "4,4,1/4,0"]
 
 
 def test_fit_roundtrip(tmp_path, capsys):

@@ -47,6 +47,17 @@ def as_family(tree: ClusterTree) -> frozenset:
     return frozenset(frozenset(v.members) for v in tree.vertices)
 
 
+def nodes(tree: ClusterTree, parent=None, depth=0):
+    """Yield (subtree, parent vertex, depth) for every vertex, recursing over ``subtrees``."""
+    yield tree, parent, depth
+    for s in tree.subtrees:
+        yield from nodes(s, tree.root, depth + 1)
+
+
+def parents(tree: ClusterTree) -> dict:
+    return {s.root: p for s, p, _ in nodes(tree)}
+
+
 def test_index_subset_validation():
     with pytest.raises(ValueError):
         IndexSubset((), 3)
@@ -117,9 +128,9 @@ def test_augmented_trees_allow_singleton_leaves():
     assert encodings == ["((1),(2))", "((1),2)", "(1,(2))", "(1,2)"]
     # singletons are always leaves
     for t in enumerate_fmax_strata(3, augmented=True):
-        for v in t.vertices:
-            if len(v) == 1:
-                assert t.children(v) == ()
+        for s, _, _ in nodes(t):
+            if len(s.root) == 1:
+                assert s.subtrees == ()
 
 
 @pytest.mark.parametrize("k,count", [(2, 4), (3, 32), (4, 416)])
@@ -136,10 +147,10 @@ def test_augmented_matches_brute_force(k, count):
 def test_joined_trees_match_the_validating_constructor(k, augmented):
     for t in enumerate_fmax_strata(k, augmented=augmented):
         u = ClusterTree(t.vertices)
-        assert list(u.parent.items()) == list(t.parent.items())
+        # the same vertex, parent, depth and children at every step of the recursion
+        walked = [(s.root, p, d, tuple(c.root for c in s.subtrees)) for s, p, d in nodes(t)]
+        assert [(s.root, p, d, tuple(c.root for c in s.subtrees)) for s, p, d in nodes(u)] == walked
         assert u.vertices == t.vertices
-        assert [u.depth(v) for v in u.vertices] == [t.depth(v) for v in t.vertices]
-        assert [u.children(v) for v in u.vertices] == [t.children(v) for v in t.vertices]
         assert u.encode() == t.encode() and u == t
         assert (u.codimension, u.height, u.is_interior) == (t.codimension, t.height, t.is_interior)
 
@@ -203,12 +214,15 @@ def test_tree_height_examples():
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_tree_depth_is_the_parent_walk(k):
     for t in enumerate_fmax_strata(k):
+        parent = parents(t)
+        depth = {s.root: d for s, _, d in nodes(t)}
+        assert sorted(depth) == sorted(t.vertices)
         for v in t.vertices:
             walk, w = 0, v
-            while t.parent[w] is not None:
-                walk, w = walk + 1, t.parent[w]
-            assert t.depth(v) == walk
-        assert t.height == max(t.depth(v) for v in t.vertices)
+            while parent[w] is not None:
+                walk, w = walk + 1, parent[w]
+            assert depth[v] == walk
+        assert t.height == max(depth.values())
 
 
 def test_tree_parents_from_vertex_set_in_any_order():
@@ -218,9 +232,9 @@ def test_tree_parents_from_vertex_set_in_any_order():
     random.Random(3).shuffle(shuffled)
     trees = [ClusterTree(shuffled), ClusterTree(set(vs)), ClusterTree(v for v in reversed(vs)), ClusterTree(vs + vs)]
     for t in trees:
-        assert t.parent == {root: None, pair: root, triple: root, inner: triple}
+        assert parents(t) == {root: None, pair: root, triple: root, inner: triple}
         assert t.encode() == "((1,2),3,((4,5),6),7)"
-        assert t.root == root and t.children(root) == (pair, triple)
+        assert t.root == root and tuple(s.root for s in t.subtrees) == (pair, triple)
 
 
 def test_tree_rejects_non_laminar_vertex_sets():

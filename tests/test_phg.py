@@ -302,6 +302,15 @@ def test_fit_two_powers():
     assert rep.terms[1].alpha == pytest.approx(2.0, abs=2e-2)
 
 
+def test_fit_stops_at_the_cancellation_floor():
+    # the exact family 2 rho^2 leaves nothing after one term to peel a second from
+    rho = [0.2 / 2**i for i in range(6)]
+    rep = fit_exponents([(r, 2.0 * r**2) for r in rho], count=2)
+    assert rep.ok and rep.message == "residual at cancellation floor"
+    assert len(rep.terms) == 1
+    assert rep.terms[0].alpha == pytest.approx(2.0, abs=1e-9)
+
+
 def test_fit_u0_leading_exponent():
     beta = 0.7
     rho = [0.2 / 2**i for i in range(7)]

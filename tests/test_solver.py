@@ -716,11 +716,13 @@ def test_spherical_newton_converges_on_seeded_admissible_data():
 
 
 def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
-    # Newton's last factor is dropped and its operator released before the gap's
-    # factor allocates its band: the traced peak stays below two LU bands (1.28 on
-    # numpy 2.4).  The gap's Cholesky band is a third of an LU band, so a Newton
-    # band left alive would stay below that too; when the gap starts, what is
-    # traced is below half an LU band (0.11; 1.11 with Newton's last band alive)
+    # Newton's last factor is dropped before the gap's factor allocates its band:
+    # the traced peak stays below two LU bands (1.28 on numpy 2.4).  The gap's
+    # Cholesky band is a third of an LU band, so a Newton band left alive would stay
+    # below that too; when the gap starts, what is traced is below half an LU band
+    # (0.15; 1.11 with Newton's last band alive).  Newton's operator stays alive
+    # through the gap, whose operator shares its stiffness; its arrays are a small
+    # fraction of one band
     mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
     band = 8 * (3 * mesh.nphi + 1) * ((mesh.nt - 2) * mesh.nphi + 2)
     gap, at_gap = solver.eigen_gap, []
@@ -739,6 +741,36 @@ def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
     assert rep.gap > 2.0
     assert peak < 2 * band
     assert len(at_gap) == 1 and at_gap[0] < band / 2
+
+
+def test_spherical_cone_solve_builds_one_stiffness(monkeypatch):
+    # the gap's operator is Newton's with the mass of the solved metric, so the
+    # stiffness is built once per solve (twice when the gap's operator was assembled)
+    build, newton, gap = solver.ConicLaplacianOp._build, solver.newton_solve_spherical, solver.eigen_gap
+    built, ops = [], {}
+
+    def counted_build(op):
+        built.append(op)
+        build(op)
+
+    def seen_newton(op, *args, **kwargs):
+        ops["newton"] = op
+        return newton(op, *args, **kwargs)
+
+    def seen_gap(op):
+        ops["gap"] = op
+        return gap(op)
+
+    monkeypatch.setattr(solver.ConicLaplacianOp, "_build", counted_build)
+    monkeypatch.setattr(solver, "newton_solve_spherical", seen_newton)
+    monkeypatch.setattr(solver, "eigen_gap", seen_gap)
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
+    assert len(built) == 1
+    assert ops["gap"].A is ops["newton"].A
+    # the same mass as an operator assembled on the solved metric's density
+    solved = assemble(mesh, ops["newton"].density * np.exp(2 * rep.solution))
+    assert np.array_equal(ops["gap"].W, solved.W)
 
 
 def test_spherical_cone_solve_three_cones():
@@ -1157,6 +1189,9 @@ def test_merging_pair_rejects_bad_data():
     with pytest.raises(ValueError):
         # merged parameter 0.1 puts the whole annulus past rfrak = 2
         merging_pair_residual_family(0.55, 0.55, (0.1, 0.05))
+    pole = FiberMesh(0.2, 0.7, 33, 16, inner="pole", outer="dirichlet")
+    with pytest.raises(ValueError, match="needs dirichlet rings"):
+        merging_pair_residual_family(0.9, 0.6, (0.1, 0.05), mesh=pole)
 
 
 # -- the radial profile -------------------------------------------------------------------
