@@ -745,7 +745,7 @@ def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
 
 def test_spherical_cone_solve_builds_one_stiffness(monkeypatch):
     # the gap's operator is Newton's with the mass of the solved metric, so the
-    # stiffness is built once per solve (twice when the gap's operator was assembled)
+    # stiffness is built once per solve (assembling the gap's operator builds it twice)
     build, newton, gap = solver.ConicLaplacianOp._build, solver.newton_solve_spherical, solver.eigen_gap
     built, ops = [], {}
 
