@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .cones import ConeData, MergeStatus, RationalLike, to_fraction, verdict
 from .extrapolate import decay_verdict, least_squares_slope
@@ -367,18 +367,27 @@ def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Fiel
 
 
 class _FourierFactor:
-    """LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
+    """LDL^T or LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
 
     The blocks of ``_mode_tridiagonals`` for the modes 0 .. nphi/2 of the
     real FFT sit in one tridiagonal with zero couplings between them,
-    factored once by LAPACK's pivoting dgttrf (a Newton shift may be
-    indefinite); dgttrs solves all real and imaginary parts in place.
+    factored once.  When every s > 0 (Picard's shift 2W) each block is
+    symmetric positive definite and LAPACK's dpttrf factors it as LDL^T
+    with no pivoting, in place; dpttrs solves.  Otherwise (a Newton shift
+    may be indefinite) LAPACK's pivoting dgttrf factors it; dgttrs solves.
+    Either solve takes all real and imaginary parts at once, in place.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
         self.n, self.P, self.m, (self.lo, self.hi) = op.ndof, op.mesh.nphi, op.mesh.nt - 2, op._ends
         d, e = _mode_tridiagonals(op, s, self.P // 2 + 1)
-        *self.lu, info = dgttrf(e.ravel()[:-1], d.ravel(), e.ravel()[:-1])
+        d, e = d.ravel(), e.ravel()[:-1]
+        if np.all(s > 0):
+            *self.lu, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            self._solve = dpttrs
+        else:
+            *self.lu, info = dgttrf(e, d, e)
+            self._solve = dgttrs
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
 
@@ -391,7 +400,7 @@ class _FourierFactor:
         y = np.zeros((2, k, P // 2 + 1, lo + m + hi))  # (real|imag, column, mode, row of its block)
         y[0, :, :, lo : lo + m], y[1, :, :, lo : lo + m] = f.real.T, f.imag.T
         y[0, :, 0, :lo], y[0, :, 0, lo + m :] = x[:lo].T, x[n - hi :].T  # a pole has no imaginary part
-        y = dgttrs(*self.lu, y.reshape(2 * k, -1).T, overwrite_b=1)[0].T.reshape(y.shape)
+        y = self._solve(*self.lu, y.reshape(2 * k, -1).T, overwrite_b=1)[0].T.reshape(y.shape)
         f.real[...], f.imag[...] = y[0, :, :, lo : lo + m].T, y[1, :, :, lo : lo + m].T
         out = np.empty((n, k))
         out[:lo], out[n - hi :] = y[0, :, 0, :lo].T, y[0, :, 0, lo + m :].T

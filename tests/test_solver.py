@@ -254,25 +254,8 @@ def radial_density(r, phi):
     return 1.0 + r + 0.0 * phi
 
 
-@pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
-@pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "per-ring"])
-def test_fourier_factor_matches_superlu(inner, outer, shift):
-    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), radial_density)
-    if shift == "per-ring":  # a ring-constant per-dof array
-        shift = op.grid_to_dof(np.broadcast_to(1.0 - op.mesh.r[:, None], op.density.shape))
-    factor = op.shifted(shift)
-    assert isinstance(factor, solver._FourierFactor)
-    reference = spla.splu((op.A + sp.diags(shift * op.W)).tocsc())
-    rng = np.random.default_rng(5)
-    for b in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 2))):
-        got, want = factor.solve(b), reference.solve(b)
-        assert got.shape == b.shape
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-
-@pytest.fixture
-def band_routines(monkeypatch):
-    """The names of the LAPACK band routines ``solver`` calls, in call order."""
+def spied_routines(monkeypatch, names):
+    """The names of the LAPACK routines in ``names`` that ``solver`` calls, in call order."""
     calls = []
 
     def spy(name, routine):
@@ -282,9 +265,39 @@ def band_routines(monkeypatch):
 
         return called
 
-    for name in ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"):
+    for name in names:
         monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
     return calls
+
+
+@pytest.fixture
+def band_routines(monkeypatch):
+    return spied_routines(monkeypatch, ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"))
+
+
+@pytest.fixture
+def tridiagonal_routines(monkeypatch):
+    return spied_routines(monkeypatch, ("dgttrf", "dgttrs", "dpttrf", "dpttrs"))
+
+
+@pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
+@pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "per-ring"])
+def test_fourier_factor_matches_superlu(inner, outer, shift, tridiagonal_routines):
+    # a positive shift is factored by LDL^T, any other (the per-ring shift is 0
+    # on a collapsed ring at r = 1) by LU with pivoting
+    op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), radial_density)
+    if shift == "per-ring":  # a ring-constant per-dof array
+        shift = op.grid_to_dof(np.broadcast_to(1.0 - op.mesh.r[:, None], op.density.shape))
+    factored, solved = ("dpttrf", "dpttrs") if np.all(shift * op.W > 0) else ("dgttrf", "dgttrs")
+    factor = op.shifted(shift)
+    assert isinstance(factor, solver._FourierFactor)
+    reference = spla.splu((op.A + sp.diags(shift * op.W)).tocsc())
+    rng = np.random.default_rng(5)
+    for b in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 2))):
+        got, want = factor.solve(b), reference.solve(b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert tridiagonal_routines == [factored, solved, solved]
 
 
 @pytest.mark.parametrize("nphi, kind", [(8, solver._BandFactor), (64, solver._BandFactor), (66, spla.SuperLU)])
@@ -326,14 +339,25 @@ def test_band_factor_matches_dense_solve(inner, outer, shift, band_routines):
 
 
 def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
-    # LAPACK's info > 0 (a zero pivot) is SuperLU's RuntimeError, which Newton rejects on
+    # LAPACK's info > 0, a zero pivot of the LU or a nonpositive one of LDL^T, is
+    # SuperLU's RuntimeError, which Newton rejects on
+    calls = []
+
     def zero_pivot(dl, d, du):
+        calls.append("dgttrf")
         return dl, d, du, d[2:], np.arange(1, d.size + 1, dtype=np.int32), 3
 
+    def nonpositive_pivot(d, e, overwrite_d=0, overwrite_e=0):
+        calls.append("dpttrf")
+        return d, e, 3
+
     monkeypatch.setattr(solver, "dgttrf", zero_pivot)
+    monkeypatch.setattr(solver, "dpttrf", nonpositive_pivot)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), 1.0)
-    with pytest.raises(RuntimeError):
-        op.shifted(2.0)
+    for shift in (-0.7, 2.0):
+        with pytest.raises(RuntimeError):
+            op.shifted(shift)
+    assert calls == ["dgttrf", "dpttrf"]
 
 
 def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
@@ -569,7 +593,7 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
     assert len(calls) > 1
 
 
-def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch):
+def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch, tridiagonal_routines):
     # tau - 2 e^{2u} starts ring-constant and indefinite: a factor without
     # pivoting (Cholesky) would fail there, and Newton would reject the step
     mesh = closed_sphere_mesh()
@@ -591,6 +615,7 @@ def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch
     assert not raised
     first_shift, first_factor = factors[0]
     assert first_shift < 0 and isinstance(first_factor, solver._FourierFactor)
+    assert tridiagonal_routines[0] == "dgttrf"
     monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, s: spla.splu((op.A + sp.diags(s * op.W)).tocsc()))
     forced = newton_solve_spherical(op, K0)
     assert np.max(np.abs(rep.solution - forced.solution)) <= 1e-8
@@ -617,6 +642,22 @@ def test_rotation_invariant_solves_factor_only_by_fourier(monkeypatch):
     error, rep = manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"))
     assert rep.bound_ok and error < 1e-3
     assert factors and all(isinstance(f, solver._FourierFactor) for f in factors), [type(f) for f in factors]
+
+
+def test_picard_and_the_merging_pair_factor_positive_shifts_by_ldlt(tridiagonal_routines):
+    # Picard's shift 2W and the pair's 2 W0 e^{2 u0} are positive on every dof:
+    # each factor is dpttrf's, and none pivots
+    hyperbolic = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
+    solves = {
+        "hyperbolic": lambda: hyperbolic_correction_solve(hyperbolic, 0.5, functools.partial(u0_truncated, order=4)),
+        "merging pair": lambda: merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025)),
+        "manufactured": lambda: manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet")),
+    }
+    for name, solve in solves.items():
+        tridiagonal_routines.clear()
+        solve()
+        assert "dpttrf" in tridiagonal_routines, name
+        assert set(tridiagonal_routines) == {"dpttrf", "dpttrs"}, (name, tridiagonal_routines)
 
 
 def readme_three_cone_mesh():
