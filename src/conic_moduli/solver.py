@@ -282,13 +282,16 @@ class ConicLaplacianOp:
         ``shift`` is a scalar or a per-dof array; the factor is the weak
         form of Delta + shift with the Dirichlet rings eliminated.  When
         shift * W is exactly constant on every ring the operator is
-        rotation-invariant and the factor is a ``_FourierFactor`` (no fill).
-        Otherwise it is a ``_BandFactor`` in ring order on rings of at most
+        rotation-invariant and the factor is a ``_FourierFactor`` (no fill):
+        LAPACK's tridiagonal LDL^T when every entry of shift * W is positive
+        (Picard's shift), its pivoting tridiagonal LU otherwise (Newton's
+        indefinite shift on a radial density).  Otherwise it is a
+        ``_BandFactor`` in ring order on rings of at most
         ``_BAND_MAX_NPHI`` nodes: LAPACK's band Cholesky when every entry of
         shift * W is positive (the gap's shift), its pivoting band LU
         otherwise (Newton's indefinite shift); and SuperLU's, in
         minimum-degree order on A + A^T, on wider rings.  An exactly
-        singular factor raises RuntimeError in all three cases.
+        singular factor raises RuntimeError in every case.
         """
         s = shift * self.W
         if self._constant_on_rings(s):
@@ -506,13 +509,15 @@ def picard_solve(
 
     Converges to the bounded solution of Delta v + e^{2v} - 1 = f under the
     contraction the maximum principle provides for small sup|f|; each linear
-    solve is direct.  Dirichlet rings take the values in ``boundary``, a
-    dict keyed by the mesh's Dirichlet sides "inner"/"outer" (default zero;
-    any other key raises ValueError).  The reported residual is recomputed
-    from scratch on the final iterate, and the discrete maximum-principle
-    bound sup|v| <= sup|f + Q(v)|/2 + tol is checked (it is exact for zero
-    boundary data).  ``tol`` must be positive and finite (ValueError
-    otherwise).
+    solve is direct, on one ``op.shifted(2.0)`` factor built before the first
+    iteration: positive definite, so on a rotation-invariant operator it is
+    the Fourier factor's LDL^T, with no pivoting.  Dirichlet rings take the
+    values in ``boundary``, a dict keyed by the mesh's Dirichlet sides
+    "inner"/"outer" (default zero; any other key raises ValueError).  The
+    reported residual is recomputed from scratch on the final iterate, and
+    the discrete maximum-principle bound sup|v| <= sup|f + Q(v)|/2 + tol is
+    checked (it is exact for zero boundary data).  ``tol`` must be positive
+    and finite (ValueError otherwise).
     """
     _require_finite_tol(tol)
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
