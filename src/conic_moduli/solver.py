@@ -470,6 +470,7 @@ class SolveReport:
     solution: Field
     residual_sup: float
     iterations: int
+    steps: int
     contraction: Optional[float] = None
     gap: Optional[float] = None
     sup_rhs: float = 0.0
@@ -518,6 +519,15 @@ def picard_solve(
     the discrete maximum-principle bound sup|v| <= sup|f + Q(v)|/2 + tol is
     checked (it is exact for zero boundary data).  ``tol`` must be positive
     and finite (ValueError otherwise).
+
+    The solve ends when the strong residual is at most ``tol``, or when an
+    iterate that moved by at most max(tol, eps (1 + sup|v|)) in sup norm
+    has its residual at the evaluation floor (``_evaluation_floor``), where
+    the residual's last digits are round-off: such an iterate is within
+    about c/(1 - c) tol of the fixed point, c the contraction (about 0.03
+    on the hyperbolic solves).  Above the floor a larger move keeps
+    iterating, and a round-off-sized one has stagnated (NonconvergenceError).
+    ``iterations`` and ``steps`` both count the linear solves.
     """
     _require_finite_tol(tol)
     f = np.asarray(f, dtype=float) * np.ones_like(op.density)
@@ -560,13 +570,16 @@ def picard_solve(
         residual = float(np.max(np.abs(resid)))
         if residual <= tol:
             break
-        if delta <= eps * (1.0 + float(np.max(np.abs(v)))):
-            # stagnated; acceptable only at the evaluation floor
+        roundoff = eps * (1.0 + float(np.max(np.abs(v))))
+        if delta <= max(tol, roundoff):
+            # moved by at most tol: accepted at the evaluation floor; above it a
+            # round-off-sized step has stagnated, and a larger one keeps iterating
             if residual <= _evaluation_floor(op, v, 2.0 * np.abs(v) + float(np.max(np.abs(rhs_grid)))):
                 break
-            raise NonconvergenceError(
-                f"stagnated at residual {residual:.3e} above the evaluation floor"
-            )
+            if delta <= roundoff:
+                raise NonconvergenceError(
+                    f"stagnated at residual {residual:.3e} above the evaluation floor"
+                )
 
     sup_rhs = float(np.max(np.abs(rhs_grid)))
     sup_v = float(np.max(np.abs(v_grid)))
@@ -574,6 +587,7 @@ def picard_solve(
         solution=v_grid,
         residual_sup=residual,
         iterations=iterations,
+        steps=iterations,
         contraction=contraction,
         sup_rhs=sup_rhs,
         sup_solution=sup_v,
@@ -742,13 +756,16 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     left, before the next is built, so one factor is alive at a time.  Each
     held step cuts the W-norm tenfold, so they need no budget of their own.
 
-    When the iterate's residual is at the floating-point evaluation floor,
-    the first step on a fresh factor that does not halve the W-norm ends the
-    solve untaken: such a step moves only round-off, so whether it is kept
-    would depend on the BLAS summation order.  60 factors, or 16 rejections
-    in a row, are a stall (NonconvergenceError).  ``iterations`` counts the
-    factors built, fresh steps kept, rejected or untaken; held steps are not
-    counted.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
+    When the iterate's residual is above ``tol`` but at the floating-point
+    evaluation floor, a kept step, fresh or held, that moved u by at most
+    ``tol`` in sup norm ends the solve, before another factor is built.
+    Failing that, the first step on a fresh factor that does not halve the
+    W-norm ends it untaken: such a step moves only round-off, so whether it
+    is kept would depend on the BLAS summation order.  60 factors, or 16
+    rejections in a row, are a stall (NonconvergenceError).  ``iterations``
+    counts the factors built, fresh steps kept, rejected or untaken;
+    ``steps`` counts every step tried, fresh or held, kept, rejected or
+    untaken.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
     over-damps: the Hessian's smallest W-eigenvalue near the solution is
     gap - 2, about 1.4 on the README case, so tau = 1 is its own scale, and
     with a fresh factor for every step the solve took 8-9 steps where 4-5
@@ -795,10 +812,11 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
     res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
-    tau, rejections, iterations = _NEWTON_TAU0, 0, 0
+    tau, rejections, iterations, steps = _NEWTON_TAU0, 0, 0, 0
     held = None  # factored()'s tuple while its steps cut the residual by _NEWTON_HOLD
     while res_sup > tol:
         fresh = held is None
+        steps += 1
         with np.errstate(over="ignore", invalid="ignore"):
             if not fresh:
                 y = held[0].solve(-(W * res))
@@ -823,8 +841,11 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         if not (kept and l2_new <= _NEWTON_HOLD * res_l2):
             held = None  # dropped before the next factor is built
         if kept:
+            moved = float(np.max(np.abs(u_new - u)))
             u, res, res_l2 = u_new, res_new, l2_new
             res_sup = float(np.max(np.abs(res)))
+            if res_sup > tol and moved <= tol and at_floor(u, res_sup):
+                break  # at the evaluation floor a kept step that moved u by at most tol ends the solve
         if fresh and kept:
             tau, rejections = max(0.3 * tau, 1e-12), 0
         elif fresh:
@@ -834,6 +855,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         solution=u_grid,
         residual_sup=res_sup,
         iterations=iterations,
+        steps=steps,
         sup_solution=float(np.max(np.abs(u_grid))),
         sup_rhs=float(np.max(np.abs(K0_dof - 1.0))),
     )

@@ -560,6 +560,60 @@ def test_picard_stagnation_above_the_floor_raises(monkeypatch):
         hyperbolic_correction_solve(mesh, 0.5, profile)
 
 
+def recorded_fourier_solves(monkeypatch):
+    """Every ``_FourierFactor.solve`` result, in call order: Picard's iterates on its one factor."""
+    solve, results = solver._FourierFactor.solve, []
+
+    def recorded(factor, b):
+        results.append(solve(factor, b))
+        return results[-1].copy()
+
+    monkeypatch.setattr(solver._FourierFactor, "solve", recorded)
+    return results
+
+
+def test_picard_ends_at_the_floor_once_an_iterate_moves_by_at_most_tol(monkeypatch):
+    # at r_min = 1e-8 the residual bottoms out above tol: the first iterate at the
+    # evaluation floor that moved by at most tol ends the solve, on iteration 7.
+    # With tol = 1e-18, below every update, the solve still iterates to round-off
+    # (10 iterations) and ends within tol of the first
+    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
+    profile = functools.partial(u0_truncated, order=4)
+    iterates = recorded_fourier_solves(monkeypatch)
+    rep = hyperbolic_correction_solve(mesh, 0.5, profile)
+    assert rep.iterations == rep.steps == len(iterates) == 7
+    assert rep.residual_sup > 1e-10 and np.max(np.abs(iterates[-1] - iterates[-2])) <= 1e-10
+    iterates.clear()
+    tight = hyperbolic_correction_solve(mesh, 0.5, profile, tol=1e-18)
+    assert tight.iterations == tight.steps == len(iterates) == 10
+    roundoff = np.finfo(float).eps * (1.0 + np.max(np.abs(iterates[-1])))
+    assert np.max(np.abs(iterates[-1] - iterates[-2])) <= roundoff
+    assert np.max(np.abs(rep.solution - tight.solution)) <= 1e-10
+
+
+def test_picard_above_the_floor_iterates_on_to_round_off(monkeypatch):
+    # with no evaluation floor an iterate that moved by at most tol is not
+    # accepted: the solve goes on until an iterate moves by round-off only, as
+    # the tol = 1e-18 run above does, and that stagnation raises
+    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
+    iterates = recorded_fourier_solves(monkeypatch)
+    monkeypatch.setattr(solver, "_evaluation_floor", lambda *args: 0.0)
+    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .* above the evaluation floor"):
+        hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
+    assert len(iterates) == 10
+    roundoff = np.finfo(float).eps * (1.0 + np.max(np.abs(iterates[-1])))
+    assert np.max(np.abs(iterates[-1] - iterates[-2])) <= roundoff
+
+
+def test_picard_readme_solve_ends_by_tol_before_the_floor():
+    # the README hyperbolic solve's residual reaches tol first, so the floor exit
+    # leaves it as it was
+    mesh = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
+    rep = hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
+    assert rep.iterations == rep.steps == 6
+    assert rep.residual_sup == 3.5448116664227314e-11
+
+
 # -- spherical solves ---------------------------------------------------------------
 
 
@@ -876,7 +930,51 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
     assert rep.gap > 2.0
     assert calls["gap"] == 1
     assert calls["newton"] + calls["gap"] <= 7  # 9 Newton factors when tau started at 1
-    assert calls["newton"] == rep.iterations  # 5, at one BLAS thread and at two
+    assert calls["newton"] == rep.iterations  # 2, at one BLAS thread and at two
+
+
+@pytest.mark.parametrize("nt,nphi,extent", [(193, 32, 7), (257, 40, 8)])
+def test_newton_ends_at_the_floor_once_a_kept_step_moves_by_at_most_tol(nt, nphi, extent, monkeypatch):
+    # (2/3)^3: the residual bottoms out above tol on the second factor, whose last
+    # kept step moves u by at most tol and ends the solve.  With tol = 1e-14, below
+    # that step, the solve goes on to a third factor whose step does not halve
+    # the residual and is left untaken (the floor exit without the update rule),
+    # so both runs return the same iterate and the same gap, one factor apart
+    shifted, built = ConicLaplacianOp.shifted, []
+
+    def counted(op, shift):
+        built.append(shift)
+        return shifted(op, shift)
+
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", counted)
+    mesh = FiberMesh(math.exp(-extent), math.exp(extent), nt, nphi, inner="pole", outer="pole")
+    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
+    op = assemble(mesh, density)
+    rep = newton_solve_spherical(op, K0(*mesh.grids()))
+    assert len(built) == rep.iterations == 2 and rep.residual_sup > 1e-10
+    built.clear()
+    tight = newton_solve_spherical(op, K0(*mesh.grids()), tol=1e-14)
+    assert len(built) == tight.iterations == 3 and tight.steps == rep.steps + 1
+    assert np.array_equal(rep.solution, tight.solution) and rep.residual_sup == tight.residual_sup
+    assert eigen_gap(op.conformal(rep.solution)) == eigen_gap(op.conformal(tight.solution))
+
+
+@pytest.mark.parametrize("nt,nphi,extent,steps", [(129, 24, 6, 6), (193, 32, 7, 7), (257, 40, 8, 7)])
+def test_newton_steps_count_every_step_and_iterations_every_factor(nt, nphi, extent, steps, monkeypatch):
+    # the README case refined: every step is one band solve, fresh or held, on 2
+    # factors each, at one BLAS thread and at two
+    band_solve, solves = solver._BandFactor.solve, []
+
+    def counted(factor, b):
+        solves.append(np.ndim(b))
+        return band_solve(factor, b)
+
+    monkeypatch.setattr(solver._BandFactor, "solve", counted)
+    mesh = FiberMesh(math.exp(-extent), math.exp(extent), nt, nphi, inner="pole", outer="pole")
+    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
+    rep = newton_solve_spherical(assemble(mesh, density), K0(*mesh.grids()))
+    assert rep.steps == len(solves) == steps
+    assert rep.iterations == solves.count(2) == 2
 
 
 @pytest.mark.parametrize(
