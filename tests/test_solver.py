@@ -731,8 +731,8 @@ def test_spherical_cone_solve_builds_no_superlu_factor(monkeypatch):
 def test_newton_holds_one_factor_at_a_time(monkeypatch):
     # each step's factor is dropped before the next is built, so no earlier
     # factor, and no band of one, is alive at a new one; every factor built is
-    # one iteration, also that of a last step that ends the solve untaken (the
-    # 4-cone default's sixth).  Rings of 24 nodes keep LAPACK's band LU
+    # one iteration (a last step left untaken builds one too, which the floor
+    # exit's tol = 1e-14 runs below check).  Rings of 24 nodes keep LAPACK's band LU
     # unblocked, so the counts do not depend on the BLAS thread count
     shifted, built = ConicLaplacianOp.shifted, []
 
@@ -803,7 +803,7 @@ def luo_tian_admissible_data(count, seed):
 
 def test_spherical_newton_converges_on_seeded_admissible_data():
     # every datum converges on the README mesh within 5 factors (at most 4 at
-    # one BLAS thread and at two; 178 in all, where factoring every step took 379)
+    # one BLAS thread and at two; 146 in all, where factoring every step took 379)
     mesh = readme_three_cone_mesh()
     for betas, points in luo_tian_admissible_data(80, seed=7):
         rep = spherical_cone_solve(betas, points, mesh)
