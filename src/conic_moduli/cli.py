@@ -4,14 +4,15 @@ Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output at a fixed BLAS thread count.  LAPACK's band factors
 (``dgbtrf``, ``dpbtrf``) sum their blocked BLAS calls in a thread-dependent
 order, so the last digits of ``solve spherical`` can move with it: (2/3)^3 at
-257x40 builds 3 Newton factors with one thread and with two, and its gap reads
-3.3901456499815077 with one and 3.3901456499815237 with two; CI and perfbench
-pin one thread.  All numeric payloads carry the package version and the seed
-in use.  Exit codes: 2 for malformed configuration (ValueError, OSError), 1
-for numeric failures (any ArithmeticError, which includes the solver's
-divergence, nonconvergence and football-degeneracy errors, an unconverged
-quadrature, and singular linear algebra), 0 otherwise -- verification failures
-are reported in the payload, not via the exit status.
+257x40 builds 2 Newton factors and takes 7 steps on them with one thread and
+with two, and its gap reads 3.3901456499815077 with one and 3.3901456499815237
+with two; CI and perfbench pin one thread.  All numeric payloads carry the
+package version and the seed in use.  Exit codes: 2 for malformed
+configuration (ValueError, OSError), 1 for numeric failures (any
+ArithmeticError, which includes the solver's divergence, nonconvergence and
+football-degeneracy errors, an unconverged quadrature, and singular linear
+algebra), 0 otherwise -- verification failures are reported in the payload,
+not via the exit status.
 Each command imports only the layers it runs: ``faces``, ``cones classify``,
 ``flat expand`` and the ``phg`` commands run on the standard library alone,
 ``charts verify``, ``flat probe`` and ``fit`` load numpy, and only the

@@ -180,8 +180,10 @@ def verdict(genus: int, curvature: int, betas: Sequence[Fraction]) -> tuple[Merg
     Gauss-Bonnet's sign rule comes first: chi(M, beta) = 2 - 2 genus +
     sum(beta_i - 1) must be positive for curvature 1, negative for -1 and
     zero for 0.  Then a parameter <= 0 is no cone; curvature <= 0 admits
-    every other case; on the sphere two equal angles are the football; else
-    Troyanov's inequalities.
+    every other case.  A parameter of 1 (an angle of 2 pi) marks a smooth
+    point, not a cone, so the rest counts only the others: on the sphere
+    none is the round sphere and two equal angles the football, the
+    degenerate family's boundary; else Troyanov's inequalities.
     """
     if not _sign_rule_holds(2 - 2 * genus + sum(betas, Fraction(0)) - len(betas), curvature):
         return MergeStatus.GAUSS_BONNET_VIOLATED, False
@@ -189,9 +191,10 @@ def verdict(genus: int, curvature: int, betas: Sequence[Fraction]) -> tuple[Merg
         return MergeStatus.ANGLE_OBSTRUCTED, False
     if curvature <= 0:
         return MergeStatus.ADMISSIBLE, False
-    if genus == 0 and len(betas) == 2 and betas[0] == betas[1]:
+    cones = [b for b in betas if b != 1]
+    if genus == 0 and (not cones or len(cones) == 2 and cones[0] == cones[1]):
         return MergeStatus.FOOTBALL_BOUNDARY, True
-    holds, at_eq = _troyanov_status(genus, betas)
+    holds, at_eq = _troyanov_status(genus, cones)
     return (MergeStatus.ADMISSIBLE if holds else MergeStatus.TROYANOV_VIOLATED), at_eq
 
 

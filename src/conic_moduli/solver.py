@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpbtrf, dpbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .cones import ConeData, MergeStatus, RationalLike, to_fraction, verdict
 from .extrapolate import decay_verdict, least_squares_slope
@@ -280,24 +280,26 @@ class ConicLaplacianOp:
         """Factorization of A + diag(shift * W), with a ``solve(b)`` method.
 
         ``shift`` is a scalar or a per-dof array; the factor is the weak
-        form of Delta + shift with the Dirichlet rings eliminated.  When
-        shift * W is exactly constant on every ring the operator is
-        rotation-invariant and the factor is a ``_FourierFactor`` (no fill):
-        LAPACK's tridiagonal LDL^T when every entry of shift * W is positive
-        (Picard's shift), its pivoting tridiagonal LU otherwise (Newton's
-        indefinite shift on a radial density).  Otherwise it is a
-        ``_BandFactor`` in ring order on rings of at most
-        ``_BAND_MAX_NPHI`` nodes: LAPACK's band Cholesky when every entry of
-        shift * W is positive (the gap's shift), its pivoting band LU
-        otherwise (Newton's indefinite shift); and SuperLU's, in
-        minimum-degree order on A + A^T, on wider rings.  An exactly
-        singular factor raises RuntimeError in every case.
+        form of Delta + shift with the Dirichlet rings eliminated.  The sign
+        of shift * W is tested once.  When every entry is positive and
+        equal (``==``) along every ring (Picard's 2W, the merging pair's
+        2 W0 e^{2 u0}) the operator is rotation-invariant and positive
+        definite, and the factor is a ``_FourierFactor``: LAPACK's
+        tridiagonal LDL^T per angular mode, with no fill.  Any other shift,
+        an indefinite one (Newton's tau - 2 e^{2u}, on any density) or a
+        positive one that varies along a ring (the gap's), is a
+        ``_BandFactor`` in ring order on rings of at most ``_BAND_MAX_NPHI``
+        nodes: LAPACK's band Cholesky when positive, its pivoting band LU
+        otherwise; and SuperLU's, in minimum-degree order on A + A^T, on
+        wider rings.  An exactly singular factor raises RuntimeError in
+        every case.
         """
         s = shift * self.W
-        if self._constant_on_rings(s):
+        positive = bool(np.all(s > 0))
+        if positive and self._constant_on_rings(s):
             return _FourierFactor(self, s)
         if self.mesh.nphi <= _BAND_MAX_NPHI:
-            return _BandFactor(self, s)
+            return _BandFactor(self, s, positive)
         return spla.splu((self.A + sp.diags(s)).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     @cached_property
@@ -370,27 +372,20 @@ def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Fiel
 
 
 class _FourierFactor:
-    """LDL^T or LU factor of A + diag(s) for s constant on every ring: one tridiagonal per angular mode.
+    """LDL^T factor of A + diag(s) for s > 0 constant on every ring: one tridiagonal per angular mode.
 
     The blocks of ``_mode_tridiagonals`` for the modes 0 .. nphi/2 of the
     real FFT sit in one tridiagonal with zero couplings between them,
-    factored once.  When every s > 0 (Picard's shift 2W) each block is
-    symmetric positive definite and LAPACK's dpttrf factors it as LDL^T
-    with no pivoting, in place; dpttrs solves.  Otherwise (a Newton shift
-    may be indefinite) LAPACK's pivoting dgttrf factors it; dgttrs solves.
-    Either solve takes all real and imaginary parts at once, in place.
+    factored once.  As s > 0 and A is semidefinite, each block is
+    symmetric positive definite, and LAPACK's dpttrf factors it as LDL^T
+    with no pivoting, in place; dpttrs solves for all real and imaginary
+    parts at once, in place.
     """
 
     def __init__(self, op: ConicLaplacianOp, s: Field):
         self.n, self.P, self.m, (self.lo, self.hi) = op.ndof, op.mesh.nphi, op.mesh.nt - 2, op._ends
         d, e = _mode_tridiagonals(op, s, self.P // 2 + 1)
-        d, e = d.ravel(), e.ravel()[:-1]
-        if np.all(s > 0):
-            *self.lu, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            self._solve = dpttrs
-        else:
-            *self.lu, info = dgttrf(e, d, e)
-            self._solve = dgttrs
+        *self.ldl, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
 
@@ -403,7 +398,7 @@ class _FourierFactor:
         y = np.zeros((2, k, P // 2 + 1, lo + m + hi))  # (real|imag, column, mode, row of its block)
         y[0, :, :, lo : lo + m], y[1, :, :, lo : lo + m] = f.real.T, f.imag.T
         y[0, :, 0, :lo], y[0, :, 0, lo + m :] = x[:lo].T, x[n - hi :].T  # a pole has no imaginary part
-        y = self._solve(*self.lu, y.reshape(2 * k, -1).T, overwrite_b=1)[0].T.reshape(y.shape)
+        y = dpttrs(*self.ldl, y.reshape(2 * k, -1).T, overwrite_b=1)[0].T.reshape(y.shape)
         f.real[...], f.imag[...] = y[0, :, :, lo : lo + m].T, y[1, :, :, lo : lo + m].T
         out = np.empty((n, k))
         out[:lo], out[n - hi :] = y[0, :, 0, :lo].T, y[0, :, 0, lo + m :].T
@@ -419,18 +414,19 @@ class _BandFactor:
     sits at nphi - 1 and a collapsed ring couples to its neighbour's nphi
     dofs, so A + diag(s) is banded with half-bandwidth nphi.  ``op.A``'s CSR
     entries are written into LAPACK's band storage, Fortran ordered so that
-    LAPACK factors it in place.  When every s > 0 the matrix is symmetric
-    positive definite (A is semidefinite): its upper entries go to row
-    nphi + i - j of column j, (nphi + 1) ndof doubles, and dpbtrf factors
-    them by Cholesky; dpbtrs solves.  Otherwise (a Newton shift may be
-    indefinite) every entry goes to row 2 nphi + i - j, with nphi rows left
-    for the fill of row interchanges, (3 nphi + 1) ndof doubles, and dgbtrf
-    factors it by LU with pivoting; dgbtrs solves.
+    LAPACK factors it in place.  ``positive`` is ``shifted``'s test that
+    every s > 0; then the matrix is symmetric positive definite (A is
+    semidefinite): its upper entries go to row nphi + i - j of column j,
+    (nphi + 1) ndof doubles, and dpbtrf factors them by Cholesky; dpbtrs
+    solves.  Otherwise (Newton's indefinite shift) every entry goes to row
+    2 nphi + i - j, with nphi rows left for the fill of row interchanges,
+    (3 nphi + 1) ndof doubles, and dgbtrf factors it by LU with pivoting;
+    dgbtrs solves.
     """
 
-    def __init__(self, op: ConicLaplacianOp, s: Field):
+    def __init__(self, op: ConicLaplacianOp, s: Field, positive: bool):
         P = self.P = op.mesh.nphi
-        if np.all(s > 0):
+        if positive:
             upper, at = op._upper_band_at
             ab = np.zeros((P + 1, op.ndof), order="F")
             ab.reshape(-1, order="F")[at] = op.A.data[upper]
@@ -739,10 +735,10 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     F reduced over the constants:
     (A + W (tau - 2 e^{2u}) + 2 q q^T / M) d = -W r with q = W e^{2u}, one
     ``op.shifted`` factor for both right-hand sides plus a Sherman-Morrison
-    update.  On a non-radial density the shift varies along rings, so the
-    factor is a band on rings of at most ``_BAND_MAX_NPHI`` nodes (LU, as
-    the shift is indefinite) and SuperLU's on wider ones.  That Hessian is
-    positive at a solution whose spectral gap exceeds 2, so the shift tau
+    update.  The shift is indefinite, so on any density, radial or not, the
+    factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
+    SuperLU's on wider ones.  That Hessian is positive at a solution whose
+    spectral gap exceeds 2, so the shift tau
     only damps: a step is kept when the W-norm of the residual drops (tau
     shrinks by 0.3), otherwise it is rejected and tau grows by 4.
 
@@ -761,7 +757,10 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     ``tol`` in sup norm ends the solve, before another factor is built.
     Failing that, the first step on a fresh factor that does not halve the
     W-norm ends it untaken: such a step moves only round-off, so whether it
-    is kept would depend on the BLAS summation order.  60 factors, or 16
+    is kept would depend on the BLAS summation order.  When that is the
+    step from the start itself (the start's floor test cannot change before
+    a step is kept, so it is then the first step), nothing has been solved:
+    NonconvergenceError names the start's residual.  60 factors, or 16
     rejections in a row, are a stall (NonconvergenceError).  ``iterations``
     counts the factors built, fresh steps kept, rejected or untaken;
     ``steps`` counts every step tried, fresh or held, kept, rejected or
@@ -836,6 +835,8 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
         if fresh and l2_new > 0.5 * res_l2 and at_floor(u, res_sup):
+            if steps == 1:  # the step from the start itself
+                raise NonconvergenceError(f"the start's residual {res_sup:.3e} is at the evaluation floor: nothing was solved")
             break  # at the evaluation floor a step that does not halve the residual moves only round-off
         kept = l2_new < res_l2 if fresh else l2_new <= 0.5 * res_l2
         if not (kept and l2_new <= _NEWTON_HOLD * res_l2):
@@ -877,24 +878,28 @@ def spherical_cone_solve(
     any solve, and the background is built, on the same exact angles (floats
     snapped by ``to_fraction``): a parameter that is not positive raises
     ValueError, as do angles with chi(beta) = 2 + sum(beta_i - 1) <= 0
-    (Gauss-Bonnet leaves no positive area), whatever the largest beta; two
-    equal angles raise FootballDegeneracyError, and one cone point (the
-    teardrop), two unequal angles, or all beta < 1 against the Luo-Tian
-    inequalities raise ValueError, because no metric exists.  The gap of the
-    solved metric is computed on ``op.conformal(u)``, which shares Newton's
-    stiffness, so one A is built per solve, and the solve is rejected at or
-    below 2 + _GAP_MARGIN (football degeneracy).
+    (Gauss-Bonnet leaves no positive area), whatever the largest beta.  A
+    point with beta = 1 is smooth: it stays in the background, where its
+    terms vanish, but counts as no cone below.  No cone or two of equal
+    angles raise FootballDegeneracyError, and one cone point (the
+    teardrop), two of unequal angles, or all cones' beta < 1 against the
+    Luo-Tian inequalities raise ValueError, because no metric exists.  The
+    gap of the solved metric is computed on ``op.conformal(u)``, which
+    shares Newton's stiffness, so one A is built per solve, and the solve
+    is rejected at or below 2 + _GAP_MARGIN (football degeneracy).
     """
     exact = ConeData.of(0, betas, 1).beta
     status, _ = verdict(0, 1, exact)
     named = ", ".join(map(str, betas))
+    cones = [b for b in exact if b != 1]  # an angle of 2 pi is a smooth point
     if status is MergeStatus.FOOTBALL_BOUNDARY:
-        raise FootballDegeneracyError("two equal cone angles: the degenerate family with spectral gap exactly 2")
+        what = "two equal cone angles" if cones else "no cone point"
+        raise FootballDegeneracyError(f"{what}: the degenerate family with spectral gap exactly 2")
     if status is MergeStatus.GAUSS_BONNET_VIOLATED:
         raise ValueError(f"cone angles {named} have chi(beta) <= 0: Gauss-Bonnet leaves no spherical metric")
-    if len(exact) == 1:
-        raise ValueError(f"one cone point of angle {named}: no spherical metric has exactly one cone point")
-    if status is not MergeStatus.ADMISSIBLE and (len(exact) == 2 or max(exact) < 1):
+    if len(cones) == 1:
+        raise ValueError(f"one cone point of angle {cones[0]}: no spherical metric has exactly one cone point")
+    if status is not MergeStatus.ADMISSIBLE and (len(cones) == 2 or max(cones) < 1):
         raise ValueError(f"cone angles {named} violate the Luo-Tian inequalities: no spherical metric")
     density, K0 = singular_sphere_background(exact, finite_points)
     op = assemble(mesh, density)

@@ -15,24 +15,28 @@ def spherical_existence_gate(betas) -> None:
     """The spherical solve's refusal of cone data, written out by cases in exact rationals.
 
     Angles with chi(beta) = 2 + sum(beta_i - 1) <= 0 leave Gauss-Bonnet no
-    positive area (ValueError).  One cone point admits no metric
-    (ValueError).  Two equal angles are the football
-    (FootballDegeneracyError), two unequal angles admit no metric
-    (ValueError), and with all beta < 1 the Luo-Tian inequalities
-    1 - beta_i < sum_{j != i} (1 - beta_j), for every i, decide (ValueError);
-    any other data pass.
+    positive area (ValueError).  A point with beta = 1 is smooth, not a
+    cone, and the rest counts only the cones.  No cone is the round sphere
+    and two equal angles the football (FootballDegeneracyError), one cone
+    point or two unequal angles admit no metric (ValueError), and with
+    every cone's beta < 1 the Luo-Tian inequalities
+    1 - beta_i < sum_{j != i} (1 - beta_j), for every i, decide
+    (ValueError); any other data pass.
     """
     bs = [Fraction(b) for b in betas]
     defects = [1 - b for b in bs]
     if 2 - sum(defects) <= 0:
         raise ValueError("no positive area")
-    if len(bs) == 1:
+    cones = [b for b in bs if b != 1]
+    if not cones:
+        raise FootballDegeneracyError("no cone point")
+    if len(cones) == 1:
         raise ValueError("one cone point")
-    if len(bs) == 2:
-        if bs[0] == bs[1]:
+    if len(cones) == 2:
+        if cones[0] == cones[1]:
             raise FootballDegeneracyError("two equal cone angles")
         raise ValueError("two unequal cone angles")
-    if max(bs) < 1 and any(d >= sum(defects) - d for d in defects):
+    if max(cones) < 1 and any(d >= sum(defects) - d for d in defects):
         raise ValueError("Luo-Tian inequalities violated")
 
 

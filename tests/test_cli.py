@@ -177,6 +177,11 @@ REFUSALS = {
         ["solve", "spherical", "--beta", "3", "--points", ";"], "one cone point of angle 3: no spherical metric"
     ),
     # the default layout of one angle has no finite point: the library's refusal
+    # a point with beta = 1 is smooth, so these are two cones of unequal angles;
+    # counted as three, they used to exit 0 with spectral_gap 2.914
+    "spherical_two_cones_and_a_smooth_point": (
+        ["solve", "spherical", "--beta", "1/2,1,1/3"], "cone angles 1/2, 1, 1/3 violate the Luo-Tian"
+    ),
     "spherical_one_cone_default_layout": (
         ["solve", "spherical", "--beta", "3"], "one cone point of angle 3: no spherical metric"
     ),
@@ -300,6 +305,36 @@ def test_football_solve_exits_1(capsys):
     )
     assert rc == 1
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize("betas", ["1,1/2,1/2", "1/3,1,1,1/3"])
+def test_football_with_smooth_marked_points_exits_1(betas, capsys):
+    # two equal cones and smooth points (beta = 1): the football, whose exact gap
+    # is 2; counted as cones, these exited 0 with gaps 2.124 and 2.188
+    rc, out, err = run(capsys, "solve", "spherical", "--beta", betas)
+    assert rc == 1
+    assert out == ""
+    assert err == "numeric error: two equal cone angles: the degenerate family with spectral gap exactly 2\n"
+
+
+def test_smooth_marked_point_leaves_the_solve_unchanged(capsys):
+    # a point with beta = 1 adds nothing to the background, so the payload is the
+    # three-cone solve's, byte for byte, apart from the angles it echoes
+    rc, out, _ = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,1,2/3", "--points", "0,0;1,0;-1,0")
+    assert rc == 0
+    three = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,2/3", "--points", "0,0;1,0")
+    assert three[0] == 0
+    assert out == three[1].replace('"beta": "2/3,2/3,2/3"', '"beta": "2/3,2/3,1,2/3"')
+
+
+def test_newton_from_a_start_at_the_evaluation_floor_exits_1(capsys):
+    # at extent 1e-9 the floor is above the start's residual, and Newton's first
+    # step does not halve it: this used to exit 0 with the unsolved start,
+    # residual_sup 2128653.995767803 and spectral_gap 1.49e18
+    rc, out, err = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "1e-9")
+    assert rc == 1
+    assert out == ""
+    assert err == "numeric error: the start's residual 2.129e+06 is at the evaluation floor: nothing was solved\n"
 
 
 # a probe whose quadrature stops short of QUAD_RTOL; each used to exit 0 with the

@@ -200,11 +200,39 @@ def test_verdict_applies_gauss_bonnet_sign_rule_first(genus, curvature, betas):
 
 @pytest.mark.parametrize(
     "genus, curvature, betas",
-    [(0, 0, ["1/2"] * 4), (0, -1, ["1/3"] * 4), (1, 0, ["1/2", "3/2"]), (0, 1, ["2/3"] * 3)],
+    [
+        (0, 0, ["1/2"] * 4),
+        (0, -1, ["1/3"] * 4),
+        (1, 0, ["1/2", "3/2"]),
+        (0, 1, ["2/3"] * 3),
+        # off the sphere a beta = 1 entry changes neither chi(M, beta) nor the positivity test
+        (1, 0, ["1"]),
+        (2, -1, ["1", "1/2"]),
+    ],
 )
 def test_verdict_passes_the_sign_rule_on_consistent_data(genus, curvature, betas):
     d = ConeData.of(genus, betas, curvature)
     assert verdict(genus, curvature, d.beta) == (MergeStatus.ADMISSIBLE, False)
+
+
+@pytest.mark.parametrize(
+    "betas, status, at_equality",
+    [
+        (["1"] * 3, MergeStatus.FOOTBALL_BOUNDARY, True),  # the round sphere; was TroyanovViolated
+        (["1", "1/2", "1/2"], MergeStatus.FOOTBALL_BOUNDARY, True),  # was TroyanovViolated at equality
+        (["1/3", "1", "1", "1/3"], MergeStatus.FOOTBALL_BOUNDARY, True),
+        (["1/2", "1", "1/3"], MergeStatus.TROYANOV_VIOLATED, False),  # two unequal cones
+        (["2/3", "2/3", "1", "2/3"], MergeStatus.ADMISSIBLE, False),
+    ],
+    ids=["round-sphere", "football-and-one-point", "football-and-two-points", "two-unequal-cones", "three-cones"],
+)
+def test_verdict_reads_beta_one_as_a_smooth_point(betas, status, at_equality):
+    # on the sphere a beta = 1 point is no cone; Troyanov's slack over the other
+    # cones is unchanged by it, so only the football count moves
+    assert verdict(0, 1, ConeData.of(0, betas, 1).beta) == (status, at_equality)
+    cones = [b for b in betas if b != "1"]
+    if len(cones) > 2:
+        assert verdict(0, 1, ConeData.of(0, cones, 1).beta) == (status, at_equality)
 
 
 def test_positive_curvature_requires_small_angles():

@@ -277,45 +277,51 @@ def band_routines(monkeypatch):
 
 @pytest.fixture
 def tridiagonal_routines(monkeypatch):
-    return spied_routines(monkeypatch, ("dgttrf", "dgttrs", "dpttrf", "dpttrs"))
+    return spied_routines(monkeypatch, ("dpttrf", "dpttrs"))
 
 
 @pytest.mark.parametrize("inner,outer", RING_KINDS + [("dirichlet", "pole")])
 @pytest.mark.parametrize("shift", [2.0, 1e-3, -0.7, "per-ring"])
-def test_fourier_factor_matches_superlu(inner, outer, shift, tridiagonal_routines):
-    # a positive shift is factored by LDL^T, any other (the per-ring shift is 0
-    # on a collapsed ring at r = 1) by LU with pivoting
+def test_fourier_factor_matches_superlu(inner, outer, shift, tridiagonal_routines, band_routines):
+    # a ring-constant shift is factored by the Fourier LDL^T exactly when it is
+    # positive on every dof; any other (-0.7, and the per-ring shift, which is 0
+    # on a collapsed ring at r = 1) by the band LU, with pivoting
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner, outer), radial_density)
     if shift == "per-ring":  # a ring-constant per-dof array
         shift = op.grid_to_dof(np.broadcast_to(1.0 - op.mesh.r[:, None], op.density.shape))
-    factored, solved = ("dpttrf", "dpttrs") if np.all(shift * op.W > 0) else ("dgttrf", "dgttrs")
+    positive = np.all(shift * op.W > 0)
     factor = op.shifted(shift)
-    assert isinstance(factor, solver._FourierFactor)
+    assert isinstance(factor, solver._FourierFactor if positive else solver._BandFactor)
     reference = spla.splu((op.A + sp.diags(shift * op.W)).tocsc())
     rng = np.random.default_rng(5)
     for b in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 2))):
         got, want = factor.solve(b), reference.solve(b)
         assert got.shape == b.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    assert tridiagonal_routines == [factored, solved, solved]
+    calls = ["dpttrf", "dpttrs", "dpttrs"] if positive else ["dgbtrf", "dgbtrs", "dgbtrs"]
+    assert tridiagonal_routines + band_routines == calls
 
 
 @pytest.mark.parametrize("nphi, kind", [(8, solver._BandFactor), (64, solver._BandFactor), (66, spla.SuperLU)])
 def test_shifted_dispatches_on_ring_constancy_and_ring_width(nphi, kind, band_routines):
-    # a density or a shift that varies along a ring has no Fourier factor; it is
-    # a band on rings of at most _BAND_MAX_NPHI nodes, Cholesky's for a positive
-    # shift and LU's otherwise, and SuperLU's past them
-    factored = ["dpbtrf", "dgbtrf"] if kind is solver._BandFactor else []
+    # a density or a shift that varies along a ring, and a shift that is not
+    # positive on every dof, has no Fourier factor; it is a band on rings of at
+    # most _BAND_MAX_NPHI nodes, Cholesky's for a positive shift and LU's
+    # otherwise, and SuperLU's past them
+    band = kind is solver._BandFactor
     bumpy = assemble(FiberMesh(0.05, 1.0, 17, nphi), bumpy_density)
     assert isinstance(bumpy.shifted(2.0), kind)
     assert isinstance(bumpy.shifted(-0.7), kind)
-    assert band_routines == factored
+    assert band_routines == (["dpbtrf", "dgbtrf"] if band else [])
     band_routines.clear()
-    op = assemble(FiberMesh(0.05, 1.0, 17, nphi), radial_density)
+    op = assemble(FiberMesh(0.05, 1.0, 17, nphi, outer="pole"), radial_density)
     waves = np.cos(np.broadcast_to(op.mesh.phi, op.density.shape))
     assert isinstance(op.shifted(op.grid_to_dof(2.0 + waves)), kind)
     assert isinstance(op.shifted(op.grid_to_dof(waves)), kind)  # indefinite
-    assert band_routines == factored
+    # ring-constant and indefinite: -0.7, and a per-ring shift that is 0 on the collapsed ring at r = 1
+    assert isinstance(op.shifted(-0.7), kind)
+    assert isinstance(op.shifted(op.grid_to_dof(np.broadcast_to(1.0 - op.mesh.r[:, None], op.density.shape))), kind)
+    assert band_routines == (["dpbtrf", "dgbtrf", "dgbtrf", "dgbtrf"] if band else [])
     assert isinstance(op.shifted(2.0), solver._FourierFactor)
 
 
@@ -339,25 +345,18 @@ def test_band_factor_matches_dense_solve(inner, outer, shift, band_routines):
 
 
 def test_fourier_factor_raises_on_an_exactly_singular_factor(monkeypatch):
-    # LAPACK's info > 0, a zero pivot of the LU or a nonpositive one of LDL^T, is
-    # SuperLU's RuntimeError, which Newton rejects on
+    # LAPACK's info > 0, a nonpositive pivot of LDL^T, is SuperLU's RuntimeError
     calls = []
-
-    def zero_pivot(dl, d, du):
-        calls.append("dgttrf")
-        return dl, d, du, d[2:], np.arange(1, d.size + 1, dtype=np.int32), 3
 
     def nonpositive_pivot(d, e, overwrite_d=0, overwrite_e=0):
         calls.append("dpttrf")
         return d, e, 3
 
-    monkeypatch.setattr(solver, "dgttrf", zero_pivot)
     monkeypatch.setattr(solver, "dpttrf", nonpositive_pivot)
     op = assemble(FiberMesh(0.05, 1.0, 17, 8, inner="pole", outer="pole"), 1.0)
-    for shift in (-0.7, 2.0):
-        with pytest.raises(RuntimeError):
-            op.shifted(shift)
-    assert calls == ["dgttrf", "dpttrf"]
+    with pytest.raises(RuntimeError):
+        op.shifted(2.0)
+    assert calls == ["dpttrf"]
 
 
 def test_band_factor_raises_on_an_exactly_singular_factor(monkeypatch):
@@ -647,9 +646,14 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
     assert len(calls) > 1
 
 
-def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch, tridiagonal_routines):
+def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(
+    monkeypatch, tridiagonal_routines, band_routines
+):
     # tau - 2 e^{2u} starts ring-constant and indefinite: a factor without
-    # pivoting (Cholesky) would fail there, and Newton would reject the step
+    # pivoting (Cholesky) would fail there, and Newton would reject the step.
+    # The shift's sign, not its ring-constancy, picks the factor, so from the
+    # first step on every factor is the band LU: the iterate's round-off along
+    # rings, which ends ring-constancy after a few steps, changes nothing
     mesh = closed_sphere_mesh()
     op = assemble(mesh, round_sphere_density)
     r, _ = mesh.grids()
@@ -667,9 +671,11 @@ def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(monkeypatch
     monkeypatch.setattr(ConicLaplacianOp, "shifted", recorded)
     rep = newton_solve_spherical(op, K0)
     assert not raised
-    first_shift, first_factor = factors[0]
-    assert first_shift < 0 and isinstance(first_factor, solver._FourierFactor)
-    assert tridiagonal_routines[0] == "dgttrf"
+    assert factors[0][0] < 0
+    assert all(isinstance(factor, solver._BandFactor) for _, factor in factors), [type(f) for _, f in factors]
+    assert (rep.iterations, rep.steps) == (len(factors), 40) == (34, 40)
+    assert band_routines.count("dgbtrf") == 34 and set(band_routines) == {"dgbtrf", "dgbtrs"}
+    assert tridiagonal_routines == []
     monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, s: spla.splu((op.A + sp.diags(s * op.W)).tocsc()))
     forced = newton_solve_spherical(op, K0)
     assert np.max(np.abs(rep.solution - forced.solution)) <= 1e-8
