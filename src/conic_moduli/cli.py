@@ -5,7 +5,7 @@ byte-identical output at a fixed BLAS thread count.  LAPACK's band factors
 (``dgbtrf``, ``dpbtrf``) sum their blocked BLAS calls in a thread-dependent
 order, so the last digits of ``solve spherical`` can move with it: (2/3)^3 at
 257x40 builds 2 Newton factors and takes 7 steps on them with one thread and
-with two, and its gap reads 3.3901456499815077 with one and 3.3901456499815237
+with two, and its gap reads 3.3901456499815095 with one and 3.3901456499815277
 with two; CI and perfbench pin one thread.  All numeric payloads carry the
 package version and the seed in use.  Exit codes: 2 for malformed
 configuration (ValueError, OSError), 1 for numeric failures (any

@@ -654,17 +654,20 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     ||T|| is near 1e9, and on the round sphere at 2049x256 the constants' 0
     read -1.1e-8 and the gap was 5.9e-8 off, relative.
 
-    Otherwise the gap is the eigenvalue nearest sigma = -1e-3 on the
-    W-orthogonal complement of the constants, found by ARPACK's shift-invert
-    Lanczos on one ``op.shifted(1e-3)`` factor: the shift is positive, so on
-    rings of at most ``_BAND_MAX_NPHI`` nodes it is a band Cholesky, whose
-    solves read a third of an LU band.  The constants' 0 is known
-    exactly, so it is left out rather than resolved: the W-mean is removed
-    from the start vector and from every solve's result, and ARPACK is
-    asked for one eigenvalue.  The inverse maps the complement to itself,
-    so the removal only keeps round-off from growing the constants back.
-    The start vector is fixed, so no random start is drawn.  ARPACK's
-    failure to converge raises NonconvergenceError.
+    Otherwise the gap is the smallest eigenvalue on the W-orthogonal
+    complement of the constants, found by ARPACK's Lanczos in standard mode
+    on one ``op.shifted(1e-3)`` factor: the shift is positive, so on rings
+    of at most ``_BAND_MAX_NPHI`` nodes it is a band Cholesky, whose solves
+    read a third of an LU band.  In y = W^{1/2} x the pencil is the
+    symmetric S = W^{1/2} (A + 1e-3 W)^{-1} W^{1/2}, whose largest
+    eigenvalue theta gives the gap -1e-3 + 1/theta, so ARPACK makes no mass
+    products.  The constants' 0 is known exactly, so it is left out rather
+    than resolved: their unit vector W^{1/2} 1 / sqrt(sum W) is removed from
+    the start vector and from every product, and ARPACK is asked for one
+    eigenvalue.  S maps the complement to itself, so the removal only keeps
+    round-off from growing the constants back.  The start vector is fixed,
+    so no random start is drawn.  ARPACK's failure to converge raises
+    NonconvergenceError.
     """
     _require_closed_fiber(op, "eigen_gap")
     n = op.ndof
@@ -677,27 +680,30 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
         mode0 = eigh_tridiagonal(d[0], e[0], select_range=(1, 1), **bisect)[0]
         mode1 = eigh_tridiagonal(d[1, 1:-1], e[1, 1:-1], select_range=(0, 0), **bisect)[0]  # rings only
         return float(min(mode0, mode1))
-    W, lu = op.W, op.shifted(1e-3)
-    mass = float(np.sum(W))
+    lu, root = op.shifted(1e-3), np.sqrt(op.W)
+    unit = root / math.sqrt(np.sum(op.W))  # the constants, in y = W^{1/2} x
 
-    def deflated(x: Field) -> Field:  # x minus its W-mean: W-orthogonal to the constants
-        return x - (W @ x) / mass
+    def deflated(y: Field) -> Field:  # y minus its part along the constants
+        return y - (unit @ y) * unit
 
-    inverse = spla.LinearOperator((n, n), matvec=lambda b: deflated(lu.solve(b)), dtype=float)
+    inverse = spla.LinearOperator((n, n), matvec=lambda y: deflated(root * lu.solve(root * y)), dtype=float)
     try:
-        # ncv = 8 Lanczos vectors.  On the solved cone metrics that reach this
-        # path ((2/3)^3 at 65x16, 129x24, 193x32, 257x40 and 513x64, 1/2,1/3,1/4
-        # at 129x24 and 257x48, (1/2)^3, the 4-cone default and five cones) the
-        # gap agreed with ARPACK's default of 20 within 2e-15 relative and took
-        # 10.2 vs 12.5 ms at 129x24, 36.9 vs 45.3 ms at 257x40 (2-core Xeon VM,
-        # one BLAS thread)
-        vals = spla.eigsh(
-            op.A, k=1, M=sp.diags(W), sigma=-1e-3, OPinv=inverse, ncv=8,
-            v0=deflated(np.cos(np.arange(n))), tol=1e-10, return_eigenvectors=False,
+        # ncv = 10 Lanczos vectors.  On acceptance 8's series ((2/3)^3 at 129x24,
+        # 193x32 and 257x40) 10 takes 16 band solves where 8 takes 17 and ARPACK's
+        # default of 20 takes 21: 1.87, 5.29 and 8.85 ms against 1.94, 5.50 and
+        # 9.26 (8) and 2.38, 6.69 and 10.96 (20), 2-core Xeon VM, one BLAS thread.
+        # Elsewhere the count moves either way (1/2,1/3,1/4 at 129x24: 16 against
+        # 13 at 8; (2/3)^3 at 513x64, extent 8: 21 against 17), and on 80 seeded
+        # Luo-Tian-admissible data at 129x24 every ncv from 6 to 12 took 1154-1224
+        # solves in all (10: 1200, 8: 1176).  The gaps agreed with ncv = 20
+        # within 1.3e-15 relative
+        theta = spla.eigsh(
+            inverse, k=1, ncv=10, v0=deflated(root * np.cos(np.arange(n))), tol=1e-10,
+            return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:
-        raise NonconvergenceError("shift-invert Lanczos did not converge") from exc
-    return float(vals[0])
+        raise NonconvergenceError("Lanczos did not converge") from exc
+    return float(-1e-3 + 1.0 / theta[0])
 
 
 # ---------------------------------------------------------------------------

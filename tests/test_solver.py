@@ -1183,11 +1183,26 @@ def test_eigen_gap_matches_dense_generalized_eigensolver(operator, monkeypatch):
     assert eigen_gap(op) == pytest.approx(dense[1], rel=1e-8)
 
 
+def generalized_mode_gap(op, factor):
+    """The larger of the two eigenvalues nearest -1e-3 on the whole space.
+
+    ARPACK's generalized shift-invert mode on the pencil (A, diag(W)), with
+    its mass products: a check independent of ``eigen_gap``'s standard form.
+    """
+    inverse = spla.LinearOperator(op.A.shape, matvec=factor.solve, dtype=float)
+    both = spla.eigsh(
+        op.A, k=2, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse, ncv=8,
+        v0=np.cos(np.arange(op.ndof)), tol=1e-10, return_eigenvectors=False,
+    )
+    return max(both)
+
+
 @pytest.mark.parametrize("half_width, nt, nphi", [(6.0, 129, 24), (7.0, 193, 32), (8.0, 257, 40)])
 def test_eigen_gap_leaves_out_the_constants(half_width, nt, nphi, monkeypatch):
-    # Lanczos on the W-orthogonal complement of the constants asks for the gap
-    # alone: at most 17 band solves on these solved metrics, where asking for
-    # the two eigenvalues nearest -1e-3 (the constants' 0 and the gap) took 24
+    # Lanczos on the complement of the constants asks for the gap alone: at
+    # most 16 band solves on these solved metrics, where generalized
+    # shift-invert mode took 17 and asking it for the two eigenvalues nearest
+    # -1e-3 (the constants' 0 and the gap) took 24
     mesh = FiberMesh(math.exp(-half_width), math.exp(half_width), nt, nphi, inner="pole", outer="pole")
     op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
     shifted, solves = ConicLaplacianOp.shifted, []
@@ -1202,14 +1217,17 @@ def test_eigen_gap_leaves_out_the_constants(half_width, nt, nphi, monkeypatch):
 
     monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, shift: Counted(shifted(op, shift)))
     gap = eigen_gap(op)
-    assert 0 < len(solves) <= 17
-    # the two eigenvalues nearest -1e-3 on the whole space, the larger the gap
-    inverse = spla.LinearOperator(op.A.shape, matvec=shifted(op, 1e-3).solve, dtype=float)
-    both = spla.eigsh(
-        op.A, k=2, M=sp.diags(op.W), sigma=-1e-3, OPinv=inverse, ncv=8,
-        v0=np.cos(np.arange(op.ndof)), tol=1e-10, return_eigenvectors=False,
-    )
-    assert gap == pytest.approx(max(both), rel=1e-13)
+    assert 0 < len(solves) <= 16
+    assert gap == pytest.approx(generalized_mode_gap(op, shifted(op, 1e-3)), rel=1e-13)
+
+
+def test_eigen_gap_where_the_mass_falls_to_1e_9(monkeypatch):
+    # at extent 12 the pole rings' mass W falls to 1.3e-9, and the standard
+    # form scales every solve by W^{1/2} on both sides
+    mesh = FiberMesh(math.exp(-12), math.exp(12), 257, 48, inner="pole", outer="pole")
+    op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
+    assert op.W.min() < 2e-9
+    assert eigen_gap(op) == pytest.approx(generalized_mode_gap(op, op.shifted(1e-3)), rel=1e-13)
 
 
 def lanczos_gap(op):
