@@ -658,16 +658,16 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     complement of the constants, found by ARPACK's Lanczos in standard mode
     on one ``op.shifted(1e-3)`` factor: the shift is positive, so on rings
     of at most ``_BAND_MAX_NPHI`` nodes it is a band Cholesky, whose solves
-    read a third of an LU band.  In y = W^{1/2} x the pencil is the
-    symmetric S = W^{1/2} (A + 1e-3 W)^{-1} W^{1/2}, whose largest
-    eigenvalue theta gives the gap -1e-3 + 1/theta, so ARPACK makes no mass
-    products.  The constants' 0 is known exactly, so it is left out rather
-    than resolved: their unit vector W^{1/2} 1 / sqrt(sum W) is removed from
-    the start vector and from every product, and ARPACK is asked for one
-    eigenvalue.  S maps the complement to itself, so the removal only keeps
-    round-off from growing the constants back.  The start vector is fixed,
-    so no random start is drawn.  ARPACK's failure to converge raises
-    NonconvergenceError.
+    read a third of an LU band.  In y = W^{1/2} x the pencil's inverse at
+    -1e-3 is the symmetric S = W^{1/2} (A + 1e-3 W)^{-1} W^{1/2}, so ARPACK
+    makes no mass products; its largest eigenvalue theta on the complement
+    gives the gap -1e-3 + 1/theta.  The constants' 0 is known exactly, so
+    it is left out rather than resolved: their unit vector
+    W^{1/2} 1 / sqrt(sum W) is removed from the start vector and from every
+    product, and ARPACK is asked for one eigenvalue.  S maps the complement
+    to itself, so the removal only keeps round-off from growing the
+    constants back.  The start vector is fixed, so no random start is
+    drawn.  ARPACK's failure to converge raises NonconvergenceError.
     """
     _require_closed_fiber(op, "eigen_gap")
     n = op.ndof
