@@ -4,9 +4,9 @@ Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output at a fixed BLAS thread count.  LAPACK's band factors
 (``dgbtrf``, ``dpbtrf``) sum their blocked BLAS calls in a thread-dependent
 order, so the last digits of ``solve spherical`` can move with it: (2/3)^3 at
-257x40 builds 2 Newton factors and takes 7 steps on them with one thread and
-with two, and its gap reads 3.3901456499815095 with one and 3.3901456499815277
-with two; CI and perfbench pin one thread.  All numeric payloads carry the
+257x40, extent 8, builds 2 Newton factors and takes 6 steps on them with one
+thread and with two, and its gap reads 3.3901456499491265 with one and
+3.3901456499491367 with two; CI and perfbench pin one thread.  All numeric payloads carry the
 package version and the seed in use.  Exit codes: 2 for malformed
 configuration (ValueError, OSError), 1 for numeric failures (any
 ArithmeticError, which includes the solver's divergence, nonconvergence and

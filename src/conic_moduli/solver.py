@@ -318,31 +318,7 @@ class ConicLaplacianOp:
         return upper, (P + i[upper] + P * self.A.indices[upper].astype(np.int64)).astype(np.int32)
 
 
-# Widest ring factored as a band.  The LU band holds (3 nphi + 1) ndof doubles,
-# about 24 nt nphi^2 bytes, the Cholesky band (nphi + 1) ndof, about
-# 8 nt nphi^2, where SuperLU holds its fill.  One factor of the 3-cone operator
-# (half-width 6), each built after the last was dropped: SuperLU -> the LU band
-# (shift -W) -> the Cholesky band (shift +W); the factor, one solve, and the
-# RSS the first live factor adds in a fresh process (2-core Intel Xeon VM, one
-# BLAS thread; median of 15):
-#              factor ms             solve ms              MB
-#   129x24     3.8 ->   0.8 ->   0.5  0.11 ->  0.11 ->  0.06   1.6 ->   2.0 ->   1.0
-#   193x32     7.2 ->   1.7 ->   1.4  0.22 ->  0.26 ->  0.18   3.0 ->   4.8 ->   1.9
-#   257x40    12.8 ->   4.9 ->   3.2  0.38 ->  0.58 ->  0.25   5.1 ->   9.7 ->   3.6
-#   385x48    26.3 ->   8.1 ->   7.4  0.72 ->  1.16 ->  0.61   9.4 ->  20.6 ->   7.2
-#   513x64    51.3 ->  27.5 ->  17.5  1.66 ->  3.52 ->  1.32  16.8 ->  48.5 ->  16.6
-#   1025x128 286.4 -> 264.5 -> 142.8  9.32 -> 37.98 -> 13.65  82.4 -> 385.4 -> 129.7
-# 1025x128 is past the cut, where shifted is SuperLU's; its bands were timed
-# with the cut raised.  An LU solve reads the whole band twice, so at 513x64 it
-# is slower than SuperLU's; a Cholesky solve reads a third of that.  (2/3)^3 at 513x64 (half-width 6) on bands -> on SuperLU alone, three
-# runs each: Newton's 3 factors and 8 solves 0.081 + 0.026 s -> 0.14 + 0.013 s,
-# the gap 0.047 s (its factor and 17 solves) -> 0.078 s, the solve 0.17 -> 0.25 s.
-# Up to 385x48 glibc hands a dropped band back to the next factor with no page
-# faults.  The 50 MB LU band of 513x64 is above the largest block glibc ever
-# serves from its heap (32 MB), so every factor there gets fresh pages; numpy
-# asks for transparent huge pages, which the VM above grants in its "madvise"
-# mode.  With THP "never" each 4 KB page would fault; that case is unmeasured.
-# At 2049x256 the LU band would hold 3.2 GB.
+# widest ring factored as a band, set by the LU band's 24 nt nphi^2 bytes (timings: CHANGES.md, "Band widths")
 _BAND_MAX_NPHI = 64
 
 
@@ -516,13 +492,15 @@ def picard_solve(
     checked (it is exact for zero boundary data).  ``tol`` must be positive
     and finite (ValueError otherwise).
 
-    The solve ends when the strong residual is at most ``tol``, or when an
-    iterate that moved by at most max(tol, eps (1 + sup|v|)) in sup norm
-    has its residual at the evaluation floor (``_evaluation_floor``), where
-    the residual's last digits are round-off: such an iterate is within
-    about c/(1 - c) tol of the fixed point, c the contraction (about 0.03
-    on the hyperbolic solves).  Above the floor a larger move keeps
-    iterating, and a round-off-sized one has stagnated (NonconvergenceError).
+    The solve ends when the residual's W-norm per unit area,
+    ||r||_W / sqrt(sum W), is at most ``tol``, or when an iterate moves by
+    at most ``tol`` in sup norm: the update is the correction, so that
+    iterate is within about c/(1 - c) tol of the fixed point, c the
+    contraction.  An update of round-off size still above ``tol`` has
+    stagnated, and a solve that needs more than ``maxit`` iterations has
+    not converged (both NonconvergenceError); a contraction factor of 1 or
+    more raises DivergenceError.  ``residual_sup`` is the sup of the final
+    iterate's strong residual, which can exceed ``tol`` where W is tiny.
     ``iterations`` and ``steps`` both count the linear solves.
     """
     _require_finite_tol(tol)
@@ -536,7 +514,7 @@ def picard_solve(
         lift[ring[side], :] = values
     b_lift = op.weak_form(lift)
     lu = op.shifted(2.0)
-    eps = float(np.finfo(float).eps)
+    eps, area = float(np.finfo(float).eps), float(np.sum(op.W))
 
     # each iterate's grid field, f + Q(v) and load vector, computed once for every use below
     v = np.zeros(op.ndof)
@@ -552,10 +530,10 @@ def picard_solve(
         iterations += 1
         v_new = lu.solve(load - b_lift)
         delta = float(np.max(np.abs(v_new - v)))
+        roundoff = eps * (1.0 + float(np.max(np.abs(v_new))))
         if prev_delta is not None and prev_delta > 0 and delta > 0:
             contraction = delta / prev_delta
-            noise = 1e3 * eps * (1.0 + float(np.max(np.abs(v_new))))
-            if contraction >= 1.0 and delta > max(tol, noise):
+            if contraction >= 1.0 and delta > max(tol, 1e3 * roundoff):
                 raise DivergenceError(f"contraction factor {contraction:.3f} >= 1 at iteration {iterations}")
         v, prev_delta = v_new, delta
         v_grid = op.dof_to_grid(v) + lift
@@ -563,25 +541,18 @@ def picard_solve(
         load = op.ring_sum(rhs_grid * op.cell_mass)
         # Delta v + 2v - f - Q(v), rebuilt from scratch in the weak form
         resid = op.weak_form(v_grid) / op.W + 2.0 * v - load / op.W
-        residual = float(np.max(np.abs(resid)))
-        if residual <= tol:
+        if delta <= tol or float(resid @ (op.W * resid)) <= tol * tol * area:
             break
-        roundoff = eps * (1.0 + float(np.max(np.abs(v))))
-        if delta <= max(tol, roundoff):
-            # moved by at most tol: accepted at the evaluation floor; above it a
-            # round-off-sized step has stagnated, and a larger one keeps iterating
-            if residual <= _evaluation_floor(op, v, 2.0 * np.abs(v) + float(np.max(np.abs(rhs_grid)))):
-                break
-            if delta <= roundoff:
-                raise NonconvergenceError(
-                    f"stagnated at residual {residual:.3e} above the evaluation floor"
-                )
+        if delta <= roundoff:
+            raise NonconvergenceError(
+                f"stagnated at residual {float(np.max(np.abs(resid))):.3e}: tol is below round-off"
+            )
 
     sup_rhs = float(np.max(np.abs(rhs_grid)))
     sup_v = float(np.max(np.abs(v_grid)))
     return SolveReport(
         solution=v_grid,
-        residual_sup=residual,
+        residual_sup=float(np.max(np.abs(resid))),
         iterations=iterations,
         steps=iterations,
         contraction=contraction,
@@ -589,13 +560,6 @@ def picard_solve(
         sup_solution=sup_v,
         bound_ok=sup_v <= 0.5 * sup_rhs + tol,
     )
-
-
-def _evaluation_floor(op: ConicLaplacianOp, u: Field, other: Union[float, Field]) -> float:
-    """1000 eps max((|A||u|)/W + other): below it a strong residual is round-off, not progress."""
-    A = op.A  # |A| shares A's index arrays: abs(A) would copy them too
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    return 1000.0 * float(np.finfo(float).eps) * float(np.max((abs_A @ np.abs(u)) / op.W + other))
 
 
 def hyperbolic_correction_solve(
@@ -650,9 +614,8 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
     mode 0's second eigenvalue and mode 1's first.  Each block, scaled by
     W^{-1/2} on both sides, goes to LAPACK's bisection (dstebz, through
     ``scipy.linalg.eigh_tridiagonal``) with the smallest positive tolerance.
-    The default, eps ||T||, is too loose: pole rows have W near 1e-6, so
-    ||T|| is near 1e9, and on the round sphere at 2049x256 the constants' 0
-    read -1.1e-8 and the gap was 5.9e-8 off, relative.
+    The default, eps ||T||, is too loose: small pole masses W make ||T||
+    large.
 
     Otherwise the gap is the smallest eigenvalue on the W-orthogonal
     complement of the constants, found by ARPACK's Lanczos in standard mode
@@ -688,15 +651,7 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 
     inverse = spla.LinearOperator((n, n), matvec=lambda y: deflated(root * lu.solve(root * y)), dtype=float)
     try:
-        # ncv = 10 Lanczos vectors.  On acceptance 8's series ((2/3)^3 at 129x24,
-        # 193x32 and 257x40) 10 takes 16 band solves where 8 takes 17 and ARPACK's
-        # default of 20 takes 21: 1.87, 5.29 and 8.85 ms against 1.94, 5.50 and
-        # 9.26 (8) and 2.38, 6.69 and 10.96 (20), 2-core Xeon VM, one BLAS thread.
-        # Elsewhere the count moves either way (1/2,1/3,1/4 at 129x24: 16 against
-        # 13 at 8; (2/3)^3 at 513x64, extent 8: 21 against 17), and on 80 seeded
-        # Luo-Tian-admissible data at 129x24 every ncv from 6 to 12 took 1154-1224
-        # solves in all (10: 1200, 8: 1176).  The gaps agreed with ncv = 20
-        # within 1.3e-15 relative
+        # ncv = 10 takes the fewest solves on acceptance 8's series (CHANGES.md, "Lanczos vectors")
         theta = spla.eigsh(
             inverse, k=1, ncv=10, v0=deflated(root * np.cos(np.arange(n))), tol=1e-10,
             return_eigenvectors=False,
@@ -713,18 +668,9 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 # factor budget of the spherical Newton, kept and rejected steps alike (a step
 # on a held factor builds none and is not counted)
 _NEWTON_MAXIT = 60
-# the damping shift's start, 1e-3 of the reduced Hessian's scale (Levenberg-
-# Marquardt's customary start).  On 80 seeded Luo-Tian-admissible data (3-5
-# cones, 129x24) every solve converged from 1, 1e-2, 1e-3 and 1e-4, in 717,
-# 454, 371 and 353 steps in all, with gaps equal within 4e-10 relative; the
-# README 3-cone case took 4 steps from 1e-3, and 1e-4 added a step at 193x32
-# (each step on a fresh factor, before ``_NEWTON_HOLD``)
+# the damping shift's start, 1e-3 of the reduced Hessian's scale (CHANGES.md, "Damping start")
 _NEWTON_TAU0 = 1e-3
-# a factor is held for the next step while its steps cut the residual's W-norm
-# by this.  On the 80 seeded data above (129x24, one BLAS thread) factoring
-# every step built 379 factors; holding at 1/2, 1/10 and 1/100 built 137, 178
-# and 227 in 917, 590 and 455 steps, each sweep 0.56-0.59 s, and the README
-# 3-cone case at 129x24, 193x32 and 257x40 built 1/2/2, 2/3/3 and 3/4/4
+# a factor is held while its steps cut the residual's W-norm by this (CHANGES.md, "Factor hold")
 _NEWTON_HOLD = 0.1
 # a solved spherical metric is refused when its spectral gap is <= 2 + this
 _GAP_MARGIN = 0.05
@@ -744,9 +690,10 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     update.  The shift is indefinite, so on any density, radial or not, the
     factor is a band LU on rings of at most ``_BAND_MAX_NPHI`` nodes and
     SuperLU's on wider ones.  That Hessian is positive at a solution whose
-    spectral gap exceeds 2, so the shift tau
-    only damps: a step is kept when the W-norm of the residual drops (tau
-    shrinks by 0.3), otherwise it is rejected and tau grows by 4.
+    spectral gap exceeds 2, so the shift tau, which starts at
+    ``_NEWTON_TAU0``, only damps: a step is kept when the W-norm of the
+    residual drops (tau shrinks by 0.3), otherwise it is rejected and tau
+    grows by 4.
 
     A factor whose step cut the W-norm at least tenfold (``_NEWTON_HOLD``)
     is held, with its q, z and Sherman-Morrison denominator, and the next
@@ -758,23 +705,17 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     left, before the next is built, so one factor is alive at a time.  Each
     held step cuts the W-norm tenfold, so they need no budget of their own.
 
-    When the iterate's residual is above ``tol`` but at the floating-point
-    evaluation floor, a kept step, fresh or held, that moved u by at most
-    ``tol`` in sup norm ends the solve, before another factor is built.
-    Failing that, the first step on a fresh factor that does not halve the
-    W-norm ends it untaken: such a step moves only round-off, so whether it
-    is kept would depend on the BLAS summation order.  When that is the
-    step from the start itself (the start's floor test cannot change before
-    a step is kept, so it is then the first step), nothing has been solved:
-    NonconvergenceError names the start's residual.  60 factors, or 16
-    rejections in a row, are a stall (NonconvergenceError).  ``iterations``
-    counts the factors built, fresh steps kept, rejected or untaken;
-    ``steps`` counts every step tried, fresh or held, kept, rejected or
-    untaken.  tau starts at ``_NEWTON_TAU0`` = 1e-3.  A start at 1
-    over-damps: the Hessian's smallest W-eigenvalue near the solution is
-    gap - 2, about 1.4 on the README case, so tau = 1 is its own scale, and
-    with a fresh factor for every step the solve took 8-9 steps where 4-5
-    did from 1e-3.
+    The solve has converged when the residual's W-norm per unit area,
+    ||r||_W / sqrt(sum W), is at most ``tol``, or when an undamped Newton
+    correction moves u by at most ``tol`` in sup norm (Deuflhard's
+    correction test): a step on a fresh factor built at
+    tau <= ``_NEWTON_TAU0``, whose iterate is taken only if the step is
+    kept.  When that is the step from the start, nothing was solved
+    (NonconvergenceError).  60 factors, or 16 rejections in a row, are a
+    stall (NonconvergenceError).  ``residual_sup`` is the sup of the final
+    iterate's strong residual, which can exceed ``tol`` where W is tiny.
+    ``iterations`` counts the factors built, fresh steps kept or rejected;
+    ``steps`` counts every step tried, fresh or held.
 
     K0 is the smooth curvature of the background on the grid; ValueError is
     raised unless sum W K0 > 0, and unless 0 < ``tol`` < inf.  The football
@@ -803,9 +744,6 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
             val = float(res @ (W * res))
         return math.sqrt(val) if math.isfinite(val) else math.inf
 
-    def at_floor(u_dof: Field, sup: float) -> bool:
-        return sup <= _evaluation_floor(op, u_dof, np.abs(K0_dof) + np.exp(2 * np.abs(u_dof).max()))
-
     def factored(u_dof: Field, res: Field, tau: float) -> tuple[tuple, Field]:
         """A fresh factor at u with q = W e^{2u}, its z solving for q and 1 + 2 q.z / M; and its y solving for -W res."""
         e2u = np.exp(2 * u_dof)
@@ -816,17 +754,17 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
 
     u = normalized(np.zeros(op.ndof))
     res = residual_dof(u)
-    res_sup, res_l2 = float(np.max(np.abs(res))), l2w(res)
+    res_l2, target = l2w(res), tol * math.sqrt(float(np.sum(W)))  # the W-norm per unit area at most tol
     tau, rejections, iterations, steps = _NEWTON_TAU0, 0, 0, 0
     held = None  # factored()'s tuple while its steps cut the residual by _NEWTON_HOLD
-    while res_sup > tol:
+    while res_l2 > target:
         fresh = held is None
         steps += 1
         with np.errstate(over="ignore", invalid="ignore"):
             if not fresh:
                 y = held[0].solve(-(W * res))
             elif iterations >= _NEWTON_MAXIT or rejections >= 16:
-                raise NonconvergenceError(f"Newton stalled at residual {res_sup:.3e}")
+                raise NonconvergenceError(f"Newton stalled at residual {float(np.max(np.abs(res))):.3e}")
             else:
                 iterations += 1
                 try:  # no factor is alive here, so one is alive at a time
@@ -840,19 +778,20 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
                 u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / denominator)
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
-        if fresh and l2_new > 0.5 * res_l2 and at_floor(u, res_sup):
-            if steps == 1:  # the step from the start itself
-                raise NonconvergenceError(f"the start's residual {res_sup:.3e} is at the evaluation floor: nothing was solved")
-            break  # at the evaluation floor a step that does not halve the residual moves only round-off
         kept = l2_new < res_l2 if fresh else l2_new <= 0.5 * res_l2
+        if fresh and tau <= _NEWTON_TAU0 and float(np.max(np.abs(u_new - u))) <= tol:  # an undamped correction
+            if steps == 1:
+                sup = float(np.max(np.abs(res)))
+                raise NonconvergenceError(
+                    f"the step from the start moves u by at most tol at residual {sup:.3e}: nothing was solved"
+                )
+            if kept:
+                u, res = u_new, res_new
+            break
         if not (kept and l2_new <= _NEWTON_HOLD * res_l2):
             held = None  # dropped before the next factor is built
         if kept:
-            moved = float(np.max(np.abs(u_new - u)))
             u, res, res_l2 = u_new, res_new, l2_new
-            res_sup = float(np.max(np.abs(res)))
-            if res_sup > tol and moved <= tol and at_floor(u, res_sup):
-                break  # at the evaluation floor a kept step that moved u by at most tol ends the solve
         if fresh and kept:
             tau, rejections = max(0.3 * tau, 1e-12), 0
         elif fresh:
@@ -860,7 +799,7 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
     u_grid = op.dof_to_grid(u)
     return SolveReport(
         solution=u_grid,
-        residual_sup=res_sup,
+        residual_sup=float(np.max(np.abs(res))),
         iterations=iterations,
         steps=steps,
         sup_solution=float(np.max(np.abs(u_grid))),

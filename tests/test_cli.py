@@ -327,14 +327,45 @@ def test_smooth_marked_point_leaves_the_solve_unchanged(capsys):
     assert out == three[1].replace('"beta": "2/3,2/3,2/3"', '"beta": "2/3,2/3,1,2/3"')
 
 
-def test_newton_from_a_start_at_the_evaluation_floor_exits_1(capsys):
-    # at extent 1e-9 the floor is above the start's residual, and Newton's first
-    # step does not halve it: this used to exit 0 with the unsolved start,
-    # residual_sup 2128653.995767803 and spectral_gap 1.49e18
+def test_newton_refuses_a_start_it_cannot_move_exits_1(capsys):
+    # at extent 1e-9 the step from the start moves u by at most tol, so nothing was
+    # solved: this used to exit 0 with the unsolved start, residual_sup
+    # 2128653.995767803 and spectral_gap 1.49e18
     rc, out, err = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "1e-9")
     assert rc == 1
     assert out == ""
-    assert err == "numeric error: the start's residual 2.129e+06 is at the evaluation floor: nothing was solved\n"
+    assert err == (
+        "numeric error: the step from the start moves u by at most tol at residual 2.129e+06: nothing was solved\n"
+    )
+
+
+def test_newton_that_cannot_reach_tol_exits_1(capsys):
+    # at extent 40 the residual's W-norm per unit area stalls near 2.4e-4 and no
+    # correction is at most tol, so the solve stalls.  The evaluation floor
+    # accepted it with exit 0, residual_sup 144642414.3598114 and gap 2.707 after
+    # 3 factors
+    rc, out, err = run(capsys, "solve", "spherical", "--beta", "2/3,2/3,2/3", "--extent", "40")
+    assert rc == 1
+    assert out == ""
+    assert err == "numeric error: Newton stalled at residual 8.036e+07\n"
+
+
+def test_newton_at_extent_24_exits_1_at_one_blas_thread(tmp_path):
+    # 1025x48 at extent 24: the W-norm per unit area stalls near 7e-9, where it is
+    # round-off, and noise-level rejections lift tau above _NEWTON_TAU0 before a
+    # correction of at most tol is seen, so the solve stalls.  The evaluation floor
+    # accepted it with exit 0, residual_sup 0.005545090820243655 and gap 20.565
+    # after 2 factors.  Its verdict depends on the BLAS thread count (at two the
+    # rejections fall differently and a fresh correction of 1e-12 ends it with
+    # exit 0), so it runs at one thread, as CI and perfbench pin
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    argv = ["solve", "spherical", "--beta", "1/2,1/3,1/4", "--mesh", "1025x48", "--extent", "24"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "conic_moduli.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr == "numeric error: Newton stalled at residual 4.900e-03\n"
 
 
 # a probe whose quadrature stops short of QUAD_RTOL; each used to exit 0 with the

@@ -224,22 +224,6 @@ def test_fourier_solve_transient_is_a_few_right_hand_sides():
     assert peak <= 4 * b.nbytes
 
 
-def test_evaluation_floor_transient_is_the_data_and_a_few_vectors():
-    # abs(A) copied A's index arrays as well, which traced 5.0 vectors over the data here
-    op = assemble(FiberMesh(0.05, 1.0, 513, 64, "pole", "pole"), bumpy_density)
-    u = np.cos(np.arange(op.ndof))
-    other = np.abs(np.sin(np.arange(op.ndof)))
-    reference = 1000 * np.finfo(float).eps * np.max((abs(op.A) @ np.abs(u)) / op.W + other)
-    tracemalloc.start()
-    try:
-        floor = solver._evaluation_floor(op, u, other)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert floor == reference
-    assert peak <= op.A.data.nbytes + 3 * u.nbytes
-
-
 def test_shifted_factorization_matches_dense_solve():
     op = assemble(FiberMesh(0.05, 1.0, 12, 8, inner="pole", outer="dirichlet"), bumpy_density)
     rng = np.random.default_rng(1)
@@ -513,17 +497,6 @@ def test_picard_manufactured_convergence_ratio():
     assert 0.8 * 4 <= e1 / e2 <= 1.2 * 4
 
 
-def test_picard_floor_acceptance_does_not_depend_on_maxit():
-    # tol below the evaluation floor: the iterate accepted at the floor on
-    # iteration 8 is accepted whether or not 8 is the last allowed one
-    mesh = FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet")
-    _, roomy = manufactured_error(mesh, tol=1e-18, maxit=100)
-    _, tight = manufactured_error(mesh, tol=1e-18, maxit=roomy.iterations)
-    assert roomy.iterations == tight.iterations == 8
-    assert 0 < tight.residual_sup == roomy.residual_sup < 1e-12
-    assert np.array_equal(tight.solution, roomy.solution)
-
-
 def test_picard_sup_bound_holds():
     op = assemble(annulus(48, 16), 1.0)
     r, phi = annulus(48, 16).grids()
@@ -547,18 +520,6 @@ def test_picard_budget_raises():
         manufactured_error(mesh, maxit=2)
 
 
-def test_picard_stagnation_above_the_floor_raises(monkeypatch):
-    # at r_min = 1e-8 the hyperbolic solve stagnates above tol and is accepted
-    # at the evaluation floor; without that floor the same stagnation is refused
-    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
-    profile = functools.partial(u0_truncated, order=4)
-    rep = hyperbolic_correction_solve(mesh, 0.5, profile)
-    assert rep.residual_sup > 1e-10
-    monkeypatch.setattr(solver, "_evaluation_floor", lambda *args: 0.0)
-    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .* above the evaluation floor"):
-        hyperbolic_correction_solve(mesh, 0.5, profile)
-
-
 def recorded_fourier_solves(monkeypatch):
     """Every ``_FourierFactor.solve`` result, in call order: Picard's iterates on its one factor."""
     solve, results = solver._FourierFactor.solve, []
@@ -571,42 +532,40 @@ def recorded_fourier_solves(monkeypatch):
     return results
 
 
-def test_picard_ends_at_the_floor_once_an_iterate_moves_by_at_most_tol(monkeypatch):
-    # at r_min = 1e-8 the residual bottoms out above tol: the first iterate at the
-    # evaluation floor that moved by at most tol ends the solve, on iteration 7.
-    # With tol = 1e-18, below every update, the solve still iterates to round-off
-    # (10 iterations) and ends within tol of the first
+def test_picard_stagnates_when_tol_is_below_round_off(monkeypatch):
+    # tol = 1e-18 is below every update the iterates can make and below the
+    # residual's W-norm: at r_min = 1e-8 the solve goes on until an iterate moves
+    # by round-off only (10 iterations) and raises; so does the manufactured solve
+    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
+    iterates = recorded_fourier_solves(monkeypatch)
+    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .*: tol is below round-off"):
+        hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4), tol=1e-18)
+    assert len(iterates) == 10
+    roundoff = np.finfo(float).eps * (1.0 + np.max(np.abs(iterates[-1])))
+    assert np.max(np.abs(iterates[-1] - iterates[-2])) <= roundoff
+    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .*: tol is below round-off"):
+        manufactured_error(FiberMesh(0.05, 1.0, 65, 16, inner="dirichlet", outer="dirichlet"), tol=1e-18)
+
+
+def test_picard_at_r_min_1e_8_ends_by_the_w_norm_per_area(monkeypatch):
+    # at r_min = 1e-8 the pole-side rows, with W down to about r^2, keep the
+    # residual's sup above tol: the W-norm per unit area ends the solve on
+    # iteration 6 (the evaluation floor it replaces took 7), with an update still
+    # above tol, so the update rule did not.  The reported sup is the final
+    # iterate's, and the iterate is within tol of a solve to tol = 1e-14
     mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
     profile = functools.partial(u0_truncated, order=4)
     iterates = recorded_fourier_solves(monkeypatch)
     rep = hyperbolic_correction_solve(mesh, 0.5, profile)
-    assert rep.iterations == rep.steps == len(iterates) == 7
-    assert rep.residual_sup > 1e-10 and np.max(np.abs(iterates[-1] - iterates[-2])) <= 1e-10
-    iterates.clear()
-    tight = hyperbolic_correction_solve(mesh, 0.5, profile, tol=1e-18)
-    assert tight.iterations == tight.steps == len(iterates) == 10
-    roundoff = np.finfo(float).eps * (1.0 + np.max(np.abs(iterates[-1])))
-    assert np.max(np.abs(iterates[-1] - iterates[-2])) <= roundoff
+    assert rep.iterations == rep.steps == len(iterates) == 6
+    assert rep.residual_sup > 1e-10 and np.max(np.abs(iterates[-1] - iterates[-2])) > 1e-10
+    tight = hyperbolic_correction_solve(mesh, 0.5, profile, tol=1e-14)
     assert np.max(np.abs(rep.solution - tight.solution)) <= 1e-10
 
 
-def test_picard_above_the_floor_iterates_on_to_round_off(monkeypatch):
-    # with no evaluation floor an iterate that moved by at most tol is not
-    # accepted: the solve goes on until an iterate moves by round-off only, as
-    # the tol = 1e-18 run above does, and that stagnation raises
-    mesh = FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet")
-    iterates = recorded_fourier_solves(monkeypatch)
-    monkeypatch.setattr(solver, "_evaluation_floor", lambda *args: 0.0)
-    with pytest.raises(solver.NonconvergenceError, match="stagnated at residual .* above the evaluation floor"):
-        hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
-    assert len(iterates) == 10
-    roundoff = np.finfo(float).eps * (1.0 + np.max(np.abs(iterates[-1])))
-    assert np.max(np.abs(iterates[-1] - iterates[-2])) <= roundoff
-
-
 def test_picard_readme_solve_ends_by_tol_before_the_floor():
-    # the README hyperbolic solve's residual reaches tol first, so the floor exit
-    # leaves it as it was
+    # the README hyperbolic solve's residual sup and its W-norm per unit area
+    # reach tol on the same iteration, so the payload is the sup-norm stop's
     mesh = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
     rep = hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
     assert rep.iterations == rep.steps == 6
@@ -618,6 +577,19 @@ def test_picard_readme_solve_ends_by_tol_before_the_floor():
 
 def closed_sphere_mesh(L=5.0, nt=97, nphi=16):
     return FiberMesh(math.exp(-L), math.exp(L), nt, nphi, inner="pole", outer="pole")
+
+
+def w_norm_per_area(op, K0, u):
+    """||r||_W / sqrt(sum W) of the spherical residual r = A u / W + K0 - e^{2u} at a grid field u."""
+    x = op.grid_to_dof(u)
+    r = op.A @ x / op.W + op.ring_sum(K0 * op.cell_mass) / op.W - np.exp(2 * x)
+    return math.sqrt(float(r @ (op.W * r)) / float(np.sum(op.W)))
+
+
+def solved_operator(betas, points, mesh):
+    """The background operator and K0 grid of ``spherical_cone_solve``'s Newton for these data."""
+    density, K0 = singular_sphere_background(betas, points)
+    return assemble(mesh, density), K0(*mesh.grids())
 
 
 def test_newton_round_sphere_is_exact_start():
@@ -673,7 +645,7 @@ def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(
     assert not raised
     assert factors[0][0] < 0
     assert all(isinstance(factor, solver._BandFactor) for _, factor in factors), [type(f) for _, f in factors]
-    assert (rep.iterations, rep.steps) == (len(factors), 40) == (34, 40)
+    assert (rep.iterations, rep.steps) == (len(factors), 39) == (34, 39)
     assert band_routines.count("dgbtrf") == 34 and set(band_routines) == {"dgbtrf", "dgbtrs"}
     assert tridiagonal_routines == []
     monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, s: spla.splu((op.A + sp.diags(s * op.W)).tocsc()))
@@ -737,9 +709,9 @@ def test_spherical_cone_solve_builds_no_superlu_factor(monkeypatch):
 def test_newton_holds_one_factor_at_a_time(monkeypatch):
     # each step's factor is dropped before the next is built, so no earlier
     # factor, and no band of one, is alive at a new one; every factor built is
-    # one iteration (a last step left untaken builds one too, which the floor
-    # exit's tol = 1e-14 runs below check).  Rings of 24 nodes keep LAPACK's band LU
-    # unblocked, so the counts do not depend on the BLAS thread count
+    # one iteration, a last step's that is not kept too.  Rings of 24 nodes keep
+    # LAPACK's band LU unblocked, so the counts do not depend on the BLAS thread
+    # count
     shifted, built = ConicLaplacianOp.shifted, []
 
     def tracked(op, shift):
@@ -808,12 +780,16 @@ def luo_tian_admissible_data(count, seed):
 
 
 def test_spherical_newton_converges_on_seeded_admissible_data():
-    # every datum converges on the README mesh within 5 factors (at most 4 at
-    # one BLAS thread and at two; 146 in all, where factoring every step took 379)
+    # every datum converges on the README mesh within 3 factors, 125 in all at one
+    # BLAS thread and at two (the sup-norm stop with its evaluation floor built
+    # 146, and factoring every step 379)
     mesh = readme_three_cone_mesh()
+    factors = 0
     for betas, points in luo_tian_admissible_data(80, seed=7):
         rep = spherical_cone_solve(betas, points, mesh)
-        assert rep.residual_sup <= 1e-8 and rep.iterations <= 5 and rep.gap > 2.0, (betas, points)
+        assert rep.residual_sup <= 1e-8 and rep.iterations <= 3 and rep.gap > 2.0, (betas, points)
+        factors += rep.iterations
+    assert factors == 125
 
 
 def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
@@ -884,11 +860,12 @@ def test_spherical_cone_solve_three_cones():
 
 
 def test_spherical_cone_solve_perturbed_configuration():
-    # perturbed cone position: still converges below 1e-10 at desk scale,
-    # gap regression recorded at first build
+    # perturbed cone position: the residual's W-norm per unit area still converges
+    # below 1e-10 at desk scale (its sup reads 1.01e-10), gap regression recorded
+    # at first build
     mesh = FiberMesh(math.exp(-6), math.exp(6), 129, 24, inner="pole", outer="pole")
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.1 + 0.1j], mesh)
-    assert rep.residual_sup < 1e-10
+    assert w_norm_per_area(*solved_operator([2 / 3] * 3, [0j, 1.1 + 0.1j], mesh), rep.solution) <= 1e-10
     assert rep.gap == pytest.approx(3.2786, abs=2e-3)
 
 
@@ -940,12 +917,13 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
 
 
 @pytest.mark.parametrize("nt,nphi,extent", [(193, 32, 7), (257, 40, 8)])
-def test_newton_ends_at_the_floor_once_a_kept_step_moves_by_at_most_tol(nt, nphi, extent, monkeypatch):
-    # (2/3)^3: the residual bottoms out above tol on the second factor, whose last
-    # kept step moves u by at most tol and ends the solve.  With tol = 1e-14, below
-    # that step, the solve goes on to a third factor whose step does not halve
-    # the residual and is left untaken (the floor exit without the update rule),
-    # so both runs return the same iterate and the same gap, one factor apart
+def test_newton_ends_once_an_undamped_correction_moves_by_at_most_tol(nt, nphi, extent, monkeypatch):
+    # (2/3)^3: at tol = 1e-10 the residual's W-norm per unit area ends the solve on
+    # 2 factors, while its sup, inflated by pole-side rows of tiny W, stays above
+    # tol.  At tol = 1e-13 the W-norm bottoms out above tol, near 1e-12, and the
+    # solve ends on a step of a fresh factor built at tau <= _NEWTON_TAU0 that
+    # moves u by at most tol: the last shift is tau - 2 e^{2u} at the returned u to
+    # within that move.  Both iterates give the same gap to 1e-10 relative
     shifted, built = ConicLaplacianOp.shifted, []
 
     def counted(op, shift):
@@ -954,18 +932,32 @@ def test_newton_ends_at_the_floor_once_a_kept_step_moves_by_at_most_tol(nt, nphi
 
     monkeypatch.setattr(ConicLaplacianOp, "shifted", counted)
     mesh = FiberMesh(math.exp(-extent), math.exp(extent), nt, nphi, inner="pole", outer="pole")
-    density, K0 = singular_sphere_background([2 / 3] * 3, [0j, 1.0 + 0j])
-    op = assemble(mesh, density)
-    rep = newton_solve_spherical(op, K0(*mesh.grids()))
+    op, K0 = solved_operator([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
+    rep = newton_solve_spherical(op, K0)
     assert len(built) == rep.iterations == 2 and rep.residual_sup > 1e-10
+    assert w_norm_per_area(op, K0, rep.solution) <= 1e-10
     built.clear()
-    tight = newton_solve_spherical(op, K0(*mesh.grids()), tol=1e-14)
-    assert len(built) == tight.iterations == 3 and tight.steps == rep.steps + 1
-    assert np.array_equal(rep.solution, tight.solution) and rep.residual_sup == tight.residual_sup
-    assert eigen_gap(op.conformal(rep.solution)) == eigen_gap(op.conformal(tight.solution))
+    tight = newton_solve_spherical(op, K0, tol=1e-13)
+    assert len(built) == tight.iterations > 2 and w_norm_per_area(op, K0, tight.solution) > 1e-13
+    tau = built[-1] + 2.0 * np.exp(2.0 * op.grid_to_dof(tight.solution))
+    assert np.max(tau) <= solver._NEWTON_TAU0 and np.ptp(tau) <= 1e-11
+    gap, tight_gap = eigen_gap(op.conformal(rep.solution)), eigen_gap(op.conformal(tight.solution))
+    assert tight_gap == pytest.approx(gap, rel=1e-10)
 
 
-@pytest.mark.parametrize("nt,nphi,extent,steps", [(129, 24, 6, 6), (193, 32, 7, 7), (257, 40, 8, 7)])
+def test_newton_reaches_tol_at_extent_12_where_the_sup_cannot():
+    # inner rings with W near 1e-11 keep the residual's sup at 2e-4, but the
+    # W-norm per unit area reaches tol on 7 factors.  The evaluation floor this
+    # stop replaces ended the solve on 2 factors, with gap 2.4294 and sup
+    # residual 5.4e-2
+    mesh = FiberMesh(math.exp(-12), math.exp(12), 257, 48, inner="pole", outer="pole")
+    betas, points = [Fraction(37, 40), Fraction(9, 25), Fraction(59, 200)], [0j, 1.0 + 0j]
+    rep = spherical_cone_solve(betas, points, mesh)
+    assert w_norm_per_area(*solved_operator(betas, points, mesh), rep.solution) <= 1e-9
+    assert rep.gap == pytest.approx(2.18292, abs=1e-5)
+
+
+@pytest.mark.parametrize("nt,nphi,extent,steps", [(129, 24, 6, 6), (193, 32, 7, 6), (257, 40, 8, 6)])
 def test_newton_steps_count_every_step_and_iterations_every_factor(nt, nphi, extent, steps, monkeypatch):
     # the README case refined: every step is one band solve, fresh or held, on 2
     # factors each, at one BLAS thread and at two
