@@ -3,7 +3,7 @@
 The package is organized around the pipeline
 
     lattice  -- combinatorics of coalescence strata (laminar cluster trees),
-    charts   -- iterated polar coordinates and blowdown maps for 2 and 3 points,
+    charts   -- one iterated polar chart and blowdown for a chain of merging clusters,
     cones    -- exact cone-angle bookkeeping (Gauss-Bonnet, merging, Troyanov),
     flat     -- exact flat conic metrics built from logarithmic potentials,
     phg      -- asymptotic-series machinery (index sets, indicial recursion),

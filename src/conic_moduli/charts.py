@@ -1,13 +1,14 @@
-"""Iterated polar charts for two and three coalescing points.
+"""Iterated polar charts for a chain of coalescing clusters.
 
-The two-point chart covers the blowup where a pair merges with a spectator
-point nearby; the three-point corner chart covers the depth-two tower where
-a pair merges inside a merging triple.  Blowdown maps send chart
-coordinates back to the marked points, and ``pullback_report`` verifies
-numerically that base boundary defining functions pull back to monomials in
-the total-space defining functions times a smooth positive factor, with at
-most one base face per total-space face (the fibration condition on the
-exponent matrix).
+A chart covers the corner where the clusters {1,2} ⊂ {1,2,3} ⊂ … merge at
+once, with a fiber point z nearby: the two-point chart is the chain {1,2}
+alone, and the three-point corner chart is {1,2} ⊂ {1,2,3}, a pair merging
+inside a merging triple.  Each cluster adds one polar layer, so one
+blowdown, one inverse and one lifting matrix serve every depth.
+``pullback_report`` verifies numerically that base boundary defining
+functions pull back to monomials in the total-space defining functions
+times a smooth positive factor, with at most one base face per total-space
+face (the fibration condition on the exponent matrix).
 
 Every chart map is elementwise: a chart point holds floats or numpy arrays
 that broadcast together, and a scalar is a 0-d array.  ``pullback_report``
@@ -22,20 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Chart2Point",
-    "Chart3CornerPoint",
+    "ChartPoint",
     "LiftingMatrix",
     "PullbackReport",
-    "blowdown2",
-    "chart2_from_points",
-    "blowdown3_corner",
-    "chart3_corner_from_points",
+    "blowdown",
+    "chart_from_points",
     "pullback_report",
     "DegenerateChartError",
 ]
 
 TWO_PI = 2.0 * np.pi
-# omega-type angles live in [0, pi/2]; allow this much roundoff slack
+# omega-type angles live in [0, pi/2], and relative coordinates in [0, 1]; allow this much roundoff slack
 _OMEGA_SLACK = 1e-15
 # keep verification samples off the omega = pi/2 coordinate singularity
 OMEGA_MARGIN = 1e-6
@@ -49,13 +47,7 @@ _FACTOR_BOUND = math.sqrt(_RADIAL_FLOOR)
 
 
 class DegenerateChartError(ValueError):
-    """Raised when inverting a chart at its blown-up center."""
-
-
-def _check_omega(omega, name: str):
-    if not np.all((omega >= -_OMEGA_SLACK) & (omega <= np.pi / 2 + _OMEGA_SLACK)):
-        raise ValueError(f"{name} must lie in [0, pi/2], got {omega}")
-    return np.clip(omega, 0.0, np.pi / 2)
+    """Raised when inverting a chart at a blown-up center."""
 
 
 def _phase(w, r):
@@ -63,121 +55,116 @@ def _phase(w, r):
     return np.where(r > 0, np.angle(w), 0.0)
 
 
-@dataclass(frozen=True)
-class Chart2Point:
-    """Spherical coordinates (R12, omega, phi) over the merging pair.
+def _outwards(radii, omega) -> list:
+    """Each level's (a, s), from the pair outwards.
 
-    rho12 = R12*sin(omega) is the pair separation scale; the point z sits at
-    distance R12*cos(omega) from the center of mass zeta in direction phi,
-    and theta is the direction through which the pair approaches.
+    a is z's offset and s the level's scale, in units of the radius and of
+    the scale of the cluster above; at the last (outermost) level they are
+    |z - zeta| and that cluster's scale.  The pair starts them as
+    R (cos omega, sin omega), and a cluster of radius R maps (a, s) to
+    R (a, sqrt(1 - a^2)).
+    """
+    a, s = radii[-1] * np.cos(omega), radii[-1] * np.sin(omega)
+    levels = [(a, s)]
+    for R in reversed(radii[:-1]):
+        a, s = R * a, R * np.sqrt(np.maximum(0.0, 1.0 - a * a))
+        levels.append((a, s))
+    return levels
+
+
+@dataclass(frozen=True)
+class ChartPoint:
+    """Iterated polar coordinates over the chain {1,2} ⊂ {1,2,3} ⊂ ….
+
+    ``radii`` holds one radius per cluster, outermost first, so the pair's
+    R is last; omega is the pair's fiber angle (see ``blowdown``).  theta is
+    the direction of z1 - z2, phi that of z - zeta, and ``phases`` the
+    direction of each outer cluster's added point, in the order of
+    ``radii``.  Raises ValueError on a negative radius, an omega outside
+    [0, pi/2], a phase count other than one per outer cluster, or an inner
+    level whose relative coordinates leave [0, 1].
     """
 
     zeta: complex = 0j
-    R12: float = 0.0
+    radii: tuple = (0.0,)
     omega: float = 0.0
-    phi: float = 0.0
     theta: float = 0.0
+    phi: float = 0.0
+    phases: tuple = ()
+    _levels: list = field(init=False, repr=False, compare=False)  # _outwards(radii, omega)
 
     def __post_init__(self) -> None:
-        if np.any(self.R12 < 0):
-            raise ValueError("R12 must be nonnegative")
-        object.__setattr__(self, "omega", _check_omega(self.omega, "omega"))
-        object.__setattr__(self, "phi", np.mod(self.phi, TWO_PI))
-        object.__setattr__(self, "theta", np.mod(self.theta, TWO_PI))
-
-
-@dataclass(frozen=True)
-class Chart3CornerPoint:
-    """Corner chart where a pair merges inside a merging triple."""
-
-    zeta: complex = 0j
-    R123: float = 0.0
-    R12: float = 0.0
-    omega12: float = 0.0
-    phi12: float = 0.0
-    theta12: float = 0.0
-    phi2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if np.any(self.R123 < 0) or np.any(self.R12 < 0):
+        if len(self.phases) != len(self.radii) - 1:
+            raise ValueError(f"{len(self.radii)} radii need {len(self.radii) - 1} phases, got {len(self.phases)}")
+        if any(np.any(R < 0) for R in self.radii):
             raise ValueError("radial coordinates must be nonnegative")
-        object.__setattr__(self, "omega12", _check_omega(self.omega12, "omega12"))
-        for name in ("phi12", "theta12", "phi2"):
-            object.__setattr__(self, name, np.mod(getattr(self, name), TWO_PI))
+        if not np.all((self.omega >= -_OMEGA_SLACK) & (self.omega <= np.pi / 2 + _OMEGA_SLACK)):
+            raise ValueError(f"omega must lie in [0, pi/2], got {self.omega}")
+        object.__setattr__(self, "omega", np.clip(self.omega, 0.0, np.pi / 2))
+        object.__setattr__(self, "theta", np.mod(self.theta, TWO_PI))
+        object.__setattr__(self, "phi", np.mod(self.phi, TWO_PI))
+        object.__setattr__(self, "phases", tuple(np.mod(t, TWO_PI) for t in self.phases))
+        object.__setattr__(self, "_levels", _outwards(self.radii, self.omega))
+        if any(np.any(np.maximum(a, s) > 1 + _OMEGA_SLACK) for a, s in self._levels[:-1]):
+            raise ValueError("an inner level's relative coordinates R cos(omega), R sin(omega) must lie in [0, 1]")
 
 
-def blowdown2(p: Chart2Point) -> tuple[complex, complex, complex]:
-    """Map chart coordinates to (z1, z2, z).
+def blowdown(p: ChartPoint) -> tuple:
+    """Map chart coordinates to (z1, z2, z3, ..., z), from the pair outwards.
 
-    z1 = zeta + rho12 e^{i theta},  z2 = zeta - rho12 e^{i theta},
-    z  = zeta + R12 cos(omega) e^{i phi},  rho12 = R12 sin(omega).
+    The pair starts a = R cos(omega), the fiber offset, and s = R sin(omega),
+    its scale.  Each outer cluster of radius R has scale R sqrt(1 - a^2):
+    its child takes the share s of it and its added point sqrt(1 - s^2),
+    and a becomes R a.  Outermost, a = |z - zeta|, and the pair's scale is
+    |z1 - zeta| = |z2 - zeta|: for the two-point chart, z1 - zeta =
+    R sin(omega) e^{i theta} and z - zeta = R cos(omega) e^{i phi}.
     """
-    w = p.R12 * np.sin(p.omega) * np.exp(1j * p.theta)
-    z = p.zeta + p.R12 * np.cos(p.omega) * np.exp(1j * p.phi)
-    return p.zeta + w, p.zeta - w, z
+    *inner, (a, s) = p._levels
+    added = []  # outermost first
+    for (_, share), phase in zip(reversed(inner), p.phases):
+        added.append(p.zeta + s * np.sqrt(np.maximum(0.0, 1.0 - share * share)) * np.exp(1j * phase))
+        s = s * share
+    w = s * np.exp(1j * p.theta)
+    return (p.zeta + w, p.zeta - w, *reversed(added), p.zeta + a * np.exp(1j * p.phi))
 
 
-def chart2_from_points(z1: complex, z2: complex, z: complex) -> Chart2Point:
-    """Invert the two-point blowdown.
+def _scales(z1, z2, *others):
+    """zeta = (z1 + z2)/2, the offsets (z1 - z2)/2 and z_k - zeta, and each
+    cluster's scale, outermost first: the outermost's, and each inner one's
+    share of its parent's, are the base defining functions rho.
 
-    The center of mass is zeta = (z1+z2)/2; the chart degenerates exactly on
-    the blown-up center z1 = z2, z = zeta (R12 = 0).
-    """
-    zeta = 0.5 * (z1 + z2)
-    w = 0.5 * (z1 - z2)
-    zrel = z - zeta
-    rho12, r = np.abs(w), np.abs(zrel)
-    R12 = np.hypot(rho12, r)
-    if np.any(R12 == 0.0):
-        raise DegenerateChartError("z1 = z2 and z = zeta: point on the blown-up center")
-    omega = np.arctan2(rho12, r)
-    return Chart2Point(zeta=zeta, R12=R12, omega=omega, phi=_phase(zrel, r), theta=_phase(w, rho12))
-
-
-def blowdown3_corner(p: Chart3CornerPoint) -> tuple[complex, complex, complex, complex]:
-    """Map corner-chart coordinates to (z1, z2, z3, z).
-
-    z1 - zeta = -(z2 - zeta) = R123 sqrt(1-(R12 cos w12)^2) R12 sin(w12) e^{i theta12},
-    z3 - zeta = R123 sqrt(1-(R12 cos w12)^2) sqrt(1-(R12 sin w12)^2) e^{i phi2},
-    z  - zeta = R123 R12 cos(w12) e^{i phi12}.
-    """
-    a = p.R12 * np.cos(p.omega12)
-    b = p.R12 * np.sin(p.omega12)
-    outer = p.R123 * np.sqrt(np.maximum(0.0, 1.0 - a * a))
-    w1 = outer * b * np.exp(1j * p.theta12)
-    z3 = p.zeta + outer * np.sqrt(np.maximum(0.0, 1.0 - b * b)) * np.exp(1j * p.phi2)
-    z = p.zeta + p.R123 * a * np.exp(1j * p.phi12)
-    return p.zeta + w1, p.zeta - w1, z3, z
-
-
-def chart3_corner_from_points(
-    z1: complex, z2: complex, z3: complex, z: complex
-) -> Chart3CornerPoint:
-    """Invert the corner blowdown.
-
-    Uses R123^2 = |w1|^2 + |w2|^2 + |z-zeta|^2 with w1 = (z1-z2)/2 and
-    w2 = z3 - zeta, which follows from the blowdown formulas.
+    The pair's scale is |z1 - zeta|; a cluster's is the hypot of its
+    child's and |z_k - zeta| for its added point z_k.
     """
     zeta = 0.5 * (z1 + z2)
-    w1 = 0.5 * (z1 - z2)
-    w2 = z3 - zeta
-    v = z - zeta
-    r1, r2, rv = np.abs(w1), np.abs(w2), np.abs(v)
-    rho123 = np.hypot(r1, r2)
-    R123 = np.hypot(rho123, rv)
-    if np.any(rho123 == 0.0):
-        raise DegenerateChartError("configuration lies on a blown-up center")
-    a = rv / R123  # R12 cos(omega12)
-    rho12 = r1 / rho123  # R12 sin(omega12)
-    return Chart3CornerPoint(
-        zeta=zeta,
-        R123=R123,
-        R12=np.hypot(a, rho12),
-        omega12=np.arctan2(rho12, a),
-        phi12=_phase(v, rv),
-        theta12=_phase(w1, r1),
-        phi2=_phase(w2, r2),
-    )
+    offsets = [0.5 * (z1 - z2)] + [zk - zeta for zk in others]
+    scales = [np.abs(offsets[0])]
+    for w in offsets[1:]:
+        scales.insert(0, np.hypot(scales[0], np.abs(w)))
+    return zeta, offsets, scales[:1] + [inner / outer for outer, inner in zip(scales, scales[1:])]
+
+
+def chart_from_points(z1, z2, *rest) -> ChartPoint:
+    """Invert the blowdown: ``chart_from_points(z1, z2, *others, z)``.
+
+    Raises DegenerateChartError where a level's radius is 0, or undefined
+    because a cluster above the pair has collapsed: the point then lies on
+    that level's blown-up center.
+    """
+    *others, z = rest
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta, offsets, rhos = _scales(z1, z2, *others)
+        v = z - zeta
+        a = np.abs(v)
+        radii = [np.hypot(rhos[0], a)]
+        for share in rhos[1:]:
+            a = a / radii[-1]
+            radii.append(np.hypot(share, a))
+    if not all(np.all(R > 0) for R in radii):
+        raise DegenerateChartError("a level's radius is 0 or undefined: the point lies on a blown-up center")
+    theta, *phases = (_phase(w, np.abs(w)) for w in offsets)
+    omega = np.arctan2(rhos[-1], a)
+    return ChartPoint(zeta, tuple(radii), omega, theta, _phase(v, np.abs(v)), tuple(phases[::-1]))
 
 
 @dataclass(frozen=True)
@@ -222,29 +209,25 @@ class PullbackReport:
     failure: str | None = field(default=None)
 
 
-# Total-space faces: the pair face C12, the triple face C123 and the fiber boundary.
-_LIFT_TWO = LiftingMatrix(
-    rows=("C12[R12]", "fiber[omega]"),
-    cols=("rho12",),
-    entries=((1,), (1,)),
-)
-_LIFT_THREE = LiftingMatrix(
-    rows=("C123[R123]", "C12[R12]", "fiber[omega12]"),
-    cols=("rho123", "rho12"),
-    entries=((1, 0), (0, 1), (0, 1)),
-)
+def _lifting(clusters: tuple[str, ...], fiber: str) -> LiftingMatrix:
+    """The chain's lifting matrix: one face C[R] per cluster, outermost first,
+    on its own base face rho, and the fiber face on the pair's column."""
+    eye = [tuple(int(i == j) for j in range(len(clusters))) for i in range(len(clusters))]
+    return LiftingMatrix(
+        rows=tuple(f"C{c}[R{c}]" for c in clusters) + (f"fiber[{fiber}]",),
+        cols=tuple(f"rho{c}" for c in clusters),
+        entries=tuple(eye + eye[-1:]),
+    )
 
 
-def _base_two(z1, z2, z) -> dict[str, np.ndarray]:
-    return {"rho12": np.abs(z1 - z2) / 2}
-
-
-def _base_three(z1, z2, z3, z) -> dict[str, np.ndarray]:
-    w1 = 0.5 * (z1 - z2)
-    w2 = z3 - 0.5 * (z1 + z2)
-    rho123 = np.hypot(np.abs(w1), np.abs(w2))
-    return {"rho123": rho123, "rho12": np.abs(w1) / rho123}
-
+# per named chart: its clusters, outermost first, and its fiber-angle label; then its
+# draw schedule, which keeps each seeded payload's draws: the order of the round trip's
+# theta and phi draws, whether a factor sample draws the angles too, and the round
+# trip's lowest omega
+_CHARTS = {
+    "two": (("12",), "omega", ("phi", "theta"), False, 0.0),
+    "three-corner": (("123", "12"), "omega12", ("theta", "phi"), True, 0.05),
+}
 
 
 def _draw(rng: np.random.Generator, bounds: list[tuple[float, float]], n: int) -> np.ndarray:
@@ -274,40 +257,37 @@ def pullback_report(
         raise ValueError("samples must be >= 1")
     if not _RADIAL_FLOOR < region < 1.0:
         raise ValueError(f"region must lie in ({_RADIAL_FLOOR:g}, 1): radial samples start at {_RADIAL_FLOOR:g}")
+    if chart not in _CHARTS:
+        raise ValueError(f"unknown chart {chart!r} (expected 'two' or 'three-corner')")
+    clusters, fiber, order, angles_sampled, omega_low = _CHARTS[chart]
+    lifting, depth = _lifting(clusters, fiber), len(clusters)
     rng = np.random.default_rng(seed)
     top = np.pi / 2 - OMEGA_MARGIN
-    angles = [(0.0, TWO_PI)] * 3
-    # per chart: the coordinates drawn, in draw order, and their sampling bounds
-    if chart == "two":
-        lifting, point, base = _LIFT_TWO, Chart2Point, _base_two
-        blowdown, invert = blowdown2, chart2_from_points
-        coords = ("R12", "omega", "phi", "theta")
-        sample_bounds = [(_RADIAL_FLOOR, region), (1e-9, top)]
-        trip_bounds = [(0.1 * region, region), (0.0, top)] + angles[:2]
-    elif chart == "three-corner":
-        lifting, point, base = _LIFT_THREE, Chart3CornerPoint, _base_three
-        blowdown, invert = blowdown3_corner, chart3_corner_from_points
-        coords = ("R123", "R12", "omega12", "theta12", "phi12", "phi2")
-        sample_bounds = [(_RADIAL_FLOOR, 1.0), (_RADIAL_FLOOR, region), (1e-9, top)] + angles
-        trip_bounds = [(0.1, 1.0), (0.1 * region, region), (0.05, top)] + angles
-    else:
-        raise ValueError(f"unknown chart {chart!r} (expected 'two' or 'three-corner')")
+    # columns in draw order: the radii, outermost first, omega, theta and phi in ``order``, the phases
+    angles = [(0.0, TWO_PI)] * (depth + 1)
+    sample_bounds = [(_RADIAL_FLOOR, 1.0)] * (depth - 1) + [(_RADIAL_FLOOR, region), (1e-9, top)]
+    sample_bounds += angles * angles_sampled
+    trip_bounds = [(0.1, 1.0)] * (depth - 1) + [(0.1 * region, region), (omega_low, top)] + angles
 
-    bdfs = [row[row.index("[") + 1 : -1] for row in lifting.rows]  # "C12[R12]" -> "R12"
+    def point(columns, zeta=0j) -> ChartPoint:
+        omega, *drawn = columns[depth:]
+        named = dict(zip(order, drawn), phases=tuple(drawn[2:]))
+        return ChartPoint(zeta, tuple(columns[:depth]), omega, **named)
+
     ranges: dict[str, tuple[float, float]] = {}
     for start in range(0, samples, SAMPLE_BLOCK):
-        x = _draw(rng, sample_bounds, min(SAMPLE_BLOCK, samples - start))
-        p = point(**dict(zip(coords, x.T)))
-        rhos = base(*blowdown(p))
-        for face, column in zip(lifting.cols, zip(*lifting.entries)):
-            a = rhos[face] / math.prod((getattr(p, c) ** e for c, e in zip(bdfs, column) if e), start=1.0)
+        p = point(_draw(rng, sample_bounds, min(SAMPLE_BLOCK, samples - start)).T)
+        rhos = _scales(*blowdown(p)[:-1])[2]
+        bdfs = (*p.radii, p.omega)  # the rows' defining functions
+        for face, rho, column in zip(lifting.cols, rhos, zip(*lifting.entries)):
+            a = rho / math.prod((b**e for b, e in zip(bdfs, column) if e), start=1.0)
             lo, hi = ranges.get(face, (np.inf, -np.inf))
             ranges[face] = (min(lo, float(a.min())), max(hi, float(a.max())))
 
     # round trip: the center of mass zeta is drawn first, then the coordinates
     x = _draw(rng, [(-1.0, 1.0), (-1.0, 1.0)] + trip_bounds, min(samples, SAMPLE_BLOCK))
-    pts = blowdown(point(zeta=x[:, 0] + 1j * x[:, 1], **dict(zip(coords, x[:, 2:].T))))
-    back = blowdown(invert(*pts))
+    pts = blowdown(point(x[:, 2:].T, zeta=x[:, 0] + 1j * x[:, 1]))
+    back = blowdown(chart_from_points(*pts))
     err = np.max([np.abs(a - b) for a, b in zip(pts, back)], axis=0)
     scale = np.max([np.abs(z) for z in pts], axis=0)
     roundtrip = float(np.max(err / np.maximum(1.0, scale)))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -7,75 +8,112 @@ import pytest
 
 from conic_moduli import charts
 from conic_moduli.charts import (
-    Chart2Point,
-    Chart3CornerPoint,
     OMEGA_MARGIN,
+    ChartPoint,
     DegenerateChartError,
     LiftingMatrix,
-    blowdown2,
-    blowdown3_corner,
-    chart2_from_points,
-    chart3_corner_from_points,
+    blowdown,
+    chart_from_points,
     pullback_report,
 )
 
 
-def test_blowdown2_example():
-    p = Chart2Point(zeta=0j, R12=0.2, omega=math.pi / 6, phi=0.0, theta=0.0)
-    z1, z2, z = blowdown2(p)
+def test_two_point_blowdown_example():
+    p = ChartPoint(zeta=0j, radii=(0.2,), omega=math.pi / 6, theta=0.0, phi=0.0)
+    z1, z2, z = blowdown(p)
     assert abs(z1 - z2) / 2 == pytest.approx(0.1, abs=1e-15)
     assert z1 == pytest.approx(0.1 + 0j, abs=1e-15)
     assert z2 == pytest.approx(-0.1 + 0j, abs=1e-15)
     assert z == pytest.approx(0.1 * math.sqrt(3) + 0j, abs=1e-15)
 
 
-def test_blowdown2_boundary_cases():
+def test_two_point_blowdown_boundary_cases():
     # omega = pi/2: z collapses to the center of mass, rho12 = R12
-    p = Chart2Point(zeta=0.3 + 0.4j, R12=0.5, omega=math.pi / 2, phi=1.0, theta=2.0)
-    z1, z2, z = blowdown2(p)
+    p = ChartPoint(zeta=0.3 + 0.4j, radii=(0.5,), omega=math.pi / 2, theta=2.0, phi=1.0)
+    z1, z2, z = blowdown(p)
     assert abs(z - p.zeta) < 1e-16
     assert abs(z1 - z2) / 2 == pytest.approx(0.5)
     # omega = 0: the two points coincide, z sits on the circle of radius R12
-    q = Chart2Point(zeta=0j, R12=0.5, omega=0.0, phi=0.7, theta=0.0)
-    z1, z2, z = blowdown2(q)
+    q = ChartPoint(zeta=0j, radii=(0.5,), omega=0.0, theta=0.0, phi=0.7)
+    z1, z2, z = blowdown(q)
     assert z1 == z2 == 0j
     assert abs(abs(z) - 0.5) < 1e-15
 
 
 def test_chart2_inverse_example():
-    q = chart2_from_points(0.1 + 0j, -0.1 + 0j, 0.1 * math.sqrt(3) + 0j)
+    q = chart_from_points(0.1 + 0j, -0.1 + 0j, 0.1 * math.sqrt(3) + 0j)
     assert q.zeta == 0j
-    assert q.R12 == pytest.approx(0.2, rel=1e-14)
+    assert len(q.radii) == 1 and q.phases == ()
+    assert q.radii[0] == pytest.approx(0.2, rel=1e-14)
     assert q.omega == pytest.approx(math.pi / 6, rel=1e-14)
     assert q.phi == pytest.approx(0.0, abs=1e-15)
     assert q.theta == pytest.approx(0.0, abs=1e-15)
 
 
 def test_chart2_coincident_pair():
-    q = chart2_from_points(0j, 0j, 0.5 + 0j)
+    q = chart_from_points(0j, 0j, 0.5 + 0j)
     assert q.omega == 0.0
-    assert q.R12 == pytest.approx(0.5)
+    assert q.radii[0] == pytest.approx(0.5)
 
 
 def test_chart2_degenerate_center():
     with pytest.raises(DegenerateChartError):
-        chart2_from_points(0.2 + 0.3j, 0.2 + 0.3j, 0.2 + 0.3j)
+        chart_from_points(0.2 + 0.3j, 0.2 + 0.3j, 0.2 + 0.3j)
+
+
+def test_inverse_refuses_the_center_of_every_level():
+    # z1 = z2 and z = zeta: the pair's radius is 0, inside a triple as on its own
+    with pytest.raises(DegenerateChartError):
+        chart_from_points(0j, 0j, 0j)
+    with pytest.raises(DegenerateChartError):
+        chart_from_points(0j, 0j, 1 + 0j, 0j)
+    # z1 = z2 = z3 with z away: the pair's share of the triple is undefined
+    with pytest.raises(DegenerateChartError):
+        chart_from_points(0j, 0j, 0j, 1 + 0j)
+    # all four at one point: the outermost radius is 0
+    with pytest.raises(DegenerateChartError):
+        chart_from_points(0.5j, 0.5j, 0.5j, 0.5j)
+    # depth 3: the triple's radius in units of {1,2,3,4} is 0, and the pair's is undefined
+    with pytest.raises(DegenerateChartError):
+        chart_from_points(0j, 0j, 0j, 1 + 0j, 0j)
+    # off the centers a coincident pair is a point of the chart: omega = 0
+    q = chart_from_points(0j, 0j, 1 + 0j, 0.5 + 0j)
+    assert q.omega == 0.0 and q.radii[1] > 0
+
+
+def test_chart_point_refuses_inner_levels_outside_the_unit_square():
+    # R12 cos(omega12) = 1.91 > 1: z would lie outside the triple's radius
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ChartPoint(radii=(1.0, 2.0), omega=0.3, phases=(0.0,))
+    # R12 sin(omega12) > 1: the pair would outgrow the triple
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ChartPoint(radii=(1.0, 1.2), omega=1.4, phases=(0.0,))
+    # one bad entry of an array point
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ChartPoint(radii=(1.0, np.array([0.5, 1.0, 1.0 + 1e-9])), omega=0.0, phases=(0.0,))
+    # depth 3: the triple's relative coordinates 1.5 (a, sqrt(1 - a^2)) leave [0, 1]
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ChartPoint(radii=(1.0, 1.5, 0.1), omega=0.3, phases=(0.0, 0.0))
+    # the outermost radius is absolute, and round-off at the edge is allowed
+    ChartPoint(radii=(5.0,), omega=0.3)
+    ChartPoint(radii=(5.0, 1.0 + 5e-16), omega=0.0, phases=(0.0,))
+    with pytest.raises(ValueError, match="2 radii need 1 phases"):
+        ChartPoint(radii=(1.0, 0.5), omega=0.3)
 
 
 def test_swap_symmetry():
     # theta -> theta + pi swaps z1, z2 and fixes z
     rng = np.random.default_rng(3)
     for _ in range(100):
-        p = Chart2Point(
+        p = ChartPoint(
             zeta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            R12=rng.uniform(0.01, 1.0),
+            radii=(rng.uniform(0.01, 1.0),),
             omega=rng.uniform(0, math.pi / 2),
             phi=rng.uniform(0, 2 * math.pi),
             theta=rng.uniform(0, 2 * math.pi),
         )
-        z1, z2, z = blowdown2(p)
-        q = Chart2Point(p.zeta, p.R12, p.omega, p.phi, p.theta + math.pi)
-        w1, w2, w = blowdown2(q)
+        z1, z2, z = blowdown(p)
+        w1, w2, w = blowdown(dataclasses.replace(p, theta=p.theta + math.pi))
         assert abs(w1 - z2) < 5e-16 * (1 + abs(z2))
         assert abs(w2 - z1) < 5e-16 * (1 + abs(z1))
         assert w == z
@@ -84,35 +122,35 @@ def test_swap_symmetry():
 def test_roundtrip_coordinates_interior():
     rng = np.random.default_rng(5)
     for _ in range(300):
-        p = Chart2Point(
+        p = ChartPoint(
             zeta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            R12=rng.uniform(0.05, 1.0),
+            radii=(rng.uniform(0.05, 1.0),),
             omega=rng.uniform(0.05, math.pi / 2 - 0.05),
             phi=rng.uniform(0, 2 * math.pi),
             theta=rng.uniform(0, 2 * math.pi),
         )
-        z1, z2, z = blowdown2(p)
-        q = chart2_from_points(z1, z2, z)
-        assert q.R12 == pytest.approx(p.R12, rel=1e-12)
+        z1, z2, z = blowdown(p)
+        q = chart_from_points(z1, z2, z)
+        assert q.radii[0] == pytest.approx(p.radii[0], rel=1e-12)
         assert q.omega == pytest.approx(p.omega, abs=1e-12)
         assert abs(q.zeta - p.zeta) < 1e-13
         assert math.remainder(q.theta - p.theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-11)
         assert math.remainder(q.phi - p.phi, 2 * math.pi) == pytest.approx(0.0, abs=1e-11)
 
 
-def test_blowdown3_corner_boundary_cases():
+def test_corner_blowdown_boundary_cases():
     # R12 = 0: the pair collapses onto the center, z3 on the R123 circle
-    p = Chart3CornerPoint(zeta=0.1 + 0j, R123=0.4, R12=0.0, omega12=0.3, phi12=0.2, theta12=0.5, phi2=1.2)
-    z1, z2, z3, z = blowdown3_corner(p)
+    p = ChartPoint(zeta=0.1 + 0j, radii=(0.4, 0.0), omega=0.3, theta=0.5, phi=0.2, phases=(1.2,))
+    z1, z2, z3, z = blowdown(p)
     assert z1 == z2 == p.zeta
     assert abs((z3 - p.zeta) - 0.4 * cmath.exp(1.2j)) < 1e-15
     # omega12 = pi/2, R12 = 1: z hits the inner blowup center
-    q = Chart3CornerPoint(R123=0.7, R12=1.0, omega12=math.pi / 2, phi12=0.0, theta12=0.0, phi2=0.0)
-    _, _, _, z = blowdown3_corner(q)
+    q = ChartPoint(radii=(0.7, 1.0), omega=math.pi / 2, theta=0.0, phi=0.0, phases=(0.0,))
+    _, _, _, z = blowdown(q)
     assert abs(z - q.zeta) < 1e-15
 
 
-def generic_chart_oracle(p: Chart3CornerPoint):
+def generic_chart_oracle(p: ChartPoint):
     """Two-step composition: the mid-level chart followed by the corner substitution.
 
     Mid-level coordinates (R123, omega, phi, rho12, theta12, phi2) map by
@@ -122,30 +160,28 @@ def generic_chart_oracle(p: Chart3CornerPoint):
     and the corner substitution is cos(omega) e^{i phi} = R12 cos(w12) e^{i phi12},
     rho12 = R12 sin(w12).
     """
-    a = p.R12 * math.cos(p.omega12)
-    rho12 = p.R12 * math.sin(p.omega12)
+    (R123, R12), (phi2,) = p.radii, p.phases
+    a = R12 * math.cos(p.omega)
+    rho12 = R12 * math.sin(p.omega)
     cos_omega = a
     sin_omega = math.sqrt(1.0 - cos_omega**2)
-    phi = p.phi12
-    w1 = p.R123 * sin_omega * rho12 * cmath.exp(1j * p.theta12)
-    z3 = p.zeta + p.R123 * sin_omega * math.sqrt(1.0 - rho12**2) * cmath.exp(1j * p.phi2)
-    z = p.zeta + p.R123 * cos_omega * cmath.exp(1j * phi)
+    phi = p.phi
+    w1 = R123 * sin_omega * rho12 * cmath.exp(1j * p.theta)
+    z3 = p.zeta + R123 * sin_omega * math.sqrt(1.0 - rho12**2) * cmath.exp(1j * phi2)
+    z = p.zeta + R123 * cos_omega * cmath.exp(1j * phi)
     return p.zeta + w1, p.zeta - w1, z3, z
 
 
 def test_blowdown3_matches_generic_composition():
     rng = np.random.default_rng(9)
     for _ in range(500):
-        p = Chart3CornerPoint(
-            zeta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            R123=rng.uniform(0.0, 1.0),
-            R12=rng.uniform(0.0, 0.999),
-            omega12=rng.uniform(0, math.pi / 2),
-            phi12=rng.uniform(0, 2 * math.pi),
-            theta12=rng.uniform(0, 2 * math.pi),
-            phi2=rng.uniform(0, 2 * math.pi),
+        zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        R123, R12, omega12, phi12, theta12, phi2 = (
+            rng.uniform(*bounds)
+            for bounds in [(0.0, 1.0), (0.0, 0.999), (0, math.pi / 2)] + [(0, 2 * math.pi)] * 3
         )
-        ours = blowdown3_corner(p)
+        p = ChartPoint(zeta, (R123, R12), omega12, theta12, phi12, (phi2,))
+        ours = blowdown(p)
         oracle = generic_chart_oracle(p)
         for a, b in zip(ours, oracle):
             assert abs(a - b) <= 1e-12 * (1 + abs(b))
@@ -154,18 +190,58 @@ def test_blowdown3_matches_generic_composition():
 def test_chart3_corner_roundtrip():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        p = Chart3CornerPoint(
-            R123=rng.uniform(0.1, 1.0),
-            R12=rng.uniform(0.05, 0.5),
-            omega12=rng.uniform(0.05, math.pi / 2 - 0.05),
-            phi12=rng.uniform(0, 2 * math.pi),
-            theta12=rng.uniform(0, 2 * math.pi),
-            phi2=rng.uniform(0, 2 * math.pi),
+        R123, R12, omega12, phi12, theta12, phi2 = (
+            rng.uniform(*bounds)
+            for bounds in [(0.1, 1.0), (0.05, 0.5), (0.05, math.pi / 2 - 0.05)] + [(0, 2 * math.pi)] * 3
         )
-        q = chart3_corner_from_points(*blowdown3_corner(p))
-        assert q.R123 == pytest.approx(p.R123, rel=1e-12)
-        assert q.R12 == pytest.approx(p.R12, rel=1e-11)
-        assert q.omega12 == pytest.approx(p.omega12, abs=1e-11)
+        p = ChartPoint(0j, (R123, R12), omega12, theta12, phi12, (phi2,))
+        q = chart_from_points(*blowdown(p))
+        assert q.radii[0] == pytest.approx(R123, rel=1e-12)
+        assert q.radii[1] == pytest.approx(R12, rel=1e-11)
+        assert q.omega == pytest.approx(omega12, abs=1e-11)
+
+
+def chain3_moduli(R1234, R123, R12, omega):
+    """|z1 - zeta|, |z3 - zeta|, |z4 - zeta| and |z - zeta| on the chain {1,2} ⊂ {1,2,3} ⊂ {1,2,3,4}.
+
+    Each level's (a, s) is its radius times (cos, sin) of its angle; an outer
+    level's angle has cosine the inner a, its scale splits into its child's
+    share s and its added point's sqrt(1 - s^2), and its a is |z - zeta|.
+    """
+    a0, s0 = R12 * math.cos(omega), R12 * math.sin(omega)
+    a1, s1 = R123 * a0, R123 * math.sqrt(1 - a0 * a0)
+    a2, s2 = R1234 * a1, R1234 * math.sqrt(1 - a1 * a1)
+    return s2 * s1 * s0, s2 * s1 * math.sqrt(1 - s0 * s0), s2 * math.sqrt(1 - s1 * s1), a2
+
+
+def test_depth_three_chain_round_trips():
+    # {1,2} ⊂ {1,2,3} ⊂ {1,2,3,4}: radii (R1234, R123, R12), phases (of z4, of z3)
+    rng = np.random.default_rng(23)
+    n = 2000
+    radii = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 1.0, n), rng.uniform(0.05, 0.9, n))
+    p = ChartPoint(
+        zeta=rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n),
+        radii=radii,
+        omega=rng.uniform(0.05, math.pi / 2 - 0.05, n),
+        theta=rng.uniform(0, 2 * math.pi, n),
+        phi=rng.uniform(0, 2 * math.pi, n),
+        phases=(rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)),
+    )
+    pts = blowdown(p)
+    assert len(pts) == 5
+    z1, z2, z3, z4, z = pts
+    for i in range(0, n, 97):
+        want = chain3_moduli(*(R[i] for R in radii), p.omega[i])
+        got = (abs(z1[i] - p.zeta[i]), abs(z3[i] - p.zeta[i]), abs(z4[i] - p.zeta[i]), abs(z[i] - p.zeta[i]))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    q = chart_from_points(*pts)
+    assert np.max(np.abs(q.zeta - p.zeta)) < 1e-12
+    for got, want in zip((*q.radii, q.omega), (*p.radii, p.omega)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    for got, want in zip((q.theta, q.phi, *q.phases), (p.theta, p.phi, *p.phases)):
+        assert np.max(np.abs(np.remainder(got - want + math.pi, 2 * math.pi) - math.pi)) < 1e-12
+    back = blowdown(q)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(pts, back)) < 1e-12
 
 
 def test_lifting_matrix_row_condition():
@@ -200,6 +276,26 @@ def test_pullback_three_corner_chart():
     assert rep.roundtrip_max_err < 1e-12
 
 
+# the parent's hand-written matrices, which the chain's derived ones must equal
+LIFT_TWO = LiftingMatrix(rows=("C12[R12]", "fiber[omega]"), cols=("rho12",), entries=((1,), (1,)))
+LIFT_THREE = LiftingMatrix(
+    rows=("C123[R123]", "C12[R12]", "fiber[omega12]"),
+    cols=("rho123", "rho12"),
+    entries=((1, 0), (0, 1), (0, 1)),
+)
+
+
+def test_derived_lifting_matrices_equal_the_written_ones():
+    assert pullback_report("two", samples=1).lifting == LIFT_TWO
+    assert pullback_report("three-corner", samples=1).lifting == LIFT_THREE
+    # depth 3: one face per cluster, the fiber face on the pair's column
+    deep = charts._lifting(("1234", "123", "12"), "omega12")
+    assert deep.rows == ("C1234[R1234]", "C123[R123]", "C12[R12]", "fiber[omega12]")
+    assert deep.cols == ("rho1234", "rho123", "rho12")
+    assert deep.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1))
+    assert deep.row_condition_ok
+
+
 def test_pullback_factors_follow_the_lifting_matrix(monkeypatch):
     # a wrong exponent must show in the factors: R12^2 leaves a factor ~ 1/R12
     wrong = LiftingMatrix(
@@ -207,32 +303,36 @@ def test_pullback_factors_follow_the_lifting_matrix(monkeypatch):
         cols=("rho123", "rho12"),
         entries=((1, 0), (0, 2), (0, 1)),
     )
-    monkeypatch.setattr(charts, "_LIFT_THREE", wrong)
+    monkeypatch.setattr(charts, "_lifting", lambda clusters, fiber: wrong)
     rep = pullback_report("three-corner", samples=4000, region=0.3, seed=101)
     assert rep.lifting is wrong
     assert rep.factors["rho12"][1] > 1e3
 
 
-def off_by_one(chart, attr):
-    """(chart, attr, entries, face, side) for each exponent of a chart's matrix moved by one."""
-    lifting = getattr(charts, attr)
+def off_by_one(chart, lifting):
+    """(chart, entries, face, side) for each exponent of a chart's matrix moved by one."""
     for i, j in itertools.product(range(len(lifting.rows)), range(len(lifting.cols))):
         for step, side in ((-1, "below 0.001"), (1, "above 1000")):
             entries = [list(row) for row in lifting.entries]
             entries[i][j] += step
             if entries[i][j] >= 0:
                 entries = tuple(map(tuple, entries))
-                yield pytest.param(chart, attr, entries, lifting.cols[j], side, id=f"{chart}-{entries}")
+                yield pytest.param(chart, entries, lifting.cols[j], side, id=f"{chart}-{entries}")
 
 
 @pytest.mark.parametrize(
-    "chart, attr, entries, face, side",
-    [*off_by_one("two", "_LIFT_TWO"), *off_by_one("three-corner", "_LIFT_THREE")],
+    "chart, entries, face, side",
+    [*off_by_one("two", LIFT_TWO), *off_by_one("three-corner", LIFT_THREE)],
 )
-def test_pullback_flags_a_wrong_exponent(chart, attr, entries, face, side, monkeypatch):
+def test_pullback_flags_a_wrong_exponent(chart, entries, face, side, monkeypatch):
     # one exponent too many leaves a factor ~ 1/bdf, one too few ~ bdf
-    lifting = getattr(charts, attr)
-    monkeypatch.setattr(charts, attr, LiftingMatrix(lifting.rows, lifting.cols, entries))
+    derived = charts._lifting
+
+    def wrong(clusters, fiber):
+        lifting = derived(clusters, fiber)
+        return LiftingMatrix(lifting.rows, lifting.cols, entries)
+
+    monkeypatch.setattr(charts, "_lifting", wrong)
     rep = pullback_report(chart, samples=10_000)
     assert not rep.positivity_ok
     assert rep.failure == f"smooth factor of {face} {side}"
@@ -249,38 +349,29 @@ def test_pullback_rejects_bad_arguments():
         pullback_report("five")
 
 
-MAPS = {
-    "two": (blowdown2, chart2_from_points),
-    "three-corner": (blowdown3_corner, chart3_corner_from_points),
-}
-
-
 def random_points(rng, n):
     """n interior points of each chart, as one array point per chart."""
     zeta = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-    two = Chart2Point(
-        zeta=zeta,
-        R12=rng.uniform(0.05, 1.0, n),
-        omega=rng.uniform(0.05, math.pi / 2 - 0.05, n),
-        phi=rng.uniform(-7, 7, n),
-        theta=rng.uniform(-7, 7, n),
-    )
-    three = Chart3CornerPoint(
-        zeta=zeta,
-        R123=rng.uniform(0.1, 1.0, n),
-        R12=rng.uniform(0.05, 0.9, n),
-        omega12=rng.uniform(0.05, math.pi / 2 - 0.05, n),
-        phi12=rng.uniform(-7, 7, n),
-        theta12=rng.uniform(-7, 7, n),
-        phi2=rng.uniform(-7, 7, n),
-    )
+    R12 = rng.uniform(0.05, 1.0, n)
+    omega = rng.uniform(0.05, math.pi / 2 - 0.05, n)
+    phi, theta = rng.uniform(-7, 7, n), rng.uniform(-7, 7, n)
+    two = ChartPoint(zeta, (R12,), omega, theta, phi)
+    radii = (rng.uniform(0.1, 1.0, n), rng.uniform(0.05, 0.9, n))
+    omega12 = rng.uniform(0.05, math.pi / 2 - 0.05, n)
+    phi12, theta12, phi2 = (rng.uniform(-7, 7, n) for _ in range(3))
+    three = ChartPoint(zeta, radii, omega12, theta12, phi12, (phi2,))
     return {"two": two, "three-corner": three}
+
+
+def coordinates(p):
+    """A chart point's coordinates, as one flat list."""
+    return [p.zeta, *p.radii, p.omega, p.theta, p.phi, *p.phases]
 
 
 def entry(p, i):
     """The i-th entry of an array chart point, as a scalar chart point."""
-    fields = {name: value[i] for name, value in vars(p).items()}
-    return type(p)(**fields)
+    radii, phases = tuple(R[i] for R in p.radii), tuple(t[i] for t in p.phases)
+    return ChartPoint(p.zeta[i], radii, p.omega[i], p.theta[i], p.phi[i], phases)
 
 
 def assert_entrywise(arrays, scalars):
@@ -290,37 +381,32 @@ def assert_entrywise(arrays, scalars):
 
 @pytest.mark.parametrize("chart", ["two", "three-corner"])
 def test_chart_maps_on_arrays_match_scalar_calls(chart):
-    blowdown, invert = MAPS[chart]
     p = random_points(np.random.default_rng(17), 64)[chart]
     n = p.zeta.size
     pts = blowdown(p)
     assert all(np.shape(z) == (n,) for z in pts)
     assert_entrywise(pts, [blowdown(entry(p, i)) for i in range(n)])
-    q = invert(*pts)
-    coords = list(vars(q))
-    assert_entrywise(
-        [getattr(q, c) for c in coords],
-        [[getattr(invert(*(z[i] for z in pts)), c) for c in coords] for i in range(n)],
-    )
+    q = chart_from_points(*pts)
+    assert_entrywise(coordinates(q), [coordinates(chart_from_points(*(z[i] for z in pts))) for i in range(n)])
 
 
 def test_chart_maps_on_arrays_reject_any_bad_entry():
     points = random_points(np.random.default_rng(19), 8)
-    z1, z2, z = blowdown2(points["two"])
+    z1, z2, z = blowdown(points["two"])
     z1[3] = z2[3] = z[3] = 0.5 + 0.5j
     with pytest.raises(DegenerateChartError):
-        chart2_from_points(z1, z2, z)
-    w1, w2, w3, w = blowdown3_corner(points["three-corner"])
+        chart_from_points(z1, z2, z)
+    w1, w2, w3, w = blowdown(points["three-corner"])
     w1[5] = w2[5] = w3[5] = 0.1j
     with pytest.raises(DegenerateChartError):
-        chart3_corner_from_points(w1, w2, w3, w)
+        chart_from_points(w1, w2, w3, w)
     bad = np.array([0.1, 0.2, -1e-12])
     with pytest.raises(ValueError):
-        Chart2Point(R12=bad)
+        ChartPoint(radii=(bad,))
     with pytest.raises(ValueError):
-        Chart3CornerPoint(R123=bad)
+        ChartPoint(radii=(bad, 0.0), phases=(0.0,))
     with pytest.raises(ValueError):
-        Chart3CornerPoint(R123=0.5, R12=bad)
+        ChartPoint(radii=(0.5, bad), phases=(0.0,))
 
 
 def reference_pullback(chart, samples, region, seed):
