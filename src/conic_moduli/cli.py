@@ -3,16 +3,17 @@
 Every subcommand emits deterministic artifacts: identical invocations give
 byte-identical output at a fixed BLAS thread count.  LAPACK's band factors
 (``dgbtrf``, ``dpbtrf``) sum their blocked BLAS calls in a thread-dependent
-order, so the last digits of ``solve spherical`` can move with it: (2/3)^3 at
-257x40, extent 8, builds 2 Newton factors and takes 6 steps on them with one
-thread and with two, and its gap reads 3.3901456499491265 with one and
-3.3901456499491367 with two; CI and perfbench pin one thread.  All numeric payloads carry the
-package version and the seed in use.  Exit codes: 2 for malformed
+order, so the last digits of ``solve spherical`` can move with it; CI and
+perfbench pin one thread.  Every payload carries the package version (a CSV
+in its first line).  ``charts verify`` alone draws random samples, and its
+payload carries the seed it drew them with; the ``solve`` payloads carry the
+seed in use too, though no solve reads it.  Exit codes: 2 for malformed
 configuration (ValueError, OSError), 1 for numeric failures (any
 ArithmeticError, which includes the solver's divergence, nonconvergence and
 football-degeneracy errors, an unconverged quadrature, and singular linear
-algebra), 0 otherwise -- verification failures are reported in the payload,
-not via the exit status.
+algebra) and for a ``charts verify`` whose check fails (``positivity_ok`` or
+the lifting matrix's ``row_condition_ok`` false; the payload is written
+first), 0 otherwise.
 Each command imports only the layers it runs: ``faces``, ``cones classify``,
 ``flat expand`` and the ``phg`` commands run on the standard library alone,
 ``charts verify``, ``flat probe`` and ``fit`` load numpy, and only the
@@ -133,7 +134,7 @@ def _cmd_charts_verify(args: argparse.Namespace) -> int:
 
     report = charts.pullback_report(args.chart, samples=args.samples, region=args.region, seed=_seed(args))
     _emit_json(dataclasses.asdict(report), args)
-    return 0
+    return 0 if report.positivity_ok and report.lifting.row_condition_ok else 1
 
 
 def _cmd_cones_classify(args: argparse.Namespace) -> int:

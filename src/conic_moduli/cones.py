@@ -27,7 +27,6 @@ __all__ = [
     "MergeVerdict",
     "consistent_area",
     "merge_angle",
-    "troyanov",
     "verdict",
     "classify_merges",
     "MAX_CLASSIFY_K",
@@ -38,8 +37,7 @@ RationalLike = Union[Fraction, int, str, float]
 # Continued-fraction cap used when ingesting floats as angle parameters.
 INGEST_MAX_DENOMINATOR = 10**6
 
-# One verdict per subset: cost doubles per cone.  On a 2-core VM, 16 angles
-# of 9/10 took 5.9 s and 129 MB (12 MB of JSON), 17 took 11.2 s and 230 MB.
+# One verdict per subset, so time and output double with each cone
 MAX_CLASSIFY_K = 16
 
 
@@ -135,18 +133,6 @@ def _troyanov_status(genus: int, betas: Sequence[Fraction]) -> tuple[bool, bool]
     total = sum(betas, Fraction(0))
     slack = min(min(Fraction(2), 2 * b) + len(betas) - (2 - 2 * genus) - total for b in betas)
     return slack > 0, slack == 0
-
-
-def troyanov(d: ConeData) -> bool:
-    """All-j angle inequalities for positive-curvature existence.
-
-    Trivially true off the sphere when every beta_j < 1; on the sphere with
-    k = 3 it reduces to 2*min(beta) + 1 > sum(beta).
-    """
-    if d.k < 1:
-        raise ValueError("need at least one cone point")
-    holds, _ = _troyanov_status(d.genus, d.beta)
-    return holds
 
 
 class MergeStatus(str, enum.Enum):

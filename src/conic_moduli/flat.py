@@ -119,12 +119,6 @@ class CornerExpansion2:
     log_coefficient: Fraction
     terms: tuple[tuple[int, TrigPoly], ...]
 
-    def coefficient(self, n: int) -> TrigPoly:
-        for m, t in self.terms:
-            if m == n:
-                return t
-        raise KeyError(n)
-
 
 def corner_expansion_2pt(
     beta1: RationalLike, beta2: RationalLike, order: int
@@ -217,7 +211,6 @@ def radial_log_integral(g, t_lo: float, t_hi: float) -> float:
 
 @dataclass
 class ProbeReport:
-    point_index: int
     radii: tuple[float, ...]
     ratios: tuple[float, ...]
     extrapolated: float
@@ -274,4 +267,4 @@ def cone_angle_probe(
         length = _radial_length(m, point_index, r)
         ratios.append(c / (2 * math.pi * length))
     extrapolated = neville_zero(rs, ratios) if len(rs) > 1 else ratios[0]
-    return ProbeReport(point_index, tuple(rs), tuple(ratios), extrapolated)
+    return ProbeReport(tuple(rs), tuple(ratios), extrapolated)

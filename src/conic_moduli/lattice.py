@@ -25,11 +25,7 @@ __all__ = [
     "MAX_AUGMENTED_K",
 ]
 
-# The tree count grows like A000311 (k = 7: 39,208 trees; k = 8: 660,032)
-# and with singleton leaves faster (k = 6: 176,128; k = 7 more still).  At
-# the caps, on a 2-core VM with Python 3.11, one enumeration takes 0.13 s
-# (k = 7) and 0.60 s (augmented k = 6), and a cold `faces` run 0.26 s at
-# 53 MB RSS and 0.93 s at 162 MB.  k = 8 has 17 times the trees of k = 7.
+# The tree count grows like A000311, 17-fold from k = 7 to k = 8, and faster with singleton leaves
 MAX_ENUMERATION_K = 7
 MAX_AUGMENTED_K = 6
 

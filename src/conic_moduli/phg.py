@@ -37,7 +37,6 @@ __all__ = [
     "u0_series",
     "u0_value",
     "u0_truncated",
-    "exp_series",
     "indicial_solve",
     "free_symbols",
     "recursion_step",
@@ -51,8 +50,7 @@ __all__ = [
 Rat = Union[Fraction, int]
 
 # (j, k) pairs ``index_set`` may span, counted as the box j <= cutoff,
-# 2*k*beta <= cutoff; about half of them are enumerated.  On a 2-core VM a
-# box of 525,231 took 1.5 s and 68 MB, 2,101,491 took 7.4 s and 187 MB.
+# 2*k*beta <= cutoff; time and memory grow with the box
 MAX_INDEX_PAIRS = 10**6
 
 
@@ -100,14 +98,6 @@ class TrigPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def is_pure(self) -> bool:
-        """Only the top-degree harmonics are present."""
-        return len(self.coeffs) <= 1
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         out = TrigPoly()
@@ -257,21 +247,6 @@ def u0_truncated(rfrak: Union[float, np.ndarray], order: int) -> Union[float, np
     return sum(float(c) * x ** (2 * (j + 1)) for j, c in enumerate(u0_series(order)))
 
 
-def exp_series(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Power-series coefficients of exp(2*sum c_k y^k) through y^order.
-
-    Standard derivative recurrence; used for the e^{2 u0} weight expansion.
-    """
-    E = [Fraction(1)] + [Fraction(0)] * order
-    c = list(coeffs) + [Fraction(0)] * max(0, order - len(coeffs))
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for k in range(1, n + 1):
-            s += 2 * k * c[k - 1] * E[n - k]
-        E[n] = s / n
-    return E
-
-
 # ---------------------------------------------------------------------------
 # indicial solves and the transverse recursion
 
@@ -334,12 +309,13 @@ class PhgSeries:
             )
         self.labels: dict[Fraction, tuple[tuple[int, int], ...]] = {Fraction(0): ((0, 0),)}
         self.labels.update((e.alpha, e.pairs) for e in index_set(b, self.truncation))
-        # step 0 and the weight, once: a_k rfrak^{2k} = a_k r^{2k beta} / beta^{2k}
+        # step 0 and the weight, once: a_k rfrak^{2k} = a_k r^{2k beta} / beta^{2k}; each
+        # 2k beta <= truncation is an exponent of index_set, so no label is checked
         coeffs = [c / b ** (2 * k) for k, c in enumerate(u0_series(kmax), start=1)] if kmax else []
-        # each 2k beta <= truncation is an exponent of index_set, so no label is checked
         self.steps: dict[int, StepTable] = {0: {2 * k * b: TrigPoly.const(c) for k, c in enumerate(coeffs, start=1)}}
+        # e^{2 u0} = (1 - rfrak^2/4)^{-2} = sum (k+1) (rfrak^2/4)^k
         self.weight: dict[Fraction, TrigPoly] = {
-            2 * k * b: TrigPoly.const(c) for k, c in enumerate(exp_series(coeffs, kmax))
+            2 * k * b: TrigPoly.const(Fraction(k + 1) / (4 * b * b) ** k) for k in range(kmax + 1)
         }
         self.assignments: dict[str, Fraction] = {}
 
@@ -502,7 +478,6 @@ class FitReport:
     terms: list[FitTerm]
     ok: bool
     message: str = ""
-    residual_floor: float = 0.0
 
 
 def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> FitReport:
@@ -531,15 +506,14 @@ def fit_exponents(samples: Sequence[tuple[float, float]], count: int = 1) -> Fit
     resid = list(val)
     for _ in range(count):
         if any(abs(v) <= floor for v in resid):
-            return FitReport(terms, ok=True, message="residual at cancellation floor", residual_floor=floor)
+            return FitReport(terms, ok=True, message="residual at cancellation floor")
         sign = 1.0 if resid[0] > 0 else -1.0
         mags = [sign * v for v in resid]
         if any(m <= 0 for m in mags) or any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
-            ok = bool(terms)
-            return FitReport(terms, ok=ok, message="non-monotone decay", residual_floor=floor)
+            return FitReport(terms, ok=bool(terms), message="non-monotone decay")
         mids = [math.sqrt(r1 * r2) for r1, r2 in zip(rho, rho[1:])]
         alpha = neville_zero(mids, loglog_slopes(rho, mags))
         coeff = sign * neville_zero(rho, [m / r**alpha for r, m in zip(rho, mags)])
         terms.append(FitTerm(alpha=alpha, coefficient=coeff))
         resid = [v - coeff * r**alpha for r, v in zip(rho, resid)]
-    return FitReport(terms, ok=True, residual_floor=floor)
+    return FitReport(terms, ok=True)

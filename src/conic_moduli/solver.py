@@ -161,11 +161,9 @@ class ConicLaplacianOp:
     with -hp/ht and to its left and right ones with -ht/hp, and a collapsed
     ring's dof to each node of its neighbour ring with -hp/ht.  ``stencil``
     holds (radial, angular, centre, pole): hp/ht, ht/hp and the two
-    diagonals, summed in the order of an edge-by-edge assembly (an interior
-    node's two radial then two angular edges, a pole's nphi radial edges one
-    after another), so A is that assembly's matrix bit for bit.  A is
-    symmetric positive semidefinite and annihilates constants when both
-    rings are collapsed.
+    diagonals, each summed in one fixed order (``_build``), so payloads stay
+    byte-identical.  A is symmetric positive semidefinite and annihilates
+    constants when both rings are collapsed.
 
     The lumped mass is density * e^{2t} * ht * hp with half cells at the
     end rings (a collapsed ring's unknown carries its whole ring mass; the
@@ -445,7 +443,7 @@ class SolveReport:
     steps: int
     contraction: Optional[float] = None
     gap: Optional[float] = None
-    sup_rhs: float = 0.0
+    sup_rhs: Optional[float] = None
     sup_solution: float = 0.0
     bound_ok: bool = True
 
@@ -769,13 +767,12 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
                 iterations += 1
                 try:  # no factor is alive here, so one is alive at a time
                     held, y = factored(u, res, tau)
-                except RuntimeError:  # exactly singular: rejected like a failed step
-                    y = np.full(op.ndof, np.nan)
-            if held is None:  # the singular factor's step
-                u_new = y
-            else:  # Sherman-Morrison for the rank-one term 2 q q^T / M; no alias of the factor
-                q, z, denominator = held[1:]
-                u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / denominator)
+                except RuntimeError:  # exactly singular: a rejected step
+                    tau, rejections = min(4.0 * tau, 1e9), rejections + 1
+                    continue
+            # Sherman-Morrison for the rank-one term 2 q q^T / M; no alias of the factor
+            q, z, denominator = held[1:]
+            u_new = normalized(u + y - z * (2.0 * (q @ y) / M) / denominator)
         res_new = residual_dof(u_new)
         l2_new = l2w(res_new)
         kept = l2_new < res_l2 if fresh else l2_new <= 0.5 * res_l2
@@ -803,7 +800,6 @@ def newton_solve_spherical(op: ConicLaplacianOp, K0: Field, tol: float = 1e-10) 
         iterations=iterations,
         steps=steps,
         sup_solution=float(np.max(np.abs(u_grid))),
-        sup_rhs=float(np.max(np.abs(K0_dof - 1.0))),
     )
 
 
@@ -863,12 +859,9 @@ def spherical_cone_solve(
 
 @dataclass
 class DecayReport:
-    rhos: tuple[float, ...]
-    sup_values: tuple[float, ...]
     value_slope: float
     pair_slopes: tuple[float, ...]
     bderiv_slopes: tuple[float, float]  # (t-derivative, phi-derivative)
-    n_target: int
     passes: bool
 
 
@@ -896,12 +889,9 @@ def decay_check(family: Sequence[tuple[float, Field]], n_target: int) -> DecayRe
     slope_dt = least_squares_slope(rhos, sups_dt) if min(sups_dt) > 0 else math.inf
     slope_dp = least_squares_slope(rhos, sups_dp) if min(sups_dp) > 0 else math.inf
     return DecayReport(
-        rhos=tuple(rhos),
-        sup_values=tuple(sups),
         value_slope=value_slope,
         pair_slopes=tuple(pair_slopes),
         bderiv_slopes=(slope_dt, slope_dp),
-        n_target=n_target,
         passes=passes,
     )
 
@@ -972,11 +962,7 @@ class MergingFamily:
     ``families[N]`` lists (rho, residual field) for the order-N truncation.
     """
 
-    mesh: FiberMesh
-    beta1: float
-    beta2: float
     families: dict[int, list[tuple[float, Field]]]
-    u0_report: SolveReport
 
 
 def merging_pair_residual_family(
@@ -1011,8 +997,7 @@ def merging_pair_residual_family(
         raise ValueError("rho values must stay well inside the annulus hole")
 
     # exact merged-limit conformal factor, used as boundary data and seed
-    report = hyperbolic_correction_solve(mesh, b0, u0_value, tol=tol)
-    u0_grid = u0_value(rr**b0 / b0) + report.solution
+    u0_grid = u0_value(rr**b0 / b0) + hyperbolic_correction_solve(mesh, b0, u0_value, tol=tol).solution
 
     # limit background density e^{2 G0}
     op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u0_grid)))
@@ -1036,4 +1021,4 @@ def merging_pair_residual_family(
             phi = 0.5 * log_density_rho + u
             res_dof = op0.weak_form(phi) / mass_rho + op0.grid_to_dof(np.exp(2 * u))
             families[order].append((rho, op0.dof_to_grid(res_dof)))
-    return MergingFamily(mesh=mesh, beta1=b1, beta2=b2, families=families, u0_report=report)
+    return MergingFamily(families)

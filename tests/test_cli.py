@@ -147,6 +147,29 @@ def test_charts_verify_corner_100k_meets_tolerances(capsys):
     assert payload["lifting"]["row_condition_ok"] and payload["positivity_ok"]
 
 
+@pytest.mark.parametrize(
+    "row, failed",
+    [((0, 2), '"positivity_ok": false'), ((1, 1), '"row_condition_ok": false')],
+    ids=["wrong-exponent", "two-faces-in-a-row"],
+)
+def test_charts_verify_that_fails_exits_1_after_its_payload(row, failed, capsys, monkeypatch):
+    # the corner chart's face of R12 lifted with a wrong row of exponents
+    from conic_moduli import charts
+
+    derived = charts._lifting
+
+    def wrong(clusters, fiber):
+        lifting = derived(clusters, fiber)
+        entries = tuple(row if name == "C12[R12]" else e for name, e in zip(lifting.rows, lifting.entries))
+        return charts.LiftingMatrix(lifting.rows, lifting.cols, entries)
+
+    monkeypatch.setattr(charts, "_lifting", wrong)
+    rc, out, _ = run(capsys, "charts", "verify", "--chart", "three-corner", "--samples", "1000")
+    assert rc == 1
+    assert failed in out
+    assert json.loads(out)["samples"] == 1000
+
+
 def test_cones_classify_matches_table(capsys):
     rc, out, _ = run(
         capsys, "cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "1/2,2/3,2/3,5/6"

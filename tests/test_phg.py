@@ -10,7 +10,6 @@ from conic_moduli.phg import (
     IndicialCollisionError,
     PhgSeries,
     TrigPoly,
-    exp_series,
     fit_exponents,
     free_symbols,
     index_set,
@@ -109,14 +108,18 @@ def test_u0_series_guard():
         u0_series(31)
 
 
-def test_exp_series_closed_form():
-    # exp(2 u0) as a series in y = rfrak^2/ (4 is absorbed): with u0 = -log(1-cy),
-    # e^{2u0} = (1-cy)^{-2} has coefficients (k+1) c^k
-    c = F(1, 4)
-    coeffs = [c / 1, c**2 / 2 * 2, c**3 / 3 * 3]  # 1/(j 4^j)->c^j/j with c=1/4
-    E = exp_series([F(1, (j + 1) * 4 ** (j + 1)) for j in range(6)], 6)
-    for k, e in enumerate(E):
-        assert e == (k + 1) * F(1, 4) ** k
+def test_weight_matches_the_derivative_recurrence():
+    # reference: the power series of e^{2 u0} = exp(2 sum c_k y^k) in y = r^{2 beta},
+    # c_k = 1/(k 4^k beta^{2k}), by the derivative recurrence n E_n = sum_k 2 k c_k E_{n-k}
+    for beta in (F(3, 4), F(2, 5), F(1, 3)):
+        series = PhgSeries(beta, 6)
+        kmax = int(6 / (2 * beta))
+        c = [F(1, k * 4**k) / beta ** (2 * k) for k in range(1, kmax + 1)]
+        E = [F(1)]
+        for n in range(1, kmax + 1):
+            E.append(sum((2 * k * c[k - 1] * E[n - k] for k in range(1, n + 1)), F(0)) / n)
+        assert series.weight == {2 * k * beta: TrigPoly.const(e) for k, e in enumerate(E)}
+        assert len(E) > 4
 
 
 # -- indicial solves --------------------------------------------------------------
@@ -198,7 +201,7 @@ def test_recursion_degree_bounds():
         if free_symbols(2, alpha):
             continue
         max_label_ell = max(l for l, k in series.labels[alpha])
-        assert trig.degree <= max_label_ell
+        assert max(trig.coeffs, default=0) <= max_label_ell
 
 
 def test_recursion_verify_operator_identity():

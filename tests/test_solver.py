@@ -616,6 +616,8 @@ def test_newton_rejects_step_on_singular_factor(monkeypatch):
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
     assert rep.residual_sup < 1e-10
     assert len(calls) > 1
+    # the next factor is built at the same u with tau grown fourfold, 1e-3 -> 4e-3
+    assert np.allclose(calls[1] - calls[0], 3e-3, rtol=0, atol=1e-15)
 
 
 def test_newton_on_a_radial_density_pivots_through_indefinite_shifts(
