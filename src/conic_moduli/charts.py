@@ -1,18 +1,19 @@
 """Iterated polar charts for a chain of coalescing clusters.
 
 A chart covers the corner where the clusters {1,2} ⊂ {1,2,3} ⊂ … merge at
-once, with a fiber point z nearby: the two-point chart is the chain {1,2}
-alone, and the three-point corner chart is {1,2} ⊂ {1,2,3}, a pair merging
-inside a merging triple.  Each cluster adds one polar layer, so one
-blowdown, one inverse and one lifting matrix serve every depth.
-``pullback_report`` verifies numerically that base boundary defining
-functions pull back to monomials in the total-space defining functions
-times a smooth positive factor, with at most one base face per total-space
-face (the fibration condition on the exponent matrix).
+once, with a fiber point z nearby.  The named charts are the chain's depths
+1 and 2: ``two`` is {1,2} alone, and ``three-corner`` is {1,2} ⊂ {1,2,3}, a
+pair merging inside a merging triple.  Each cluster adds one polar layer, so
+one blowdown, one inverse, one lifting matrix (a face per cluster, and the
+fiber face ``fiber[omega]`` on the pair's column) and one sampling schedule
+serve every depth.  ``pullback_report`` verifies numerically that base
+boundary defining functions pull back to monomials in the total-space
+defining functions times a smooth positive factor, with at most one base
+face per total-space face (the fibration condition on the exponent matrix).
 
-Every chart map is elementwise: a chart point holds floats or numpy arrays
-that broadcast together, and a scalar is a 0-d array.  ``pullback_report``
-draws and evaluates its samples in blocks of ``SAMPLE_BLOCK``.
+Every chart map is elementwise on floats or numpy arrays that broadcast
+together (a scalar is a 0-d array); ``pullback_report`` samples in blocks of
+``SAMPLE_BLOCK``, and its factor samples draw no angle.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class ChartPoint:
     R is last; omega is the pair's fiber angle (see ``blowdown``).  theta is
     the direction of z1 - z2, phi that of z - zeta, and ``phases`` the
     direction of each outer cluster's added point, in the order of
-    ``radii``.  Raises ValueError on a negative radius, an omega outside
-    [0, pi/2], a phase count other than one per outer cluster, or an inner
-    level whose relative coordinates leave [0, 1].
+    ``radii``.  Raises ValueError on a radius that is not finite and
+    nonnegative, an omega outside [0, pi/2], a zeta, theta, phi or phase that
+    is not finite, a phase count other than one per outer cluster, or an
+    inner level whose relative coordinates leave [0, 1].
     """
 
     zeta: complex = 0j
@@ -96,8 +98,10 @@ class ChartPoint:
     def __post_init__(self) -> None:
         if len(self.phases) != len(self.radii) - 1:
             raise ValueError(f"{len(self.radii)} radii need {len(self.radii) - 1} phases, got {len(self.phases)}")
-        if any(np.any(R < 0) for R in self.radii):
-            raise ValueError("radial coordinates must be nonnegative")
+        if not all(np.all(np.isfinite(R) & (R >= 0)) for R in self.radii):
+            raise ValueError("radial coordinates must be finite and nonnegative")
+        if not all(np.all(np.isfinite(t)) for t in (self.zeta, self.theta, self.phi, *self.phases)):
+            raise ValueError("zeta, theta, phi and the phases must be finite")
         if not np.all((self.omega >= -_OMEGA_SLACK) & (self.omega <= np.pi / 2 + _OMEGA_SLACK)):
             raise ValueError(f"omega must lie in [0, pi/2], got {self.omega}")
         object.__setattr__(self, "omega", np.clip(self.omega, 0.0, np.pi / 2))
@@ -209,25 +213,20 @@ class PullbackReport:
     failure: str | None = field(default=None)
 
 
-def _lifting(clusters: tuple[str, ...], fiber: str) -> LiftingMatrix:
-    """The chain's lifting matrix: one face C[R] per cluster, outermost first,
-    on its own base face rho, and the fiber face on the pair's column."""
-    eye = [tuple(int(i == j) for j in range(len(clusters))) for i in range(len(clusters))]
+def _lifting(depth: int) -> LiftingMatrix:
+    """The lifting matrix of the chain of ``depth`` clusters: one face C[R] per cluster,
+    outermost first, on its own base face rho, and the fiber face on the pair's column."""
+    clusters = ["".join(map(str, range(1, n + 2))) for n in range(depth, 0, -1)]
+    eye = [tuple(int(i == j) for j in range(depth)) for i in range(depth)]
     return LiftingMatrix(
-        rows=tuple(f"C{c}[R{c}]" for c in clusters) + (f"fiber[{fiber}]",),
+        rows=tuple(f"C{c}[R{c}]" for c in clusters) + ("fiber[omega]",),
         cols=tuple(f"rho{c}" for c in clusters),
         entries=tuple(eye + eye[-1:]),
     )
 
 
-# per named chart: its clusters, outermost first, and its fiber-angle label; then its
-# draw schedule, which keeps each seeded payload's draws: the order of the round trip's
-# theta and phi draws, whether a factor sample draws the angles too, and the round
-# trip's lowest omega
-_CHARTS = {
-    "two": (("12",), "omega", ("phi", "theta"), False, 0.0),
-    "three-corner": (("123", "12"), "omega12", ("theta", "phi"), True, 0.05),
-}
+# each named chart is the chain at its depth
+_CHARTS = {"two": 1, "three-corner": 2}
 
 
 def _draw(rng: np.random.Generator, bounds: list[tuple[float, float]], n: int) -> np.ndarray:
@@ -249,9 +248,9 @@ def pullback_report(
     prod(bdf^exponent) over the lifting matrix's rows.  Reports min/max of A per base
     face; a factor reaching 1e-3 from above or 1e3 from below, where one
     wrong exponent lands at the 1e-6 radial floor, is reported as a
-    verification failure naming the face and side, not raised.  The
-    point-level round trip (blowdown, inversion, blowdown) runs on one
-    further block of min(samples, SAMPLE_BLOCK) interior points.
+    verification failure naming the face and side, not raised.  A factor sample draws
+    its radii, outermost first, and omega: no base defining function reads an angle.
+    The round trip (blowdown, inversion, blowdown) runs on min(samples, SAMPLE_BLOCK) further interior points.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -259,24 +258,18 @@ def pullback_report(
         raise ValueError(f"region must lie in ({_RADIAL_FLOOR:g}, 1): radial samples start at {_RADIAL_FLOOR:g}")
     if chart not in _CHARTS:
         raise ValueError(f"unknown chart {chart!r} (expected 'two' or 'three-corner')")
-    clusters, fiber, order, angles_sampled, omega_low = _CHARTS[chart]
-    lifting, depth = _lifting(clusters, fiber), len(clusters)
+    depth = _CHARTS[chart]
+    lifting = _lifting(depth)
     rng = np.random.default_rng(seed)
     top = np.pi / 2 - OMEGA_MARGIN
-    # columns in draw order: the radii, outermost first, omega, theta and phi in ``order``, the phases
-    angles = [(0.0, TWO_PI)] * (depth + 1)
-    sample_bounds = [(_RADIAL_FLOOR, 1.0)] * (depth - 1) + [(_RADIAL_FLOOR, region), (1e-9, top)]
-    sample_bounds += angles * angles_sampled
-    trip_bounds = [(0.1, 1.0)] * (depth - 1) + [(0.1 * region, region), (omega_low, top)] + angles
-
-    def point(columns, zeta=0j) -> ChartPoint:
-        omega, *drawn = columns[depth:]
-        named = dict(zip(order, drawn), phases=tuple(drawn[2:]))
-        return ChartPoint(zeta, tuple(columns[:depth]), omega, **named)
+    radial = [(_RADIAL_FLOOR, 1.0)] * (depth - 1) + [(_RADIAL_FLOOR, region), (1e-9, top)]
+    trip = [(-1.0, 1.0)] * 2 + [(0.1, 1.0)] * (depth - 1) + [(0.1 * region, region), (0.0, top)]
+    trip += [(0.0, TWO_PI)] * (depth + 1)
 
     ranges: dict[str, tuple[float, float]] = {}
     for start in range(0, samples, SAMPLE_BLOCK):
-        p = point(_draw(rng, sample_bounds, min(SAMPLE_BLOCK, samples - start)).T)
+        *radii, omega = _draw(rng, radial, min(SAMPLE_BLOCK, samples - start)).T
+        p = ChartPoint(radii=tuple(radii), omega=omega, phases=(0.0,) * (depth - 1))
         rhos = _scales(*blowdown(p)[:-1])[2]
         bdfs = (*p.radii, p.omega)  # the rows' defining functions
         for face, rho, column in zip(lifting.cols, rhos, zip(*lifting.entries)):
@@ -284,9 +277,9 @@ def pullback_report(
             lo, hi = ranges.get(face, (np.inf, -np.inf))
             ranges[face] = (min(lo, float(a.min())), max(hi, float(a.max())))
 
-    # round trip: the center of mass zeta is drawn first, then the coordinates
-    x = _draw(rng, [(-1.0, 1.0), (-1.0, 1.0)] + trip_bounds, min(samples, SAMPLE_BLOCK))
-    pts = blowdown(point(x[:, 2:].T, zeta=x[:, 0] + 1j * x[:, 1]))
+    x, y, *coords = _draw(rng, trip, min(samples, SAMPLE_BLOCK)).T
+    omega, phi, theta, *phases = coords[depth:]
+    pts = blowdown(ChartPoint(x + 1j * y, tuple(coords[:depth]), omega, theta, phi, tuple(phases)))
     back = blowdown(chart_from_points(*pts))
     err = np.max([np.abs(a - b) for a, b in zip(pts, back)], axis=0)
     scale = np.max([np.abs(z) for z in pts], axis=0)

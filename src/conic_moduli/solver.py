@@ -445,7 +445,7 @@ class SolveReport:
     gap: Optional[float] = None
     sup_rhs: Optional[float] = None
     sup_solution: float = 0.0
-    bound_ok: bool = True
+    bound_ok: Optional[bool] = None
 
 
 def _require_finite_tol(tol: float) -> None:

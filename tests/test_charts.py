@@ -276,10 +276,10 @@ def test_pullback_three_corner_chart():
     assert rep.roundtrip_max_err < 1e-12
 
 
-# the parent's hand-written matrices, which the chain's derived ones must equal
+# the charts' matrices written out, which the chain's derived ones must equal
 LIFT_TWO = LiftingMatrix(rows=("C12[R12]", "fiber[omega]"), cols=("rho12",), entries=((1,), (1,)))
 LIFT_THREE = LiftingMatrix(
-    rows=("C123[R123]", "C12[R12]", "fiber[omega12]"),
+    rows=("C123[R123]", "C12[R12]", "fiber[omega]"),
     cols=("rho123", "rho12"),
     entries=((1, 0), (0, 1), (0, 1)),
 )
@@ -289,8 +289,8 @@ def test_derived_lifting_matrices_equal_the_written_ones():
     assert pullback_report("two", samples=1).lifting == LIFT_TWO
     assert pullback_report("three-corner", samples=1).lifting == LIFT_THREE
     # depth 3: one face per cluster, the fiber face on the pair's column
-    deep = charts._lifting(("1234", "123", "12"), "omega12")
-    assert deep.rows == ("C1234[R1234]", "C123[R123]", "C12[R12]", "fiber[omega12]")
+    deep = charts._lifting(3)
+    assert deep.rows == ("C1234[R1234]", "C123[R123]", "C12[R12]", "fiber[omega]")
     assert deep.cols == ("rho1234", "rho123", "rho12")
     assert deep.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1))
     assert deep.row_condition_ok
@@ -299,14 +299,29 @@ def test_derived_lifting_matrices_equal_the_written_ones():
 def test_pullback_factors_follow_the_lifting_matrix(monkeypatch):
     # a wrong exponent must show in the factors: R12^2 leaves a factor ~ 1/R12
     wrong = LiftingMatrix(
-        rows=("C123[R123]", "C12[R12]", "fiber[omega12]"),
+        rows=("C123[R123]", "C12[R12]", "fiber[omega]"),
         cols=("rho123", "rho12"),
         entries=((1, 0), (0, 2), (0, 1)),
     )
-    monkeypatch.setattr(charts, "_lifting", lambda clusters, fiber: wrong)
+    monkeypatch.setattr(charts, "_lifting", lambda depth: wrong)
     rep = pullback_report("three-corner", samples=4000, region=0.3, seed=101)
     assert rep.lifting is wrong
     assert rep.factors["rho12"][1] > 1e3
+
+
+def test_one_schedule_serves_every_depth(monkeypatch):
+    # a depth-3 alias, the chain {1,2} ⊂ {1,2,3} ⊂ {1,2,3,4}, sampled like the named charts
+    monkeypatch.setitem(charts._CHARTS, "four-corner", 3)
+    rep = pullback_report("four-corner", samples=10_000, region=0.3, seed=20240)
+    assert rep.lifting.rows == ("C1234[R1234]", "C123[R123]", "C12[R12]", "fiber[omega]")
+    assert rep.lifting.row_condition_ok and rep.positivity_ok
+    assert rep.roundtrip_max_err < 1e-12
+    # each outer cluster's factor is sqrt(1 - a^2) with a <= region, as in acceptance 2
+    for face in ("rho1234", "rho123"):
+        lo, hi = rep.factors[face]
+        assert 0.95394 - 1e-9 <= lo and hi <= 1.0
+    lo, hi = rep.factors["rho12"]
+    assert 2 / math.pi - 1e-12 <= lo and hi <= 1.0 + 1e-12
 
 
 def off_by_one(chart, lifting):
@@ -328,8 +343,8 @@ def test_pullback_flags_a_wrong_exponent(chart, entries, face, side, monkeypatch
     # one exponent too many leaves a factor ~ 1/bdf, one too few ~ bdf
     derived = charts._lifting
 
-    def wrong(clusters, fiber):
-        lifting = derived(clusters, fiber)
+    def wrong(depth):
+        lifting = derived(depth)
         return LiftingMatrix(lifting.rows, lifting.cols, entries)
 
     monkeypatch.setattr(charts, "_lifting", wrong)
@@ -390,6 +405,25 @@ def test_chart_maps_on_arrays_match_scalar_calls(chart):
     assert_entrywise(coordinates(q), [coordinates(chart_from_points(*(z[i] for z in pts))) for i in range(n)])
 
 
+@pytest.mark.parametrize(
+    "coordinates",
+    [
+        dict(radii=(math.nan,)),
+        dict(radii=(math.inf,)),
+        dict(radii=(0.5, math.nan), phases=(0.0,)),
+        dict(radii=(np.array([0.1, math.nan]),)),
+        dict(radii=(0.5,), theta=math.nan),
+        dict(radii=(0.5,), phi=-math.inf),
+        dict(radii=(0.5, 0.5), phases=(math.inf,)),
+        dict(zeta=complex(0.0, math.nan), radii=(0.5,)),
+    ],
+    ids=["nan-radius", "inf-radius", "nan-inner-radius", "nan-radius-entry", "nan-theta", "inf-phi", "inf-phase", "nan-zeta"],
+)
+def test_chart_point_refuses_non_finite_coordinates(coordinates):
+    with pytest.raises(ValueError, match="finite"):
+        ChartPoint(**coordinates)
+
+
 def test_chart_maps_on_arrays_reject_any_bad_entry():
     points = random_points(np.random.default_rng(19), 8)
     z1, z2, z = blowdown(points["two"])
@@ -418,6 +452,8 @@ def reference_pullback(chart, samples, region, seed):
     rng = np.random.default_rng(seed)
     top = math.pi / 2 - OMEGA_MARGIN
     factors = {}
+    # the radii, outermost first, then omega; a factor sample draws no angle
+    theta12 = phi2 = 0.0
     for _ in range(samples):
         if chart == "two":
             R12 = rng.uniform(1e-6, region)
@@ -426,9 +462,8 @@ def reference_pullback(chart, samples, region, seed):
             continue
         R123 = rng.uniform(1e-6, 1.0)
         R12 = rng.uniform(1e-6, region)
-        omega12 = rng.uniform(1e-9, top)
-        theta12, phi12, phi2 = (rng.uniform(0, 2 * math.pi) for _ in range(3))
-        a, b = R12 * math.cos(omega12), R12 * math.sin(omega12)
+        omega = rng.uniform(1e-9, top)
+        a, b = R12 * math.cos(omega), R12 * math.sin(omega)
         outer = math.sqrt(max(0.0, 1.0 - a * a))
         w = R123 * outer * b * cmath.exp(1j * theta12)
         z1, z2 = 0j + w, 0j - w
@@ -438,8 +473,8 @@ def reference_pullback(chart, samples, region, seed):
         w2 = z3 - 0.5 * (z1 + z2)
         rho123 = math.hypot(abs(w1), abs(w2))
         factors.setdefault("rho123", []).append(rho123 / R123)
-        factors.setdefault("rho12", []).append(abs(w1) / rho123 / (R12 * omega12))
-    # round-trip points: zeta, then 4 (two) or 6 (three-corner) coordinates
+        factors.setdefault("rho12", []).append(abs(w1) / rho123 / (R12 * omega))
+    # round-trip points: zeta, then the radii, omega, phi, theta and the phases (4 or 6 coordinates)
     for _ in range(min(samples, 10_000) * (6 if chart == "two" else 8)):
         rng.uniform()
     return {face: (min(v), max(v)) for face, v in factors.items()}, rng

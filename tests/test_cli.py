@@ -158,8 +158,8 @@ def test_charts_verify_that_fails_exits_1_after_its_payload(row, failed, capsys,
 
     derived = charts._lifting
 
-    def wrong(clusters, fiber):
-        lifting = derived(clusters, fiber)
+    def wrong(depth):
+        lifting = derived(depth)
         entries = tuple(row if name == "C12[R12]" else e for name, e in zip(lifting.rows, lifting.entries))
         return charts.LiftingMatrix(lifting.rows, lifting.cols, entries)
 

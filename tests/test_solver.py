@@ -861,6 +861,13 @@ def test_spherical_cone_solve_three_cones():
     assert rep.gap == pytest.approx(3.3606, abs=2e-3)
 
 
+def test_newton_report_claims_no_maximum_principle_bound():
+    # only Picard checks the bound sup|v| <= sup|f|/2; Newton leaves it unset, like contraction and sup_rhs
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
+    rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
+    assert rep.bound_ok is None and rep.contraction is None and rep.sup_rhs is None
+
+
 def test_spherical_cone_solve_perturbed_configuration():
     # perturbed cone position: the residual's W-norm per unit area still converges
     # below 1e-10 at desk scale (its sup reads 1.01e-10), gap regression recorded
