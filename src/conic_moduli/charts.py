@@ -38,7 +38,7 @@ TWO_PI = 2.0 * np.pi
 _OMEGA_SLACK = 1e-15
 # keep verification samples off the omega = pi/2 coordinate singularity
 OMEGA_MARGIN = 1e-6
-# samples drawn and evaluated at once; bounds the memory of a large report
+# samples drawn and checked at once; bounds the memory of a large report
 SAMPLE_BLOCK = 10_000
 # smallest radial coordinate a verification sample draws
 _RADIAL_FLOOR = 1e-6

@@ -142,7 +142,6 @@ def _cmd_cones_classify(args: argparse.Namespace) -> int:
 
     betas = _parse_beta_list(args.beta)
     data = cones.ConeData.of(args.genus, betas, args.curvature)
-    cones.consistent_area(data)  # refuses data with no positive area; merging keeps chi(M, beta)
     payload = {
         "genus": args.genus,
         "curvature": args.curvature,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -25,7 +26,6 @@ __all__ = [
     "ConeData",
     "MergeStatus",
     "MergeVerdict",
-    "consistent_area",
     "merge_angle",
     "verdict",
     "classify_merges",
@@ -46,9 +46,12 @@ def to_fraction(x: RationalLike) -> tuple[Fraction, bool]:
 
     Returns (value, approximated): floats are snapped to the nearest
     fraction with denominator <= INGEST_MAX_DENOMINATOR and flagged, so
-    downstream strict inequalities stay exact.
+    downstream strict inequalities stay exact.  A float that is not finite
+    has no fraction: ValueError.
     """
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: {x}")
         f = Fraction(x).limit_denominator(INGEST_MAX_DENOMINATOR)
         return f, f != Fraction(x)
     return Fraction(x), False
@@ -102,19 +105,6 @@ class ConeData:
 def _sign_rule_holds(chi_beta: Fraction, curvature: int) -> bool:
     """Gauss-Bonnet's sign rule: K * A / (2*pi) = chi(M, beta) with A > 0 needs sign(chi_beta) = K."""
     return (chi_beta > 0) - (chi_beta < 0) == curvature
-
-
-def consistent_area(d: ConeData) -> Optional[Fraction]:
-    """The area (in units of 2*pi) forced by Gauss-Bonnet, if any.
-
-    For K = 0 returns None (any area); raises ValueError if the data admit
-    no positive-area solution, by the sign rule ``verdict`` applies first.
-    """
-    if not _sign_rule_holds(d.chi_beta, d.curvature):
-        raise ValueError(
-            f"no positive area satisfies Gauss-Bonnet: chi(M, beta) = {d.chi_beta} with curvature {d.curvature}"
-        )
-    return None if d.curvature == 0 else d.chi_beta / d.curvature
 
 
 def merge_angle(betas: Sequence[RationalLike]) -> Fraction:
@@ -201,14 +191,19 @@ def classify_merges(d: ConeData) -> list[MergeVerdict]:
     """One verdict per subset of size 2..k, plus sphere football partitions.
 
     Merging keeps chi(M, beta), so data that fail Gauss-Bonnet's sign rule
-    get that verdict on every subset.  Otherwise, for K <= 0 admissibility
-    alone decides.  For the sphere, a merge must leave a configuration
-    satisfying the positive-curvature inequalities; collapsing to two
-    equal angles is flagged as the football boundary.
+    admit no positive area before or after any merge: ValueError refuses
+    them.  Otherwise, for K <= 0 admissibility alone decides.  For the
+    sphere, a merge must leave a configuration satisfying the
+    positive-curvature inequalities; collapsing to two equal angles is
+    flagged as the football boundary.
     Simultaneous merges are enumerated only for partitions of {1..k} into
     two blocks of size >= 2 (single-subset verdicts cover the rest).  Over
     ``MAX_CLASSIFY_K`` cone points raise ValueError before any enumeration.
     """
+    if not _sign_rule_holds(d.chi_beta, d.curvature):
+        raise ValueError(
+            f"no positive area satisfies Gauss-Bonnet: chi(M, beta) = {d.chi_beta} with curvature {d.curvature}"
+        )
     if d.k > MAX_CLASSIFY_K:
         raise ValueError(f"merge classification limited to k <= {MAX_CLASSIFY_K} cone points, got {d.k}")
     if d.curvature > 0 and any(b >= 1 for b in d.beta):

@@ -116,7 +116,6 @@ class CornerExpansion2:
 
     beta1: Fraction
     beta2: Fraction
-    log_coefficient: Fraction
     terms: tuple[tuple[int, TrigPoly], ...]
 
 
@@ -134,12 +133,7 @@ def corner_expansion_2pt(
     for n in range(1, order + 1):
         c = -Fraction((b1 - 1) + (-1) ** n * (b2 - 1), n)
         terms.append((n, TrigPoly.cos(n, c)))
-    return CornerExpansion2(
-        beta1=b1,
-        beta2=b2,
-        log_coefficient=b1 + b2 - 2,
-        terms=tuple(terms),
-    )
+    return CornerExpansion2(beta1=b1, beta2=b2, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

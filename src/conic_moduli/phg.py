@@ -41,7 +41,6 @@ __all__ = [
     "free_symbols",
     "recursion_step",
     "recurse",
-    "verify_step",
     "fit_exponents",
     "FitTerm",
     "FitReport",
@@ -137,10 +136,6 @@ class TrigPoly:
                     c0, d0 = out.coeffs.get(m, zero)
                     out._set(m, c0 + c, d0 + d)
         return out
-
-    def evaluate(self, phi: float) -> float:
-        terms = (float(c) * math.cos(m * phi) + float(d) * math.sin(m * phi) for m, (c, d) in self.coeffs.items())
-        return sum(terms, 0.0)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
@@ -283,7 +278,9 @@ class PhgSeries:
     """Tables u_j of the expansion u ~ sum_j rho^j u_j(r, phi) near the corner.
 
     Step 0 is the radial one-cone series (exponents 2*k*beta); later steps
-    are produced by ``recursion_step`` (``recurse`` runs them).  The free
+    are produced by ``recursion_step`` (``recurse`` runs them).  It reads
+    steps 1..j-1 as they stand, so a caller may also set ``steps[j]``
+    directly, with its entries at exponents of ``labels``.  The free
     indicial coefficients a[j,l,c] / a[j,l,s] are determined by the global
     problem, not locally: ``assign`` records their values in ``assignments``,
     which ``recursion_step`` reads (an unassigned one is 0).  ``labels``
@@ -318,13 +315,6 @@ class PhgSeries:
             2 * k * b: TrigPoly.const(Fraction(k + 1) / (4 * b * b) ** k) for k in range(kmax + 1)
         }
         self.assignments: dict[str, Fraction] = {}
-
-    def inject(self, j: int, alpha: Union[Fraction, int], trig: TrigPoly) -> None:
-        """Install a bespoke table entry (unit tests drive the recursion this way)."""
-        a = Fraction(alpha)
-        if a not in self.labels:
-            raise ValueError(f"exponent {a} is not of the form l + 2k*beta <= {self.truncation}")
-        self.steps.setdefault(j, {})[a] = trig
 
     def assign(self, values: Mapping[str, Rat]) -> None:
         for k, v in values.items():
@@ -409,8 +399,6 @@ def recursion_step(j: int, prior: PhgSeries) -> StepTable:
                 force = force - table[lower].scale(2 * wk.coeffs[0][0])
         solved = TrigPoly()
         for m, (c, d) in force.coeffs.items():
-            if alpha**2 == m * m:
-                raise IndicialCollisionError(f"forcing hits the indicial pair (alpha={alpha}, m={m})")
             solved = solved + TrigPoly({m: (indicial_solve(alpha, m, c), indicial_solve(alpha, m, d))})
         free = free_symbols(j, alpha)
         for name, harmonic in zip(free, (TrigPoly.cos, TrigPoly.sin)):
@@ -441,26 +429,6 @@ def recurse(beta: Fraction, truncation: Fraction, steps: int, values: Mapping[st
         raise ValueError(f"no free coefficient named {unknown[0]!r} in steps 1..{steps}")
     series.assignments = {s: series.assignments.get(s, Fraction(0)) for s in free}
     return series
-
-
-def verify_step(j: int, prior: PhgSeries, table: StepTable) -> bool:
-    """Check L u_j + 2 r^{2b} e^{2u0} u_j = -r^{2b} e^{2u0} Q_j exactly.
-
-    Applies the model operator to the produced table and compares it against
-    the right-hand side of ``_forcing``, which ``recursion_step`` shares, slot
-    by slot through the truncation: this checks the solve, not the forcing.
-    """
-    cap = prior.truncation
-    # left side: L(r^alpha trig) = (alpha^2 - m^2) r^alpha trig, plus ladder
-    lhs = {
-        alpha: TrigPoly({m: ((alpha**2 - m * m) * c, (alpha**2 - m * m) * d) for m, (c, d) in t.coeffs.items()})
-        for alpha, t in table.items()
-    }
-    coupling = {2 * prior.beta + x: t.scale(2) for x, t in prior.weight.items() if 2 * prior.beta + x <= cap}
-    lhs = _add_tables(lhs, _mul_tables(table, coupling, cap))
-    rhs = _forcing(j, prior)
-    zero = TrigPoly()
-    return all((lhs.get(x, zero) - rhs.get(x, zero)).is_zero for x in set(lhs) | set(rhs) if x <= cap)
 
 
 # ---------------------------------------------------------------------------

@@ -970,7 +970,6 @@ def merging_pair_residual_family(
     beta2: float,
     rhos: Sequence[float],
     mesh: Optional[FiberMesh] = None,
-    tol: float = 1e-12,
 ) -> MergingFamily:
     """Curvature residuals of order-N approximate solutions, N = 1, 2, on an annulus.
 
@@ -997,7 +996,7 @@ def merging_pair_residual_family(
         raise ValueError("rho values must stay well inside the annulus hole")
 
     # exact merged-limit conformal factor, used as boundary data and seed
-    u0_grid = u0_value(rr**b0 / b0) + hyperbolic_correction_solve(mesh, b0, u0_value, tol=tol).solution
+    u0_grid = u0_value(rr**b0 / b0) + hyperbolic_correction_solve(mesh, b0, u0_value, tol=1e-12).solution
 
     # limit background density e^{2 G0}
     op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u0_grid)))

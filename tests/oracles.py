@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from conic_moduli.phg import ExponentEntry
+from conic_moduli.phg import ExponentEntry, TrigPoly
 from conic_moduli.solver import FootballDegeneracyError
 
 
@@ -109,3 +109,59 @@ def index_set_by_fractions(beta: Fraction, cutoff: Fraction) -> list[ExponentEnt
             j += 1
         k += 1
     return [ExponentEntry(a, tuple(sorted(found[a]))) for a in sorted(found)]
+
+
+def trig_value(poly: TrigPoly, phi: float) -> float:
+    """sum_m (c_m cos(m phi) + d_m sin(m phi)) at one angle, in floating point."""
+    return sum((float(c) * math.cos(m * phi) + float(d) * math.sin(m * phi) for m, (c, d) in poly.coeffs.items()), 0.0)
+
+
+def _accumulate(out: dict, table: dict, scale=1) -> None:
+    """out += scale * table, slot by slot, over tables {exponent of r: TrigPoly}."""
+    for x, t in table.items():
+        out[x] = out.get(x, TrigPoly()) + t.scale(scale)
+
+
+def _product(a: dict, b: dict, cap: Fraction) -> dict:
+    """The product of two tables, through the exponent ``cap``."""
+    out: dict = {}
+    for xa, ta in a.items():
+        for xb, tb in b.items():
+            if xa + xb <= cap:
+                out[xa + xb] = out.get(xa + xb, TrigPoly()) + ta * tb
+    return out
+
+
+def phg_step_identity_holds(j: int, series, table: dict) -> bool:
+    """Whether ``table`` solves step j of the phg recursion exactly, through the truncation.
+
+    The identity is L u_j + 2 r^{2 beta} E u_j = -r^{2 beta} E Q_j, slot by
+    slot, with L = (r d/dr)^2 + d^2/dphi^2, which maps r^alpha trig_m to
+    (alpha^2 - m^2) r^alpha trig_m.  E = e^{2 u0} = (1 - rfrak^2/4)^{-2} =
+    sum_k (k + 1) (r^{2 beta}/(4 beta^2))^k is written in closed form, and
+    Q_j = sum_{n >= 2} 2^n/n! [rho^j] v^n, the rho^j coefficient of
+    e^{2v} - 1 - 2v with v = sum_{i < j} rho^i u_i, is built from its
+    definition out of ``series.steps``, by powers of v.
+    """
+    b, cap = series.beta, series.truncation
+    shifted_weight = {  # r^{2 beta} E
+        2 * (k + 1) * b: TrigPoly.const(Fraction(k + 1) / (4 * b * b) ** k) for k in range(int(cap / (2 * b)))
+    }
+    q: dict = {}
+    power = {0: {Fraction(0): TrigPoly.const(1)}}  # rho degree -> table of v^n, from n = 0
+    for n in range(1, j + 1):
+        nxt: dict = {}
+        for d, t in power.items():
+            for i in range(1, min(j - d, j - 1) + 1):
+                _accumulate(nxt.setdefault(d + i, {}), _product(t, series.steps[i], cap))
+        power = nxt
+        if n >= 2:
+            _accumulate(q, power.get(j, {}), Fraction(2**n, math.factorial(n)))
+    residual = {
+        a: TrigPoly({m: ((a * a - m * m) * c, (a * a - m * m) * d) for m, (c, d) in t.coeffs.items()})
+        for a, t in table.items()
+        if a <= cap
+    }
+    _accumulate(residual, _product(shifted_weight, table, cap), 2)
+    _accumulate(residual, _product(shifted_weight, q, cap))
+    return all(t.is_zero for t in residual.values())

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from conic_moduli.charts import pullback_report
 from conic_moduli.cones import ConeData, MergeStatus, classify_merges
@@ -29,7 +30,7 @@ from conic_moduli.solver import (
     spherical_cone_solve,
 )
 
-from oracles import radial_hyperbolic
+from oracles import radial_hyperbolic, trig_value
 
 
 def report(n: int, text: str) -> None:
@@ -114,20 +115,30 @@ def test_acceptance_3_classification():
     assert singles[(2, 3)].status is MergeStatus.TROYANOV_VIOLATED and singles[(2, 3)].at_equality
     assert partitions[((1, 4), (2, 3))].status is MergeStatus.FOOTBALL_BOUNDARY
     assert singles[(2, 4)].status is MergeStatus.ADMISSIBLE
-    # every Troyanov sphere triple admits no merge at all
+    # every Troyanov sphere triple admits no merge at all; those with chi(M, beta) <= 0
+    # admit no positive area either, and classification refuses them
     denoms = (F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(3, 4), F(5, 6), F(9, 10))
-    checked = 0
+    checked = refused = 0
     for triple in itertools.combinations_with_replacement(denoms, 3):
         if not 2 * min(triple) + 1 > sum(triple):  # Troyanov's inequalities for three cones
             continue
         data = ConeData.of(0, triple, 1)
         checked += 1
+        if data.chi_beta <= 0:
+            refused += 1
+            with pytest.raises(ValueError, match="Gauss-Bonnet"):
+                classify_merges(data)
+            continue
         assert all(v.status is not MergeStatus.ADMISSIBLE for v in classify_merges(data))
         assert all(v.status is not MergeStatus.FOOTBALL_BOUNDARY for v in classify_merges(data))
-    assert checked == 76
+    assert checked == 76 and 0 < refused < checked
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    report(3, f"verdict table exact; {checked} Troyanov triples admit no merge [{elapsed:.2f}s < 1s]")
+    report(
+        3,
+        f"verdict table exact; {checked} Troyanov triples admit no merge, {refused} refused by Gauss-Bonnet "
+        f"[{elapsed:.2f}s < 1s]",
+    )
 
 
 # -- 4. one-cone hyperbolic series --------------------------------------------------------
@@ -199,7 +210,7 @@ def test_acceptance_5_corner_expansion():
 
             for n in range(1, 5):
                 fd = _fd_taylor(g, n)
-                sym = terms[n].evaluate(theta - phi)
+                sym = trig_value(terms[n], theta - phi)
                 worst = max(worst, abs(fd - sym))
     assert worst < 1e-8
     elapsed = time.perf_counter() - t0
@@ -309,7 +320,7 @@ def test_acceptance_8_spectral_gaps():
 
 def test_acceptance_9_decay_conormality():
     t0 = time.perf_counter()
-    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), tol=1e-10)
+    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025))
     slopes = {}
     for n in (1, 2):
         rep = decay_check(fam.families[n], n)

@@ -251,6 +251,10 @@ def test_lifting_matrix_row_condition():
     assert not bad.row_condition_ok
     with pytest.raises(ValueError):
         LiftingMatrix(rows=("a",), cols=("x",), entries=((-1,),))
+    with pytest.raises(ValueError, match="entry rows do not match row labels"):
+        LiftingMatrix(rows=("a", "b"), cols=("x",), entries=((1,),))
+    with pytest.raises(ValueError, match="entry columns do not match column labels"):
+        LiftingMatrix(rows=("a", "b"), cols=("x", "y"), entries=((1, 0), (1,)))
 
 
 def test_pullback_two_chart():
@@ -422,6 +426,12 @@ def test_chart_maps_on_arrays_match_scalar_calls(chart):
 def test_chart_point_refuses_non_finite_coordinates(coordinates):
     with pytest.raises(ValueError, match="finite"):
         ChartPoint(**coordinates)
+
+
+@pytest.mark.parametrize("omega", [-0.1, math.pi / 2 + 1e-9, np.array([0.3, 2.0])], ids=["below", "above", "array-entry"])
+def test_chart_point_refuses_omega_outside_the_quarter_turn(omega):
+    with pytest.raises(ValueError, match=r"omega must lie in \[0, pi/2\]"):
+        ChartPoint(radii=(0.5,), omega=omega)
 
 
 def test_chart_maps_on_arrays_reject_any_bad_entry():

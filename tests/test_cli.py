@@ -186,6 +186,7 @@ def test_cones_classify_matches_table(capsys):
 
 REFUSALS = {
     "malformed_beta": (["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", "0.x"], "not a rational"),
+    "empty_beta_list": (["cones", "classify", "--genus", "0", "--curvature", "1", "--beta", ","], "empty angle list"),
     # 1 - 0.45 = 0.55 > (1 - 0.5) + (1 - 0.96) = 0.54: no spherical metric
     "luo_tian_violation": (["solve", "spherical", "--beta", "9/20,1/2,24/25", "--points", "0,0;1,0"], "Luo-Tian"),
     # on the Luo-Tian equality exactly; snapped to denominators <= 10^6 the angles
@@ -292,6 +293,9 @@ REFUSALS = {
     "assign_name_twice": (
         ["phg", "recurse", "--beta", "3/4", "--assign", "a[1,1,c]=1", "--assign", "a[1,1,c]=2"],
         "'a[1,1,c]' is assigned twice",
+    ),
+    "assign_without_value": (
+        ["phg", "recurse", "--beta", "3/4", "--assign", "a[1,1,c]"], "malformed assignment 'a[1,1,c]'"
     ),
     "charts_region_below_radial_floor": (
         ["charts", "verify", "--chart", "two", "--region", "1e-300"], "radial samples start at 1e-06"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,6 @@ from conic_moduli.cones import (
     ConeData,
     MergeStatus,
     classify_merges,
-    consistent_area,
     merge_angle,
     to_fraction,
     verdict,
@@ -16,25 +16,40 @@ from conic_moduli.cones import (
 
 
 def test_gauss_bonnet_examples():
+    # K * area / (2 pi) = chi(M, beta), and classification accepts each datum
     # flat 3-cone data close up with any area
-    assert consistent_area(ConeData.of(0, ["1/3", "1/3", "1/3"], 0)) is None
+    assert ConeData.of(0, ["1/3", "1/3", "1/3"], 0).chi_beta == 0
     # spherical two equal angles force area 2*pi (one unit of 2*pi)
-    assert consistent_area(ConeData.of(0, ["1/2", "1/2"], 1)) == 1
+    assert ConeData.of(0, ["1/2", "1/2"], 1).chi_beta == 1
     # smooth hyperbolic genus 2: area 4*pi = 2 units
-    assert consistent_area(ConeData.of(2, [], -1)) == 2
+    assert ConeData.of(2, [], -1).chi_beta == -2
+    for d in (ConeData.of(0, ["1/3", "1/3", "1/3"], 0), ConeData.of(0, ["1/2", "1/2"], 1), ConeData.of(2, [], -1)):
+        classify_merges(d)
 
 
-def test_consistent_area_errors():
-    with pytest.raises(ValueError):
-        consistent_area(ConeData.of(0, ["1/3", "1/3"], 0))  # chi(beta) != 0
-    with pytest.raises(ValueError):
-        consistent_area(ConeData.of(0, ["1/3", "1/3", "1/3"], 1))  # area would be 0
+def test_classify_merges_refuses_data_with_no_positive_area():
+    with pytest.raises(ValueError, match="Gauss-Bonnet"):
+        classify_merges(ConeData.of(0, ["1/3", "1/3"], 0))  # chi(beta) != 0
+    with pytest.raises(ValueError, match="Gauss-Bonnet"):
+        classify_merges(ConeData.of(0, ["1/3", "1/3", "1/3"], 1))  # area would be 0
+
+
+@pytest.mark.parametrize(
+    "genus, curvature, message",
+    [(-1, 0, "genus must be nonnegative"), (0, 2, "curvature sign"), (0, -2, "curvature sign")],
+    ids=["negative-genus", "curvature-2", "curvature-minus-2"],
+)
+def test_cone_data_refuses_a_bad_genus_or_curvature(genus, curvature, message):
+    with pytest.raises(ValueError, match=message):
+        ConeData.of(genus, ["1/2", "1/2"], curvature)
 
 
 def test_merge_angle_examples():
     assert merge_angle(["1/2", "4/5"]) == F(3, 10)
     assert merge_angle(["5/7"]) == F(5, 7)
     assert merge_angle(["2/3", "2/3", "5/6"]) == F(1, 6)
+    with pytest.raises(ValueError, match="at least one angle"):
+        merge_angle([])
 
 
 def verdict_map(verdicts):
@@ -73,7 +88,12 @@ def test_sphere_three_cones_never_admissible():
         if not 2 * min(b) + 1 > sum(b):  # Troyanov's inequalities for three cones on the sphere
             continue
         found += 1
-        verdicts = classify_merges(ConeData.of(0, b, 1))
+        d = ConeData.of(0, b, 1)
+        if d.chi_beta <= 0:  # no positive area: refused, not classified
+            with pytest.raises(ValueError, match="Gauss-Bonnet"):
+                classify_merges(d)
+            continue
+        verdicts = classify_merges(d)
         assert all(v.status is not MergeStatus.ADMISSIBLE for v in verdicts)
         assert all(v.status is not MergeStatus.FOOTBALL_BOUNDARY for v in verdicts)
 
@@ -125,6 +145,10 @@ def test_admissible_sphere_merge_decreases_angle():
         k = rng.randint(3, 5)
         b = [F(rng.randint(1, 19), 20) for _ in range(k)]
         d = ConeData.of(0, b, 1)
+        if d.chi_beta <= 0:  # no positive area: refused, not classified
+            with pytest.raises(ValueError, match="Gauss-Bonnet"):
+                classify_merges(d)
+            continue
         for v in classify_merges(d):
             if v.status is MergeStatus.ADMISSIBLE and v.partner is None:
                 assert v.merged_angle < min(d.beta[i - 1] for i in v.subset)
@@ -167,6 +191,15 @@ def test_float_ingestion_flagged():
     assert d.approximated
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_to_fraction_refuses_non_finite_floats(x):
+    # one ValueError that names the value, not OverflowError (an ArithmeticError) for inf
+    with pytest.raises(ValueError, match=f"not a finite number: {x}$"):
+        to_fraction(x)
+    with pytest.raises(ValueError, match="not a finite number"):
+        ConeData.of(0, [0.5, x, 0.5], 1)
+
+
 @pytest.mark.parametrize(
     "genus, curvature, betas",
     [
@@ -182,10 +215,9 @@ def test_verdict_applies_gauss_bonnet_sign_rule_first(genus, curvature, betas):
     # each of these used to be ADMISSIBLE
     d = ConeData.of(genus, betas, curvature)
     assert verdict(genus, curvature, d.beta) == (MergeStatus.GAUSS_BONNET_VIOLATED, False)
-    with pytest.raises(ValueError, match="Gauss-Bonnet"):
-        consistent_area(d)
-    # merging keeps chi(M, beta), so no merge escapes the rule
-    assert all(v.status is MergeStatus.GAUSS_BONNET_VIOLATED for v in classify_merges(d))
+    # merging keeps chi(M, beta), so no merge escapes the rule: classification refuses the data
+    with pytest.raises(ValueError, match="no positive area satisfies Gauss-Bonnet"):
+        classify_merges(d)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ from conic_moduli.flat import (
     green_factor,
 )
 
+from oracles import trig_value
+
 
 def unit_roots(k):
     return [cmath.exp(2j * math.pi * j / k) for j in range(k)]
@@ -73,12 +75,25 @@ def test_plane_background_constraint():
     assert sum(b - 1 for b in m.beta) == -2 and m.beta == (F(1, 3),) * 3
     with pytest.raises(ValueError):
         FlatConicMetric.of([0j, 1 + 0j], ["1/2", "0"])
+    with pytest.raises(ValueError, match="equal length"):
+        FlatConicMetric.of([0j, 1 + 0j], ["1/2"])
+    with pytest.raises(ValueError, match="at least one marked point"):
+        FlatConicMetric.of([], [])
 
 
 def test_corner_expansion_symbolic_coefficients():
     b1, b2 = F(1, 3), F(3, 4)
     exp2 = corner_expansion_2pt(b1, b2, 4)
-    assert exp2.log_coefficient == b1 + b2 - 2
+    # the log r coefficient is b1 + b2 - 2: G - (b1 + b2 - 2) log|z| is the s-series
+    # alone, here at s = 0.1/2 through s^8
+    w, z = 0.1 * cmath.exp(0.35j), 2 * cmath.exp(0.9j)
+    terms8 = corner_expansion_2pt(b1, b2, 8).terms
+    series = sum(0.05**n * trig_value(poly, 0.35 - 0.9) for n, poly in terms8)
+    g = green_factor(FlatConicMetric.of([w, -w], [b1, b2]), z)
+    assert g - (b1 + b2 - 2) * math.log(2) == pytest.approx(series, abs=1e-10)
+    for order in (0, 9):
+        with pytest.raises(ValueError, match="order must be between 1 and 8"):
+            corner_expansion_2pt(b1, b2, order)
     # s^1: (b2 - b1) cos(D)
     c1 = dict(exp2.terms)[1]
     assert c1.coeffs[1][0] == b2 - b1
@@ -136,7 +151,7 @@ def test_corner_expansion_matches_green_factor_derivatives(b1, b2):
 
         for n in range(1, 5):
             fd = finite_difference_taylor(g_of_s, n)
-            sym = terms[n].evaluate(delta)
+            sym = trig_value(terms[n], delta)
             assert abs(fd - sym) < 1e-8
 
 

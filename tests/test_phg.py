@@ -19,10 +19,9 @@ from conic_moduli.phg import (
     u0_series,
     u0_truncated,
     u0_value,
-    verify_step,
 )
 
-from oracles import index_set_by_fractions
+from oracles import index_set_by_fractions, phg_step_identity_holds, trig_value
 
 
 # -- index sets -----------------------------------------------------------------
@@ -46,6 +45,23 @@ def test_index_set_half_collisions():
 def test_index_set_huge_denominator_no_collisions():
     entries = index_set(F(577, 1000), 4)
     assert all(e.multiplicity == 1 for e in entries)
+
+
+@pytest.mark.parametrize(
+    "beta, cutoff, message",
+    [
+        (0, 1, "beta must be positive"),
+        (F(-1, 2), 1, "beta must be positive"),
+        (F(1, 2), 0, "cutoff must be positive"),
+        (F(1, 2), F(-3), "cutoff must be positive"),
+        (math.inf, 1, "not a finite number: inf"),
+        (F(1, 2), math.nan, "not a finite number: nan"),
+    ],
+    ids=["zero-beta", "negative-beta", "zero-cutoff", "negative-cutoff", "inf-beta", "nan-cutoff"],
+)
+def test_index_set_refuses_bad_arguments(beta, cutoff, message):
+    with pytest.raises(ValueError, match=message):
+        index_set(beta, cutoff)
 
 
 def test_index_set_refuses_a_box_past_the_cap(monkeypatch):
@@ -146,6 +162,8 @@ def test_trig_product_rules():
     sq = TrigPoly.cos(1) * TrigPoly.cos(1)
     assert sq.coeffs[0][0] == F(1, 2)
     assert sq.coeffs[2][0] == F(1, 2)
+    with pytest.raises(ValueError, match="trig degree must be nonnegative"):
+        TrigPoly.cos(-1)
 
 
 def test_trig_numeric_evaluation_matches_algebra():
@@ -154,7 +172,7 @@ def test_trig_numeric_evaluation_matches_algebra():
         a = TrigPoly({1: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3))), 2: (F(1, 2), 0)})
         b = TrigPoly({0: (F(rng.randint(-2, 2)), 0), 3: (0, F(rng.randint(-2, 2)))})
         phi = rng.uniform(0, 2 * math.pi)
-        assert (a * b).evaluate(phi) == pytest.approx(a.evaluate(phi) * b.evaluate(phi), abs=1e-12)
+        assert trig_value(a * b, phi) == pytest.approx(trig_value(a, phi) * trig_value(b, phi), abs=1e-12)
 
 
 # -- the transverse recursion -------------------------------------------------------
@@ -183,7 +201,7 @@ def test_recursion_step_one_structure():
 def test_recursion_step_two_unit_input():
     beta = F(3, 4)
     series = PhgSeries(beta, F(9, 2))
-    series.inject(1, 1, TrigPoly.cos(1))  # u_1 = r cos(phi)
+    series.steps[1] = {F(1): TrigPoly.cos(1)}  # u_1 = r cos(phi)
     table = recursion_step(2, series)
     alpha = 2 + 2 * beta
     trig = table[alpha]
@@ -194,8 +212,7 @@ def test_recursion_step_two_unit_input():
 def test_recursion_degree_bounds():
     beta = F(3, 4)
     series = PhgSeries(beta, F(9, 2))
-    series.inject(1, 1, TrigPoly.cos(1))
-    series.inject(1, 2, TrigPoly({2: (F(1, 3), F(-1, 5))}))
+    series.steps[1] = {F(1): TrigPoly.cos(1), F(2): TrigPoly({2: (F(1, 3), F(-1, 5))})}
     table = recursion_step(2, series)
     for alpha, trig in table.items():
         if free_symbols(2, alpha):
@@ -209,12 +226,12 @@ def test_recursion_verify_operator_identity():
     series = PhgSeries(F(3, 4), F(9, 2))
     series.assign({"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2)})
     t1 = series.steps[1] = recursion_step(1, series)
-    assert verify_step(1, series, t1)
+    assert phg_step_identity_holds(1, series, t1)
     # a spurious term is caught, at a free slot and at a ladder slot
     for alpha in (F(2), F(3, 2)):
         bad = dict(t1)
         bad[alpha] = t1[alpha] + TrigPoly.const(1)
-        assert not verify_step(1, series, bad)
+        assert not phg_step_identity_holds(1, series, bad)
 
 
 def test_recurse_verify_operator_identity():
@@ -222,8 +239,8 @@ def test_recurse_verify_operator_identity():
     step2 = {f"a[2,{l},{p}]": F(1, 7) for l in range(5) for p in "cs" if l or p == "c"}
     series = recurse(F(3, 4), F(9, 2), 2, {"a[1,0,c]": F(1, 3), "a[1,1,c]": 2, "a[1,1,s]": F(-1, 2), **step2})
     assert series.assignments["a[1,2,c]"] == 0
-    assert verify_step(1, series, series.steps[1])
-    assert verify_step(2, series, series.steps[2])
+    assert phg_step_identity_holds(1, series, series.steps[1])
+    assert phg_step_identity_holds(2, series, series.steps[2])
 
 
 @pytest.mark.parametrize("beta", [F(1, 2), F(2, 3), F(3, 4), F(5, 4), F(3)], ids=str)
@@ -236,7 +253,7 @@ def test_recurse_verifies_every_step(beta):
     assert series.assignments == values
     for j in range(1, steps + 1):
         assert series.steps[j]
-        assert verify_step(j, series, series.steps[j])
+        assert phg_step_identity_holds(j, series, series.steps[j])
 
 
 def test_recurse_refuses_unknown_assignment():
@@ -248,7 +265,7 @@ def test_recurse_refuses_unknown_assignment():
 
 def test_recursion_collision_slots_share_and_drop_purity():
     series = PhgSeries(F(1, 2), 4)
-    series.inject(1, 1, TrigPoly.cos(1))
+    series.steps[1] = {F(1): TrigPoly.cos(1)}
     table = recursion_step(2, series)
     # at beta = 1/2, 2 + 2*beta = 3 collides with the integer slot
     assert F(3) in table
@@ -258,7 +275,7 @@ def test_recursion_collision_slots_share_and_drop_purity():
     assert series.labels[F(1)] == ((0, 1), (1, 0))
     series.steps[2] = table
     series.assign({s: F(0) for a in table for s in free_symbols(2, a)})
-    assert verify_step(2, series, table)
+    assert phg_step_identity_holds(2, series, table)
 
 
 def test_free_symbols_name_the_integer_slots_of_later_steps():
@@ -268,18 +285,12 @@ def test_free_symbols_name_the_integer_slots_of_later_steps():
     assert free_symbols(3, F(2)) == ("a[3,2,c]", "a[3,2,s]")
 
 
-def test_inject_refuses_exponent_outside_index_set():
-    series = PhgSeries(F(3, 4), 4)
-    series.inject(1, F(5, 2), TrigPoly.cos(1))  # 1 + 2*beta
-    for alpha in (F(1, 3), F(9, 2), -1):  # not l + 2k*beta, past the truncation, negative
-        with pytest.raises(ValueError):
-            series.inject(1, alpha, TrigPoly.cos(1))
-
-
 def test_recursion_truncation_guard():
     series = PhgSeries(F(3, 4), 4)
     with pytest.raises(ValueError):
         recursion_step(0, series)
+    with pytest.raises(ValueError, match="prior is missing step 1"):
+        recursion_step(2, series)
 
 
 def test_series_refuses_more_one_cone_terms_than_tabulated():
@@ -287,6 +298,9 @@ def test_series_refuses_more_one_cone_terms_than_tabulated():
     with pytest.raises(ValueError, match="beta = 1/16 with truncation 4 needs 32 one-cone terms"):
         PhgSeries(F(1, 16), 4)
     assert len(PhgSeries(F(1, 15), 4).steps[0]) == 30
+    for beta, truncation, message in ((0, 4, "beta"), (F(-1, 2), 4, "beta"), (F(1, 2), 0, "truncation")):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            PhgSeries(beta, truncation)
 
 
 def test_fit_single_power():
@@ -337,6 +351,12 @@ def test_fit_reports_non_finite_data(samples, message):
     rep = fit_exponents(samples, count=1)
     assert not rep.ok and not rep.terms
     assert message in rep.message
+
+
+def test_fit_reports_too_few_samples():
+    rep = fit_exponents([(0.1, 0.01), (0.05, 0.0025)], count=1)
+    assert not rep.ok and not rep.terms
+    assert rep.message == "need at least three samples"
 
 
 def test_fit_non_monotone_reports_failure():

@@ -80,6 +80,11 @@ def test_mesh_validation():
 def test_assemble_rejects_nonpositive_density():
     with pytest.raises(ValueError):
         assemble(annulus(), 0.0)
+    # a density that broadcasts against the mesh but to a larger shape
+    with pytest.raises(ValueError, match="density does not broadcast to the mesh shape"):
+        assemble(annulus(), np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="density does not broadcast to the mesh shape"):
+        assemble(annulus(), lambda r, phi: np.ones((2,) + np.shape(r)))
 
 
 def dof_map(op):
@@ -1092,6 +1097,10 @@ def test_spherical_gate_refuses_nonpositive_angles(monkeypatch):
     for betas in ([1.5, -0.5, 1.0], [0.0, 0.5, 0.5], [-0.5, -0.5]):
         with pytest.raises(ValueError, match="angle parameters must be positive"):
             spherical_cone_solve(betas, [0j, 1 + 0j][: len(betas) - 1], mesh)
+    # a non-finite angle is no rational: ValueError, not OverflowError (an ArithmeticError)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"not a finite number: {bad}"):
+            spherical_cone_solve([bad, 0.5, 0.5], [0j, 1 + 0j], mesh)
 
 
 def test_singular_background_refuses_repeated_points():
@@ -1332,7 +1341,7 @@ def test_decay_check_validation():
 
 
 def test_merging_pair_residual_slopes():
-    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025), tol=1e-10)
+    fam = merging_pair_residual_family(0.9, 0.6, (0.1, 0.05, 0.025))
     rep1 = decay_check(fam.families[1], 1)
     rep2 = decay_check(fam.families[2], 2)
     assert rep1.passes and rep1.value_slope >= 0.9
