@@ -73,6 +73,10 @@ class FootballDegeneracyError(ArithmeticError):
     """Spectral-gap guard refused a solve at or below the degenerate gap (an ArithmeticError)."""
 
 
+# the fewest nodes FiberMesh accepts in t and in phi; a ring of this many is the narrowest
+_MIN_NODES = 8
+
+
 @dataclass(frozen=True)
 class FiberMesh:
     """Uniform log-polar mesh on r in [r_min, r_max], periodic in phi.
@@ -95,8 +99,8 @@ class FiberMesh:
             raise ValueError("need finite radii 0 < r_min < r_max")
         if not all(isinstance(n, (int, np.integer)) for n in (self.nt, self.nphi)):
             raise ValueError("node counts must be integers")
-        if self.nt < 8 or self.nphi < 8:
-            raise ValueError("node counts must be >= 8")
+        if self.nt < _MIN_NODES or self.nphi < _MIN_NODES:
+            raise ValueError(f"node counts must be >= {_MIN_NODES}")
         if self.nphi % 2:
             raise ValueError("angular count must be even")
         for side, kind in (("inner", self.inner), ("outer", self.outer)):
@@ -133,13 +137,15 @@ class FiberMesh:
 
 
 def _density_array(mesh: FiberMesh, density: DensityLike) -> Field:
-    r, phi = mesh.grids()
-    if callable(density):
-        out = np.asarray(density(r, phi), dtype=float) * np.ones((mesh.nt, mesh.nphi))
-    else:
-        out = np.asarray(density, dtype=float) * np.ones((mesh.nt, mesh.nphi))
-    if out.shape != (mesh.nt, mesh.nphi):
+    shape = mesh.nt, mesh.nphi
+    value = np.asarray(density(*mesh.grids()) if callable(density) else density, dtype=float)
+    try:  # tested before the product, which would raise numpy's own error or grow past the mesh
+        fits = np.broadcast_shapes(value.shape, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
         raise ValueError("density does not broadcast to the mesh shape")
+    out = value * np.ones(shape)
     if not np.all(out > 0):
         raise ValueError("density must be positive at every node")
     return out
@@ -575,20 +581,31 @@ def hyperbolic_correction_solve(
     that delta belongs to the background, so the exact flux of the conic
     part is removed from the pole row.  beta <= 0, and a mesh that reaches
     the closing radius rfrak = 2, are refused with ValueError.
+
+    The data are radial and the boundary values zero, so the discrete
+    problem is rotation-invariant, and its unique solution (Picard's map
+    contracts on the positive definite A + 2W) is the same on every ring
+    width.  It is solved on ``mesh``'s radii with rings of ``_MIN_NODES``
+    nodes, and each ring's first value is repeated along ``mesh``'s ring, so
+    the solution is exactly constant on rings and the report, whose sups are
+    the narrow solve's, does not depend on ``mesh.nphi``.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    r, _ = mesh.grids()
+    narrow = FiberMesh(mesh.r_min, mesh.r_max, mesh.nt, _MIN_NODES, mesh.inner, mesh.outer)
+    r, _ = narrow.grids()
     rfrak = r**beta / beta
     if np.max(rfrak) >= 2.0:
         raise ValueError("mesh reaches the closing radius of the hyperbolic cone")
-    u_approx = profile(rfrak) * np.ones((mesh.nt, mesh.nphi))
-    cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
-    op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
+    u_approx = profile(rfrak) * np.ones((narrow.nt, narrow.nphi))
+    cone_part = (beta - 1.0) * np.log(r) * np.ones((narrow.nt, narrow.nphi))
+    op = assemble(narrow, np.exp(2.0 * cone_part + 2.0 * u_approx))
     K_tilde = op.weak_form(cone_part + u_approx) / op.W
     if mesh.inner == "pole":  # the inner ring's dof is the first
         K_tilde[0] -= op.weak_form(cone_part)[0] / op.W[0]
-    return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
+    report = picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
+    report.solution = np.repeat(report.solution[:, :1], mesh.nphi, axis=1)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1002,11 +1019,10 @@ def merging_pair_residual_family(
     op0 = assemble(mesh, np.exp(2.0 * (b0 - 1.0) * np.log(rr) * np.ones_like(u0_grid)))
 
     # linearized transverse equation: (A + 2 W0 e^{2u0}) u1 = -(A G1 + 2 W0 e^{2u0} G1);
-    # the merged limit is rotation-invariant, so u0 is taken at its ring mean
-    # (its solve leaves round-off off the rings) and the shift factors by FFT
+    # its solve repeats each ring's value, so u0 and the shift are exactly constant
+    # on rings and the shift factors by FFT
     g1 = (b2 - b1) * np.cos(pp) / rr * np.ones_like(u0_grid)
-    u0_ring = np.broadcast_to(u0_grid.mean(axis=1, keepdims=True), u0_grid.shape)
-    shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_ring))
+    shift = op0.grid_to_dof(2.0 * np.exp(2.0 * u0_grid))
     u1 = op0.shifted(shift).solve(-(op0.weak_form(g1) + shift * op0.W * op0.grid_to_dof(g1)))
     u1_grid = op0.dof_to_grid(u1)
 

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from conic_moduli.phg import ExponentEntry, TrigPoly
-from conic_moduli.solver import FootballDegeneracyError
+from conic_moduli.solver import FootballDegeneracyError, assemble, picard_solve
 
 
 def spherical_existence_gate(betas) -> None:
@@ -95,6 +95,23 @@ def radial_hyperbolic(beta: float, r_max: float, nodes: int) -> RadialProfile:
             u0[i] = math.log(math.sinh(series_rtilde(x)) / x)
     r = np.power(b * rf, 1.0 / b, where=rf > 0, out=np.zeros_like(rf))
     return RadialProfile(beta=b, rfrak=rf, u0=u0, r=r)
+
+
+def full_width_hyperbolic_correction(mesh, beta: float, profile, tol: float = 1e-10):
+    """``hyperbolic_correction_solve``'s problem assembled and Picard-solved on every node of ``mesh``.
+
+    The same data, the flat cone r^{2(beta-1)} times e^{2 profile(rfrak)} and
+    its discrete curvature with the cone's flux taken off a collapsed inner
+    ring, on the caller's full rings rather than on the narrowest ones.
+    """
+    r, _ = mesh.grids()
+    u_approx = profile(r**beta / beta) * np.ones((mesh.nt, mesh.nphi))
+    cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
+    op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
+    K_tilde = op.weak_form(cone_part + u_approx) / op.W
+    if mesh.inner == "pole":
+        K_tilde[0] -= op.weak_form(cone_part)[0] / op.W[0]
+    return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
 
 
 def index_set_by_fractions(beta: Fraction, cutoff: Fraction) -> list[ExponentEntry]:

@@ -486,6 +486,16 @@ def test_hyperbolic_payload_is_the_shared_solve(capsys):
     assert payload["sup_correction"] == rep.sup_solution
 
 
+def test_hyperbolic_payload_does_not_depend_on_nphi(capsys):
+    # the one-cone correction is solved on rings of eight nodes whatever the mesh's width
+    argv = ("solve", "hyperbolic", "--beta", "1/2", "--series-order", "4", "--mesh")
+    rc16, out16, _ = run(capsys, *argv, "96x16")
+    rc64, out64, _ = run(capsys, *argv, "96x64")
+    assert rc16 == rc64 == 0
+    assert '"mesh": "96x16"' in out16
+    assert out16.replace('"mesh": "96x16"', '"mesh": "96x64"') == out64
+
+
 def test_phg_index_csv(capsys):
     rc, out, _ = run(capsys, "phg", "index", "--beta", "3/4", "--cutoff", "31/10")
     assert rc == 0

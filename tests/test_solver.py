@@ -33,7 +33,7 @@ from conic_moduli.solver import (
     spherical_cone_solve,
 )
 
-from oracles import radial_hyperbolic, spherical_existence_gate
+from oracles import full_width_hyperbolic_correction, radial_hyperbolic, spherical_existence_gate
 
 
 def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
@@ -80,9 +80,10 @@ def test_mesh_validation():
 def test_assemble_rejects_nonpositive_density():
     with pytest.raises(ValueError):
         assemble(annulus(), 0.0)
-    # a density that broadcasts against the mesh but to a larger shape
-    with pytest.raises(ValueError, match="density does not broadcast to the mesh shape"):
-        assemble(annulus(), np.ones((2, 1, 1)))
+    # densities that do not broadcast against the mesh, and one that broadcasts to a larger shape
+    for shape in ((17, 1), (16, 9), (2, 1, 1)):
+        with pytest.raises(ValueError, match="density does not broadcast to the mesh shape"):
+            assemble(annulus(16, 8), np.ones(shape))
     with pytest.raises(ValueError, match="density does not broadcast to the mesh shape"):
         assemble(annulus(), lambda r, phi: np.ones((2,) + np.shape(r)))
 
@@ -574,7 +575,29 @@ def test_picard_readme_solve_ends_by_tol_before_the_floor():
     mesh = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
     rep = hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
     assert rep.iterations == rep.steps == 6
-    assert rep.residual_sup == 3.5448116664227314e-11
+    assert rep.residual_sup == 3.544217697104557e-11
+
+
+@pytest.mark.parametrize(
+    "mesh, profile, tol",
+    [
+        (FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet"), functools.partial(u0_truncated, order=4), 1e-10),
+        (FiberMesh(1e-8, 0.7, 129, 16, inner="pole", outer="dirichlet"), functools.partial(u0_truncated, order=4), 1e-10),
+        (FiberMesh(1e-3, 0.7, 1025, 128, inner="pole", outer="dirichlet"), functools.partial(u0_truncated, order=4), 1e-10),
+        (FiberMesh(0.2, 0.7, 641, 192, inner="dirichlet", outer="dirichlet"), u0_value, 1e-12),
+    ],
+    ids=["readme 96x16", "rmin 1e-8 129x16", "1025x128", "family order 1 641x192"],
+)
+def test_hyperbolic_correction_matches_the_full_width_solve(mesh, profile, tol):
+    # solved on rings of eight nodes and repeated, the correction is the
+    # full-mesh Picard solve's to round-off, in as many iterations, and exactly
+    # constant on every ring
+    rep = hyperbolic_correction_solve(mesh, 0.5, profile, tol=tol)
+    full = full_width_hyperbolic_correction(mesh, 0.5, profile, tol=tol)
+    assert rep.solution.shape == full.solution.shape == (mesh.nt, mesh.nphi)
+    assert rep.iterations == full.iterations
+    assert np.max(np.abs(rep.solution - full.solution)) <= 1e-9
+    assert np.all(rep.solution == rep.solution[:, :1])
 
 
 # -- spherical solves ---------------------------------------------------------------
