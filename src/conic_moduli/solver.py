@@ -291,17 +291,18 @@ class ConicLaplacianOp:
         definite, and the factor is a ``_FourierFactor``: LAPACK's
         tridiagonal LDL^T per angular mode, with no fill.  Any other shift,
         an indefinite one (Newton's tau - 2 e^{2u}, on any density) or a
-        positive one that varies along a ring (the gap's), is a
-        ``_BandFactor`` in ring order on rings of at most ``_BAND_MAX_NPHI``
-        nodes: LAPACK's band Cholesky when positive, its pivoting band LU
-        otherwise; and SuperLU's, in minimum-degree order on A + A^T, on
-        wider rings.  An exactly singular factor raises RuntimeError in
-        every case.
+        positive one that varies along a ring (Picard's 2W on such a
+        density), is a ``_BandFactor`` in ring order on rings of at most
+        ``_BAND_MAX_NPHI`` nodes: LAPACK's band Cholesky when positive, its
+        pivoting band LU otherwise; and SuperLU's, in minimum-degree order
+        on A + A^T, on wider rings.  An exactly singular factor raises
+        RuntimeError in every case.  ``eigen_gap`` needs none of these: it
+        factors the stiffness alone, grounded, by ``_FourierFactor``.
         """
         s = shift * self.W
         positive = bool(np.all(s > 0))
         if positive and self._constant_on_rings(s):
-            return _FourierFactor(self, s)
+            return _FourierFactor(self, *_mode_tridiagonals(self, s, self.mesh.nphi // 2 + 1))
         if self.mesh.nphi <= _BAND_MAX_NPHI:
             return _BandFactor(self, s, positive)
         return spla.splu((self.A + sp.diags(s)).tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -352,19 +353,20 @@ def _mode_tridiagonals(op: ConicLaplacianOp, s: Field, modes: int) -> tuple[Fiel
 
 
 class _FourierFactor:
-    """LDL^T factor of A + diag(s) for s > 0 constant on every ring: one tridiagonal per angular mode.
+    """LDL^T factor of a rotation-invariant operator: one tridiagonal per angular mode.
 
-    The blocks of ``_mode_tridiagonals`` for the modes 0 .. nphi/2 of the
-    real FFT sit in one tridiagonal with zero couplings between them,
-    factored once.  As s > 0 and A is semidefinite, each block is
-    symmetric positive definite, and LAPACK's dpttrf factors it as LDL^T
+    (d, e) are the blocks of ``_mode_tridiagonals`` for the modes
+    0 .. nphi/2 of the real FFT: A + diag(s) for s > 0 constant on every
+    ring (``shifted``'s), or A alone with mode 0 grounded (``eigen_gap``'s).
+    They sit in one tridiagonal with zero couplings between them, factored
+    once.  Each block must be symmetric positive definite, as it is for
+    s > 0 since A is semidefinite, and LAPACK's dpttrf factors it as LDL^T
     with no pivoting, in place; dpttrs solves for all real and imaginary
     parts at once, in place.
     """
 
-    def __init__(self, op: ConicLaplacianOp, s: Field):
+    def __init__(self, op: ConicLaplacianOp, d: Field, e: Field):
         self.n, self.P, self.m, (self.lo, self.hi) = op.ndof, op.mesh.nphi, op.mesh.nt - 2, op._ends
-        d, e = _mode_tridiagonals(op, s, self.P // 2 + 1)
         *self.ldl, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
@@ -576,11 +578,13 @@ def hyperbolic_correction_solve(
     With gtilde = e^{2 u_approx} g0 for the flat cone g0 = r^{2(beta-1)} |dz|^2,
     the correction v = u - u_approx solves
     Delta_tilde v + 2v = -(K_tilde + 1) - (e^{2v} - 1 - 2v), v = 0 on
-    Dirichlet rings, by ``picard_solve``.  The discrete curvature K_tilde at
-    a collapsed inner ring includes the cone's distributional curvature;
-    that delta belongs to the background, so the exact flux of the conic
-    part is removed from the pole row.  beta <= 0, and a mesh that reaches
-    the closing radius rfrak = 2, are refused with ValueError.
+    Dirichlet rings, by ``picard_solve``.  The flat cone's part
+    (beta - 1) log r of the conformal factor is linear in t, so its weak
+    form is zero on every row but a collapsed inner ring's, where it is the
+    cone's distributional curvature; that delta belongs to the background.
+    So K_tilde is the weak form of u_approx alone over W, with no cancelling
+    of large terms where W ~ r^{2 beta} is tiny.  beta <= 0, and a mesh
+    that reaches the closing radius rfrak = 2, are refused with ValueError.
 
     The data are radial and the boundary values zero, so the discrete
     problem is rotation-invariant, and its unique solution (Picard's map
@@ -600,9 +604,7 @@ def hyperbolic_correction_solve(
     u_approx = profile(rfrak) * np.ones((narrow.nt, narrow.nphi))
     cone_part = (beta - 1.0) * np.log(r) * np.ones((narrow.nt, narrow.nphi))
     op = assemble(narrow, np.exp(2.0 * cone_part + 2.0 * u_approx))
-    K_tilde = op.weak_form(cone_part + u_approx) / op.W
-    if mesh.inner == "pole":  # the inner ring's dof is the first
-        K_tilde[0] -= op.weak_form(cone_part)[0] / op.W[0]
+    K_tilde = op.weak_form(u_approx) / op.W
     report = picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
     report.solution = np.repeat(report.solution[:, :1], mesh.nphi, axis=1)
     return report
@@ -634,18 +636,24 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
 
     Otherwise the gap is the smallest eigenvalue on the W-orthogonal
     complement of the constants, found by ARPACK's Lanczos in standard mode
-    on one ``op.shifted(1e-3)`` factor: the shift is positive, so on rings
-    of at most ``_BAND_MAX_NPHI`` nodes it is a band Cholesky, whose solves
-    read a third of an LU band.  In y = W^{1/2} x the pencil's inverse at
-    -1e-3 is the symmetric S = W^{1/2} (A + 1e-3 W)^{-1} W^{1/2}, so ARPACK
-    makes no mass products; its largest eigenvalue theta on the complement
-    gives the gap -1e-3 + 1/theta.  The constants' 0 is known exactly, so
-    it is left out rather than resolved: their unit vector
-    W^{1/2} 1 / sqrt(sum W) is removed from the start vector and from every
-    product, and ARPACK is asked for one eigenvalue.  S maps the complement
-    to itself, so the removal only keeps round-off from growing the
-    constants back.  The start vector is fixed, so no random start is
-    drawn.  ARPACK's failure to converge raises NonconvergenceError.
+    on A's pseudo-inverse, which needs no factor of a shifted operator: W
+    varies along rings, but A does not.  A is ``_mode_tridiagonals`` with
+    no shift, positive definite on every mode k >= 1; mode 0 is singular
+    (the constants), so it is grounded at the outer pole: an identity row
+    with no coupling to the last ring, whose right-hand side is zeroed.
+    The dropped equation follows from the zero sum of the others, so the
+    one ``_FourierFactor`` of these blocks solves A x = b for every b of
+    zero sum, up to a constant.  In y = W^{1/2} x, with the constants' unit
+    vector W^{1/2} 1 / sqrt(sum W) removed from the start vector and from
+    every product, the operator is the symmetric S = W^{1/2} A^+ W^{1/2} on
+    the complement, A^+ taking the zero-sum vectors to their solutions
+    W-orthogonal to the constants (the removal drops the solve's constant),
+    so ARPACK makes no mass products and is asked for one eigenpair: the
+    constants' 0 is left out rather than resolved.  Its Ritz value 1/theta
+    carries the grounded solve's round-off, so the gap returned is the
+    Rayleigh quotient x.Ax / x.Wx of its vector x = W^{-1/2} y on the exact
+    pencil.  The start vector is fixed, so no random start is drawn.
+    ARPACK's failure to converge raises NonconvergenceError.
     """
     _require_closed_fiber(op, "eigen_gap")
     n = op.ndof
@@ -658,22 +666,29 @@ def eigen_gap(op: ConicLaplacianOp) -> float:
         mode0 = eigh_tridiagonal(d[0], e[0], select_range=(1, 1), **bisect)[0]
         mode1 = eigh_tridiagonal(d[1, 1:-1], e[1, 1:-1], select_range=(0, 0), **bisect)[0]  # rings only
         return float(min(mode0, mode1))
-    lu, root = op.shifted(1e-3), np.sqrt(op.W)
+    d, e = _mode_tridiagonals(op, np.zeros(n), op.mesh.nphi // 2 + 1)
+    d[0, -1], e[0, -2] = 1.0, 0.0  # mode 0 grounded at the outer pole, the last dof
+    grounded, root = _FourierFactor(op, d, e), np.sqrt(op.W)
     unit = root / math.sqrt(np.sum(op.W))  # the constants, in y = W^{1/2} x
 
     def deflated(y: Field) -> Field:  # y minus its part along the constants
         return y - (unit @ y) * unit
 
-    inverse = spla.LinearOperator((n, n), matvec=lambda y: deflated(root * lu.solve(root * y)), dtype=float)
+    def inverse(y: Field) -> Field:
+        b = root * y
+        b[-1] = 0.0
+        return deflated(root * grounded.solve(b))
+
     try:
         # ncv = 10 takes the fewest solves on acceptance 8's series (CHANGES.md, "Lanczos vectors")
-        theta = spla.eigsh(
-            inverse, k=1, ncv=10, v0=deflated(root * np.cos(np.arange(n))), tol=1e-10,
-            return_eigenvectors=False,
+        _, y = spla.eigsh(
+            spla.LinearOperator((n, n), matvec=inverse, dtype=float),
+            k=1, ncv=10, v0=deflated(root * np.cos(np.arange(n))), tol=1e-10,
         )
     except spla.ArpackNoConvergence as exc:
         raise NonconvergenceError("Lanczos did not converge") from exc
-    return float(-1e-3 + 1.0 / theta[0])
+    x = y[:, 0] / root
+    return float(x @ (op.A @ x) / (x @ (op.W * x)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,17 +101,40 @@ def full_width_hyperbolic_correction(mesh, beta: float, profile, tol: float = 1e
     """``hyperbolic_correction_solve``'s problem assembled and Picard-solved on every node of ``mesh``.
 
     The same data, the flat cone r^{2(beta-1)} times e^{2 profile(rfrak)} and
-    its discrete curvature with the cone's flux taken off a collapsed inner
-    ring, on the caller's full rings rather than on the narrowest ones.
+    its discrete curvature away from the tip (the weak form of the profile
+    alone: the cone's part is linear in t), on the caller's full rings rather
+    than on the narrowest ones.
     """
     r, _ = mesh.grids()
     u_approx = profile(r**beta / beta) * np.ones((mesh.nt, mesh.nphi))
-    cone_part = (beta - 1.0) * np.log(r) * np.ones((mesh.nt, mesh.nphi))
-    op = assemble(mesh, np.exp(2.0 * cone_part + 2.0 * u_approx))
-    K_tilde = op.weak_form(cone_part + u_approx) / op.W
-    if mesh.inner == "pole":
-        K_tilde[0] -= op.weak_form(cone_part)[0] / op.W[0]
+    op = assemble(mesh, r ** (2.0 * (beta - 1.0)) * np.exp(2.0 * u_approx))
+    K_tilde = op.weak_form(u_approx) / op.W
     return picard_solve(op, op.dof_to_grid(-(K_tilde + 1.0)), tol=tol)
+
+
+def hyperbolic_forcing_stencil(r_min: float, r_max: float, nt: int, beta: float, u_approx) -> np.ndarray:
+    """The one-cone correction's forcing -(K_tilde + 1), by a radial three-point stencil in long double.
+
+    On a log-polar mesh of nt rings, uniform in t = log r from log r_min to
+    log r_max with spacing h, a collapsed inner ring and a Dirichlet outer
+    one, the metric e^{2 u} r^{2(beta - 1)} |dz|^2 with u = ``u_approx`` (its
+    nt radial values) has lumped mass e^{2 beta t + 2 u} h per unit angle on
+    an interior ring and half that on the inner one, which holds its whole
+    ring.  The flat cone's part is linear in t, so away from the tip only u
+    bends and K_tilde is -(u_{i-1} - 2 u_i + u_{i+1}) / (h^2 e^{2 beta t_i + 2 u_i});
+    the tip's own delta is the background's, and the inner ring's row is
+    2 (u_0 - u_1) / (h^2 e^{2 beta t_0 + 2 u_0}).  The outer ring's value enters
+    only as its neighbour's.  Returns nt - 1 values, inner ring first.
+    """
+    ld = np.longdouble
+    u = np.asarray(u_approx, dtype=ld)
+    h = (np.log(ld(r_max)) - np.log(ld(r_min))) / ld(nt - 1)
+    t = np.log(ld(r_min)) + h * np.arange(nt, dtype=ld)
+    bend = np.empty(nt - 1, dtype=ld)
+    bend[0] = 2 * (u[0] - u[1])
+    bend[1:] = 2 * u[1:-1] - u[:-2] - u[2:]
+    k_tilde = bend / (h * h * np.exp(2 * ld(beta) * t[:-1] + 2 * u[:-1]))
+    return -(k_tilde + 1)
 
 
 def index_set_by_fractions(beta: Fraction, cutoff: Fraction) -> list[ExponentEntry]:

@@ -33,7 +33,12 @@ from conic_moduli.solver import (
     spherical_cone_solve,
 )
 
-from oracles import full_width_hyperbolic_correction, radial_hyperbolic, spherical_existence_gate
+from oracles import (
+    full_width_hyperbolic_correction,
+    hyperbolic_forcing_stencil,
+    radial_hyperbolic,
+    spherical_existence_gate,
+)
 
 
 def annulus(nt=64, nphi=32, r0=0.05, r1=1.0):
@@ -575,7 +580,26 @@ def test_picard_readme_solve_ends_by_tol_before_the_floor():
     mesh = FiberMesh(1e-3, 0.7, 96, 16, inner="pole", outer="dirichlet")
     rep = hyperbolic_correction_solve(mesh, 0.5, functools.partial(u0_truncated, order=4))
     assert rep.iterations == rep.steps == 6
-    assert rep.residual_sup == 3.544217697104557e-11
+    assert rep.residual_sup == 3.5444959467501036e-11
+
+
+def test_hyperbolic_forcing_is_the_stencil_of_u_approx_at_r_min_1e_12(monkeypatch):
+    # the flat cone's part is linear in t, so the forcing is the radial stencil
+    # of u_approx alone to round-off, even where W ~ r is near 1e-12: adding the
+    # cone's weak form and taking its pole flux off again left errors up to 0.11
+    # there (and a sup|f| of 9.571 for 9.461)
+    mesh = FiberMesh(1e-12, 0.7, 129, 16, inner="pole", outer="dirichlet")
+    profiles, forcings, picard = [], [], solver.picard_solve
+
+    def profile(rfrak):
+        profiles.append(u0_truncated(rfrak, order=4))
+        return profiles[-1]
+
+    monkeypatch.setattr(solver, "picard_solve", lambda op, f, **kwargs: forcings.append(f) or picard(op, f, **kwargs))
+    hyperbolic_correction_solve(mesh, 0.5, profile)
+    want = hyperbolic_forcing_stencil(mesh.r_min, mesh.r_max, mesh.nt, 0.5, profiles[0][:, 0]).astype(float)
+    assert np.max(np.abs(forcings[0][:-1] - want[:, None])) <= 1e-12
+    assert np.max(np.abs(forcings[0])) == pytest.approx(9.461, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -823,10 +847,11 @@ def test_spherical_newton_converges_on_seeded_admissible_data():
 
 
 def test_spherical_cone_solve_traces_below_two_bands(monkeypatch):
-    # Newton's last factor is dropped before the gap's factor allocates its band:
-    # the traced peak stays below two LU bands (1.28 on numpy 2.4).  The gap's
-    # Cholesky band is a third of an LU band, so a Newton band left alive would stay
-    # below that too; when the gap starts, what is traced is below half an LU band
+    # Newton's last factor is dropped before the gap starts: the traced peak
+    # stays below two LU bands (1.28 on numpy 2.4).  The gap allocates no band,
+    # only the Fourier factor of the grounded stiffness and its FFT arrays (0.39
+    # of an LU band at its peak), so a Newton band left alive would stay below
+    # that too; when the gap starts, what is traced is below half an LU band
     # (0.15; 1.11 with Newton's last band alive).  Newton's operator stays alive
     # through the gap, whose operator shares its stiffness; its arrays are a small
     # fraction of one band
@@ -930,7 +955,8 @@ def test_spherical_cone_solve_asymmetric_angles(betas, points):
 
 
 def test_spherical_cone_solve_factorization_count(monkeypatch):
-    # one Newton run from u = 0 plus one factor for the gap estimate: the
+    # one Newton run from u = 0, and no shifted factor for the gap estimate,
+    # which solves on the Fourier blocks of the grounded stiffness: the
     # algorithm, not the machine, sets these counts
     shifted, gap = ConicLaplacianOp.shifted, solver.eigen_gap
     calls, phase = {"newton": 0, "gap": 0}, ["newton"]
@@ -948,7 +974,7 @@ def test_spherical_cone_solve_factorization_count(monkeypatch):
     mesh = FiberMesh(math.exp(-8), math.exp(8), 257, 40, inner="pole", outer="pole")
     rep = spherical_cone_solve([2 / 3] * 3, [0j, 1.0 + 0j], mesh)
     assert rep.gap > 2.0
-    assert calls["gap"] == 1
+    assert calls["gap"] == 0
     assert calls["newton"] + calls["gap"] <= 7  # 9 Newton factors when tau started at 1
     assert calls["newton"] == rep.iterations  # 2, at one BLAS thread and at two
 
@@ -1233,25 +1259,21 @@ def generalized_mode_gap(op, factor):
 @pytest.mark.parametrize("half_width, nt, nphi", [(6.0, 129, 24), (7.0, 193, 32), (8.0, 257, 40)])
 def test_eigen_gap_leaves_out_the_constants(half_width, nt, nphi, monkeypatch):
     # Lanczos on the complement of the constants asks for the gap alone: at
-    # most 16 band solves on these solved metrics, where generalized
-    # shift-invert mode took 17 and asking it for the two eigenvalues nearest
-    # -1e-3 (the constants' 0 and the gap) took 24
+    # most 16 solves on the grounded stiffness's Fourier factor on these solved
+    # metrics, where generalized shift-invert mode took 17 and asking it for
+    # the two eigenvalues nearest -1e-3 (the constants' 0 and the gap) took 24
     mesh = FiberMesh(math.exp(-half_width), math.exp(half_width), nt, nphi, inner="pole", outer="pole")
     op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
-    shifted, solves = ConicLaplacianOp.shifted, []
+    solve, solves = solver._FourierFactor.solve, []
 
-    class Counted:
-        def __init__(self, factor):
-            self.factor = factor
+    def counted(factor, b):
+        solves.append(b.shape)
+        return solve(factor, b)
 
-        def solve(self, b):
-            solves.append(b.shape)
-            return self.factor.solve(b)
-
-    monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, shift: Counted(shifted(op, shift)))
+    monkeypatch.setattr(solver._FourierFactor, "solve", counted)
     gap = eigen_gap(op)
     assert 0 < len(solves) <= 16
-    assert gap == pytest.approx(generalized_mode_gap(op, shifted(op, 1e-3)), rel=1e-13)
+    assert gap == pytest.approx(generalized_mode_gap(op, op.shifted(1e-3)), rel=1e-13)
 
 
 def test_eigen_gap_where_the_mass_falls_to_1e_9(monkeypatch):
@@ -1261,6 +1283,22 @@ def test_eigen_gap_where_the_mass_falls_to_1e_9(monkeypatch):
     op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
     assert op.W.min() < 2e-9
     assert eigen_gap(op) == pytest.approx(generalized_mode_gap(op, op.shifted(1e-3)), rel=1e-13)
+
+
+def test_eigen_gap_past_the_band_cut_builds_no_shifted_factor(tridiagonal_routines, band_routines, monkeypatch):
+    # rings of 66 nodes are wider than _BAND_MAX_NPHI, where a shifted factor
+    # of this W would be SuperLU's; the gap factors the grounded stiffness by
+    # one dpttrf instead, and matches the dense pencil (992 dofs)
+    mesh = FiberMesh(math.exp(-6), math.exp(6), 17, 66, inner="pole", outer="pole")
+    assert mesh.nphi > solver._BAND_MAX_NPHI
+    op = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
+    monkeypatch.setattr(ConicLaplacianOp, "shifted", lambda op, shift: pytest.fail("shifted factor"))
+    tridiagonal_routines.clear()
+    gap = eigen_gap(op)
+    assert tridiagonal_routines.count("dpttrf") == 1 and band_routines == []
+    dense = scipy.linalg.eigh(op.A.toarray(), np.diag(op.W), eigvals_only=True)
+    assert dense[0] == pytest.approx(0.0, abs=1e-9)
+    assert gap == pytest.approx(dense[1], rel=1e-8)
 
 
 def lanczos_gap(op):
@@ -1292,7 +1330,8 @@ def test_radial_eigen_gap_matches_shift_invert_lanczos(L, nt, nphi, density):
 def test_radial_eigen_gap_needs_no_factor_and_no_lanczos(monkeypatch):
     # a rotation-invariant W separates the eigenproblem by angular mode: two
     # tridiagonals, no shifted factor and no ARPACK; a solved cone metric is
-    # not rotation-invariant and takes one factor and one Lanczos run
+    # not rotation-invariant and takes one Lanczos run on the stiffness's
+    # Fourier factor, no shifted one
     mesh = FiberMesh(math.exp(-6), math.exp(6), 65, 16, inner="pole", outer="pole")
     solved = solved_metric_op([2 / 3] * 3, [0j, 1 + 0j])(mesh, monkeypatch)
     shifted, eigsh = ConicLaplacianOp.shifted, spla.eigsh
@@ -1312,7 +1351,7 @@ def test_radial_eigen_gap_needs_no_factor_and_no_lanczos(monkeypatch):
         assert abs(eigen_gap(assemble(mesh, density)) - 2.0) < 0.25
     assert calls == {"shifted": 0, "eigsh": 0}
     assert eigen_gap(solved) > 2.0
-    assert calls == {"shifted": 1, "eigsh": 1}
+    assert calls == {"shifted": 0, "eigsh": 1}
 
 
 def test_eigen_gap_draws_no_random_numbers(monkeypatch):
